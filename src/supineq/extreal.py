@@ -65,10 +65,12 @@ def amul(a, b):
     """Elementwise product on arrays with 0 * inf = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    zero = (a == 0.0) | (b == 0.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = a * b
-    return np.where(zero, 0.0, out)
+        out = np.asarray(a * b)
+    # on [0, inf] a NaN can only be 0 * inf; NaN inputs keep the full masks
+    if np.isnan(out).any():
+        out = np.where((a == 0.0) | (b == 0.0), 0.0, out)
+    return out
 
 
 def adiv(a, b):
@@ -89,15 +91,9 @@ def apow(a, e: float):
     a = np.asarray(a, dtype=float)
     if e == 0.0:
         return np.ones_like(a)
+    # IEEE pow already gives 0**-e = inf, inf**-e = 0, 0**e = 0, inf**e = inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = a ** e
-    if e < 0:
-        out = np.where(a == 0.0, INF, out)
-        out = np.where(a == INF, 0.0, out)
-    else:
-        out = np.where(a == 0.0, 0.0, out)
-        out = np.where(a == INF, INF, out)
-    return out
+        return np.asarray(a ** e)
 
 
 @dataclass(frozen=True)

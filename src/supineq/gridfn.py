@@ -18,13 +18,12 @@ represented by their conservative step minorant/majorant depending on the
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .extreal import INF, amul, apow, xmul, xpow
+from .extreal import INF, amul, apow, xpow
 from .weights import Weight
 
 __all__ = [
@@ -136,11 +135,6 @@ class GridFunction:
         rv = self.region_values()
         out = rv[np.clip(idx, 0, len(rv) - 1)]
         return out if out.ndim else float(out)
-
-    def with_values(self, values, **kw) -> "GridFunction":
-        args = dict(grid=self.grid, values=values, cone=self.cone, head=self.head, tail=self.tail)
-        args.update(kw)
-        return GridFunction(**args)
 
 
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:

@@ -14,15 +14,14 @@ with positive tail); such outputs carry the flag ``"has-inf"``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .extreal import INF, adiv, amul, xdiv, xmul
+from .extreal import INF, adiv, amul, xmul
 from .gridfn import Grid, GridFunction
-from .weights import PowerWeight, Weight, parse_weight, weight_pow
+from .weights import PowerWeight, Weight
 
 __all__ = [
     "OperatorKind",
@@ -233,12 +232,6 @@ def _limit_inf(w: Weight) -> float:
         return w.limit_inf()
     except NotImplementedError:  # pragma: no cover
         return float(w(1e14))
-
-
-_EXPECTED_CONE = {
-    ("S", None): "non_increasing_or_non_decreasing",
-    ("S*", None): "non_increasing_or_non_decreasing",
-}
 
 
 def apply_spec(kind: OperatorKind, f: GridFunction) -> GridFunction:

@@ -10,9 +10,8 @@ it can under-report, never over-report.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,16 +19,14 @@ from .extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
-    GridFunction,
     make_log_grid,
-    project_cone,
     region_measures,
     sample_monotone,
     sample_nonneg,
 )
-from .operators import OperatorKind, apply_spec, b_cumulative
+from .operators import OperatorKind, _limit_inf, _ratio_weight, b_cumulative
 from .criteria import CriterionResult, InequalitySpec
-from .weights import Exponents, PowerWeight, Weight, weight_pow, weight_scale
+from .weights import Exponents, Weight, weight_pow, weight_scale
 
 __all__ = [
     "OracleBudget",
@@ -105,102 +102,93 @@ class RayleighEngine:
                 [k.u.sup_on_interval(a, b) for a, b in zip(lo, hi)]
             )
             self._u_knots = np.asarray(k.u(ks), dtype=float)
-            self._u_liminf = _safe_limit_inf(k.u)
+            self._u_liminf = _limit_inf(k.u)
         if k.base in ("T_ub", "SS_ub"):
             B = b_cumulative(k.b)
             self.Bk = np.asarray(B(ks), dtype=float)
             self.dB = region_measures(self.grid, k.b)
             self._uB = adiv(np.asarray(k.u(ks), dtype=float), self.Bk)
-            from .operators import _ratio_weight
-
             ratio_w = _ratio_weight(k.u, B)
             self._uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
-            self._uB_liminf = _safe_limit_inf(ratio_w)
+            self._uB_liminf = _limit_inf(ratio_w)
         lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
         self.lengths = lengths
 
-    # -- step-function plumbing ------------------------------------------------
-    def _segvals(self, values: np.ndarray, cone: str, head: float, tail: float) -> np.ndarray:
-        if cone == "non_increasing":
-            return np.concatenate([values, [tail]])
-        return np.concatenate([[head], values])
-
-    def _norm(self, segvals: np.ndarray, p: float, measures: np.ndarray) -> float:
-        return xpow(float(np.sum(amul(apow(segvals, p), measures))), 1.0 / p)
-
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
-        f = np.asarray(values, dtype=float)
-        cone = self.cone
-        head = f[0] if cone == "non_increasing" else 0.0
-        tail = f[-1] if cone == "non_decreasing" else 0.0
-        segv = self._segvals(f, cone, head, tail)
-        den = self._norm(segv, self.spec.exps.p, self.dV)
-        if den == 0.0:
-            return 0.0
-        out_segv = self._output_segvals(f, segv)
-        num = self._norm(out_segv, self.spec.exps.q, self.dW)
-        return xdiv(num, den)
+        return float(self.ratios(np.asarray(values, dtype=float)[None])[0])
 
-    def _output_segvals(self, f: np.ndarray, segv: np.ndarray) -> np.ndarray:
-        k = self.spec.kind
-        if k.base == "T_ub":
-            cum = np.cumsum(amul(segv[:-1], self.dB[:-1]))
-            if segv[-1] > 0.0 and self.dB[-1] > 0.0:
-                tail_cum = INF
-            else:
-                tail_cum = cum[-1]
-            point = amul(self._uB, cum)
-            tail_term = xmul(tail_cum, self._uB_tail_sup)
-            out = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1]
-            vals = out[:-1]
-            tail_val = min(xmul(tail_cum, self._uB_liminf), vals[-1])
-            return np.concatenate([vals, [tail_val]])
-        if k.base == "SS_ub":
-            inner = np.maximum.accumulate(amul(segv[:-1], self.Bk))
-            inner_tail = inner[-1] if segv[-1] == 0.0 else INF
-            point = amul(self._uB, inner)
-            tail_term = xmul(inner_tail, self._uB_tail_sup)
-            out = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1]
-            vals = out[:-1]
-            tail_val = min(xmul(inner_tail, self._uB_liminf), vals[-1])
-            return np.concatenate([vals, [tail_val]])
-        # supremal (possibly composed) operators
-        if k.compose == "H":
-            cum = np.cumsum(amul(segv[:-1], self.lengths[:-1]))
-            g_vals, g_cone = cum, "non_decreasing"
-            g_head, g_tail = 0.0, cum[-1] if segv[-1] == 0.0 else INF
-        elif k.compose == "H*":
-            above = amul(segv[1:], self.lengths[1:])
-            rev = np.cumsum(above[::-1])[::-1]
-            g_vals, g_cone = rev, "non_increasing"
-            g_head, g_tail = rev[0], 0.0
+    def ratios(self, F: np.ndarray) -> np.ndarray:
+        """Quotients of an ``(m, n)`` stack of knot-value rows, one per row.
+
+        Region values (``segv``, ``(m, n+1)``) follow the canonical step
+        semantics of the cone; each operator maps them to output region
+        values, and both norms are exact sums over regions."""
+        F = np.asarray(F, dtype=float)
+        zeros = np.zeros((F.shape[0], 1))
+        if self.cone == "non_increasing":
+            segv = np.concatenate([F, zeros], axis=1)
         else:
-            g_vals, g_cone = f, self.cone
-            g_head = segv[0] if self.cone == "non_increasing" else 0.0
-            g_tail = segv[-1]
-        gsegv = self._segvals(g_vals, g_cone, g_head, g_tail)
+            segv = np.concatenate([zeros, F], axis=1)
+        p, q = self.spec.exps.p, self.spec.exps.q
+        den_sums = np.sum(amul(apow(segv, p), self.dV), axis=1)
+        num_sums = np.sum(amul(apow(self._output_regions(segv), q), self.dW), axis=1)
+        out = np.zeros(F.shape[0])
+        for i in range(F.shape[0]):
+            den = xpow(float(den_sums[i]), 1.0 / p)
+            if den != 0.0:
+                out[i] = xdiv(xpow(float(num_sums[i]), 1.0 / q), den)
+        return out
+
+    def _output_regions(self, segv: np.ndarray) -> np.ndarray:
+        """Operator output on each region, row-wise: exact at knots, and an
+        under-estimate on each region by the monotonicity of the output."""
+        k = self.spec.kind
+        if k.base in ("T_ub", "SS_ub"):
+            if k.base == "T_ub":
+                # int_0^{k_j} f b, and the whole integral for the tail
+                inner = np.cumsum(amul(segv[:, :-1], self.dB[:-1]), axis=1)
+                tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
+            else:
+                # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
+                inner = np.maximum.accumulate(amul(segv[:, :-1], self.Bk), axis=1)
+                tail_pos = segv[:, -1] != 0.0
+            inner_tail = np.where(tail_pos, INF, inner[:, -1])
+            point = amul(self._uB, inner)
+            tail_term = amul(inner_tail, self._uB_tail_sup)[:, None]
+            vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
+            tail_val = np.minimum(amul(inner_tail, self._uB_liminf), vals[:, -1])
+            return np.concatenate([vals, tail_val[:, None]], axis=1)
+        # supremal (possibly composed) operators act on the inner g's regions
+        zeros = np.zeros((segv.shape[0], 1))
+        if k.compose == "H":
+            # (H f)(k_j) = int_0^{k_j} f, non-decreasing
+            cum = np.cumsum(amul(segv[:, :-1], self.lengths[:-1]), axis=1)
+            gsegv, g_cone = np.concatenate([zeros, cum], axis=1), "non_decreasing"
+        elif k.compose == "H*":
+            # (H* f)(k_j) = mass of regions R_{j+1}..R_n, non-increasing
+            above = amul(segv[:, 1:], self.lengths[1:])
+            rev = np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+            gsegv, g_cone = np.concatenate([rev, zeros], axis=1), "non_increasing"
+        else:
+            gsegv, g_cone = segv, self.cone
         prods = amul(self._u_rsups, gsegv)
         if k.base == "S":
             # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
             # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
-            vals = np.maximum.accumulate(prods[:-1])
-            return np.concatenate([[0.0], vals])
+            vals = np.maximum.accumulate(prods[:, :-1], axis=1)
+            return np.concatenate([zeros, vals], axis=1)
         # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
         # output is non-increasing, region R_i takes out(k_i)
-        gk = gsegv[:-1] if g_cone == "non_increasing" else gsegv[1:]
-        point = amul(self._u_knots, gk)
-        above = np.maximum.accumulate(prods[1:][::-1])[::-1]
-        vals = np.maximum(point, above)
-        tail = xmul(gsegv[-1], self._u_liminf)
-        return np.concatenate([vals, [min(tail, float(vals[-1]))]])
+        gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
+        vals = np.maximum(amul(self._u_knots, gk), _suffix_max(prods[:, 1:]))
+        tail = np.minimum(amul(gsegv[:, -1], self._u_liminf), vals[:, -1])
+        return np.concatenate([vals, tail[:, None]], axis=1)
 
 
-def _safe_limit_inf(w: Weight) -> float:
-    try:
-        return w.limit_inf()
-    except Exception:  # pragma: no cover
-        return float(np.asarray(w(1e14), dtype=float))
+def _suffix_max(a: np.ndarray) -> np.ndarray:
+    """Row-wise running maximum from the right."""
+    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _characteristic_values(n: int, j: int, cone: str) -> np.ndarray:
@@ -255,20 +243,20 @@ def best_constant_lower(
     trace.append(best)
 
     if budget.n_ascent > 0 and best > 0.0:
+        # all four factors of one coordinate are scored in one engine call; the
+        # first one in factor order that improves is taken, as if tried in turn
         vals = best_vals.copy()
-        factors = (2.0, 0.5, 1.1, 1.0 / 1.1)
         rng = np.random.default_rng(seed + 104729)
         for sweep in range(budget.n_ascent):
             improved = False
             order = rng.permutation(n)
             for j in order:
-                for fac in factors:
-                    cand = vals.copy()
-                    cand[j] = cand[j] * fac if cand[j] > 0 else fac - 1.0 if fac > 1 else 0.0
-                    cand = _project_values(cand, cone)
-                    r = engine.ratio(cand)
+                cands = np.repeat(vals[None], len(_ASCENT_FACTORS), axis=0)
+                cands[:, j] = vals[j] * _ASCENT_FACTORS if vals[j] > 0 else _ASCENT_FROM_ZERO
+                cands = _project_rows(cands, cone)
+                for r, cand in zip(engine.ratios(cands), cands):
                     if np.isfinite(r) and r > best * (1.0 + 1e-12):
-                        best, vals, improved = r, cand, True
+                        best, vals, improved = float(r), cand.copy(), True
                         break
             if not improved:
                 break
@@ -285,12 +273,18 @@ def best_constant_lower(
     )
 
 
-def _project_values(vals: np.ndarray, cone: str) -> np.ndarray:
+_ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
+# a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
+_ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
+
+
+def _project_rows(rows: np.ndarray, cone: str) -> np.ndarray:
+    """Project each row of knot values onto the cone."""
     if cone == "non_increasing":
-        return np.maximum.accumulate(vals[::-1])[::-1]
+        return _suffix_max(rows)
     if cone == "non_decreasing":
-        return np.maximum.accumulate(vals)
-    return np.maximum(vals, 0.0)
+        return np.maximum.accumulate(rows, axis=1)
+    return np.maximum(rows, 0.0)
 
 
 def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:

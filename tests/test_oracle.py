@@ -1,14 +1,23 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
-from supineq.extreal import INF
-from supineq.gridfn import make_log_grid
-from supineq.operators import OperatorKind
+from supineq.extreal import INF, xdiv
+from supineq.gridfn import (
+    GridFunction,
+    make_log_grid,
+    sample_monotone,
+    sample_nonneg,
+    weighted_norm,
+)
+from supineq.operators import OperatorKind, apply_spec
 from supineq.oracle import (
     OracleBudget,
     OracleResult,
@@ -20,6 +29,8 @@ from supineq.oracle import (
 )
 from supineq.weights import Exponents, PowerWeight
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BATTERY = os.path.join(ROOT, "configs", "battery.json")
 GRID = make_log_grid(1e-4, 1e4, 49)
 ONE = PowerWeight(1.0, 0.0)
 EXP = PowerWeight(1.0, 0.0, 1.0)
@@ -144,3 +155,158 @@ class TestHelpers:
         for v in out["lower_bounds"].values():
             assert v >= 0.0
         assert "ratios" in out and "divergence_flags" in out
+
+
+# -- the batched kernel against the per-row wrapper and the operator module --
+
+KERNEL_GRID = make_log_grid(1e-5, 1e5, 40)  # the battery's range at n = 40
+
+
+KERNEL_SPECS = [(sc.id, sc.spec) for sc in load_config(BATTERY)] + [
+    ("ss_ub", InequalitySpec(OperatorKind("SS_ub", None, PowerWeight(1.0, 1.0), ONE),
+                             "non_increasing", ONE, EXP, Exponents(0.5, 0.5)))]
+
+
+def indicator(n, j, fam):
+    """chi_(0, k_j] for the non-increasing family, chi_[k_j, oo) for the non-decreasing one."""
+    vals = np.zeros(n)
+    if fam == "non_decreasing":
+        vals[j:] = 1.0
+    else:
+        vals[: j + 1] = 1.0
+    return vals
+
+
+def indicator_families(cone):
+    return [cone] if cone != "none" else ["non_increasing", "non_decreasing"]
+
+
+def kernel_inputs(spec, grid):
+    """Five random witnesses of the spec's cone, then every indicator witness."""
+    if spec.cone == "none":
+        rand = [sample_nonneg(grid, 17 + i).values for i in range(5)]
+    else:
+        rand = [sample_monotone(spec.cone, grid, 17 + i).values for i in range(5)]
+    ind = [indicator(grid.n, j, fam) for fam in indicator_families(spec.cone) for j in range(grid.n)]
+    return np.array(rand + ind)
+
+
+def operator_module_ratio(engine, values):
+    """The same quotient through ``apply_spec`` on a GridFunction witness."""
+    spec = engine.spec
+    f = GridFunction(engine.grid, values, spec.cone)
+    den = weighted_norm(f, spec.exps.p, spec.v, measures=engine.dV)
+    if den == 0.0:
+        return 0.0
+    out = apply_spec(spec.kind, f)
+    return xdiv(weighted_norm(out, spec.exps.q, spec.w, measures=engine.dW), den)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec", [spec for _, spec in KERNEL_SPECS],
+                             ids=[sid for sid, _ in KERNEL_SPECS])
+    def test_batched_kernel_agrees(self, spec):
+        engine = RayleighEngine(spec, KERNEL_GRID)
+        stack = kernel_inputs(spec, KERNEL_GRID)
+        batched = engine.ratios(stack)
+        # rows of a batch never interact: bit-for-bit the one-row wrapper
+        single = np.array([engine.ratio(row) for row in stack])
+        assert np.array_equal(batched, single)
+        # and the operator module's GridFunction path
+        ref = np.array([operator_module_ratio(engine, row) for row in stack])
+        if spec.kind.base != "T_ub":
+            assert np.array_equal(batched, ref)
+            return
+        # t_ub takes b's region masses as differences of B at the knots, the
+        # engine integrates b over each region: a few ulps apart, and the
+        # 1/p-th root of the norm (p >= 1/2 here) doubles that at most
+        exact = ~np.isfinite(ref) | (ref == 0.0)
+        assert np.array_equal(batched[exact], ref[exact])
+        assert np.allclose(batched[~exact], ref[~exact], rtol=4e-15, atol=0.0)
+
+
+# -- the batched ascent against the sequential one-factor-at-a-time ascent --
+
+def sequential_best_constant_lower(spec, budget, seed, grid):
+    """The oracle's search with one ``ratio`` call per ascent factor, tried in
+    turn: the reference the batched ascent must reproduce exactly."""
+    engine = RayleighEngine(spec, grid)
+    n, cone = engine.n, spec.cone
+    best, best_vals, trace = 0.0, np.zeros(n), []
+    idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
+    for fam in indicator_families(cone):
+        for j in idxs:
+            vals = indicator(n, j, fam)
+            r = engine.ratio(vals)
+            if np.isfinite(r) and r > best:
+                best, best_vals = r, vals
+    trace.append(best)
+    for i in range(budget.n_random):
+        if cone == "none":
+            f = sample_nonneg(engine.grid, seed + 7919 * (i + 1))
+        else:
+            f = sample_monotone(cone, engine.grid, seed + 7919 * (i + 1))
+        r = engine.ratio(f.values)
+        if np.isfinite(r) and r > best:
+            best, best_vals = r, np.asarray(f.values, dtype=float).copy()
+    trace.append(best)
+    if budget.n_ascent > 0 and best > 0.0:
+        vals = best_vals.copy()
+        rng = np.random.default_rng(seed + 104729)
+        for _ in range(budget.n_ascent):
+            improved = False
+            for j in rng.permutation(n):
+                for fac in (2.0, 0.5, 1.1, 1.0 / 1.1):
+                    cand = vals.copy()
+                    cand[j] = cand[j] * fac if cand[j] > 0 else fac - 1.0 if fac > 1 else 0.0
+                    if cone == "non_increasing":
+                        cand = np.maximum.accumulate(cand[::-1])[::-1]
+                    elif cone == "non_decreasing":
+                        cand = np.maximum.accumulate(cand)
+                    else:
+                        cand = np.maximum(cand, 0.0)
+                    r = engine.ratio(cand)
+                    if np.isfinite(r) and r > best * (1.0 + 1e-12):
+                        best, vals, improved = r, cand, True
+                        break
+            if not improved:
+                break
+        best_vals = vals
+    trace.append(best)
+    return best, best_vals, tuple(trace)
+
+
+T = PowerWeight(1.0, 1.0)
+SQRT = PowerWeight(1.0, 0.5)
+ASCENT_SPECS = {
+    "S": InequalitySpec(OperatorKind("S", None, ONE), "non_decreasing", EXP,
+                        PowerWeight(1.0, 1.0, 1.0), Exponents(2.0, 1.0)),
+    "S*": InequalitySpec(OperatorKind("S*", None, ONE), "non_increasing", ONE, EXP,
+                         Exponents(2.0, 1.0)),
+    "SoH": InequalitySpec(OperatorKind("S", "H", ONE), "none", SQRT, EXP, Exponents(2.0, 2.0)),
+    "S*oH": InequalitySpec(OperatorKind("S*", "H", ONE), "none", T, EXP, Exponents(2.0, 2.0)),
+    "SoH*": InequalitySpec(OperatorKind("S", "H*", ONE), "none", T, EXP, Exponents(2.0, 1.0)),
+    "S*oH*": InequalitySpec(OperatorKind("S*", "H*", ONE), "none", ONE, EXP, Exponents(2.0, 2.0)),
+    "T_ub": InequalitySpec(OperatorKind("T_ub", None, ONE, ONE), "non_increasing", ONE, EXP,
+                           Exponents(2.0, 2.0)),
+    "SS_ub": InequalitySpec(OperatorKind("SS_ub", None, ONE, ONE), "non_increasing", T, EXP,
+                            Exponents(3.0, 1.5)),
+    # unbounded: the quotient keeps doubling, sweep after sweep
+    "S*-up-unbounded": InequalitySpec(OperatorKind("S*", None, ONE), "non_decreasing", EXP, EXP,
+                                      Exponents(1.0, 1.0)),
+}
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("name", list(ASCENT_SPECS))
+    def test_matches_sequential_ascent(self, name):
+        spec = ASCENT_SPECS[name]
+        budget = OracleBudget(64, 20, 8)
+        got = best_constant_lower(spec, budget, seed=3, grid=GRID)
+        best, witness, trace = sequential_best_constant_lower(spec, budget, 3, GRID)
+        assert got.lower_bound == best
+        assert np.array_equal(got.witness, witness)
+        assert got.trace == trace
+        assert trace[-1] > trace[1]  # the ascent did move
+        if name == "S*-up-unbounded":
+            assert trace[-1] > 1e5 * trace[1]
