@@ -810,7 +810,7 @@ def _upper_cumulative(v: Weight) -> Weight:
     if isinstance(v, PowerWeight) and v.lam == 0.0 and v.mu == 0.0 and v.alpha < -1.0:
         a1 = v.alpha + 1.0
         return PowerWeight(-v.c / a1, a1)
-    return FuncWeight(_UpperCumClosure(v), label="V*", mono="nonincreasing")
+    return FuncWeight(_UpperCumClosure(v), label="V*")
 
 
 def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,

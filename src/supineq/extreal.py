@@ -58,7 +58,10 @@ def xpow(a: float, e: float) -> float:
         return INF if e < 0 else 0.0
     if a == INF:
         return 0.0 if e < 0 else INF
-    return a ** e
+    try:
+        return a ** e
+    except OverflowError:  # float ** raises where IEEE pow (and apow) gives +inf
+        return INF
 
 
 def amul(a, b):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF, amul, apow, xpow
-from .weights import Weight
+from .weights import Weight, _interval_mass
 
 __all__ = [
     "Grid",
@@ -138,15 +138,17 @@ class GridFunction:
 
 
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
-    """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries may be +inf)."""
+    """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries may be +inf).
+
+    Each interior entry is ``w.integrate`` over its region, from one
+    ``cum_low`` per knot and ``cum_up`` only at the knots that need it."""
     ks = grid.array()
-    head = w.cum_low(ks[0])
-    interior = np.array([w.integrate(a, b) for a, b in zip(ks[:-1], ks[1:])])
-    tailm = w.cum_up(ks[-1])
+    low = [w.cum_low(k) for k in ks]
     out = np.empty(grid.n + 1)
-    out[0] = head
-    out[1:-1] = interior
-    out[-1] = tailm
+    out[0] = low[0]
+    out[1:-1] = [_interval_mass(w, a, b, la, lb)
+                 for a, b, la, lb in zip(ks[:-1], ks[1:], low[:-1], low[1:])]
+    out[-1] = w.cum_up(ks[-1])
     return out
 
 

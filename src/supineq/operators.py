@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF, adiv, amul, xmul
-from .gridfn import Grid, GridFunction
+from .gridfn import Grid, GridFunction, region_measures
 from .weights import PowerWeight, Weight
 
 __all__ = [
@@ -85,7 +85,7 @@ def b_cumulative(b: Weight) -> Weight:
         raise ValueError("B(t) = int_0^t b must be finite")
     from .weights import FuncWeight
 
-    return FuncWeight(_CumClosure(b), label="B", mono="nondecreasing")
+    return FuncWeight(_CumClosure(b), label="B")
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,7 @@ def t_ub(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
     ks = f.grid.array()
     segv = f.region_values()
     Bk = np.asarray(B(ks), dtype=float)
-    dB = np.empty(f.grid.n + 1)
-    dB[0] = Bk[0]
-    dB[1:-1] = np.diff(Bk)
-    dB[-1] = INF if b.cum_up(ks[-1]) == INF else b.cum_up(ks[-1])
+    dB = region_measures(f.grid, b)  # b's mass on each region, as the engine takes it
     cumk = np.cumsum(amul(segv[:-1], dB[:-1]))  # int_0^{k_j} f b, exact
     uB = adiv(np.asarray(u(ks), dtype=float), Bk)
     point = amul(uB, cumk)

@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sint
 from scipy import special as _sp
 
-from .extreal import INF, xdiv, xmul, xpow
+from .extreal import INF, xdiv, xpow
 
 __all__ = [
     "Weight",
@@ -58,25 +59,40 @@ __all__ = [
 ]
 
 
-def _quad_log(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of ``fn`` over (a, b) in (0, oo), on the log axis."""
+def _quad_log(w: "Weight", a: float, b: float) -> float:
+    """Adaptive quadrature of ``w`` over (a, b) in (0, oo), on the log axis."""
     lo = math.log(a) if a > 0.0 else -math.inf
     hi = math.log(b) if b < INF else math.inf
+    scalar = w._scalar
 
     def g(s: float) -> float:
         if abs(s) > 700.0:  # exp would overflow/underflow the float range
             return 0.0
         t = math.exp(s)
         try:
-            v = fn(t) * t
+            v = scalar(t) * t
         except OverflowError:
             return 0.0
         return v if math.isfinite(v) else 0.0
 
-    with warnings.catch_warnings():
+    # one errstate per integral, not one per evaluation of the integrand
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         val, _err = _sint.quad(g, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=400)
     return max(val, 0.0)
+
+
+def _interval_mass(w: "Weight", a: float, b: float, la: float, lb: float) -> float:
+    """``int_a^b w`` for 0 < a < b < oo, given ``la``/``lb`` = ``w.cum_low``
+    at a and b: the difference of lower cumulatives when ``lb`` is finite
+    (a NaN falls through), else of upper ones, else quadrature.  ``w.cum_up``
+    is called only on that second branch, at b only when it is finite at a."""
+    if lb < INF:
+        return max(lb - la, 0.0)
+    ua = w.cum_up(a)
+    if ua < INF:
+        return max(ua - w.cum_up(b), 0.0)
+    return _quad_log(w, a, b)
 
 
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
@@ -126,13 +142,12 @@ class Weight:
             return self.cum_low(b) if b < INF else self.total()
         if b == INF:
             return self.cum_up(a)
-        la, lb = self.cum_low(a), self.cum_low(b)
-        if lb < INF:
-            return max(lb - la, 0.0)
-        ua, ub = self.cum_up(a), self.cum_up(b)
-        if ua < INF:
-            return max(ua - ub, 0.0)
-        return _quad_log(lambda t: float(self(t)), a, b)
+        return _interval_mass(self, a, b, self.cum_low(a), self.cum_low(b))
+
+    def _scalar(self, t: float) -> float:
+        """``float(self(t))`` for one float t; the integrand of ``_quad_log``,
+        which calls it under ``np.errstate(all="ignore")``."""
+        return float(self(t))
 
     # -- interval extremes ---------------------------------------------------
     def sup_on_interval(self, a: float, b: float) -> float:
@@ -245,6 +260,13 @@ class PowerWeight(Weight):
         out = np.where(np.isnan(out), 0.0, out)
         return out if out.ndim else float(out)
 
+    def _scalar(self, t: float) -> float:
+        # the ufuncs of __call__, on a float: bit-equal to float(self(t))
+        if not t > 0.0:
+            return 0.0
+        out = self.c * np.exp(self.alpha * np.log(t) - self.lam * t - self.mu / t)
+        return 0.0 if np.isnan(out) else float(out)
+
     # -- boundary limits ------------------------------------------------------
     def limit0(self) -> float:
         if self.c == 0.0 or self.mu > 0.0:
@@ -312,7 +334,7 @@ class PowerWeight(Weight):
                 self.c * self.lam ** (-a1) * _sp.gamma(a1) * _sp.gammainc(a1, self.lam * t)
             )
         # mu > 0: always convergent at zero
-        return _quad_log(lambda s: float(self(s)), 0.0, t)
+        return _quad_log(self, 0.0, t)
 
     def cum_up(self, t: float) -> float:
         if self.c == 0.0 or t == INF:
@@ -329,7 +351,7 @@ class PowerWeight(Weight):
                 return float(
                     self.c * self.lam ** (-a1) * _sp.gamma(a1) * _sp.gammaincc(a1, self.lam * t)
                 )
-        return _quad_log(lambda s: float(self(s)), t, INF)
+        return _quad_log(self, t, INF)
 
     def total(self) -> float:
         if self.c == 0.0:
@@ -341,7 +363,7 @@ class PowerWeight(Weight):
         if self.mu == 0.0:
             a1 = self.alpha + 1.0
             return float(self.c * self.lam ** (-a1) * _sp.gamma(a1))
-        return _quad_log(lambda s: float(self(s)), 0.0, INF)
+        return _quad_log(self, 0.0, INF)
 
     # -- algebra --------------------------------------------------------------------
     def power(self, e: float) -> "PowerWeight":
@@ -534,16 +556,29 @@ class TabulatedWeight(Weight):
     def _arrays(self):
         return np.asarray(self.t), np.asarray(self.y)
 
-    def __call__(self, t):
+    @cached_property
+    def _logs(self) -> tuple:
+        """``(log t_i, log y_i)`` with log 0 read as ``_TINY_LOG``, built on
+        first use."""
         ts, ys = self._arrays()
+        logy = np.where(ys > 0, np.log(np.where(ys > 0, ys, 1.0)), _TINY_LOG)
+        return np.log(ts), logy
+
+    def __call__(self, t):
+        logt, logy = self._logs
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
-            logy = np.where(ys > 0, np.log(np.where(ys > 0, ys, 1.0)), _TINY_LOG)
-            lt = np.log(np.where(t > 0, t, ts[0]))
-        out = np.exp(np.interp(lt, np.log(ts), logy))
+            lt = np.log(np.where(t > 0, t, self.t[0]))
+        out = np.exp(np.interp(lt, logt, logy))
         out = np.where(out < 1e-290, 0.0, out)
         out = np.where(t <= 0.0, 0.0, out)
         return out if out.ndim else float(out)
+
+    def _scalar(self, t: float) -> float:
+        # the ufuncs of __call__, on a float: bit-equal to float(self(t))
+        logt, logy = self._logs
+        out = np.exp(np.interp(np.log(t if t > 0 else self.t[0]), logt, logy))
+        return 0.0 if out < 1e-290 or t <= 0.0 else float(out)
 
     def limit0(self) -> float:
         return float(self.y[0])
@@ -574,7 +609,7 @@ class TabulatedWeight(Weight):
         idx = int(np.searchsorted(ts, t, side="right")) - 1
         acc = head + float(mass[:idx].sum())
         if idx < len(ts) - 1 and t > ts[idx]:
-            acc += _quad_log(lambda s: float(self(s)), ts[idx], min(t, ts[idx + 1]))
+            acc += _quad_log(self, ts[idx], min(t, ts[idx + 1]))
         elif t > ts[-1]:
             acc += float(self.y[-1]) * (t - ts[-1])
         return acc
@@ -631,7 +666,6 @@ class FuncWeight(Weight):
 
     fn: Callable
     label: str = "func"
-    mono: Optional[str] = None  # "nondecreasing" | "nonincreasing" | None
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
@@ -663,7 +697,7 @@ class FuncWeight(Weight):
             slope = math.log(v2 / v1) / math.log(p2 / p1)
             if slope <= -1.0 + 1e-9:
                 return INF
-        return _quad_log(lambda s: float(self(s)), 0.0, min(t, INF)) if t < INF else self.total()
+        return _quad_log(self, 0.0, min(t, INF)) if t < INF else self.total()
 
     def cum_up(self, t: float) -> float:
         p1, p2 = 1e13, 1e15
@@ -674,7 +708,7 @@ class FuncWeight(Weight):
                 return INF
         elif v2 > 0.0 and v1 == 0.0:
             return INF
-        return _quad_log(lambda s: float(self(s)), t, INF)
+        return _quad_log(self, t, INF)
 
     def total(self) -> float:
         lo = self.cum_low(1.0)
@@ -825,11 +859,9 @@ def running_sup(w: Weight, direction: str) -> Weight:
         ys = np.asarray(w.y)
         env = np.maximum.accumulate(ys) if direction == "up_to_t" else np.maximum.accumulate(ys[::-1])[::-1]
         return TabulatedWeight(w.t, tuple(env.tolist()))
-    mono = "nondecreasing" if direction == "up_to_t" else "nonincreasing"
     return FuncWeight(
         _RunningSupClosure(w, direction == "from_t"),
         label=f"running_sup[{direction}]",
-        mono=mono,
     )
 
 
@@ -857,8 +889,8 @@ def phi_weights(v: Weight, p: float):
     probe = vp.cum_low(1.0)
     if probe == INF or probe == 0.0:
         raise ValueError("level transform undefined: int_0^x v^{1-p'} not in (0, oo)")
-    phi = FuncWeight(_PhiClosure(vp, pp, False), label="phi", mono=None)
-    Phi = FuncWeight(_PhiClosure(vp, pp, True), label="Phi", mono="nondecreasing")
+    phi = FuncWeight(_PhiClosure(vp, pp, False), label="phi")
+    Phi = FuncWeight(_PhiClosure(vp, pp, True), label="Phi")
     return phi, Phi
 
 
@@ -880,8 +912,8 @@ def psi_weights(v: Weight, p: float):
     probe = vp.cum_up(1.0)
     if probe == INF or probe == 0.0:
         raise ValueError("mirror transform undefined: int_x^oo v^{1-p'} not in (0, oo)")
-    psi = FuncWeight(_PsiClosure(vp, pp, False), label="psi", mono=None)
-    Psi = FuncWeight(_PsiClosure(vp, pp, True), label="Psi", mono="nonincreasing")
+    psi = FuncWeight(_PsiClosure(vp, pp, False), label="psi")
+    Psi = FuncWeight(_PsiClosure(vp, pp, True), label="Psi")
     return psi, Psi
 
 

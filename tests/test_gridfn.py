@@ -1,7 +1,11 @@
 """Step functions on log grids: semantics, norms, sampling, cone projection."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +20,8 @@ from supineq.gridfn import (
     sample_nonneg,
     weighted_norm,
 )
-from supineq.weights import PowerWeight
+from supineq.operators import b_cumulative
+from supineq.weights import PiecewisePowerWeight, PowerWeight, TabulatedWeight
 
 GRID = make_log_grid(1e-3, 1e3, 13)
 LEB = PowerWeight(1.0, 0.0)
@@ -99,6 +104,101 @@ class TestRegionMeasures:
         w = PowerWeight(1.0, 0.0, 1.0)
         m = region_measures(GRID, w)
         assert np.sum(m) == pytest.approx(w.total(), rel=1e-8)
+
+
+# -- region masses against the per-region integrate loop they replace ----------
+
+def old_quad_log(w, a, b):
+    """The quadrature of ``w`` as it was: the integrand is ``float(w(t))``."""
+    lo = math.log(a) if a > 0.0 else -math.inf
+    hi = math.log(b) if b < INF else math.inf
+
+    def g(s):
+        if abs(s) > 700.0:
+            return 0.0
+        t = math.exp(s)
+        try:
+            v = float(w(t)) * t
+        except OverflowError:
+            return 0.0
+        return v if math.isfinite(v) else 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, _err = scipy.integrate.quad(g, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=400)
+    return max(val, 0.0)
+
+
+def old_region_measures(grid, w):
+    """One ``integrate`` per region, two cumulatives per interior knot."""
+    def integrate(a, b):
+        la, lb = w.cum_low(a), w.cum_low(b)
+        if lb < INF:
+            return max(lb - la, 0.0)
+        ua, ub = w.cum_up(a), w.cum_up(b)
+        if ua < INF:
+            return max(ua - ub, 0.0)
+        return old_quad_log(w, a, b)
+
+    ks = grid.array()
+    out = np.empty(grid.n + 1)
+    out[0] = w.cum_low(ks[0])
+    out[1:-1] = np.array([integrate(a, b) for a, b in zip(ks[:-1], ks[1:])])
+    out[-1] = w.cum_up(ks[-1])
+    return out
+
+
+# the benchmark's two grid ranges, at the battery's n
+BENCH_GRIDS = {"battery": make_log_grid(1e-5, 1e5, 96), "cli": make_log_grid(1e-6, 1e6, 96)}
+EXP_TABLE_T = tuple(np.logspace(-4.0, 4.0, 25).tolist())  # 3 samples per decade
+
+MASS_WEIGHTS = {
+    "power": PowerWeight(2.0, 0.5),
+    "powerexp": PowerWeight(1.0, 1.0, 0.5),
+    "genpower": PowerWeight(1.0, 0.5, 0.3, 0.2),
+    "piecewise": PiecewisePowerWeight((0.01, 10.0), (PowerWeight(1.0, -0.5), PowerWeight(2.0, 0.0),
+                                                      PowerWeight(20.0, -1.0))),
+    "table": TabulatedWeight(t=(1e-3, 0.1, 1.0, 30.0, 1e3), y=(3.0, 1.0, 0.4, 0.02, 1e-4)),
+    "t^-1 (quadrature)": PowerWeight(1.0, -1.0),
+    "t^-2 (upper cumulatives)": PowerWeight(1.0, -2.0),
+    "powerexp t^-1.5 (upper quadrature)": PowerWeight(1.0, -1.5, 0.5),
+    "B of a table": b_cumulative(TabulatedWeight(t=(1.0, 2.0), y=(1.0, 0.25))),
+    # segment (215, 464): a**beta underflows, its mass is NaN and so is every
+    # cum_low past it; those regions fall through to quadrature
+    "e^-t table, NaN segment": TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T)),
+}
+
+
+class TestRegionMeasuresBitIdentical:
+    @pytest.mark.parametrize("grid", sorted(BENCH_GRIDS))
+    @pytest.mark.parametrize("name", sorted(MASS_WEIGHTS))
+    def test_equals_per_region_integrate(self, name, grid):
+        g, w = BENCH_GRIDS[grid], MASS_WEIGHTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new, old = region_measures(g, w), old_region_measures(g, w)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+    def test_nan_segment_reaches_quadrature(self):
+        w = MASS_WEIGHTS["e^-t table, NaN segment"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert math.isnan(w.cum_low(1000.0))
+            m = region_measures(BENCH_GRIDS["battery"], w)
+        assert not np.any(np.isnan(m))
+
+    def test_genpower_one_quadrature_per_knot(self, monkeypatch):
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return quad(*args, **kw)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        g = BENCH_GRIDS["battery"]
+        region_measures(g, PowerWeight(1.0, 0.5, 0.3, 0.2))
+        assert 0 < len(calls) <= g.n + 1
 
 
 class TestWeightedNorm:

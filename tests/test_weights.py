@@ -120,6 +120,67 @@ class TestPiecewiseAndTabulated:
         assert w.cum_up(2.0) == INF
 
 
+# -- the scalar integrand of the quadrature ------------------------------------
+
+SWEEP = np.concatenate([[0.0], np.geomspace(1e-320, 1e300, 2001)])
+
+SCALAR_WEIGHTS = {
+    "power": PowerWeight(2.0, 1.5),
+    "power-negative": PowerWeight(0.5, -2.5),
+    "constant": PowerWeight(3.0, 0.0),
+    "zero": PowerWeight(0.0, 1.0),
+    "powerexp": PowerWeight(1.0, 0.7, 2.0),
+    "genpower": PowerWeight(1.3, 0.4, 0.8, 0.6),
+    "genpower-c0": PowerWeight(0.0, 0.4, 0.8, 0.6),
+    "genpower-alpha-neg": PowerWeight(2.0, -2.5, 0.3, 1.5),
+    "genpower-large": PowerWeight(5.0, 1.0, 1e3, 1e4),
+    "table": TabulatedWeight(t=(0.1, 1.0, 10.0, 100.0), y=(2.0, 0.5, 0.3, 0.01)),
+    "table-zeros": TabulatedWeight(t=(0.01, 0.1, 1.0, 10.0, 100.0), y=(0.0, 1.0, 0.0, 0.0, 2.0)),
+    "table-zero-ends": TabulatedWeight(t=(1e-3, 1.0, 1e3), y=(0.0, 4.0, 0.0)),
+}
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64)
+
+
+class TestScalarIntegrand:
+    """``_scalar``, the integrand ``_quad_log`` calls, is ``float(w(t))``."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_WEIGHTS))
+    def test_bit_equal_on_log_sweep(self, name):
+        w = SCALAR_WEIGHTS[name]
+        with np.errstate(all="ignore"):
+            fast = [w._scalar(t) for t in SWEEP]
+        assert all(type(v) is float for v in fast)
+        assert np.array_equal(bits(fast), bits([float(w(t)) for t in SWEEP]))
+
+    def test_table_log_arrays_are_built_on_first_use(self):
+        w = TabulatedWeight(t=(1.0, 2.0), y=(1.0, 4.0))
+        assert "_logs" not in vars(w)
+        w(1.5)
+        assert "_logs" in vars(w)
+
+    @given(st.floats(min_value=0.0, max_value=1e3), alpha_st,
+           st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.0, max_value=1e4),
+           st.floats(min_value=0.0, max_value=1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_power_bit_equal(self, c, alpha, lam, mu, t):
+        w = PowerWeight(c, alpha, lam, mu)
+        with np.errstate(all="ignore"):
+            fast = w._scalar(t)
+        assert bits(fast) == bits(float(w(t)))
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=6),
+           st.floats(min_value=0.0, max_value=1e300))
+    @settings(max_examples=200, deadline=None)
+    def test_table_bit_equal(self, ys, t):
+        w = TabulatedWeight(t=tuple(np.geomspace(1e-2, 1e2, len(ys)).tolist()), y=tuple(ys))
+        with np.errstate(all="ignore"):
+            fast = w._scalar(t)
+        assert bits(fast) == bits(float(w(t)))
+
+
 class TestTransforms:
     def test_running_sup_up_to_t(self):
         u = PowerWeight(1.0, 1.0, 1.0)  # peaks at 1 with e^{-1}
