@@ -9,12 +9,10 @@ from .weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
-    dual_substitute,
     parse_weight,
     phi_weights,
     psi_weights,
     running_sup,
-    sigma_p,
 )
 from .gridfn import (
     Grid,
@@ -24,7 +22,7 @@ from .gridfn import (
     sample_monotone,
     weighted_norm,
 )
-from .operators import OperatorKind, apply_spec, copson, double_sup, hardy, sup_op, t_ub
+from .operators import OperatorKernel, OperatorKind
 from .criteria import (
     CriterionResult,
     CritCtx,

@@ -16,7 +16,7 @@ of integrals and suprema is classified from decade-block trends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -31,8 +31,6 @@ from .weights import (
     conjugate,
     phi_weights,
     weight_mul,
-    weight_pow,
-    weight_scale,
 )
 
 __all__ = [
@@ -346,7 +344,7 @@ def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
         inv = adiv(1.0, ctx.vals(v))
         return ctx.env_arr(inv, "up" if side == "low" else "down")
     pp = conjugate(p)
-    vp = weight_pow(v, 1.0 - pp)
+    vp = v.power(1.0 - pp)
     iset = ctx.int_set(ctx.ones, vp)
     return apow(iset.low if side == "low" else iset.up, 1.0 / pp)
 
@@ -381,8 +379,6 @@ def crit_T32(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents,
     if verbatim:
         _check_cum(ctx, v, "V*", "up", report)
     else:
-        from .weights import weight_mul
-
         v_sub = weight_mul(v, PowerWeight(1.0, -2.0 * e.p))
         _check_cum(ctx, v_sub, "V~", "up", report)
     _check_cum(ctx, w, "W*", "up", report)
@@ -467,7 +463,7 @@ def crit_T41(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> Cri
     if e.p <= 1.0:
         raise TheoremInapplicable("p>1", {"p>1": False})
     pp = e.pprime
-    vp = weight_pow(v, 1.0 - pp)
+    vp = v.power(1.0 - pp)
     report: dict = {}
     aset = _check_cum(ctx, vp, "int_0^x v^{1-p'}", "low", report)
     _check_cum(ctx, w, "W*", "up", report)
@@ -487,7 +483,7 @@ def crit_T43(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> Cri
     if e.p <= 1.0:
         raise TheoremInapplicable("p>1", {"p>1": False})
     pp = e.pprime
-    vp = weight_pow(v, 1.0 - pp)
+    vp = v.power(1.0 - pp)
     report: dict = {}
     aset = _check_cum(ctx, vp, "int_x^oo v^{1-p'}", "up", report)
     _check_cum(ctx, w, "W", "low", report)
@@ -614,23 +610,12 @@ def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
     if p > 1.0:
         raise TheoremInapplicable("p<=1", {"p<=1": False})
     B = b_cumulative(b)
-    u_hat = weight_scale(weight_pow(u, p), 1.0 / p)
-    b_hat = weight_mul(weight_pow(B, p - 1.0), b)
+    u_hat = u.power(p).scale(1.0 / p)
+    b_hat = weight_mul(B.power(p - 1.0), b)
     inner = crit_T51(ctx, u_hat, b_hat, v, w, Exponents(1.0, q / p))
     case = "i" if p <= q else "ii"
-    terms = {k: xpow(val, 1.0 / p) for k, val in inner.terms.items()}
-    total = 0.0
-    for val in terms.values():
-        total = INF if val == INF else total + val
-    return CriterionResult(
-        theorem_id=f"T5.3.{case}",
-        regime=e.regime,
-        terms=terms,
-        total=total,
-        finite=total < INF,
-        hypothesis_report=inner.hypothesis_report,
-        flags=inner.flags,
-    )
+    return _finish(f"T5.3.{case}", e, inner.terms, inner.hypothesis_report, inner.flags,
+                   root=1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +722,7 @@ class ReducedSpec:
 
 def _v_transform(v: Weight, cum: Weight, a: float, p: float) -> Weight:
     """cum**(a*p) * v**(1-p)."""
-    return weight_mul(weight_pow(cum, a * p), weight_pow(v, 1.0 - p))
+    return weight_mul(cum.power(a * p), v.power(1.0 - p))
 
 
 def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedSpec:
@@ -762,7 +747,7 @@ def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedS
         if p > 1.0:
             # R2.5: level-transform back to a non-increasing restricted problem
             phi, Phi = phi_weights(v, p)
-            u_new = weight_mul(k.u, weight_pow(Phi, 2.0))
+            u_new = weight_mul(k.u, Phi.power(2.0))
             new = InequalitySpec(OperatorKind(k.base, None, u_new), "non_increasing", phi, w, e)
             return ReducedSpec(new, "R2.5", None)
         if p == 1.0:
@@ -770,7 +755,7 @@ def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedS
             if not (isinstance(v, PowerWeight) and v.lam == 0.0 and v.mu == 0.0 and v.alpha < 0.0):
                 raise ValueError("R2.6 supports only v = Power{c, alpha} with alpha < 0")
             V = PowerWeight(1.0 / v.c, -v.alpha)
-            u_new = weight_mul(k.u, weight_pow(V, 2.0))
+            u_new = weight_mul(k.u, V.power(2.0))
             v_new = PowerWeight(-v.alpha / v.c, -v.alpha - 1.0)
             new = InequalitySpec(OperatorKind(k.base, None, u_new), "non_increasing", v_new, w, e)
             return ReducedSpec(new, "R2.6", None)
@@ -783,13 +768,13 @@ def reduce_spec_inner(spec: InequalitySpec) -> ReducedSpec:
     p = e.p
     if k.base in ("S", "S*") and k.compose is None and cone == "non_increasing":
         Vw = b_cumulative(v)
-        u_new = weight_mul(k.u, weight_pow(Vw, -2.0))
+        u_new = weight_mul(k.u, Vw.power(-2.0))
         new_v = _v_transform(v, Vw, -1.0, p)
         new = InequalitySpec(OperatorKind(k.base, "H", u_new), "none", new_v, w, e)
         return ReducedSpec(new, "R2.2", None)
     if k.base in ("S", "S*") and k.compose is None and cone == "non_decreasing":
         Vs = _upper_cumulative(v)
-        u_new = weight_mul(k.u, weight_pow(Vs, -2.0))
+        u_new = weight_mul(k.u, Vs.power(-2.0))
         new_v = _v_transform(v, Vs, -1.0, p)
         new = InequalitySpec(OperatorKind(k.base, "H*", u_new), "none", new_v, w, e)
         return ReducedSpec(new, "R2.4", None)

@@ -1,15 +1,17 @@
-"""Hardy, Copson, supremal and combined operators acting on grid functions.
+"""Supremal, Hardy-type and combined operators on step functions.
 
-Every operator takes an exact step function (a :class:`GridFunction`) and
-returns a :class:`GridFunction` whose knot values are either exact or
-certified under-estimates of the true operator output at the knots; interior
-region values then under-estimate the output on each region by the
-monotonicity of the output.  This is the soundness contract the oracle
-relies on: Rayleigh quotients built from these outputs never exceed the
-true quotient of the step witness.
+:class:`OperatorKind` names an operator: S_u or S*_u, possibly composed with
+the Hardy transform H or the Copson transform H*, T_{u,b}, or the double-sup
+form SS_{u,b}.  :class:`OperatorKernel` is the one implementation of their
+semantics on a grid: it maps the region values of step functions to the
+region values of the operator's output, row-wise.  Output values at the
+knots are exact; on each region the output is under-estimated by its
+monotonicity.  This is the soundness contract the oracle relies on:
+Rayleigh quotients built from these outputs never exceed the true quotient
+of the step witness.
 
 Values may be ``+inf`` (for instance the Copson transform of a function
-with positive tail); such outputs carry the flag ``"has-inf"``.
+with positive tail).
 """
 
 from __future__ import annotations
@@ -19,18 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import INF, adiv, amul, xmul
-from .gridfn import Grid, GridFunction, region_measures
-from .weights import PowerWeight, Weight
+from .extreal import INF, adiv, amul
+from .gridfn import Grid, region_measures
+from .weights import FuncWeight, PowerWeight, Weight
 
 __all__ = [
     "OperatorKind",
-    "hardy",
-    "copson",
-    "sup_op",
-    "t_ub",
-    "double_sup",
-    "apply_spec",
+    "OperatorKernel",
     "b_cumulative",
 ]
 
@@ -83,8 +80,6 @@ def b_cumulative(b: Weight) -> Weight:
     probe = b.cum_low(1.0)
     if probe == INF:
         raise ValueError("B(t) = int_0^t b must be finite")
-    from .weights import FuncWeight
-
     return FuncWeight(_CumClosure(b), label="B")
 
 
@@ -98,120 +93,100 @@ class _CumClosure:
         return out if np.ndim(t) else float(out[0])
 
 
-def _region_bounds(grid: Grid):
-    ks = grid.array()
-    lo = np.concatenate([[0.0], ks])
-    hi = np.concatenate([ks, [INF]])
-    return lo, hi
+class OperatorKernel:
+    """The step-function semantics of one operator on one grid.
+
+    Built from ``(kind, cone, grid)``, it holds the weight arrays the
+    operator reads; calling it maps an ``(m, n+1)`` stack of input region
+    values (the canonical semantics of ``cone``) to the output region values,
+    row by row.  Outputs are exact at the knots, and on each region they
+    under-estimate the true output by its monotonicity."""
+
+    def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
+        self.kind = kind
+        self.cone = cone
+        ks = grid.array()
+        if kind.base in ("T_ub", "SS_ub"):
+            B = b_cumulative(kind.b)
+            self.Bk = np.asarray(B(ks), dtype=float)
+            if kind.base == "T_ub":
+                self.dB = region_measures(grid, kind.b)
+            self.uB = adiv(np.asarray(kind.u(ks), dtype=float), self.Bk)
+            ratio_w = _ratio_weight(kind.u, B)
+            self.uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
+            self.uB_liminf = ratio_w.limit_inf()
+        else:
+            lo = np.concatenate([[0.0], ks])
+            hi = np.concatenate([ks, [INF]])
+            self.u_rsups = np.array([kind.u.sup_on_interval(a, b) for a, b in zip(lo, hi)])
+            self.u_knots = np.asarray(kind.u(ks), dtype=float)
+            self.u_liminf = kind.u.limit_inf()
+            if kind.compose is not None:
+                self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
+
+    def __call__(self, segv: np.ndarray) -> np.ndarray:
+        k = self.kind
+        if k.base in ("T_ub", "SS_ub"):
+            if k.base == "T_ub":
+                # int_0^{k_j} f b, and the whole integral for the tail
+                inner = np.cumsum(amul(segv[:, :-1], self.dB[:-1]), axis=1)
+                tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
+            else:
+                # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
+                inner = np.maximum.accumulate(amul(segv[:, :-1], self.Bk), axis=1)
+                tail_pos = segv[:, -1] != 0.0
+            inner_tail = np.where(tail_pos, INF, inner[:, -1])
+            point = amul(self.uB, inner)
+            tail_term = amul(inner_tail, self.uB_tail_sup)[:, None]
+            vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
+            tail_val = np.minimum(amul(inner_tail, self.uB_liminf), vals[:, -1])
+            return np.concatenate([vals, tail_val[:, None]], axis=1)
+        # supremal (possibly composed) operators act on the inner g's regions
+        zeros = np.zeros((segv.shape[0], 1))
+        if k.compose == "H":
+            gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
+            g_cone = "non_decreasing"
+        elif k.compose == "H*":
+            gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
+            g_cone = "non_increasing"
+        else:
+            gsegv, g_cone = segv, self.cone
+        prods = amul(self.u_rsups, gsegv)
+        if k.base == "S":
+            # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
+            # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
+            vals = np.maximum.accumulate(prods[:, :-1], axis=1)
+            return np.concatenate([zeros, vals], axis=1)
+        # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
+        # output is non-increasing, region R_i takes out(k_i)
+        gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
+        vals = np.maximum(amul(self.u_knots, gk), _suffix_max(prods[:, 1:]))
+        tail = np.minimum(amul(gsegv[:, -1], self.u_liminf), vals[:, -1])
+        return np.concatenate([vals, tail[:, None]], axis=1)
 
 
-def _region_sups(w: Weight, grid: Grid) -> np.ndarray:
-    lo, hi = _region_bounds(grid)
-    return np.array([w.sup_on_interval(a, b) for a, b in zip(lo, hi)])
+def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing."""
+    return np.cumsum(amul(segv[:, :-1], lengths[:-1]), axis=1)
 
 
-def _flags(values: np.ndarray, tail: float) -> tuple:
-    return ("has-inf",) if (np.any(np.isinf(values)) or tail == INF) else ()
+def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(H* f)(k_j) = int_{k_j}^oo f, the mass of regions R_{j+1}..R_n, row-wise;
+    exact, non-increasing."""
+    above = amul(segv[:, 1:], lengths[1:])
+    return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
 
 
-def hardy(f: GridFunction) -> GridFunction:
-    """(H f)(t) = int_0^t f; exact at knots, non-decreasing output."""
-    ks = f.grid.array()
-    segv = f.region_values()
-    lengths = np.concatenate([[ks[0]], np.diff(ks)])
-    cum = np.cumsum(amul(segv[:-1], lengths))  # value at each knot, exact
-    tail = cum[-1] if segv[-1] == 0.0 else INF
-    return GridFunction(f.grid, cum, "non_decreasing", head=0.0, tail=float(tail))
-
-
-def copson(f: GridFunction) -> GridFunction:
-    """(H* f)(t) = int_t^oo f; exact at knots, non-increasing output."""
-    ks = f.grid.array()
-    segv = f.region_values()
-    lengths = np.concatenate([np.diff(ks), [INF]])
-    above = amul(segv[1:], lengths)  # mass of regions R_1..R_n
-    rev = np.cumsum(above[::-1])[::-1]  # at knot k_j: regions R_{j+1}..R_n
-    vals = rev
-    return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]), tail=0.0)
-
-
-def sup_op(f: GridFunction, variant: str, u: Weight = ONE) -> GridFunction:
-    """S_u f (variant "S") or S*_u f (variant "S*"), exact at knots."""
-    usups = _region_sups(u, f.grid)
-    segv = f.region_values()
-    prods = amul(usups, segv)
-    if variant == "S":
-        # value at knot k_j = sup over regions R_0..R_j  (tau <= k_j)
-        vals = np.maximum.accumulate(prods[:-1])
-        tail = max(float(vals[-1]), xmul(usups[-1], segv[-1]))
-        return GridFunction(f.grid, vals, "non_decreasing", head=0.0, tail=tail)
-    if variant == "S*":
-        # value at knot k_j = max(u(k_j) f(k_j), sup over regions R_{j+1}..R_n)
-        ks = f.grid.array()
-        fk = np.asarray(f(ks), dtype=float)
-        uk = np.asarray(u(ks), dtype=float)
-        above = np.maximum.accumulate(prods[1:][::-1])[::-1]  # sup over R_{j+1}..R_n at j
-        vals = np.maximum(amul(uk, fk), above)
-        # tail region: under-estimate S* f there by the limiting sup factor
-        tail = xmul(segv[-1], _limit_inf(u)) if segv[-1] > 0 else 0.0
-        return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]),
-                            tail=float(min(tail, vals[-1])))
-    raise ValueError("variant must be 'S' or 'S*'")
-
-
-def t_ub(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
-    """(T_{u,b} f)(t) = sup_{tau >= t} u(tau)/B(tau) int_0^tau f b."""
-    B = b_cumulative(b)
-    ks = f.grid.array()
-    segv = f.region_values()
-    Bk = np.asarray(B(ks), dtype=float)
-    dB = region_measures(f.grid, b)  # b's mass on each region, as the engine takes it
-    cumk = np.cumsum(amul(segv[:-1], dB[:-1]))  # int_0^{k_j} f b, exact
-    uB = adiv(np.asarray(u(ks), dtype=float), Bk)
-    point = amul(uB, cumk)
-    # tail factor: certified under-estimate of sup_{tau > M} u/B via probes
-    ratio_w = _ratio_weight(u, B)
-    tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
-    tail_term = xmul(cumk[-1] if segv[-1] == 0.0 else INF, tail_fac)
-    vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
-    tail_val = xmul(cumk[-1] if segv[-1] == 0.0 else INF, _limit_inf(ratio_w))
-    return GridFunction(f.grid, vals, "non_increasing",
-                        head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
-
-
-def double_sup(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
-    """t -> sup_{tau >= t} u(tau)/B(tau) * sup_{y <= tau} f(y) B(y)."""
-    B = b_cumulative(b)
-    ks = f.grid.array()
-    segv = f.region_values()
-    Bk = np.asarray(B(ks), dtype=float)
-    # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * sup_{R_i} B = segv_i * B(right)
-    inner = np.maximum.accumulate(amul(segv[:-1], Bk))
-    uB = adiv(np.asarray(u(ks), dtype=float), Bk)
-    point = amul(uB, inner)
-    ratio_w = _ratio_weight(u, B)
-    tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
-    inner_tail = inner[-1] if segv[-1] == 0.0 else INF
-    tail_term = xmul(inner_tail, tail_fac)
-    vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
-    tail_val = xmul(inner_tail, _limit_inf(ratio_w))
-    return GridFunction(f.grid, vals, "non_increasing",
-                        head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
+def _suffix_max(a: np.ndarray) -> np.ndarray:
+    """Row-wise running maximum from the right."""
+    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _ratio_weight(u: Weight, B: Weight) -> Weight:
-    if isinstance(u, PowerWeight) and isinstance(B, PowerWeight):
-        return _power_ratio(u, B)
-    from .weights import FuncWeight
-
-    return FuncWeight(_RatioClosure(u, B), label="u/B")
-
-
-def _power_ratio(u: PowerWeight, B: PowerWeight) -> Weight:
-    if B.lam == 0.0 and B.mu == 0.0 and B.c > 0.0:
+    """u/B as a Weight (exact power law when possible)."""
+    if (isinstance(u, PowerWeight) and isinstance(B, PowerWeight)
+            and B.lam == 0.0 and B.mu == 0.0 and B.c > 0.0):
         return PowerWeight(u.c / B.c, u.alpha - B.alpha, u.lam, u.mu)
-    from .weights import FuncWeight
-
     return FuncWeight(_RatioClosure(u, B), label="u/B")
 
 
@@ -222,25 +197,3 @@ class _RatioClosure:
 
     def __call__(self, t):
         return adiv(self.u(t), self.B(t))
-
-
-def _limit_inf(w: Weight) -> float:
-    try:
-        return w.limit_inf()
-    except NotImplementedError:  # pragma: no cover
-        return float(w(1e14))
-
-
-def apply_spec(kind: OperatorKind, f: GridFunction) -> GridFunction:
-    """Apply the operator described by ``kind`` to ``f``."""
-    if kind.base == "T_ub":
-        return t_ub(f, kind.u, kind.b)
-    if kind.base == "SS_ub":
-        return double_sup(f, kind.u, kind.b)
-    if kind.compose == "H":
-        inner = hardy(f)
-    elif kind.compose == "H*":
-        inner = copson(f)
-    else:
-        inner = f
-    return sup_op(inner, kind.base, kind.u)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, amul, apow, xdiv, xmul, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -24,9 +24,9 @@ from .gridfn import (
     sample_monotone,
     sample_nonneg,
 )
-from .operators import OperatorKind, _limit_inf, _ratio_weight, b_cumulative
+from .operators import OperatorKernel, OperatorKind, _suffix_max, b_cumulative
 from .criteria import CriterionResult, InequalitySpec
-from .weights import Exponents, Weight, weight_pow, weight_scale
+from .weights import Exponents, Weight, weight_mul
 
 __all__ = [
     "OracleBudget",
@@ -86,33 +86,11 @@ class RayleighEngine:
         self.spec = spec
         self.grid = grid or default_grid()
         self.cone = spec.cone
-        ks = self.grid.array()
-        self.ks = ks
-        n = self.grid.n
-        self.n = n
+        self.ks = self.grid.array()
+        self.n = self.grid.n
         self.dV = region_measures(self.grid, spec.v)
         self.dW = region_measures(self.grid, spec.w)
-        k = spec.kind
-        self._u_rsups = None
-        self._uB = None
-        if k.base in ("S", "S*") or k.compose is not None:
-            lo = np.concatenate([[0.0], ks])
-            hi = np.concatenate([ks, [INF]])
-            self._u_rsups = np.array(
-                [k.u.sup_on_interval(a, b) for a, b in zip(lo, hi)]
-            )
-            self._u_knots = np.asarray(k.u(ks), dtype=float)
-            self._u_liminf = _limit_inf(k.u)
-        if k.base in ("T_ub", "SS_ub"):
-            B = b_cumulative(k.b)
-            self.Bk = np.asarray(B(ks), dtype=float)
-            self.dB = region_measures(self.grid, k.b)
-            self._uB = adiv(np.asarray(k.u(ks), dtype=float), self.Bk)
-            ratio_w = _ratio_weight(k.u, B)
-            self._uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
-            self._uB_liminf = _limit_inf(ratio_w)
-        lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
-        self.lengths = lengths
+        self.kernel = OperatorKernel(spec.kind, spec.cone, self.grid)
 
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
@@ -122,7 +100,7 @@ class RayleighEngine:
         """Quotients of an ``(m, n)`` stack of knot-value rows, one per row.
 
         Region values (``segv``, ``(m, n+1)``) follow the canonical step
-        semantics of the cone; each operator maps them to output region
+        semantics of the cone; the operator kernel maps them to output region
         values, and both norms are exact sums over regions."""
         F = np.asarray(F, dtype=float)
         zeros = np.zeros((F.shape[0], 1))
@@ -132,63 +110,13 @@ class RayleighEngine:
             segv = np.concatenate([zeros, F], axis=1)
         p, q = self.spec.exps.p, self.spec.exps.q
         den_sums = np.sum(amul(apow(segv, p), self.dV), axis=1)
-        num_sums = np.sum(amul(apow(self._output_regions(segv), q), self.dW), axis=1)
+        num_sums = np.sum(amul(apow(self.kernel(segv), q), self.dW), axis=1)
         out = np.zeros(F.shape[0])
         for i in range(F.shape[0]):
             den = xpow(float(den_sums[i]), 1.0 / p)
             if den != 0.0:
                 out[i] = xdiv(xpow(float(num_sums[i]), 1.0 / q), den)
         return out
-
-    def _output_regions(self, segv: np.ndarray) -> np.ndarray:
-        """Operator output on each region, row-wise: exact at knots, and an
-        under-estimate on each region by the monotonicity of the output."""
-        k = self.spec.kind
-        if k.base in ("T_ub", "SS_ub"):
-            if k.base == "T_ub":
-                # int_0^{k_j} f b, and the whole integral for the tail
-                inner = np.cumsum(amul(segv[:, :-1], self.dB[:-1]), axis=1)
-                tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
-            else:
-                # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
-                inner = np.maximum.accumulate(amul(segv[:, :-1], self.Bk), axis=1)
-                tail_pos = segv[:, -1] != 0.0
-            inner_tail = np.where(tail_pos, INF, inner[:, -1])
-            point = amul(self._uB, inner)
-            tail_term = amul(inner_tail, self._uB_tail_sup)[:, None]
-            vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            tail_val = np.minimum(amul(inner_tail, self._uB_liminf), vals[:, -1])
-            return np.concatenate([vals, tail_val[:, None]], axis=1)
-        # supremal (possibly composed) operators act on the inner g's regions
-        zeros = np.zeros((segv.shape[0], 1))
-        if k.compose == "H":
-            # (H f)(k_j) = int_0^{k_j} f, non-decreasing
-            cum = np.cumsum(amul(segv[:, :-1], self.lengths[:-1]), axis=1)
-            gsegv, g_cone = np.concatenate([zeros, cum], axis=1), "non_decreasing"
-        elif k.compose == "H*":
-            # (H* f)(k_j) = mass of regions R_{j+1}..R_n, non-increasing
-            above = amul(segv[:, 1:], self.lengths[1:])
-            rev = np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
-            gsegv, g_cone = np.concatenate([rev, zeros], axis=1), "non_increasing"
-        else:
-            gsegv, g_cone = segv, self.cone
-        prods = amul(self._u_rsups, gsegv)
-        if k.base == "S":
-            # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
-            # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
-            vals = np.maximum.accumulate(prods[:, :-1], axis=1)
-            return np.concatenate([zeros, vals], axis=1)
-        # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
-        # output is non-increasing, region R_i takes out(k_i)
-        gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
-        vals = np.maximum(amul(self._u_knots, gk), _suffix_max(prods[:, 1:]))
-        tail = np.minimum(amul(gsegv[:, -1], self._u_liminf), vals[:, -1])
-        return np.concatenate([vals, tail[:, None]], axis=1)
-
-
-def _suffix_max(a: np.ndarray) -> np.ndarray:
-    """Row-wise running maximum from the right."""
-    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _characteristic_values(n: int, j: int, cone: str) -> np.ndarray:
@@ -376,10 +304,8 @@ def verify_three_way(
         raise ValueError("the three-way equivalence is stated for p <= 1")
     direct = InequalitySpec(OperatorKind("T_ub", None, u, b), "non_increasing", v, w, e)
     B = b_cumulative(b)
-    u_hat = weight_scale(weight_pow(u, p), 1.0 / p)
-    from .weights import weight_mul
-
-    b_hat = weight_mul(weight_pow(B, p - 1.0), b)
+    u_hat = u.power(p).scale(1.0 / p)
+    b_hat = weight_mul(B.power(p - 1.0), b)
     powered = InequalitySpec(
         OperatorKind("T_ub", None, u_hat, b_hat), "non_increasing", v, w, Exponents(1.0, q / p)
     )

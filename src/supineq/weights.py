@@ -17,9 +17,9 @@ together with the operations the inequality criteria need:
   * one-sided cumulatives ``int_0^t w`` / ``int_t^oo w`` with +inf as a
     valid, analytically detected answer,
   * essential sup / inf over intervals (exact for the symbolic forms),
-  * the conjugate-integral quantity ``sigma_p``,
   * running envelopes (``running_sup``),
-  * the substitution t -> 1/t with a Jacobian power (``dual_substitute``),
+  * powers, scalings, products (``weight_mul``) and the substitution
+    t -> 1/t with a Jacobian power (``Weight.dual``),
   * the level/defect transforms ``phi_weights`` / ``psi_weights``.
 
 All scalar results follow the extended arithmetic of :mod:`supineq.extreal`.
@@ -37,7 +37,7 @@ import numpy as np
 from scipy import integrate as _sint
 from scipy import special as _sp
 
-from .extreal import INF, xdiv, xpow
+from .extreal import INF, amul, apow
 
 __all__ = [
     "Weight",
@@ -48,12 +48,8 @@ __all__ = [
     "Exponents",
     "conjugate",
     "parse_weight",
-    "weight_pow",
-    "weight_scale",
     "weight_mul",
-    "sigma_p",
     "running_sup",
-    "dual_substitute",
     "phi_weights",
     "psi_weights",
 ]
@@ -183,8 +179,6 @@ class _PowClosure:
     e: float
 
     def __call__(self, t):
-        from .extreal import apow
-
         return apow(self.base(t), self.e)
 
 
@@ -194,8 +188,6 @@ class _ScaleClosure:
     c: float
 
     def __call__(self, t):
-        from .extreal import amul
-
         return amul(self.c, self.base(t))
 
 
@@ -205,8 +197,6 @@ class _DualClosure:
     e: float
 
     def __call__(self, t):
-        from .extreal import amul, apow
-
         t = np.asarray(t, dtype=float)
         inv = np.where(t > 0.0, 1.0 / t, INF)
         return amul(self.base(inv), apow(inv, 2.0 * self.e))
@@ -218,8 +208,6 @@ class _MulClosure:
     b: Weight
 
     def __call__(self, t):
-        from .extreal import amul
-
         return amul(self.a(t), self.b(t))
 
 
@@ -710,10 +698,6 @@ class FuncWeight(Weight):
             return INF
         return _quad_log(self, t, INF)
 
-    def total(self) -> float:
-        lo = self.cum_low(1.0)
-        return INF if lo == INF else lo + self.cum_up(1.0)
-
     def _samples(self, a: float, b: float, n: int = 49) -> np.ndarray:
         lo = max(a, 1e-16)
         hi = min(b, 1e16)
@@ -770,14 +754,6 @@ def parse_weight(obj) -> Weight:
     if form == "table":
         return TabulatedWeight(tuple(obj["t"]), tuple(obj["y"]))
     raise ValueError(f"unknown weight form: {form!r}")
-
-
-def weight_pow(w: Weight, e: float) -> Weight:
-    return w.power(e)
-
-
-def weight_scale(w: Weight, c: float) -> Weight:
-    return w.scale(c)
 
 
 def weight_mul(a: Weight, b: Weight) -> Weight:
@@ -840,17 +816,6 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def sigma_p(v: Weight, p: float, a: float, b: float) -> float:
-    """``(int_a^b v^{1-p'})^{1/p'}`` for p > 1, ``esssup_(a,b) 1/v`` for p = 1."""
-    if a > b:
-        raise ValueError("need a <= b")
-    if p == 1.0:
-        return xdiv(1.0, v.inf_on_interval(a, b))
-    pp = conjugate(p)
-    vp = v.power(1.0 - pp)
-    return xpow(vp.integrate(a, b), 1.0 / pp)
-
-
 def running_sup(w: Weight, direction: str) -> Weight:
     """``up_to_t``: t -> esssup_{(0, t]} w; ``from_t``: t -> esssup_{[t, oo)} w."""
     if direction not in ("up_to_t", "from_t"):
@@ -863,11 +828,6 @@ def running_sup(w: Weight, direction: str) -> Weight:
         _RunningSupClosure(w, direction == "from_t"),
         label=f"running_sup[{direction}]",
     )
-
-
-def dual_substitute(w: Weight, jacobian_exponent: float) -> Weight:
-    """The weight ``t -> w(1/t) * (1/t**2)**e`` appearing under x -> 1/x."""
-    return w.dual(jacobian_exponent)
 
 
 def phi_weights(v: Weight, p: float):
@@ -924,8 +884,6 @@ class _PhiClosure:
     upper_part: bool  # True -> Phi, False -> phi
 
     def __call__(self, t):
-        from .extreal import amul, apow
-
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         A = np.array([self.vp.cum_low(x) for x in ts])
         if self.upper_part:
@@ -942,8 +900,6 @@ class _PsiClosure:
     upper_part: bool
 
     def __call__(self, t):
-        from .extreal import amul, apow
-
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         A = np.array([self.vp.cum_up(x) for x in ts])
         if self.upper_part:

@@ -40,7 +40,7 @@ from supineq.oracle import (
     equivalence_report,
     verify_three_way,
 )
-from supineq.weights import Exponents, PowerWeight, weight_mul, weight_pow
+from supineq.weights import Exponents, PowerWeight, weight_mul
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATTERY = os.path.join(ROOT, "configs", "battery.json")
@@ -231,7 +231,7 @@ def test_sandwich_pointwise(b):
 def test_sandwich_characteristic_identity(p, b):
     # on f = 1_(0,a]:  (int_0^a f^p B^{p-1} b)^{1/p} = p^{-1/p} int_0^a f b
     B = b_cumulative(b)
-    gw = weight_mul(weight_pow(B, p - 1.0), b)
+    gw = weight_mul(B.power(p - 1.0), b)
     for a in np.geomspace(1e-3, 1e3, 25):
         lhs = gw.cum_low(a) ** (1.0 / p)
         rhs = p ** (-1.0 / p) * b.cum_low(a)

@@ -1,6 +1,7 @@
-"""Integral and supremal operators on step functions: exactness and structure."""
+"""Integral and supremal operators on step functions: exactness and structure.
 
-import math
+Each check runs the operator kernel on the region values of one witness and
+reads the output at the knots."""
 
 import numpy as np
 import pytest
@@ -10,25 +11,40 @@ from hypothesis import strategies as st
 from supineq.extreal import INF
 from supineq.gridfn import GridFunction, make_log_grid, sample_monotone, sample_nonneg
 from supineq.operators import (
+    OperatorKernel,
     OperatorKind,
-    apply_spec,
     b_cumulative,
-    copson,
-    double_sup,
-    hardy,
-    sup_op,
-    t_ub,
+    copson_at_knots,
+    hardy_at_knots,
 )
 from supineq.weights import PowerWeight
 
 GRID = make_log_grid(1e-3, 1e3, 25)
 ONE = PowerWeight(1.0, 0.0)
+T = PowerWeight(1.0, 1.0)
+KNOTS = GRID.array()
+LENGTHS = np.concatenate([[KNOTS[0]], np.diff(KNOTS), [INF]])  # of regions R_0..R_n
 seed_st = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def region_lengths(grid):
-    k = np.asarray(grid.knots)
-    return np.concatenate([[k[0]], np.diff(k)])
+def regions(f):
+    """The region values of one witness, as a one-row stack."""
+    return f.region_values()[None]
+
+
+def apply(kind, f):
+    """Knot values of the operator's output on ``f``.  A non-decreasing output
+    (S) takes out(k_{i-1}) on region R_i, a non-increasing one (S*, T_ub,
+    SS_ub) takes out(k_i)."""
+    out = OperatorKernel(kind, f.cone, f.grid)(regions(f))[0]
+    return out[1:] if kind.base == "S" else out[:-1]
+
+
+def indicator(j):
+    """chi_(0, k_j] as a non-increasing witness."""
+    vals = np.zeros(GRID.n)
+    vals[: j + 1] = 1.0
+    return GridFunction(GRID, vals, "non_increasing")
 
 
 class TestHardyCopson:
@@ -36,52 +52,45 @@ class TestHardyCopson:
     @settings(max_examples=30, deadline=None)
     def test_hardy_exact_at_knots(self, seed):
         f = sample_monotone("non_increasing", GRID, seed)
-        out = hardy(f)
-        expect = np.cumsum(f.region_values()[:-1] * region_lengths(GRID))
-        assert np.allclose(out.values, expect, rtol=1e-12)
-        assert out.cone == "non_decreasing"
+        out = hardy_at_knots(regions(f), LENGTHS)[0]
+        expect = np.cumsum(f.region_values()[:-1] * LENGTHS[:-1])
+        assert np.allclose(out, expect, rtol=1e-12)
 
     @given(seed_st)
     @settings(max_examples=30, deadline=None)
     def test_copson_exact_at_knots(self, seed):
         # non-increasing input has zero tail, so the upper integral is finite
         f = sample_monotone("non_increasing", GRID, seed)
-        out = copson(f)
-        k = np.asarray(GRID.knots)
+        out = copson_at_knots(regions(f), LENGTHS)[0]
         # region (k_j, k_{j+1}] carries f.values[j+1]
-        diffs = -np.diff(out.values)
-        assert np.allclose(diffs, f.values[1:] * np.diff(k), rtol=1e-10, atol=1e-300)
-        assert out.values[-1] == pytest.approx(0.0, abs=1e-300)
-        assert out.cone == "non_increasing"
+        diffs = -np.diff(out)
+        assert np.allclose(diffs, f.values[1:] * np.diff(KNOTS), rtol=1e-10, atol=1e-300)
+        assert out[-1] == pytest.approx(0.0, abs=1e-300)
 
     def test_hardy_of_indicator(self):
         j = 10
-        vals = np.zeros(GRID.n)
-        vals[: j + 1] = 1.0
-        f = GridFunction(GRID, vals, "non_increasing")
-        out = hardy(f)
-        k = GRID.knots
-        assert out.values[j] == pytest.approx(k[j], rel=1e-12)
-        assert out.values[-1] == pytest.approx(k[j], rel=1e-12)
+        out = hardy_at_knots(regions(indicator(j)), LENGTHS)[0]
+        assert out[j] == pytest.approx(KNOTS[j], rel=1e-12)
+        assert out[-1] == pytest.approx(KNOTS[j], rel=1e-12)
 
     def test_copson_infinite_tail(self):
         f = GridFunction(GRID, np.ones(GRID.n), "non_decreasing", tail=1.0)
-        out = copson(f)
-        assert out.values[0] == INF
+        out = copson_at_knots(regions(f), LENGTHS)[0]
+        assert out[0] == INF
 
 
 class TestSupOps:
     def test_s_with_unit_weight_on_decreasing(self):
         f = sample_monotone("non_increasing", GRID, 2)
-        out = sup_op(f, "S", ONE)
+        out = apply(OperatorKind("S", None, ONE), f)
         head = f.region_values()[0]
-        assert np.allclose(out.values, head)
+        assert np.allclose(out, head)
 
     def test_s_star_with_unit_weight_on_increasing(self):
         f = sample_monotone("non_decreasing", GRID, 3)
-        out = sup_op(f, "S*", ONE)
+        out = apply(OperatorKind("S*", None, ONE), f)
         tail_sup = np.max(f.region_values())
-        assert out.values[0] == pytest.approx(tail_sup)
+        assert out[0] == pytest.approx(tail_sup)
 
     @given(seed_st, st.sampled_from(["S", "S*"]))
     @settings(max_examples=30, deadline=None)
@@ -90,23 +99,19 @@ class TestSupOps:
         # bounded u for S*: an unbounded weight against a positive tail gives
         # an identically infinite output, where monotonicity is vacuous
         u = PowerWeight(1.0, 0.5) if variant == "S" else PowerWeight(1.0, 0.5, 0.1)
-        out = sup_op(f, variant, u)
-        d = np.diff(out.values)
+        d = np.diff(apply(OperatorKind(variant, None, u), f))
         if variant == "S":
             assert np.all(d >= -1e-12)
-            assert out.cone == "non_decreasing"
         else:
             assert np.all(d <= 1e-12)
-            assert out.cone == "non_increasing"
 
     @given(seed_st)
     @settings(max_examples=30, deadline=None)
     def test_homogeneity(self, seed):
         f = sample_nonneg(GRID, seed)
         g = GridFunction(GRID, 2.5 * f.values, "none")
-        u = PowerWeight(1.0, 1.0, 0.5)
-        a, b = sup_op(f, "S", u), sup_op(g, "S", u)
-        assert np.allclose(b.values, 2.5 * a.values, rtol=1e-12)
+        kind = OperatorKind("S", None, PowerWeight(1.0, 1.0, 0.5))
+        assert np.allclose(apply(kind, g), 2.5 * apply(kind, f), rtol=1e-12)
 
     @given(seed_st)
     @settings(max_examples=30, deadline=None)
@@ -114,18 +119,18 @@ class TestSupOps:
         f = sample_nonneg(GRID, seed)
         g = sample_nonneg(GRID, seed + 1)
         s = GridFunction(GRID, f.values + g.values, "none")
-        u = PowerWeight(1.0, 0.5)
-        lhs = sup_op(s, "S*", u).values
-        rhs = sup_op(f, "S*", u).values + sup_op(g, "S*", u).values
+        kind = OperatorKind("S*", None, PowerWeight(1.0, 0.5))
+        lhs = apply(kind, s)
+        rhs = apply(kind, f) + apply(kind, g)
         assert np.all(lhs <= rhs * (1 + 1e-12) + 1e-300)
 
     def test_s_constant_weight_is_running_max(self):
         f = sample_nonneg(GRID, 9)
-        out = sup_op(f, "S", PowerWeight(2.0, 0.0))
+        out = apply(OperatorKind("S", None, PowerWeight(2.0, 0.0)), f)
         # regions at or below k_j: the head region and [k_{i-1}, k_i) for i <= j
         rv = f.region_values()
         expect = 2.0 * np.maximum.accumulate(rv[:-1])
-        assert np.allclose(out.values, expect, rtol=1e-12)
+        assert np.allclose(out, expect, rtol=1e-12)
 
 
 class TestTub:
@@ -137,21 +142,15 @@ class TestTub:
         # u = t, b = 1: T f(t) = sup_{tau >= t} (1/tau) int_0^tau f * tau
         # for f = indicator of (0, a] this is identically a
         j = 12
-        a = GRID.knots[j]
-        vals = np.zeros(GRID.n)
-        vals[: j + 1] = 1.0
-        f = GridFunction(GRID, vals, "non_increasing")
-        out = t_ub(f, u=PowerWeight(1.0, 1.0), b=ONE)
-        assert np.allclose(out.values, a, rtol=1e-12)
+        out = apply(OperatorKind("T_ub", None, T, ONE), indicator(j))
+        assert np.allclose(out, KNOTS[j], rtol=1e-12)
 
     @given(seed_st)
     @settings(max_examples=30, deadline=None)
     def test_output_non_increasing(self, seed):
         f = sample_monotone("non_increasing", GRID, seed)
-        out = t_ub(f, u=PowerWeight(1.0, 0.5), b=PowerWeight(2.0, 1.0))
-        d = np.diff(out.values)
-        assert np.all(d <= 1e-12)
-        assert out.cone == "non_increasing"
+        out = apply(OperatorKind("T_ub", None, PowerWeight(1.0, 0.5), PowerWeight(2.0, 1.0)), f)
+        assert np.all(np.diff(out) <= 1e-12)
 
     @given(seed_st)
     @settings(max_examples=30, deadline=None)
@@ -160,8 +159,8 @@ class TestTub:
         # hence the double-sup form never exceeds the integral form
         f = sample_monotone("non_increasing", GRID, seed)
         u, b = PowerWeight(1.0, 0.5), ONE
-        lhs = double_sup(f, u=u, b=b).values
-        rhs = t_ub(f, u=u, b=b).values
+        lhs = apply(OperatorKind("SS_ub", None, u, b), f)
+        rhs = apply(OperatorKind("T_ub", None, u, b), f)
         assert np.all(lhs <= rhs * (1 + 1e-10) + 1e-300)
 
     def test_t_gamma_kind(self):
@@ -175,28 +174,31 @@ class TestApplySpec:
     def test_composition_matches_manual(self):
         f = sample_monotone("non_increasing", GRID, 4)
         u = PowerWeight(1.0, 0.5)
-        kind = OperatorKind(base="S*", compose="H", u=u)
-        out = apply_spec(kind, f)
-        manual = sup_op(hardy(f), "S*", u)
-        assert np.allclose(out.values, manual.values, rtol=1e-12)
+        out = OperatorKernel(OperatorKind("S*", "H", u), f.cone, GRID)(regions(f))
+        # H f is non-decreasing: region R_i takes (H f)(k_{i-1}), R_0 takes 0
+        hf = np.concatenate([[[0.0]], hardy_at_knots(regions(f), LENGTHS)], axis=1)
+        manual = OperatorKernel(OperatorKind("S*", None, u), "non_decreasing", GRID)(hf)
+        assert np.allclose(out, manual, rtol=1e-12)
 
     def test_composition_with_copson(self):
         f = sample_monotone("non_decreasing", GRID, 6)
         u = PowerWeight(1.0, 0.0, 0.1)
-        kind = OperatorKind(base="S", compose="H*", u=u)
-        out = apply_spec(kind, f)
-        manual = sup_op(copson(f), "S", u)
-        assert np.array_equal(out.values, manual.values)
+        out = OperatorKernel(OperatorKind("S", "H*", u), f.cone, GRID)(regions(f))
+        # H* f is non-increasing: region R_i takes (H* f)(k_i), R_n takes 0
+        hf = np.concatenate([copson_at_knots(regions(f), LENGTHS), [[0.0]]], axis=1)
+        manual = OperatorKernel(OperatorKind("S", None, u), "non_increasing", GRID)(hf)
+        assert np.array_equal(out, manual)
 
     def test_plain_bases(self):
-        f = sample_nonneg(GRID, 8)
-        u, b = PowerWeight(1.0, 1.0), PowerWeight(1.0, 0.0)
-        for base, fn in [("S", lambda: sup_op(f, "S", u)),
-                         ("S*", lambda: sup_op(f, "S*", u)),
-                         ("T_ub", lambda: t_ub(f, u=u, b=b)),
-                         ("SS_ub", lambda: double_sup(f, u=u, b=b))]:
-            kind = OperatorKind(base=base, u=u, b=b)
-            assert np.allclose(apply_spec(kind, f).values, fn().values, rtol=1e-12)
+        # u = t, b = 1 on f = indicator of (0, a]: S f = min(t, a),
+        # S* f = a on (0, a] and 0 beyond, and T_ub f = SS_ub f = a
+        j = 12
+        a = KNOTS[j]
+        expect = {"S": np.minimum(KNOTS, a), "S*": np.where(KNOTS <= a, a, 0.0),
+                  "T_ub": np.full(GRID.n, a), "SS_ub": np.full(GRID.n, a)}
+        for base, want in expect.items():
+            got = apply(OperatorKind(base, None, T, ONE), indicator(j))
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), base
 
     def test_invalid_compose_rejected(self):
         with pytest.raises(ValueError):

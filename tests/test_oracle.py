@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
-from supineq.extreal import INF, xdiv
+from supineq.extreal import INF, adiv, amul, xdiv, xmul
 from supineq.gridfn import (
+    Grid,
     GridFunction,
     make_log_grid,
+    region_measures,
     sample_monotone,
     sample_nonneg,
     weighted_norm,
 )
-from supineq.operators import OperatorKind, apply_spec
+from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
 from supineq.oracle import (
     OracleBudget,
     OracleResult,
@@ -27,7 +29,13 @@ from supineq.oracle import (
     equivalence_report,
     verify_three_way,
 )
-from supineq.weights import Exponents, PowerWeight
+from supineq.weights import (
+    Exponents,
+    PiecewisePowerWeight,
+    PowerWeight,
+    TabulatedWeight,
+    Weight,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATTERY = os.path.join(ROOT, "configs", "battery.json")
@@ -167,14 +175,149 @@ class TestHelpers:
         assert "ratios" in out and "divergence_flags" in out
 
 
-# -- the batched kernel against the per-row wrapper and the operator module --
+# -- the batched kernel against the per-row wrapper and a GridFunction reference --
+
+# The operators on GridFunction witnesses, one function per operator: an
+# independent statement of the step semantics that the operator kernel must
+# reproduce bit for bit.
+
+def _region_bounds(grid: Grid):
+    ks = grid.array()
+    lo = np.concatenate([[0.0], ks])
+    hi = np.concatenate([ks, [INF]])
+    return lo, hi
+
+
+def _region_sups(w: Weight, grid: Grid) -> np.ndarray:
+    lo, hi = _region_bounds(grid)
+    return np.array([w.sup_on_interval(a, b) for a, b in zip(lo, hi)])
+
+
+def hardy(f: GridFunction) -> GridFunction:
+    """(H f)(t) = int_0^t f; exact at knots, non-decreasing output."""
+    ks = f.grid.array()
+    segv = f.region_values()
+    lengths = np.concatenate([[ks[0]], np.diff(ks)])
+    cum = np.cumsum(amul(segv[:-1], lengths))  # value at each knot, exact
+    tail = cum[-1] if segv[-1] == 0.0 else INF
+    return GridFunction(f.grid, cum, "non_decreasing", head=0.0, tail=float(tail))
+
+
+def copson(f: GridFunction) -> GridFunction:
+    """(H* f)(t) = int_t^oo f; exact at knots, non-increasing output."""
+    ks = f.grid.array()
+    segv = f.region_values()
+    lengths = np.concatenate([np.diff(ks), [INF]])
+    above = amul(segv[1:], lengths)  # mass of regions R_1..R_n
+    rev = np.cumsum(above[::-1])[::-1]  # at knot k_j: regions R_{j+1}..R_n
+    vals = rev
+    return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]), tail=0.0)
+
+
+def sup_op(f: GridFunction, variant: str, u: Weight = ONE) -> GridFunction:
+    """S_u f (variant "S") or S*_u f (variant "S*"), exact at knots."""
+    usups = _region_sups(u, f.grid)
+    segv = f.region_values()
+    prods = amul(usups, segv)
+    if variant == "S":
+        # value at knot k_j = sup over regions R_0..R_j  (tau <= k_j)
+        vals = np.maximum.accumulate(prods[:-1])
+        tail = max(float(vals[-1]), xmul(usups[-1], segv[-1]))
+        return GridFunction(f.grid, vals, "non_decreasing", head=0.0, tail=tail)
+    if variant == "S*":
+        # value at knot k_j = max(u(k_j) f(k_j), sup over regions R_{j+1}..R_n)
+        ks = f.grid.array()
+        fk = np.asarray(f(ks), dtype=float)
+        uk = np.asarray(u(ks), dtype=float)
+        above = np.maximum.accumulate(prods[1:][::-1])[::-1]  # sup over R_{j+1}..R_n at j
+        vals = np.maximum(amul(uk, fk), above)
+        # tail region: under-estimate S* f there by the limiting sup factor
+        tail = xmul(segv[-1], u.limit_inf()) if segv[-1] > 0 else 0.0
+        return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]),
+                            tail=float(min(tail, vals[-1])))
+    raise ValueError("variant must be 'S' or 'S*'")
+
+
+def t_ub(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
+    """(T_{u,b} f)(t) = sup_{tau >= t} u(tau)/B(tau) int_0^tau f b."""
+    B = b_cumulative(b)
+    ks = f.grid.array()
+    segv = f.region_values()
+    Bk = np.asarray(B(ks), dtype=float)
+    dB = region_measures(f.grid, b)  # b's mass on each region, as the engine takes it
+    cumk = np.cumsum(amul(segv[:-1], dB[:-1]))  # int_0^{k_j} f b, exact
+    uB = adiv(np.asarray(u(ks), dtype=float), Bk)
+    point = amul(uB, cumk)
+    # tail factor: certified under-estimate of sup_{tau > M} u/B via probes
+    ratio_w = _ratio_weight(u, B)
+    tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
+    tail_term = xmul(cumk[-1] if segv[-1] == 0.0 else INF, tail_fac)
+    vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
+    tail_val = xmul(cumk[-1] if segv[-1] == 0.0 else INF, ratio_w.limit_inf())
+    return GridFunction(f.grid, vals, "non_increasing",
+                        head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
+
+
+def double_sup(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
+    """t -> sup_{tau >= t} u(tau)/B(tau) * sup_{y <= tau} f(y) B(y)."""
+    B = b_cumulative(b)
+    ks = f.grid.array()
+    segv = f.region_values()
+    Bk = np.asarray(B(ks), dtype=float)
+    # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * sup_{R_i} B = segv_i * B(right)
+    inner = np.maximum.accumulate(amul(segv[:-1], Bk))
+    uB = adiv(np.asarray(u(ks), dtype=float), Bk)
+    point = amul(uB, inner)
+    ratio_w = _ratio_weight(u, B)
+    tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
+    inner_tail = inner[-1] if segv[-1] == 0.0 else INF
+    tail_term = xmul(inner_tail, tail_fac)
+    vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
+    tail_val = xmul(inner_tail, ratio_w.limit_inf())
+    return GridFunction(f.grid, vals, "non_increasing",
+                        head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
+
+
+def apply_spec(kind: OperatorKind, f: GridFunction) -> GridFunction:
+    """Apply the operator described by ``kind`` to ``f``."""
+    if kind.base == "T_ub":
+        return t_ub(f, kind.u, kind.b)
+    if kind.base == "SS_ub":
+        return double_sup(f, kind.u, kind.b)
+    if kind.compose == "H":
+        inner = hardy(f)
+    elif kind.compose == "H*":
+        inner = copson(f)
+    else:
+        inner = f
+    return sup_op(inner, kind.base, kind.u)
+
 
 KERNEL_GRID = make_log_grid(1e-5, 1e5, 40)  # the battery's range at n = 40
 
+B2T = PowerWeight(2.0, 1.0)  # b = 2t
+U_TABLE = TabulatedWeight((1e-3, 1e-1, 10.0, 1e3), (0.5, 2.0, 1.0, 3.0))
+U_PIECEWISE = PiecewisePowerWeight((1.0, 100.0), (PowerWeight(1.0, 0.5), PowerWeight(1.0, -0.5),
+                                                  PowerWeight(0.01, 0.5)))
 
 KERNEL_SPECS = [(sc.id, sc.spec) for sc in load_config(BATTERY)] + [
     ("ss_ub", InequalitySpec(OperatorKind("SS_ub", None, PowerWeight(1.0, 1.0), ONE),
-                             "non_increasing", ONE, EXP, Exponents(0.5, 0.5)))]
+                             "non_increasing", ONE, EXP, Exponents(0.5, 0.5))),
+    ("ss_ub-b2t", InequalitySpec(OperatorKind("SS_ub", None, PowerWeight(1.0, 2.0), B2T),
+                                 "non_increasing", ONE, EXP, Exponents(0.5, 1.0))),
+    ("tub-b2t", InequalitySpec(OperatorKind("T_ub", None, PowerWeight(1.0, 2.0), B2T),
+                               "non_increasing", ONE, EXP, Exponents(2.0, 1.0))),
+    ("s-table", InequalitySpec(OperatorKind("S", None, U_TABLE), "non_increasing",
+                               ONE, EXP, Exponents(2.0, 2.0))),
+    ("sstar-table", InequalitySpec(OperatorKind("S*", None, U_TABLE), "non_decreasing",
+                                   EXP, EXP, Exponents(1.0, 2.0))),
+    ("sstaroh-table", InequalitySpec(OperatorKind("S*", "H", U_TABLE), "none",
+                                     PowerWeight(1.0, 1.0), EXP, Exponents(2.0, 2.0))),
+    ("sstar-piecewise", InequalitySpec(OperatorKind("S*", None, U_PIECEWISE), "non_increasing",
+                                       ONE, EXP, Exponents(2.0, 1.0))),
+    ("soh*-piecewise", InequalitySpec(OperatorKind("S", "H*", U_PIECEWISE), "none",
+                                      PowerWeight(1.0, 1.0), EXP, Exponents(2.0, 1.0))),
+]
 
 
 def indicator(n, j, fam):
@@ -201,7 +344,7 @@ def kernel_inputs(spec, grid):
     return np.array(rand + ind)
 
 
-def operator_module_ratio(engine, values):
+def reference_ratio(engine, values):
     """The same quotient through ``apply_spec`` on a GridFunction witness."""
     spec = engine.spec
     f = GridFunction(engine.grid, values, spec.cone)
@@ -222,8 +365,8 @@ class TestKernel:
         # rows of a batch never interact: bit-for-bit the one-row wrapper
         single = np.array([engine.ratio(row) for row in stack])
         assert np.array_equal(batched, single)
-        # and the operator module's GridFunction path
-        ref = np.array([operator_module_ratio(engine, row) for row in stack])
+        # and the GridFunction reference
+        ref = np.array([reference_ratio(engine, row) for row in stack])
         assert np.array_equal(batched, ref)
 
 

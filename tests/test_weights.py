@@ -17,15 +17,11 @@ from supineq.weights import (
     PowerWeight,
     TabulatedWeight,
     conjugate,
-    dual_substitute,
     parse_weight,
     phi_weights,
     psi_weights,
     running_sup,
-    sigma_p,
     weight_mul,
-    weight_pow,
-    weight_scale,
 )
 
 alpha_st = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -202,7 +198,7 @@ class TestTransforms:
     def test_dual_substitute_pointwise(self):
         w = PowerWeight(2.0, 1.0, 0.5, 0.0)
         for e in (0.0, 1.0, -0.5):
-            d = dual_substitute(w, e)
+            d = w.dual(e)
             for t in (0.25, 1.0, 4.0):
                 assert d(t) == pytest.approx(w(1.0 / t) * (1.0 / t**2) ** e, rel=1e-10)
 
@@ -217,8 +213,8 @@ class TestTransforms:
     def test_weight_pow_and_scale_generic(self):
         w = FuncWeight(lambda t: 1.0 / (1.0 + t), label="test")
         for t in (0.5, 3.0):
-            assert weight_pow(w, 2.0)(t) == pytest.approx(w(t) ** 2)
-            assert weight_scale(w, 5.0)(t) == pytest.approx(5.0 * w(t))
+            assert w.power(2.0)(t) == pytest.approx(w(t) ** 2)
+            assert w.scale(5.0)(t) == pytest.approx(5.0 * w(t))
 
 
 class TestLevelTransforms:
@@ -250,22 +246,6 @@ class TestLevelTransforms:
     def test_phi_rejects_degenerate(self):
         with pytest.raises(ValueError):
             phi_weights(PowerWeight(1.0, 3.0), 2.0)  # head integral diverges
-
-
-class TestSigmaP:
-    def test_p1_is_sup_of_reciprocal(self):
-        v = PowerWeight(1.0, 1.0)  # 1/v = 1/t, sup on [a,b] at a
-        assert sigma_p(v, 1.0, 0.5, 2.0) == pytest.approx(2.0, rel=1e-10)
-
-    def test_p2_closed_form(self):
-        # p=2: p'=2, sigma = (int_a^b t^{-1} dt)^{1/2}
-        v = PowerWeight(1.0, 1.0)
-        assert sigma_p(v, 2.0, 1.0, math.e) == pytest.approx(1.0, rel=1e-8)
-
-    def test_monotone_in_interval(self):
-        v = PowerWeight(1.0, 0.5)
-        vals = [sigma_p(v, 2.0, 0.0, b) for b in (1.0, 2.0, 4.0)]
-        assert vals[0] <= vals[1] <= vals[2]
 
 
 class TestExponents:
