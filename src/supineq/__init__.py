@@ -1,7 +1,7 @@
 """Weighted-inequality criteria for supremal and Hardy-type operators,
 with a brute-force best-constant oracle."""
 
-from .extreal import ExtNonneg, INF
+from .extreal import INF
 from .weights import (
     Exponents,
     FuncWeight,
@@ -14,14 +14,7 @@ from .weights import (
     psi_weights,
     running_sup,
 )
-from .gridfn import (
-    Grid,
-    GridFunction,
-    make_log_grid,
-    project_cone,
-    sample_monotone,
-    weighted_norm,
-)
+from .gridfn import Grid, make_log_grid, region_values, sample_monotone
 from .operators import OperatorKernel, OperatorKind
 from .criteria import (
     CriterionResult,

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from .criteria import (
@@ -39,7 +39,7 @@ from .criteria import (
     evaluate_criterion,
 )
 from .extreal import INF
-from .gridfn import make_log_grid
+from .gridfn import DEFAULT_GRID, make_log_grid
 from .operators import OperatorKind
 from .oracle import OracleBudget, best_constant_lower, equivalence_report
 from .weights import Exponents, parse_weight
@@ -63,8 +63,8 @@ class ScenarioConfig:
 
 
 _DEFAULTS = {
-    "grid": {"eps": 1e-6, "M": 1e6, "n": 512},
-    "budget": {"n_char": 512, "n_random": 200, "n_ascent": 50},
+    "grid": dict(DEFAULT_GRID),
+    "budget": asdict(OracleBudget()),
     "band": 64.0,
     "seed": 1234,
     "verbatim_paper": False,

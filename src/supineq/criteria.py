@@ -22,11 +22,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
-from .operators import OperatorKind, b_cumulative
+from .operators import OperatorKind, b_cumulative, power_substitution
 from .weights import (
     Exponents,
     FuncWeight,
+    PiecewisePowerWeight,
     PowerWeight,
+    TabulatedWeight,
     Weight,
     conjugate,
     phi_weights,
@@ -238,8 +240,6 @@ def _analytically_positive(w: Weight, side: str) -> Optional[bool]:
     """Whether w is provably positive on a neighbourhood of 0 ("head") / oo ("tail")."""
     if isinstance(w, PowerWeight):
         return w.c > 0.0
-    from .weights import PiecewisePowerWeight, TabulatedWeight
-
     if isinstance(w, PiecewisePowerWeight):
         seg = w.segments[0] if side == "head" else w.segments[-1]
         return seg.c > 0.0
@@ -609,9 +609,7 @@ def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
     p, q = e.p, e.q
     if p > 1.0:
         raise TheoremInapplicable("p<=1", {"p<=1": False})
-    B = b_cumulative(b)
-    u_hat = u.power(p).scale(1.0 / p)
-    b_hat = weight_mul(B.power(p - 1.0), b)
+    u_hat, b_hat = power_substitution(u, b, p)
     inner = crit_T51(ctx, u_hat, b_hat, v, w, Exponents(1.0, q / p))
     case = "i" if p <= q else "ii"
     return _finish(f"T5.3.{case}", e, inner.terms, inner.hypothesis_report, inner.flags,

@@ -7,14 +7,12 @@ The conventions
 
 make every weight functional in this package evaluate to a definite value in
 [0, inf]: no NaN ever escapes.  Scalar helpers (``xmul`` etc.) operate on
-plain floats; array helpers (``amul`` etc.) on numpy arrays.  ``ExtNonneg``
-is a thin wrapper exposing the same arithmetic as a value type.
+plain floats; array helpers (``amul`` etc.) on numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +20,6 @@ INF = math.inf
 
 __all__ = [
     "INF",
-    "ExtNonneg",
     "xmul",
     "xdiv",
     "xpow",
@@ -98,56 +95,3 @@ def apow(a, e: float):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.asarray(a ** e)
 
-
-@dataclass(frozen=True)
-class ExtNonneg:
-    """A value in [0, +inf] with the total arithmetic above."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if math.isnan(v) or v < 0.0:
-            raise ValueError(f"ExtNonneg requires a value in [0, inf], got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    # -- arithmetic -------------------------------------------------------
-    def __mul__(self, other: "ExtNonneg") -> "ExtNonneg":
-        return ExtNonneg(xmul(self.value, _val(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "ExtNonneg") -> "ExtNonneg":
-        return ExtNonneg(xdiv(self.value, _val(other)))
-
-    def __add__(self, other: "ExtNonneg") -> "ExtNonneg":
-        return ExtNonneg(self.value + _val(other))
-
-    __radd__ = __add__
-
-    def __pow__(self, e: float) -> "ExtNonneg":
-        return ExtNonneg(xpow(self.value, float(e)))
-
-    # -- total order ------------------------------------------------------
-    def __lt__(self, other) -> bool:
-        return self.value < _val(other)
-
-    def __le__(self, other) -> bool:
-        return self.value <= _val(other)
-
-    def __gt__(self, other) -> bool:
-        return self.value > _val(other)
-
-    def __ge__(self, other) -> bool:
-        return self.value >= _val(other)
-
-    def __float__(self) -> float:
-        return self.value
-
-    @property
-    def finite(self) -> bool:
-        return self.value < INF
-
-
-def _val(x) -> float:
-    return x.value if isinstance(x, ExtNonneg) else float(x)

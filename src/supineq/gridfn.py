@@ -1,43 +1,38 @@
-"""Step functions on logarithmic grids, with exact weighted norms.
+"""Step functions on logarithmic grids, as knot-value rows.
 
-A :class:`GridFunction` is a nonnegative step function determined by its
-values at the knots of a :class:`Grid` plus head/tail policies.  The
-canonical step semantics depend on the cone:
+A step function on a :class:`Grid` with knots k_0 < ... < k_{n-1} is its
+array of n nonnegative values at the knots; an ``(m, n)`` array is a stack
+of m of them, one per row.  The knots cut (0, oo) into n+1 regions
 
-* ``non_increasing``:  f = values[i] on (k[i-1], k[i]]  (head region
-  (0, k[0]] takes values[0], tail region (k[-1], oo) takes tail, default 0);
-* ``non_decreasing`` and ``none``: f = values[i] on [k[i], k[i+1])  (head
-  region (0, k[0]) takes head, default 0; tail region [k[-1], oo) takes
-  values[-1] for the monotone cone, an explicit tail otherwise).
+    R_0 = (0, k_0],  R_i = (k_{i-1}, k_i]  (i = 1..n-1),  R_n = (k_{n-1}, oo),
 
-With these semantics the function genuinely belongs to its cone, weighted
-norms are exact sums over regions, and sampled continuum functions are
-represented by their conservative step minorant/majorant depending on the
-``rule`` argument of :func:`weighted_norm`.
+and :func:`region_values` states the canonical semantics of each cone on
+them.  A non-increasing row takes values[i] on R_i (so on (0, k_0] too) and
+0 on R_n.  Any other row takes 0 on R_0 and values[i] on R_{i+1}; pointwise
+it is values[i] on [k_i, k_{i+1}), so it keeps its last value on the tail.
+With these semantics each row belongs to its cone, and weighted norms are
+exact sums of region values against :func:`region_measures`.  :func:`project_rows` maps rows onto a cone, and
+the samplers draw reproducible random rows of a cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .extreal import INF, amul, apow, xpow
+from .extreal import INF
 from .weights import Weight, _interval_mass
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "make_log_grid",
+    "region_values",
     "region_measures",
-    "weighted_norm",
+    "project_rows",
     "sample_monotone",
     "sample_nonneg",
-    "project_cone",
 ]
-
-CONES = ("non_increasing", "non_decreasing", "none")
 
 
 @dataclass(frozen=True)
@@ -82,59 +77,15 @@ def make_log_grid(eps: float, M: float, n: int) -> Grid:
 DEFAULT_GRID = dict(eps=1e-6, M=1e6, n=512)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Nonnegative step function on a grid, tagged with its cone."""
+def region_values(F: np.ndarray, cone: str) -> np.ndarray:
+    """Region values of ``(n,)`` or ``(m, n)`` knot values: n+1 per row.
 
-    grid: Grid
-    values: np.ndarray
-    cone: str = "none"
-    head: Optional[float] = None
-    tail: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError("values must match the grid size")
-        if np.any(vals < 0) or np.any(np.isnan(vals)):
-            raise ValueError("values must be nonnegative")
-        if self.cone not in CONES:
-            raise ValueError(f"unknown cone {self.cone!r}")
-        with np.errstate(invalid="ignore"):  # inf - inf along a plateau is fine
-            diffs = np.diff(vals)
-        if self.cone == "non_increasing" and np.any(diffs > 1e-12 * (1 + vals[:-1])):
-            raise ValueError("values violate the non-increasing cone")
-        if self.cone == "non_decreasing" and np.any(diffs < -1e-12 * (1 + vals[:-1])):
-            raise ValueError("values violate the non-decreasing cone")
-        head = self.head
-        tail = self.tail
-        if head is None:
-            head = float(vals[0]) if self.cone == "non_increasing" else 0.0
-        if tail is None:
-            tail = float(vals[-1]) if self.cone == "non_decreasing" else 0.0
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "head", float(head))
-        object.__setattr__(self, "tail", float(tail))
-
-    # Regions: R_0 = (0, k0], R_i = (k_{i-1}, k_i] (i = 1..n-1), R_n = (k_{n-1}, oo).
-    def region_values(self) -> np.ndarray:
-        """Step value on each of the n+1 regions under canonical semantics."""
-        v = self.values
-        if self.cone == "non_increasing":
-            return np.concatenate([v, [self.tail]])
-        return np.concatenate([[self.head], v])
-
-    def __call__(self, t):
-        ks = self.grid.array()
-        t = np.asarray(t, dtype=float)
-        if self.cone == "non_increasing":
-            idx = np.searchsorted(ks, t, side="left")  # region index
-        else:
-            idx = np.searchsorted(ks, t, side="right")
-        rv = self.region_values()
-        out = rv[np.clip(idx, 0, len(rv) - 1)]
-        return out if out.ndim else float(out)
+    Non-increasing: the values on R_0..R_{n-1}, then 0 on R_n.  Otherwise: 0
+    on R_0, then the values on R_1..R_n."""
+    zeros = np.zeros(F.shape[:-1] + (1,))
+    if cone == "non_increasing":
+        return np.concatenate([F, zeros], axis=-1)
+    return np.concatenate([zeros, F], axis=-1)
 
 
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
@@ -152,42 +103,24 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     return out
 
 
-def weighted_norm(f: GridFunction, p: float, w: Weight, rule: str = "canonical",
-                  measures: Optional[np.ndarray] = None) -> float:
-    """``(int f^p w)^{1/p}`` (p < oo) or ``esssup f w``-style sup norm (p = oo).
-
-    ``rule`` selects the step value representing f on interior regions when the
-    values are knot samples of a continuum function:
-
-    * ``canonical`` - the exact step semantics of the cone (equals ``under``);
-    * ``under``     - right endpoint for non-increasing f, left for
-      non-decreasing (certified minorant);
-    * ``over``      - the opposite endpoints (certified majorant on the
-      interior regions).
-    """
-    if rule not in ("canonical", "under", "over"):
-        raise ValueError("rule must be canonical/under/over")
-    segv = f.region_values().copy()
-    if rule == "over" and f.cone in ("non_increasing", "non_decreasing"):
-        v = f.values
-        if f.cone == "non_increasing":
-            segv = np.concatenate([[f.head], v])  # left endpoints
-        else:
-            segv = np.concatenate([v, [max(f.tail, v[-1])]])  # right endpoints
-    if p == INF:
-        ks = f.grid.array()
-        sups = [w.sup_on_interval(0.0, ks[0])]
-        sups += [w.sup_on_interval(a, b) for a, b in zip(ks[:-1], ks[1:])]
-        sups.append(w.sup_on_interval(ks[-1], INF))
-        return float(np.max(amul(segv, np.asarray(sups))))
-    if measures is None:
-        measures = region_measures(f.grid, w)
-    terms = amul(apow(segv, p), measures)
-    return xpow(float(np.sum(terms)), 1.0 / p)
+def project_rows(rows: np.ndarray, cone: str) -> np.ndarray:
+    """Project each row of an ``(m, n)`` stack of knot values onto the cone:
+    the least monotone majorant, or the positive part for ``none``."""
+    if cone == "non_increasing":
+        return _suffix_max(rows)
+    if cone == "non_decreasing":
+        return np.maximum.accumulate(rows, axis=1)
+    return np.maximum(rows, 0.0)
 
 
-def sample_monotone(cone: str, grid: Grid, seed: int) -> GridFunction:
-    """Reproducible random monotone step function with heavy-tailed jumps."""
+def _suffix_max(a: np.ndarray) -> np.ndarray:
+    """Row-wise running maximum from the right."""
+    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
+
+
+def sample_monotone(cone: str, grid: Grid, seed: int) -> np.ndarray:
+    """Knot values of a reproducible random monotone step function with
+    heavy-tailed jumps."""
     if cone not in ("non_increasing", "non_decreasing"):
         raise ValueError("sample_monotone needs a monotone cone")
     rng = np.random.default_rng(seed)
@@ -202,11 +135,12 @@ def sample_monotone(cone: str, grid: Grid, seed: int) -> GridFunction:
     m = vals.max()
     if m > 0:
         vals = vals / m
-    return GridFunction(grid, vals, cone)
+    return vals
 
 
-def sample_nonneg(grid: Grid, seed: int) -> GridFunction:
-    """Reproducible random nonnegative step function (no monotonicity)."""
+def sample_nonneg(grid: Grid, seed: int) -> np.ndarray:
+    """Knot values of a reproducible random nonnegative step function (no
+    monotonicity)."""
     rng = np.random.default_rng(seed)
     n = grid.n
     vals = rng.exponential(1.0, n) * (rng.random(n) < 0.3)
@@ -215,18 +149,4 @@ def sample_nonneg(grid: Grid, seed: int) -> GridFunction:
     m = vals.max()
     if m > 0:
         vals = vals / m
-    return GridFunction(grid, vals, "none")
-
-
-def project_cone(f: GridFunction, cone: str) -> GridFunction:
-    """Smallest monotone majorant-style projection onto the cone."""
-    vals = np.asarray(f.values, dtype=float)
-    if cone == "non_increasing":
-        proj = np.maximum.accumulate(vals[::-1])[::-1]
-        return GridFunction(f.grid, proj, cone)
-    if cone == "non_decreasing":
-        proj = np.maximum.accumulate(vals)
-        return GridFunction(f.grid, proj, cone)
-    if cone == "none":
-        return GridFunction(f.grid, vals, cone, head=f.head, tail=f.tail)
-    raise ValueError(f"unknown cone {cone!r}")
+    return vals

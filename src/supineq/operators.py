@@ -17,18 +17,19 @@ with positive tail).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .extreal import INF, adiv, amul
-from .gridfn import Grid, region_measures
-from .weights import FuncWeight, PowerWeight, Weight
+from .gridfn import Grid, _suffix_max, region_measures
+from .weights import FuncWeight, PowerWeight, Weight, weight_mul
 
 __all__ = [
     "OperatorKind",
     "OperatorKernel",
     "b_cumulative",
+    "power_substitution",
 ]
 
 ONE = PowerWeight(1.0, 0.0)
@@ -81,6 +82,15 @@ def b_cumulative(b: Weight) -> Weight:
     if probe == INF:
         raise ValueError("B(t) = int_0^t b must be finite")
     return FuncWeight(_CumClosure(b), label="B")
+
+
+def power_substitution(u: Weight, b: Weight, p: float) -> Tuple[Weight, Weight]:
+    """The power substitution for T_{u,b} with p <= 1: ``(u**p / p, B**(p-1) b)``.
+
+    With these weights, the T_{u,b} inequality with exponents (1, q/p) has a
+    best constant whose 1/p-th power is the one for exponents (p, q)."""
+    B = b_cumulative(b)
+    return u.power(p).scale(1.0 / p), weight_mul(B.power(p - 1.0), b)
 
 
 @dataclass(frozen=True)
@@ -175,11 +185,6 @@ def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     exact, non-increasing."""
     above = amul(segv[:, 1:], lengths[1:])
     return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
-
-
-def _suffix_max(a: np.ndarray) -> np.ndarray:
-    """Row-wise running maximum from the right."""
-    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _ratio_weight(u: Weight, B: Weight) -> Weight:

@@ -20,13 +20,15 @@ from .gridfn import (
     DEFAULT_GRID,
     Grid,
     make_log_grid,
+    project_rows,
     region_measures,
+    region_values,
     sample_monotone,
     sample_nonneg,
 )
-from .operators import OperatorKernel, OperatorKind, _suffix_max, b_cumulative
+from .operators import OperatorKernel, OperatorKind, power_substitution
 from .criteria import CriterionResult, InequalitySpec
-from .weights import Exponents, Weight, weight_mul
+from .weights import Exponents, Weight
 
 __all__ = [
     "OracleBudget",
@@ -100,14 +102,11 @@ class RayleighEngine:
         """Quotients of an ``(m, n)`` stack of knot-value rows, one per row.
 
         Region values (``segv``, ``(m, n+1)``) follow the canonical step
-        semantics of the cone; the operator kernel maps them to output region
-        values, and both norms are exact sums over regions."""
+        semantics of the cone (``gridfn.region_values``); the operator kernel
+        maps them to output region values, and both norms are exact sums over
+        regions."""
         F = np.asarray(F, dtype=float)
-        zeros = np.zeros((F.shape[0], 1))
-        if self.cone == "non_increasing":
-            segv = np.concatenate([F, zeros], axis=1)
-        else:
-            segv = np.concatenate([zeros, F], axis=1)
+        segv = region_values(F, self.cone)
         p, q = self.spec.exps.p, self.spec.exps.q
         den_sums = np.sum(amul(apow(segv, p), self.dV), axis=1)
         num_sums = np.sum(amul(apow(self.kernel(segv), q), self.dW), axis=1)
@@ -164,10 +163,10 @@ def best_constant_lower(
             f = sample_nonneg(engine.grid, seed + 7919 * (i + 1))
         else:
             f = sample_monotone(cone, engine.grid, seed + 7919 * (i + 1))
-        r = engine.ratio(f.values)
+        r = engine.ratio(f)
         if np.isfinite(r) and r > best:
             best = r
-            best_vals = np.asarray(f.values, dtype=float).copy()
+            best_vals = f
     trace.append(best)
 
     if budget.n_ascent > 0 and best > 0.0:
@@ -181,7 +180,7 @@ def best_constant_lower(
             for j in order:
                 cands = np.repeat(vals[None], len(_ASCENT_FACTORS), axis=0)
                 cands[:, j] = vals[j] * _ASCENT_FACTORS if vals[j] > 0 else _ASCENT_FROM_ZERO
-                cands = _project_rows(cands, cone)
+                cands = project_rows(cands, cone)
                 for r, cand in zip(engine.ratios(cands), cands):
                     if np.isfinite(r) and r > best * (1.0 + 1e-12):
                         best, vals, improved = float(r), cand.copy(), True
@@ -204,15 +203,6 @@ def best_constant_lower(
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
-
-
-def _project_rows(rows: np.ndarray, cone: str) -> np.ndarray:
-    """Project each row of knot values onto the cone."""
-    if cone == "non_increasing":
-        return _suffix_max(rows)
-    if cone == "non_decreasing":
-        return np.maximum.accumulate(rows, axis=1)
-    return np.maximum(rows, 0.0)
 
 
 def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:
@@ -303,9 +293,7 @@ def verify_three_way(
     if p > 1.0:
         raise ValueError("the three-way equivalence is stated for p <= 1")
     direct = InequalitySpec(OperatorKind("T_ub", None, u, b), "non_increasing", v, w, e)
-    B = b_cumulative(b)
-    u_hat = u.power(p).scale(1.0 / p)
-    b_hat = weight_mul(B.power(p - 1.0), b)
+    u_hat, b_hat = power_substitution(u, b, p)
     powered = InequalitySpec(
         OperatorKind("T_ub", None, u_hat, b_hat), "non_increasing", v, w, Exponents(1.0, q / p)
     )

@@ -149,9 +149,6 @@ class Weight:
     def sup_on_interval(self, a: float, b: float) -> float:
         raise NotImplementedError
 
-    def inf_on_interval(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
     # -- algebra --------------------------------------------------------------
     def power(self, e: float) -> "Weight":
         return FuncWeight(_PowClosure(self, e), label=f"({self})**{e}")
@@ -297,14 +294,6 @@ class PowerWeight(Weight):
         if t_eval == INF:
             return self.limit_inf()
         return float(self(t_eval))
-
-    def inf_on_interval(self, a: float, b: float) -> float:
-        if self.c == 0.0:
-            return 0.0
-        # unimodal => infimum at an endpoint
-        va = self.limit0() if a == 0.0 else float(self(a))
-        vb = self.limit_inf() if b == INF else float(self(b))
-        return min(va, vb)
 
     # -- cumulatives --------------------------------------------------------------
     def cum_low(self, t: float) -> float:
@@ -491,15 +480,6 @@ class PiecewisePowerWeight(Weight):
                 return INF
         return best
 
-    def inf_on_interval(self, a: float, b: float) -> float:
-        best = INF
-        for i, seg in enumerate(self.segments):
-            lo, hi = self._bounds(i)
-            aa, bb = max(lo, a), min(hi, b)
-            if aa < bb:
-                best = min(best, seg.inf_on_interval(aa, bb))
-        return best
-
     def power(self, e: float) -> "PiecewisePowerWeight":
         return PiecewisePowerWeight(self.knots, tuple(s.power(e) for s in self.segments))
 
@@ -620,15 +600,6 @@ class TabulatedWeight(Weight):
             cands.append(float(ys[inside].max()))
         return max(cands)
 
-    def inf_on_interval(self, a: float, b: float) -> float:
-        ts, ys = self._arrays()
-        cands = [float(self(max(a, 1e-300)))] if a > 0 else [float(ys[0])]
-        cands.append(float(self(b)) if b < INF else float(ys[-1]))
-        inside = (ts >= a) & (ts <= b)
-        if np.any(inside):
-            cands.append(float(ys[inside].min()))
-        return min(cands)
-
     def power(self, e: float) -> "Weight":
         ys = np.asarray(self.y)
         if e < 0 and np.any(ys == 0.0):
@@ -715,9 +686,6 @@ class FuncWeight(Weight):
         if b == INF and vals[-1] >= m and vals[-1] > 1.5 * vals[max(-5, -len(vals))] > 0:
             return INF
         return m
-
-    def inf_on_interval(self, a: float, b: float) -> float:
-        return float(np.min(self(self._samples(a, b))))
 
     def to_json(self) -> dict:
         raise TypeError("derived weights have no JSON literal form")

@@ -219,8 +219,7 @@ def test_sandwich_pointwise(b):
     Bk = np.array([B(t) for t in ks])
     dB = np.diff(np.concatenate([[0.0], Bk]))
     for i in range(50):
-        f = sample_monotone("non_increasing", grid, seed=1000 + i)
-        vals = np.asarray(f.values, dtype=float)
+        vals = sample_monotone("non_increasing", grid, seed=1000 + i)
         lhs = np.maximum.accumulate(vals * Bk)  # sup_{tau<=t} f(tau) B(tau)
         rhs = np.cumsum(vals * dB)  # int_0^t f b
         assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-300)

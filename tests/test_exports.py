@@ -1,5 +1,6 @@
-"""Public names: every entry of each module's ``__all__`` exists."""
+"""Public names: every entry of each module's ``__all__`` exists and is used."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -19,3 +20,50 @@ def test_all_names_resolve():
     reexported = {name for name, val in vars(supineq).items()
                   if not name.startswith("_") and not inspect.ismodule(val)}
     assert reexported <= public, sorted(reexported - public)
+
+
+# Paper-level entry points, reached only through the library API.
+ENTRY_POINTS = {
+    "crit_restricted_sup": "the four restricted supremal criteria (T3.3-T3.6) by name",
+    "crit_iterated": "the six iterated criteria (T3.1, T3.2, T4.1-T4.4) by name",
+    "reduce_spec": "the paper's reductions of a monotone-cone problem to the full cone",
+    "down_dual_constant": "the closed-form sup-functional constant over non-increasing f, p <= 1",
+    "verify_three_way": "the three equivalent forms of the combined operator, p <= 1",
+    "psi_weights": "the mirror of the level transform phi_weights (int_x^oo in place of int_0^x)",
+    "running_sup": "the running esssup weights t -> esssup_(0,t] w and t -> esssup_[t,oo) w",
+}
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def _is_all(stmt):
+    return isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]
+
+
+def test_every_public_name_is_used():
+    # a public name must be reachable from module-level code (the CLI's
+    # ``__main__`` block, module constants) or from an entry point, through
+    # the bodies of the definitions it reaches; the package re-exports, the
+    # ``__all__`` lists and a definition's own body do not count
+    defs, todo = {}, set(ENTRY_POINTS)
+    for mod in MODULES:
+        for stmt in ast.parse(inspect.getsource(mod)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append(stmt)
+            elif not _is_all(stmt):
+                todo |= _names(stmt)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for d in defs.get(name, []):
+                todo |= _names(d)
+    public = [f"{mod.__name__}.{name}" for mod in MODULES for name in mod.__all__]
+    unused = [q for q in public if q.rsplit(".", 1)[1] not in reached]
+    assert not unused, unused
+    stale = set(ENTRY_POINTS) - {q.rsplit(".", 1)[1] for q in public}
+    assert not stale, sorted(stale)

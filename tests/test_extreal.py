@@ -1,13 +1,10 @@
-"""Extended nonnegative arithmetic: scalar helpers, array helpers, wrapper type."""
-
-import math
+"""Extended nonnegative arithmetic: scalar helpers and array helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import INF, ExtNonneg, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -82,30 +79,6 @@ class TestArrayHelpers:
         a, b = np.array(xs[:n]), np.array(ys[:n])
         assert np.array_equal(amul(a, b), np.array([xmul(x, y) for x, y in zip(a, b)]))
         assert np.array_equal(adiv(a, b), np.array([xdiv(x, y) for x, y in zip(a, b)]))
-
-
-class TestExtNonneg:
-    def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            ExtNonneg(-1.0)
-        with pytest.raises(ValueError):
-            ExtNonneg(math.nan)
-
-    def test_arithmetic(self):
-        zero, two, inf = ExtNonneg(0.0), ExtNonneg(2.0), ExtNonneg(INF)
-        assert (zero * inf).value == 0.0
-        assert (inf / inf).value == 0.0
-        assert (two / zero).value == INF
-        assert (two + inf).value == INF
-
-    def test_total_order(self):
-        vals = [ExtNonneg(x) for x in (INF, 0.0, 3.0, 1.0)]
-        ordered = sorted(vals)
-        assert [v.value for v in ordered] == [0.0, 1.0, 3.0, INF]
-
-    @given(nonneg, nonneg)
-    def test_mul_commutes(self, a, b):
-        assert (ExtNonneg(a) * ExtNonneg(b)).value == (ExtNonneg(b) * ExtNonneg(a)).value
 
 
 def _masked_apow(a, e):

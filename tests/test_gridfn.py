@@ -1,4 +1,4 @@
-"""Step functions on log grids: semantics, norms, sampling, cone projection."""
+"""Knot-value rows on log grids: region semantics, norms, sampling, projection."""
 
 import math
 import warnings
@@ -9,16 +9,15 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supineq.extreal import INF
+from supineq.extreal import INF, amul, apow, xpow
 from supineq.gridfn import (
     Grid,
-    GridFunction,
     make_log_grid,
-    project_cone,
+    project_rows,
     region_measures,
+    region_values,
     sample_monotone,
     sample_nonneg,
-    weighted_norm,
 )
 from supineq.operators import b_cumulative
 from supineq.weights import PiecewisePowerWeight, PowerWeight, TabulatedWeight
@@ -30,8 +29,11 @@ cone_st = st.sampled_from(["non_increasing", "non_decreasing", "none"])
 seed_st = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def simple(values, cone="non_increasing", grid=GRID, **kw):
-    return GridFunction(grid, np.asarray(values, dtype=float), cone, **kw)
+def norm(values, cone, p, w, grid=GRID):
+    """``(int f^p w)^{1/p}`` of the step function with these knot values: an
+    exact sum over regions, as the oracle takes it."""
+    terms = amul(apow(region_values(values, cone), p), region_measures(grid, w))
+    return xpow(float(np.sum(terms)), 1.0 / p)
 
 
 class TestGrid:
@@ -57,39 +59,29 @@ class TestGrid:
 
 class TestGridFunctionSemantics:
     def test_non_increasing_regions(self):
-        k = GRID.knots
-        f = simple(np.linspace(1.0, 0.1, GRID.n), cone="non_increasing")
-        # value on (k_{i-1}, k_i] is values[i]; head extends values[0]; tail is 0
-        assert f(k[3]) == f.values[3]
-        assert f(0.5 * (k[2] + k[3])) == f.values[3]
-        assert f(k[0] * 0.5) == f.values[0]
-        assert f(k[-1] * 2.0) == 0.0
+        # values[i] on R_i = (k_{i-1}, k_i], the head region R_0 included; 0 on the tail
+        vals = np.linspace(1.0, 0.1, GRID.n)
+        rv = region_values(vals, "non_increasing")
+        assert np.array_equal(rv[:-1], vals)
+        assert rv[-1] == 0.0
 
     def test_non_decreasing_regions(self):
-        k = GRID.knots
+        # values[i] on R_{i+1}, i.e. on [k_i, k_{i+1}), the tail included; 0 on the head
         vals = np.linspace(0.1, 1.0, GRID.n)
-        f = simple(vals, cone="non_decreasing")
-        # value on [k_i, k_{i+1}) is values[i]; head defaults to 0
-        assert f(k[3]) == vals[3]
-        assert f(0.5 * (k[3] + k[4])) == vals[3]
-        assert f(k[0] * 0.5) == 0.0
-        assert f(k[-1] * 2.0) == vals[-1]
+        for cone in ("non_decreasing", "none"):
+            rv = region_values(vals, cone)
+            assert rv[0] == 0.0
+            assert np.array_equal(rv[1:], vals)
 
-    def test_cone_violation_rejected(self):
-        with pytest.raises(ValueError):
-            simple([0.1, 1.0] + [0.05] * (GRID.n - 2), cone="non_increasing")
-        with pytest.raises(ValueError):
-            simple([1.0, 0.1] + [2.0] * (GRID.n - 2), cone="non_decreasing")
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            simple([-1.0] * GRID.n, cone="none")
-
-    def test_region_values_length(self):
-        f = simple(np.ones(GRID.n), cone="non_increasing", tail=0.5)
-        rv = f.region_values()
-        assert len(rv) == GRID.n + 1
-        assert rv[-1] == 0.5
+    @given(cone_st, seed_st)
+    @settings(max_examples=20, deadline=None)
+    def test_region_values_length(self, cone, seed):
+        # a stack of rows gives n+1 region values per row, each row on its own
+        rows = np.array([sample_nonneg(GRID, seed + i) for i in range(3)])
+        stacked = region_values(rows, cone)
+        assert stacked.shape == (3, GRID.n + 1)
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(region_values(row, cone), out)
 
 
 class TestRegionMeasures:
@@ -207,28 +199,19 @@ class TestWeightedNorm:
         j = 6
         vals = np.zeros(GRID.n)
         vals[: j + 1] = 1.0
-        f = simple(vals, cone="non_increasing")
-        assert weighted_norm(f, 1.0, LEB) == pytest.approx(GRID.knots[j], rel=1e-10)
+        assert norm(vals, "non_increasing", 1.0, LEB) == pytest.approx(GRID.knots[j], rel=1e-10)
 
     def test_tail_indicator_infinite_l1(self):
-        vals = np.ones(GRID.n)
-        f = simple(vals, cone="non_decreasing", tail=None)  # extends as 1 beyond M
-        assert weighted_norm(f, 1.0, LEB) == INF
-
-    def test_p_inf_norm_is_sup(self):
-        vals = np.linspace(1.0, 0.1, GRID.n)
-        f = simple(vals, cone="non_increasing")
-        assert weighted_norm(f, INF, LEB) == pytest.approx(1.0)
+        # a non-decreasing row keeps its last value beyond M
+        assert norm(np.ones(GRID.n), "non_decreasing", 1.0, LEB) == INF
 
     @given(seed_st, st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, seed, p):
         f = sample_monotone("non_increasing", GRID, seed)
         lam = 3.7
-        g = GridFunction(GRID, lam * f.values, f.cone, head=None if f.head is None else lam * f.head,
-                         tail=None if f.tail is None else lam * f.tail)
-        nf = weighted_norm(f, p, LEB)
-        ng = weighted_norm(g, p, LEB)
+        nf = norm(f, "non_increasing", p, LEB)
+        ng = norm(lam * f, "non_increasing", p, LEB)
         if np.isfinite(nf) and nf > 0:
             assert ng == pytest.approx(lam * nf, rel=1e-9)
 
@@ -236,17 +219,7 @@ class TestWeightedNorm:
     @settings(max_examples=40, deadline=None)
     def test_domination(self, seed):
         f = sample_monotone("non_increasing", GRID, seed)
-        g = GridFunction(GRID, 2.0 * f.values + 0.1, f.cone)
-        assert weighted_norm(f, 1.0, LEB) <= weighted_norm(g, 1.0, LEB)
-
-    def test_rule_under_below_canonical_below_over(self):
-        w = PowerWeight(1.0, 1.0, 1.0)
-        f = sample_monotone("non_increasing", GRID, 5)
-        for p in (0.5, 1.0, 2.0):
-            lo = weighted_norm(f, p, w, rule="under")
-            mid = weighted_norm(f, p, w, rule="canonical")
-            hi = weighted_norm(f, p, w, rule="over")
-            assert lo <= mid * (1 + 1e-12) and mid <= hi * (1 + 1e-12)
+        assert norm(f, "non_increasing", 1.0, LEB) <= norm(2.0 * f + 0.1, "non_increasing", 1.0, LEB)
 
     def test_refinement_invariance(self):
         # the same step function expressed on a refinement has the same norm
@@ -254,20 +227,20 @@ class TestWeightedNorm:
         fine = Grid(knots=tuple(np.unique(np.concatenate([
             coarse.knots, np.sqrt(np.asarray(coarse.knots)[:-1] * np.asarray(coarse.knots)[1:])]))))
         vals_c = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        fc = GridFunction(coarse, vals_c, "non_increasing")
-        vals_f = np.array([fc(k) for k in fine.knots])
-        ff = GridFunction(fine, vals_f, "non_increasing")
+        # a fine knot in the coarse region R_i = (k_{i-1}, k_i] takes its value
+        idx = np.searchsorted(coarse.array(), fine.array(), side="left")
+        vals_f = region_values(vals_c, "non_increasing")[idx]
         for p in (1.0, 2.0):
-            assert weighted_norm(ff, p, LEB) == pytest.approx(
-                weighted_norm(fc, p, LEB), rel=1e-10)
+            assert norm(vals_f, "non_increasing", p, LEB, fine) == pytest.approx(
+                norm(vals_c, "non_increasing", p, LEB, coarse), rel=1e-10)
 
 
 class TestSamplingAndProjection:
     @given(st.sampled_from(["non_increasing", "non_decreasing"]), seed_st)
     @settings(max_examples=60, deadline=None)
     def test_samples_respect_cone(self, cone, seed):
-        f = sample_monotone(cone, GRID, seed)
-        v = f.values
+        v = sample_monotone(cone, GRID, seed)
+        assert v.shape == (GRID.n,)
         assert np.all(v >= 0)
         if cone == "non_increasing":
             assert np.all(np.diff(v) <= 1e-12)
@@ -283,27 +256,30 @@ class TestSamplingAndProjection:
     def test_sampling_deterministic(self, seed):
         a = sample_monotone("non_increasing", GRID, seed)
         b = sample_monotone("non_increasing", GRID, seed)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_sample_nonneg_unconstrained(self):
-        f = sample_nonneg(GRID, 11)
-        assert f.cone == "none"
-        assert np.all(f.values >= 0)
+        v = sample_nonneg(GRID, 11)
+        assert v.shape == (GRID.n,)
+        assert np.all(v >= 0)
 
     @given(seed_st, st.sampled_from(["non_increasing", "non_decreasing"]))
     @settings(max_examples=40, deadline=None)
     def test_projection_idempotent_and_monotone(self, seed, cone):
-        raw = sample_nonneg(GRID, seed)
-        proj = project_cone(raw, cone)
-        d = np.diff(proj.values)
+        raw = np.array([sample_nonneg(GRID, seed), sample_nonneg(GRID, seed + 1)])
+        proj = project_rows(raw, cone)
+        assert np.all(proj >= raw)  # a majorant
+        d = np.diff(proj, axis=1)
         if cone == "non_increasing":
             assert np.all(d <= 1e-12)
         else:
             assert np.all(d >= -1e-12)
-        again = project_cone(proj, cone)
-        assert np.allclose(again.values, proj.values)
+        assert np.array_equal(project_rows(proj, cone), proj)
 
     def test_projection_fixes_monotone_input(self):
-        f = sample_monotone("non_increasing", GRID, 3)
-        g = project_cone(f, "non_increasing")
-        assert np.allclose(f.values, g.values)
+        rows = np.array([sample_monotone("non_increasing", GRID, 3)])
+        assert np.array_equal(project_rows(rows, "non_increasing"), rows)
+
+    def test_projection_onto_none_is_positive_part(self):
+        rows = np.array([[-1.0, 0.0, 2.0], [3.0, -0.5, 1.0]])
+        assert np.array_equal(project_rows(rows, "none"), np.maximum(rows, 0.0))

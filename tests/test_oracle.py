@@ -1,6 +1,8 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
 import os
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -9,16 +11,8 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
-from supineq.extreal import INF, adiv, amul, xdiv, xmul
-from supineq.gridfn import (
-    Grid,
-    GridFunction,
-    make_log_grid,
-    region_measures,
-    sample_monotone,
-    sample_nonneg,
-    weighted_norm,
-)
+from supineq.extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.gridfn import Grid, make_log_grid, region_measures, sample_monotone, sample_nonneg
 from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
 from supineq.oracle import (
     OracleBudget,
@@ -175,11 +169,53 @@ class TestHelpers:
         assert "ratios" in out and "divergence_flags" in out
 
 
-# -- the batched kernel against the per-row wrapper and a GridFunction reference --
+# -- the batched kernel against the per-row wrapper and a step-function reference --
 
-# The operators on GridFunction witnesses, one function per operator: an
-# independent statement of the step semantics that the operator kernel must
+# A step function with head and tail values, and the operators on it, one
+# function per operator: an independent statement of the step semantics that
+# the engine (``gridfn.region_values`` and the operator kernel) must
 # reproduce bit for bit.
+
+@dataclass(frozen=True)
+class StepFunction:
+    """Knot values on a grid, tagged with their cone.  Regions:
+    R_0 = (0, k_0], R_i = (k_{i-1}, k_i], R_n = (k_{n-1}, oo)."""
+
+    grid: Grid
+    values: np.ndarray
+    cone: str = "none"
+    head: Optional[float] = None
+    tail: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        vals = np.asarray(self.values, dtype=float)
+        head, tail = self.head, self.tail
+        if head is None:
+            head = float(vals[0]) if self.cone == "non_increasing" else 0.0
+        if tail is None:
+            tail = float(vals[-1]) if self.cone == "non_decreasing" else 0.0
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "head", float(head))
+        object.__setattr__(self, "tail", float(tail))
+
+    def region_values(self) -> np.ndarray:
+        """Non-increasing: values[i] on R_i, the tail on R_n.  Otherwise:
+        the head on R_0, values[i] on R_{i+1}."""
+        v = self.values
+        if self.cone == "non_increasing":
+            return np.concatenate([v, [self.tail]])
+        return np.concatenate([[self.head], v])
+
+    def __call__(self, t):
+        ks = self.grid.array()
+        side = "left" if self.cone == "non_increasing" else "right"
+        return self.region_values()[np.searchsorted(ks, t, side=side)]
+
+
+def norm(f: StepFunction, p: float, measures: np.ndarray) -> float:
+    """``(int f^p w)^{1/p}``, given w's mass on each region."""
+    return xpow(float(np.sum(amul(apow(f.region_values(), p), measures))), 1.0 / p)
+
 
 def _region_bounds(grid: Grid):
     ks = grid.array()
@@ -193,17 +229,17 @@ def _region_sups(w: Weight, grid: Grid) -> np.ndarray:
     return np.array([w.sup_on_interval(a, b) for a, b in zip(lo, hi)])
 
 
-def hardy(f: GridFunction) -> GridFunction:
+def hardy(f: StepFunction) -> StepFunction:
     """(H f)(t) = int_0^t f; exact at knots, non-decreasing output."""
     ks = f.grid.array()
     segv = f.region_values()
     lengths = np.concatenate([[ks[0]], np.diff(ks)])
     cum = np.cumsum(amul(segv[:-1], lengths))  # value at each knot, exact
     tail = cum[-1] if segv[-1] == 0.0 else INF
-    return GridFunction(f.grid, cum, "non_decreasing", head=0.0, tail=float(tail))
+    return StepFunction(f.grid, cum, "non_decreasing", head=0.0, tail=float(tail))
 
 
-def copson(f: GridFunction) -> GridFunction:
+def copson(f: StepFunction) -> StepFunction:
     """(H* f)(t) = int_t^oo f; exact at knots, non-increasing output."""
     ks = f.grid.array()
     segv = f.region_values()
@@ -211,10 +247,10 @@ def copson(f: GridFunction) -> GridFunction:
     above = amul(segv[1:], lengths)  # mass of regions R_1..R_n
     rev = np.cumsum(above[::-1])[::-1]  # at knot k_j: regions R_{j+1}..R_n
     vals = rev
-    return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]), tail=0.0)
+    return StepFunction(f.grid, vals, "non_increasing", head=float(vals[0]), tail=0.0)
 
 
-def sup_op(f: GridFunction, variant: str, u: Weight = ONE) -> GridFunction:
+def sup_op(f: StepFunction, variant: str, u: Weight = ONE) -> StepFunction:
     """S_u f (variant "S") or S*_u f (variant "S*"), exact at knots."""
     usups = _region_sups(u, f.grid)
     segv = f.region_values()
@@ -223,7 +259,7 @@ def sup_op(f: GridFunction, variant: str, u: Weight = ONE) -> GridFunction:
         # value at knot k_j = sup over regions R_0..R_j  (tau <= k_j)
         vals = np.maximum.accumulate(prods[:-1])
         tail = max(float(vals[-1]), xmul(usups[-1], segv[-1]))
-        return GridFunction(f.grid, vals, "non_decreasing", head=0.0, tail=tail)
+        return StepFunction(f.grid, vals, "non_decreasing", head=0.0, tail=tail)
     if variant == "S*":
         # value at knot k_j = max(u(k_j) f(k_j), sup over regions R_{j+1}..R_n)
         ks = f.grid.array()
@@ -233,12 +269,12 @@ def sup_op(f: GridFunction, variant: str, u: Weight = ONE) -> GridFunction:
         vals = np.maximum(amul(uk, fk), above)
         # tail region: under-estimate S* f there by the limiting sup factor
         tail = xmul(segv[-1], u.limit_inf()) if segv[-1] > 0 else 0.0
-        return GridFunction(f.grid, vals, "non_increasing", head=float(vals[0]),
+        return StepFunction(f.grid, vals, "non_increasing", head=float(vals[0]),
                             tail=float(min(tail, vals[-1])))
     raise ValueError("variant must be 'S' or 'S*'")
 
 
-def t_ub(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
+def t_ub(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
     """(T_{u,b} f)(t) = sup_{tau >= t} u(tau)/B(tau) int_0^tau f b."""
     B = b_cumulative(b)
     ks = f.grid.array()
@@ -254,11 +290,11 @@ def t_ub(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
     tail_term = xmul(cumk[-1] if segv[-1] == 0.0 else INF, tail_fac)
     vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
     tail_val = xmul(cumk[-1] if segv[-1] == 0.0 else INF, ratio_w.limit_inf())
-    return GridFunction(f.grid, vals, "non_increasing",
+    return StepFunction(f.grid, vals, "non_increasing",
                         head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
 
 
-def double_sup(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunction:
+def double_sup(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
     """t -> sup_{tau >= t} u(tau)/B(tau) * sup_{y <= tau} f(y) B(y)."""
     B = b_cumulative(b)
     ks = f.grid.array()
@@ -274,11 +310,11 @@ def double_sup(f: GridFunction, u: Weight = ONE, b: Weight = ONE) -> GridFunctio
     tail_term = xmul(inner_tail, tail_fac)
     vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
     tail_val = xmul(inner_tail, ratio_w.limit_inf())
-    return GridFunction(f.grid, vals, "non_increasing",
+    return StepFunction(f.grid, vals, "non_increasing",
                         head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
 
 
-def apply_spec(kind: OperatorKind, f: GridFunction) -> GridFunction:
+def apply_spec(kind: OperatorKind, f: StepFunction) -> StepFunction:
     """Apply the operator described by ``kind`` to ``f``."""
     if kind.base == "T_ub":
         return t_ub(f, kind.u, kind.b)
@@ -337,22 +373,22 @@ def indicator_families(cone):
 def kernel_inputs(spec, grid):
     """Five random witnesses of the spec's cone, then every indicator witness."""
     if spec.cone == "none":
-        rand = [sample_nonneg(grid, 17 + i).values for i in range(5)]
+        rand = [sample_nonneg(grid, 17 + i) for i in range(5)]
     else:
-        rand = [sample_monotone(spec.cone, grid, 17 + i).values for i in range(5)]
+        rand = [sample_monotone(spec.cone, grid, 17 + i) for i in range(5)]
     ind = [indicator(grid.n, j, fam) for fam in indicator_families(spec.cone) for j in range(grid.n)]
     return np.array(rand + ind)
 
 
 def reference_ratio(engine, values):
-    """The same quotient through ``apply_spec`` on a GridFunction witness."""
+    """The same quotient through ``apply_spec`` on a StepFunction witness."""
     spec = engine.spec
-    f = GridFunction(engine.grid, values, spec.cone)
-    den = weighted_norm(f, spec.exps.p, spec.v, measures=engine.dV)
+    f = StepFunction(engine.grid, values, spec.cone)
+    den = norm(f, spec.exps.p, engine.dV)
     if den == 0.0:
         return 0.0
     out = apply_spec(spec.kind, f)
-    return xdiv(weighted_norm(out, spec.exps.q, spec.w, measures=engine.dW), den)
+    return xdiv(norm(out, spec.exps.q, engine.dW), den)
 
 
 class TestKernel:
@@ -365,7 +401,7 @@ class TestKernel:
         # rows of a batch never interact: bit-for-bit the one-row wrapper
         single = np.array([engine.ratio(row) for row in stack])
         assert np.array_equal(batched, single)
-        # and the GridFunction reference
+        # and the StepFunction reference
         ref = np.array([reference_ratio(engine, row) for row in stack])
         assert np.array_equal(batched, ref)
 
@@ -391,9 +427,9 @@ def sequential_best_constant_lower(spec, budget, seed, grid):
             f = sample_nonneg(engine.grid, seed + 7919 * (i + 1))
         else:
             f = sample_monotone(cone, engine.grid, seed + 7919 * (i + 1))
-        r = engine.ratio(f.values)
+        r = engine.ratio(f)
         if np.isfinite(r) and r > best:
-            best, best_vals = r, np.asarray(f.values, dtype=float).copy()
+            best, best_vals = r, f.copy()
     trace.append(best)
     if budget.n_ascent > 0 and best > 0.0:
         vals = best_vals.copy()
