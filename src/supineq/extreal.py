@@ -63,10 +63,14 @@ def xpow(a: float, e: float) -> float:
 
 def amul(a, b):
     """Elementwise product on arrays with 0 * inf = 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = np.asarray(a * b)
+        return np.asarray(_amul_raw(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+
+
+def _amul_raw(a, b):
+    """``amul`` of float arrays (or floats) without its ``np.errstate``: for
+    array passes that enter one ``np.errstate`` around all of their products."""
+    out = a * b
     # on [0, inf] a NaN can only be 0 * inf; NaN inputs keep the full masks
     if np.isnan(out).any():
         out = np.where((a == 0.0) | (b == 0.0), 0.0, out)

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, adiv, amul
+from .extreal import INF, _amul_raw, adiv
 from .gridfn import Grid, _suffix_max, region_measures
 from .weights import FuncWeight, PowerWeight, Weight, weight_mul
 
@@ -135,55 +135,59 @@ class OperatorKernel:
                 self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
 
     def __call__(self, segv: np.ndarray) -> np.ndarray:
-        k = self.kind
-        if k.base in ("T_ub", "SS_ub"):
-            if k.base == "T_ub":
-                # int_0^{k_j} f b, and the whole integral for the tail
-                inner = np.cumsum(amul(segv[:, :-1], self.dB[:-1]), axis=1)
-                tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
+        # one errstate for the pass: the products below are raw (``_amul_raw``)
+        with np.errstate(all="ignore"):
+            k = self.kind
+            if k.base in ("T_ub", "SS_ub"):
+                if k.base == "T_ub":
+                    # int_0^{k_j} f b, and the whole integral for the tail
+                    inner = np.cumsum(_amul_raw(segv[:, :-1], self.dB[:-1]), axis=1)
+                    tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
+                else:
+                    # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
+                    inner = np.maximum.accumulate(_amul_raw(segv[:, :-1], self.Bk), axis=1)
+                    tail_pos = segv[:, -1] != 0.0
+                inner_tail = np.where(tail_pos, INF, inner[:, -1])
+                point = _amul_raw(self.uB, inner)
+                tail_term = _amul_raw(inner_tail, self.uB_tail_sup)[:, None]
+                vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
+                tail_val = np.minimum(_amul_raw(inner_tail, self.uB_liminf), vals[:, -1])
+                return np.concatenate([vals, tail_val[:, None]], axis=1)
+            # supremal (possibly composed) operators act on the inner g's regions
+            zeros = np.zeros((segv.shape[0], 1))
+            if k.compose == "H":
+                gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
+                g_cone = "non_decreasing"
+            elif k.compose == "H*":
+                gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
+                g_cone = "non_increasing"
             else:
-                # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
-                inner = np.maximum.accumulate(amul(segv[:, :-1], self.Bk), axis=1)
-                tail_pos = segv[:, -1] != 0.0
-            inner_tail = np.where(tail_pos, INF, inner[:, -1])
-            point = amul(self.uB, inner)
-            tail_term = amul(inner_tail, self.uB_tail_sup)[:, None]
-            vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            tail_val = np.minimum(amul(inner_tail, self.uB_liminf), vals[:, -1])
-            return np.concatenate([vals, tail_val[:, None]], axis=1)
-        # supremal (possibly composed) operators act on the inner g's regions
-        zeros = np.zeros((segv.shape[0], 1))
-        if k.compose == "H":
-            gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
-            g_cone = "non_decreasing"
-        elif k.compose == "H*":
-            gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
-            g_cone = "non_increasing"
-        else:
-            gsegv, g_cone = segv, self.cone
-        prods = amul(self.u_rsups, gsegv)
-        if k.base == "S":
-            # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
-            # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
-            vals = np.maximum.accumulate(prods[:, :-1], axis=1)
-            return np.concatenate([zeros, vals], axis=1)
-        # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
-        # output is non-increasing, region R_i takes out(k_i)
-        gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
-        vals = np.maximum(amul(self.u_knots, gk), _suffix_max(prods[:, 1:]))
-        tail = np.minimum(amul(gsegv[:, -1], self.u_liminf), vals[:, -1])
-        return np.concatenate([vals, tail[:, None]], axis=1)
+                gsegv, g_cone = segv, self.cone
+            prods = _amul_raw(self.u_rsups, gsegv)
+            if k.base == "S":
+                # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
+                # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
+                vals = np.maximum.accumulate(prods[:, :-1], axis=1)
+                return np.concatenate([zeros, vals], axis=1)
+            # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
+            # output is non-increasing, region R_i takes out(k_i)
+            gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
+            vals = np.maximum(_amul_raw(self.u_knots, gk), _suffix_max(prods[:, 1:]))
+            tail = np.minimum(_amul_raw(gsegv[:, -1], self.u_liminf), vals[:, -1])
+            return np.concatenate([vals, tail[:, None]], axis=1)
 
 
 def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing."""
-    return np.cumsum(amul(segv[:, :-1], lengths[:-1]), axis=1)
+    """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing.
+    For callers inside ``np.errstate(all="ignore")``, as the kernel is."""
+    return np.cumsum(_amul_raw(segv[:, :-1], lengths[:-1]), axis=1)
 
 
 def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(H* f)(k_j) = int_{k_j}^oo f, the mass of regions R_{j+1}..R_n, row-wise;
-    exact, non-increasing."""
-    above = amul(segv[:, 1:], lengths[1:])
+    exact, non-increasing.  For callers inside ``np.errstate(all="ignore")``, as
+    the kernel is."""
+    above = _amul_raw(segv[:, 1:], lengths[1:])
     return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, _amul_raw, amul, apow, xdiv, xmul, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -107,14 +107,17 @@ class RayleighEngine:
         regions."""
         F = np.asarray(F, dtype=float)
         segv = region_values(F, self.cone)
+        out_segv = self.kernel(segv)
         p, q = self.spec.exps.p, self.spec.exps.q
-        den_sums = np.sum(amul(apow(segv, p), self.dV), axis=1)
-        num_sums = np.sum(amul(apow(self.kernel(segv), q), self.dW), axis=1)
+        with np.errstate(all="ignore"):
+            # ``x ** p`` with p > 0 is ``apow``, and ``_amul_raw`` is ``amul``
+            den_sums = _amul_raw(segv ** p, self.dV).sum(axis=1)
+            num_sums = _amul_raw(out_segv ** q, self.dW).sum(axis=1)
         out = np.zeros(F.shape[0])
-        for i in range(F.shape[0]):
-            den = xpow(float(den_sums[i]), 1.0 / p)
+        for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
+            den = xpow(den_sum, 1.0 / p)
             if den != 0.0:
-                out[i] = xdiv(xpow(float(num_sums[i]), 1.0 / q), den)
+                out[i] = xdiv(xpow(num_sum, 1.0 / q), den)
         return out
 
 
@@ -170,21 +173,26 @@ def best_constant_lower(
     trace.append(best)
 
     if budget.n_ascent > 0 and best > 0.0:
-        # all four factors of one coordinate are scored in one engine call; the
-        # first one in factor order that improves is taken, as if tried in turn
+        # speculative batches: the factor steps at the next k coordinates of
+        # the sweep, all from the current point, are scored in one engine call.
+        # The first gain in (coordinate, factor) order is taken, the rest of
+        # the batch (built from a point now stale) is dropped, and the sweep
+        # resumes after that coordinate, so the ascent visits the same points
+        # as trying one coordinate and one factor at a time.  k doubles after a
+        # batch without a gain, up to _ASCENT_BATCH, and drops to 1 after one.
         vals = best_vals.copy()
         rng = np.random.default_rng(seed + 104729)
         for sweep in range(budget.n_ascent):
             improved = False
             order = rng.permutation(n)
-            for j in order:
-                cands = np.repeat(vals[None], len(_ASCENT_FACTORS), axis=0)
-                cands[:, j] = vals[j] * _ASCENT_FACTORS if vals[j] > 0 else _ASCENT_FROM_ZERO
-                cands = project_rows(cands, cone)
-                for r, cand in zip(engine.ratios(cands), cands):
-                    if np.isfinite(r) and r > best * (1.0 + 1e-12):
-                        best, vals, improved = float(r), cand.copy(), True
-                        break
+            pos, k = 0, 1
+            while pos < n:
+                gain = _first_gain(engine, vals, order[pos:pos + k], best * (1.0 + 1e-12))
+                if gain is None:
+                    pos, k = pos + k, min(2 * k, _ASCENT_BATCH)
+                else:
+                    step, vals, best = gain
+                    pos, k, improved = pos + step + 1, 1, True
             if not improved:
                 break
         best_vals = vals
@@ -203,6 +211,29 @@ def best_constant_lower(
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
+_ASCENT_BATCH = 16  # most coordinates per speculative batch: 64 rows
+
+
+def _first_gain(engine: RayleighEngine, vals: np.ndarray, coords: np.ndarray,
+                floor: float) -> Optional[Tuple[int, np.ndarray, float]]:
+    """The first of the factor steps from ``vals`` at ``coords``, in
+    (coordinate, factor) order and projected onto the cone, whose quotient is
+    finite and above ``floor``: ``(its position in coords, its row, its
+    quotient)``, or None.  Steps that projection takes back to ``vals`` are not
+    scored: their quotient is the current best, which is not above ``floor``."""
+    nf = len(_ASCENT_FACTORS)
+    rows = np.repeat(vals[None], nf * len(coords), axis=0)
+    for c, j in enumerate(coords):
+        step = vals[j] * _ASCENT_FACTORS if vals[j] > 0 else _ASCENT_FROM_ZERO
+        rows[nf * c:nf * (c + 1), j] = step
+    rows = project_rows(rows, engine.cone)
+    fresh = np.flatnonzero((rows != vals).any(axis=1))
+    if fresh.size == 0:
+        return None
+    for i, r in zip(fresh.tolist(), engine.ratios(rows[fresh]).tolist()):
+        if floor < r < INF:
+            return i // nf, rows[i].copy(), r
+    return None
 
 
 def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:

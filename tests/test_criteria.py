@@ -1,15 +1,11 @@
 """Criterion evaluation: dispatch, scaling laws, hypotheses, reductions."""
 
-import math
-
 import numpy as np
 import pytest
 
 from supineq.criteria import (
-    CritCtx,
     InequalitySpec,
     TheoremInapplicable,
-    crit_iterated,
     crit_restricted_sup,
     crit_tub,
     evaluate_criterion,

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, _amul_raw, adiv, amul, apow, xdiv, xmul, xpow
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -175,3 +175,36 @@ class TestFastPath:
         edge = (a == 0.0) | (a == INF)
         assert np.array_equal(out[edge], ref[edge])
         assert np.allclose(out[~edge], ref[~edge], rtol=4e-16, atol=1e-300)
+
+
+EDGE = (0.0, INF, np.nan, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300)
+edge_or_nonneg = st.one_of(st.sampled_from(EDGE), st.floats(min_value=0.0, allow_nan=False))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _raw(a, b):
+    with np.errstate(all="ignore"):
+        return _amul_raw(a, b)
+
+
+class TestRawProduct:
+    """``_amul_raw``, the product of the engine's one-errstate pass, is ``amul``
+    bit for bit, NaN payloads included."""
+
+    @given(st.lists(st.tuples(edge_or_nonneg, edge_or_nonneg), min_size=1, max_size=12))
+    def test_equals_amul_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        assert np.array_equal(_bits(_raw(a, b)), _bits(amul(a, b)))
+
+    def test_every_pair_of_edge_values(self):
+        a = np.array(EDGE)
+        # a column against a row: every pair, as rows are taken against measures
+        assert np.array_equal(_bits(_raw(a[:, None], a)), _bits(amul(a[:, None], a)))
+        # a Python float against an array, as the kernel takes its tail factors
+        for x in EDGE:
+            assert np.array_equal(_bits(_raw(a, x)), _bits(amul(a, x)))
+        assert _raw(np.array([0.0, INF]), np.array([INF, 0.0])).tolist() == [0.0, 0.0]
+        assert _raw(np.array([1e300]), np.array([1e300]))[0] == INF

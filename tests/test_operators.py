@@ -32,6 +32,18 @@ def regions(f, cone):
     return region_values(f, cone)[None]
 
 
+def hardy(f, cone):
+    """``hardy_at_knots`` of one witness, inside the errstate it expects."""
+    with np.errstate(all="ignore"):
+        return hardy_at_knots(regions(f, cone), LENGTHS)
+
+
+def copson(f, cone):
+    """``copson_at_knots`` of one witness, inside the errstate it expects."""
+    with np.errstate(all="ignore"):
+        return copson_at_knots(regions(f, cone), LENGTHS)
+
+
 def apply(kind, f, cone):
     """Knot values of the operator's output on ``f``.  A non-decreasing output
     (S) takes out(k_{i-1}) on region R_i, a non-increasing one (S*, T_ub,
@@ -52,7 +64,7 @@ class TestHardyCopson:
     @settings(max_examples=30, deadline=None)
     def test_hardy_exact_at_knots(self, seed):
         f = sample_monotone("non_increasing", GRID, seed)
-        out = hardy_at_knots(regions(f, "non_increasing"), LENGTHS)[0]
+        out = hardy(f, "non_increasing")[0]
         expect = np.cumsum(region_values(f, "non_increasing")[:-1] * LENGTHS[:-1])
         assert np.allclose(out, expect, rtol=1e-12)
 
@@ -61,7 +73,7 @@ class TestHardyCopson:
     def test_copson_exact_at_knots(self, seed):
         # non-increasing input has zero tail, so the upper integral is finite
         f = sample_monotone("non_increasing", GRID, seed)
-        out = copson_at_knots(regions(f, "non_increasing"), LENGTHS)[0]
+        out = copson(f, "non_increasing")[0]
         # region (k_j, k_{j+1}] carries f[j+1]
         diffs = -np.diff(out)
         assert np.allclose(diffs, f[1:] * np.diff(KNOTS), rtol=1e-10, atol=1e-300)
@@ -69,13 +81,13 @@ class TestHardyCopson:
 
     def test_hardy_of_indicator(self):
         j = 10
-        out = hardy_at_knots(regions(indicator(j), "non_increasing"), LENGTHS)[0]
+        out = hardy(indicator(j), "non_increasing")[0]
         assert out[j] == pytest.approx(KNOTS[j], rel=1e-12)
         assert out[-1] == pytest.approx(KNOTS[j], rel=1e-12)
 
     def test_copson_infinite_tail(self):
         # a non-decreasing row keeps its last value, here 1, beyond M
-        out = copson_at_knots(regions(np.ones(GRID.n), "non_decreasing"), LENGTHS)[0]
+        out = copson(np.ones(GRID.n), "non_decreasing")[0]
         assert out[0] == INF
 
 
@@ -176,7 +188,7 @@ class TestApplySpec:
         out = OperatorKernel(OperatorKind("S*", "H", u), "non_increasing", GRID)(
             regions(f, "non_increasing"))
         # H f is non-decreasing: region R_i takes (H f)(k_{i-1}), R_0 takes 0
-        hf = np.concatenate([[[0.0]], hardy_at_knots(regions(f, "non_increasing"), LENGTHS)], axis=1)
+        hf = np.concatenate([[[0.0]], hardy(f, "non_increasing")], axis=1)
         manual = OperatorKernel(OperatorKind("S*", None, u), "non_decreasing", GRID)(hf)
         assert np.allclose(out, manual, rtol=1e-12)
 
@@ -186,7 +198,7 @@ class TestApplySpec:
         out = OperatorKernel(OperatorKind("S", "H*", u), "non_decreasing", GRID)(
             regions(f, "non_decreasing"))
         # H* f is non-increasing: region R_i takes (H* f)(k_i), R_n takes 0
-        hf = np.concatenate([copson_at_knots(regions(f, "non_decreasing"), LENGTHS), [[0.0]]], axis=1)
+        hf = np.concatenate([copson(f, "non_decreasing"), [[0.0]]], axis=1)
         manual = OperatorKernel(OperatorKind("S", None, u), "non_increasing", GRID)(hf)
         assert np.array_equal(out, manual)
 

@@ -1,6 +1,7 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
 from supineq.extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
-from supineq.gridfn import Grid, make_log_grid, region_measures, sample_monotone, sample_nonneg
+from supineq.gridfn import (
+    Grid,
+    make_log_grid,
+    region_measures,
+    region_values,
+    sample_monotone,
+    sample_nonneg,
+)
 from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
 from supineq.oracle import (
     OracleBudget,
@@ -98,6 +106,20 @@ class TestFloatRange:
         huge = engine.ratio(np.full(40, 1e300))
         assert 0.0 <= huge <= engine.ratio(np.ones(40))
         assert np.array_equal(engine.ratios(np.full((2, 40), 1e300)), [huge, huge])
+
+    def test_overflow_raises_no_warning(self):
+        # 1e300 overflows T_ub's running integral (an accumulate) and the row
+        # sums of the norms (a reduce); both run inside the engine's errstate
+        sc = next(sc for sc in load_config(BATTERY) if sc.id == "tubsub1-655")
+        engine = RayleighEngine(sc.spec, make_log_grid(**sc.grid))
+        huge = np.full(sc.grid["n"], 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = engine.ratio(huge)
+            rs = engine.ratios(np.stack([huge, huge]))
+            out = engine.kernel(region_values(huge, sc.spec.cone)[None])
+        assert np.array_equal(rs, [r, r]) and r >= 0.0
+        assert out[0, 1] == INF
 
 
 class TestDivergenceDetection:
@@ -475,19 +497,77 @@ ASCENT_SPECS = {
     # unbounded: the quotient keeps doubling, sweep after sweep
     "S*-up-unbounded": InequalitySpec(OperatorKind("S*", None, ONE), "non_decreasing", EXP, EXP,
                                       Exponents(1.0, 1.0)),
+    # u = t, v = 1, w = e^{-t}, p = q = 1: an indicator is extremal, so no
+    # ascent step gains and the ascent ends after one sweep
+    "S-no-gain": down_spec(),
 }
+ASCENT_GRID = make_log_grid(1e-4, 1e4, 200)
+ASCENT_BUDGET = OracleBudget(64, 20, 8)
+ROW_CAP = 64  # 16 coordinates of four factor steps
+
+
+def spy_on_ascent(monkeypatch):
+    """Wrap ``RayleighEngine.ratios`` and replay the oracle's acceptance rules
+    on what it scores.  ``ratio`` calls (indicator scan, random samples) take
+    any finite gain; ``ratios`` calls of the ascent take the first finite row
+    above ``best * (1 + 1e-12)``.  Each ascent call must stay within the row
+    cap and score no row equal to the current point."""
+    seen = {"point": None, "best": 0.0, "ascent_calls": [], "single": False}
+    ratios, ratio = RayleighEngine.ratios, RayleighEngine.ratio
+
+    def spy_ratio(self, values):
+        seen["single"] = True
+        try:
+            return ratio(self, values)
+        finally:
+            seen["single"] = False
+
+    def spy_ratios(self, F):
+        F = np.array(F, dtype=float)
+        rs = ratios(self, F)
+        if seen["single"]:
+            if np.isfinite(rs[0]) and rs[0] > seen["best"]:
+                seen["point"], seen["best"] = F[0], float(rs[0])
+            return rs
+        assert len(F) <= ROW_CAP
+        assert not (F == seen["point"]).all(axis=1).any()
+        seen["ascent_calls"].append(len(F))
+        for row, r in zip(F, rs):
+            if np.isfinite(r) and r > seen["best"] * (1.0 + 1e-12):
+                seen["point"], seen["best"] = row, float(r)
+                break
+        return rs
+
+    monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+    monkeypatch.setattr(RayleighEngine, "ratios", spy_ratios)
+    return seen
 
 
 class TestBatchedAscent:
     @pytest.mark.parametrize("name", list(ASCENT_SPECS))
     def test_matches_sequential_ascent(self, name):
         spec = ASCENT_SPECS[name]
-        budget = OracleBudget(64, 20, 8)
-        got = best_constant_lower(spec, budget, seed=3, grid=GRID)
-        best, witness, trace = sequential_best_constant_lower(spec, budget, 3, GRID)
+        got = best_constant_lower(spec, ASCENT_BUDGET, seed=3, grid=ASCENT_GRID)
+        best, witness, trace = sequential_best_constant_lower(spec, ASCENT_BUDGET, 3, ASCENT_GRID)
         assert got.lower_bound == best
         assert np.array_equal(got.witness, witness)
         assert got.trace == trace
-        assert trace[-1] > trace[1]  # the ascent did move
+        if name == "S-no-gain":
+            assert trace[-1] == trace[1]
+        else:
+            assert trace[-1] > trace[1]  # the ascent did move
         if name == "S*-up-unbounded":
             assert trace[-1] > 1e5 * trace[1]
+
+    @pytest.mark.parametrize("name", list(ASCENT_SPECS))
+    def test_scores_no_current_point_within_row_cap(self, name, monkeypatch):
+        seen = spy_on_ascent(monkeypatch)
+        got = best_constant_lower(ASCENT_SPECS[name], ASCENT_BUDGET, seed=3, grid=ASCENT_GRID)
+        # the replayed acceptances end where the oracle does
+        assert seen["best"] == got.lower_bound
+        assert np.array_equal(seen["point"], got.witness)
+        if name == "S-no-gain":
+            # batches grow past one coordinate: the one sweep takes far fewer
+            # calls than it has coordinates
+            assert max(seen["ascent_calls"]) > 4
+            assert len(seen["ascent_calls"]) < ASCENT_GRID.n // 4
