@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -84,38 +85,83 @@ class CriterionResult:
     flags: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class IntSet:
-    """One-sided cumulatives of ``int F w`` on the evaluation grid."""
+_MEMO_SIZE = 64  # weight-value arrays kept per grid: 64 x 4,801 floats, about 2.5 MB
 
-    low: np.ndarray  # low[i] ~ int_0^{t_i} F w
-    up: np.ndarray  # up[i]  ~ int_{t_i}^oo F w
-    total: float
-    div0: bool
-    divinf: bool
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Grid:
+    """The read-only arrays of one log grid and the memo of weight values on it.
+
+    The memo is keyed by the weight's value (weights are frozen dataclasses,
+    so equal constructions hash alike), least recently used entries go first."""
+
+    def __init__(self, lo: float, hi: float, per_decade: int):
+        ndec = math.log10(hi / lo)
+        n = int(round(ndec * per_decade)) + 1
+        if n - 1 < 3 * per_decade:
+            raise ValueError("the grid must span at least three decades: "
+                             "divergence is read from three decade blocks at each end")
+        self.t = _frozen(np.geomspace(lo, hi, n))
+        self.h = math.log(hi / lo) / (n - 1)
+        self.ones = _frozen(np.ones(n))
+        self.values = lru_cache(maxsize=_MEMO_SIZE)(self._values)
+
+    def _values(self, w: Weight) -> np.ndarray:
+        return _frozen(np.array(w(self.t), dtype=float))
+
+
+@lru_cache(maxsize=None)
+def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
+    return _Grid(lo, hi, per_decade)
+
+
+class IntSet:
+    """``int F w`` on the evaluation grid: the total, the boundary divergence
+    flags, and the one-sided cumulatives, each summed on first access."""
+
+    def __init__(self, c: np.ndarray, head: float, tail: float, div0: bool, divinf: bool):
+        self._c, self._head, self._tail = c, head, tail
+        self.div0, self.divinf = div0, divinf
+        self.total = head + float(np.sum(c)) + tail
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        """low[i] ~ int_0^{t_i} F w"""
+        if self.div0:
+            return np.full(len(self._c) + 1, INF)
+        return self._head + np.concatenate([[0.0], np.cumsum(self._c)])
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        """up[i] ~ int_{t_i}^oo F w"""
+        if self.divinf:
+            return np.full(len(self._c) + 1, INF)
+        return self._tail + np.concatenate([np.cumsum(self._c[::-1])[::-1], [0.0]])
 
 
 class CritCtx:
-    """Shared numerical context: log grid, quadrature, envelopes, suprema."""
+    """Numerical context: log grid, quadrature, envelopes, suprema.
+
+    Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
+    read-only arrays ``t`` and ``ones``, built on first use, and a memo of
+    weight values on it (``vals``) bounded at 64 weights."""
 
     def __init__(self, lo: float = 1e-12, hi: float = 1e12, per_decade: int = 200):
-        ndec = math.log10(hi / lo)
-        n = int(round(ndec * per_decade)) + 1
-        self.t = np.geomspace(lo, hi, n)
-        self.h = math.log(hi / lo) / (n - 1)
+        self._grid = _grid(lo, hi, per_decade)
+        self.t, self.h, self.ones = self._grid.t, self._grid.h, self._grid.ones
         self.m = per_decade
-        self.ones = np.ones(n)
-        self._vcache: dict = {}
 
     # -- pointwise values ----------------------------------------------------
     def vals(self, w: Weight) -> np.ndarray:
-        key = id(w)
-        hit = self._vcache.get(key)
-        if hit is None:
-            hit = np.asarray(w(self.t), dtype=float)
-            self._vcache[key] = (w, hit)  # keep w alive so id stays valid
-            return hit
-        return hit[1]
+        """``w`` on the grid, read-only; shared by every context on this grid."""
+        try:
+            return self._grid.values(w)
+        except TypeError:  # unhashable, e.g. a FuncWeight over a mutable callable
+            return self._grid._values(w)
 
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
@@ -125,20 +171,13 @@ class CritCtx:
             c = 0.5 * self.h * (g[:-1] + g[1:])
         c = np.where(np.isnan(c), INF, c)
         m = self.m
-        b = [float(np.sum(c[i * m:(i + 1) * m])) for i in range(3)]
-        e = [float(np.sum(c[-(i + 1) * m: len(c) - i * m])) for i in range(3)]
+        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
+        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
         div0 = _diverging(b)
         divinf = _diverging(e)
         head = INF if div0 else _geom_tail(b)
         tail = INF if divinf else _geom_tail(e)
-        low = head + np.concatenate([[0.0], np.cumsum(c)])
-        up = tail + np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]])
-        if div0:
-            low = np.full_like(low, INF)
-        if divinf:
-            up = np.full_like(up, INF)
-        total = head + float(np.sum(c)) + tail
-        return IntSet(low=low, up=up, total=total, div0=div0, divinf=divinf)
+        return IntSet(c, head, tail, div0, divinf)
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:
@@ -219,16 +258,6 @@ def _geom_tail(blocks) -> float:
         return 0.0
     rho = min(b0 / b1 if b1 > 0.0 else 0.0, 0.95)
     return b0 * rho / (1.0 - rho) if rho > 0.0 else 0.0
-
-
-_DEFAULT_CTX: Optional[CritCtx] = None
-
-
-def default_ctx() -> CritCtx:
-    global _DEFAULT_CTX
-    if _DEFAULT_CTX is None:
-        _DEFAULT_CTX = CritCtx()
-    return _DEFAULT_CTX
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +653,7 @@ def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
 def crit_restricted_sup(which: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                         ctx: Optional[CritCtx] = None, verbatim: bool = False) -> CriterionResult:
     """Restricted supremal criteria: which in S_down / S*_up / S_up / S*_down."""
-    ctx = ctx or default_ctx()
+    ctx = ctx or CritCtx()
     if which == "S_down":
         return crit_T33(ctx, u, v, w, e, verbatim=verbatim)
     if which == "S*_up":
@@ -639,7 +668,7 @@ def crit_restricted_sup(which: str, u: Weight, v: Weight, w: Weight, e: Exponent
 def crit_iterated(which: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                   ctx: Optional[CritCtx] = None, verbatim: bool = False) -> CriterionResult:
     """Iterated (sup of an integral) criteria: ISI1..ISI4, ISI1_V, ISI3_V."""
-    ctx = ctx or default_ctx()
+    ctx = ctx or CritCtx()
     if which == "ISI1":
         return crit_T41(ctx, u, v, w, e)
     if which == "ISI2":
@@ -658,7 +687,7 @@ def crit_iterated(which: str, u: Weight, v: Weight, w: Weight, e: Exponents,
 def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
              ctx: Optional[CritCtx] = None) -> CriterionResult:
     """Criterion for T_{u,b} on non-increasing inputs (all p > 0)."""
-    ctx = ctx or default_ctx()
+    ctx = ctx or CritCtx()
     if e.p >= 1.0:
         return crit_T51(ctx, u, b, v, w, e)
     return crit_T53(ctx, u, b, v, w, e)
@@ -667,7 +696,7 @@ def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
 def evaluate_criterion(spec: InequalitySpec, ctx: Optional[CritCtx] = None,
                        verbatim: bool = False) -> CriterionResult:
     """Dispatch a spec to the criterion that characterizes it."""
-    ctx = ctx or default_ctx()
+    ctx = ctx or CritCtx()
     k, cone, e = spec.kind, spec.cone, spec.exps
     if k.base == "T_ub":
         if cone != "non_increasing":
@@ -725,7 +754,7 @@ def _v_transform(v: Weight, cum: Weight, a: float, p: float) -> Weight:
 
 def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedSpec:
     """Rewrite a monotone-cone spec over the full nonnegative cone (or back)."""
-    ctx = ctx or default_ctx()
+    ctx = ctx or CritCtx()
     k, cone, v, w, e = spec.kind, spec.cone, spec.v, spec.w, spec.exps
     p = e.p
     if k.base in ("S", "S*") and k.compose is None and cone == "non_increasing":

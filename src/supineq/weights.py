@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import special as _sp
 
 from .extreal import INF, amul, apow
@@ -56,7 +55,12 @@ __all__ = [
 
 
 def _quad_log(w: "Weight", a: float, b: float) -> float:
-    """Adaptive quadrature of ``w`` over (a, b) in (0, oo), on the log axis."""
+    """Adaptive quadrature of ``w`` over (a, b) in (0, oo), on the log axis.
+
+    ``scipy.integrate`` is imported here, on the first quadrature: most runs
+    never need it, and importing it is about 40 % of the package's import time."""
+    from scipy import integrate
+
     lo = math.log(a) if a > 0.0 else -math.inf
     hi = math.log(b) if b < INF else math.inf
     scalar = w._scalar
@@ -74,7 +78,7 @@ def _quad_log(w: "Weight", a: float, b: float) -> float:
     # one errstate per integral, not one per evaluation of the integrand
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        val, _err = _sint.quad(g, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=400)
+        val, _err = integrate.quad(g, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=400)
     return max(val, 0.0)
 
 

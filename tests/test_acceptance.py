@@ -15,6 +15,7 @@ import pytest
 
 from supineq.cli import emit_report, load_config, main, run_batch
 from supineq.criteria import (
+    CritCtx,
     InequalitySpec,
     TheoremInapplicable,
     crit_T31,
@@ -28,7 +29,6 @@ from supineq.criteria import (
     crit_T43,
     crit_T44,
     crit_tub,
-    default_ctx,
     evaluate_criterion,
     reduce_spec,
 )
@@ -187,7 +187,7 @@ def _pair_iter_p1(ctx, rng):
 
 
 def test_duality_identities():
-    ctx = default_ctx()
+    ctx = CritCtx()
     rng = np.random.default_rng(20260826)
     pairs = [_pair_sup_down, _pair_sup_up, _pair_iter_copson, _pair_iter_hardy, _pair_iter_p1]
     compared = 0

@@ -1,0 +1,320 @@
+"""The criterion context: one shared grid, the memo of weight values, and
+``int_set`` against the eager form it replaced."""
+
+import json
+import os
+import sys
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+
+from supineq import criteria
+from supineq.cli import load_config
+from supineq.criteria import CritCtx, evaluate_criterion
+from supineq.extreal import INF, amul
+from supineq.operators import _ratio_weight, b_cumulative, power_substitution
+from supineq.weights import (
+    FuncWeight,
+    PiecewisePowerWeight,
+    PowerWeight,
+    TabulatedWeight,
+    parse_weight,
+    phi_weights,
+    psi_weights,
+    running_sup,
+    weight_mul,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BATTERY = os.path.join(ROOT, "configs", "battery.json")
+
+LITERALS = [
+    2.5,
+    {"form": "power", "c": 1.0, "alpha": -0.5},
+    {"form": "powerexp", "c": 1.0, "alpha": 1.0, "lambda": 0.5},
+    {"form": "genpower", "c": 2.0, "alpha": 0.5, "lambda": 1.0, "mu": 0.25},
+    {"form": "piecewise", "knots": [0.5, 4.0],
+     "segments": [{"c": 1.0, "alpha": 0.5}, {"c": 2.0, "alpha": -0.5}, {"c": 8.0, "alpha": -2.0}]},
+    {"form": "table", "t": [0.01, 0.1, 1.0, 10.0, 100.0], "y": [0.0, 0.5, 1.0, 0.25, 0.0]},
+]
+
+
+SMALL = (1e-2, 1e2, 2)  # 9 points: the derived weights evaluate by quadrature per point
+
+
+def memo(grid=(1e-12, 1e12, 200)):
+    return criteria._grid(*grid).values
+
+
+def bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+# -- the memo keys ----------------------------------------------------------
+
+
+def algebra(lit):
+    """Every weight the criteria build from one literal; a fresh construction
+    on each call."""
+    w = parse_weight(lit)
+    v = PowerWeight(1.0, 0.0, 1.0)  # v^{1-p'} is not a plain power: the FuncWeight transforms
+    B = b_cumulative(w)
+    u_hat, b_hat = power_substitution(w, PowerWeight(2.0, 1.0), 0.5)
+    return {
+        "literal": w,
+        "power": w.power(-1.0),
+        "scale": w.scale(3.0),
+        "dual": w.dual(1.0),
+        "weight_mul": weight_mul(w, PowerWeight(1.0, 2.0)),
+        "running_sup up_to_t": running_sup(w, "up_to_t"),
+        "running_sup from_t": running_sup(w, "from_t"),
+        "phi": phi_weights(v, 2.0)[0],
+        "Phi": phi_weights(v, 2.0)[1],
+        "psi": psi_weights(v, 2.0)[0],
+        "Psi": psi_weights(v, 2.0)[1],
+        "b_cumulative": B,
+        "power_substitution u": u_hat,
+        "power_substitution b": b_hat,
+        "u/B": _ratio_weight(PowerWeight(1.0, 1.0, 1.0), B),
+    }
+
+
+class TestMemoKeys:
+    @pytest.mark.parametrize("lit", LITERALS, ids=lambda x: x["form"] if isinstance(x, dict) else "number")
+    def test_equal_constructions_hash_alike(self, lit):
+        first, second = algebra(lit), algebra(lit)
+        for name, a in first.items():
+            b = second[name]
+            assert a is not b, name
+            assert a == b, name
+            assert hash(a) == hash(b), name
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=lambda x: x["form"] if isinstance(x, dict) else "number")
+    def test_equal_constructions_share_memo_values(self, lit):
+        ctx = CritCtx(*SMALL)
+        memo(SMALL).cache_clear()
+        for name, a in algebra(lit).items():
+            assert bits(ctx.vals(a)) == bits(a(ctx.t)), name
+        for name, b in algebra(lit).items():
+            assert CritCtx(*SMALL).vals(b) is ctx.vals(b), name
+
+    def test_int_and_float_coefficients_give_bit_equal_arrays(self):
+        t = CritCtx().t
+        pairs = [
+            (PowerWeight(1, 2), PowerWeight(1.0, 2.0)),
+            (PowerWeight(3, -1, 1, 2), PowerWeight(3.0, -1.0, 1.0, 2.0)),
+            (PiecewisePowerWeight((1,), (PowerWeight(1, 0), PowerWeight(2, -2))),
+             PiecewisePowerWeight((1.0,), (PowerWeight(1.0, 0.0), PowerWeight(2.0, -2.0)))),
+            (TabulatedWeight((1, 10), (1, 2)), TabulatedWeight((1.0, 10.0), (1.0, 2.0))),
+            (PowerWeight(1.0, 0.5).power(2), PowerWeight(1.0, 0.5).power(2.0)),
+            (PowerWeight(1.0, 0.0, 1.0).scale(3), PowerWeight(1.0, 0.0, 1.0).scale(3.0)),
+            (PowerWeight(1.0, 0.0, 1.0).dual(1), PowerWeight(1.0, 0.0, 1.0).dual(1.0)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert bits(a(t)) == bits(b(t))
+
+    def test_memo_arrays_are_read_only(self):
+        ctx = CritCtx()
+        for arr in (ctx.vals(PowerWeight(1.0, 1.0)), ctx.t, ctx.ones):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_memo_is_bounded(self):
+        ctx = CritCtx()
+        memo().cache_clear()
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(65)]
+        for w in weights:
+            ctx.vals(w)
+        assert memo().cache_info().currsize <= 64
+        hits = memo().cache_info().hits
+        ctx.vals(weights[0])  # least recently used: evicted
+        assert memo().cache_info().hits == hits
+        ctx.vals(weights[-1])
+        assert memo().cache_info().hits == hits + 1
+
+    def test_unhashable_weight_is_evaluated_unmemoised(self):
+        @dataclass
+        class Doubling:  # eq without frozen: not hashable
+            k: float
+
+            def __call__(self, t):
+                return self.k * np.asarray(t)
+
+        w = FuncWeight(Doubling(2.0))
+        with pytest.raises(TypeError):
+            hash(w)
+        ctx = CritCtx()
+        assert bits(ctx.vals(w)) == bits(w(ctx.t))
+
+    def test_contexts_share_one_grid_per_key(self):
+        a, b = CritCtx(), CritCtx(1e-12, 1e12, 200)
+        assert a is not b
+        assert a.t is b.t and a.ones is b.ones and a.h == b.h
+        c = CritCtx(1e-6, 1e6, 50)
+        assert len(c.t) == 601 and c.t is not a.t
+        assert c.vals(PowerWeight(1.0, 1.0)).shape == (601,)
+
+    def test_grid_under_three_decades_rejected(self):
+        with pytest.raises(ValueError):
+            CritCtx(1.0, 100.0, 50)
+
+
+# -- int_set against the eager reference -------------------------------------
+
+
+@dataclass(frozen=True)
+class EagerIntSet:
+    low: np.ndarray
+    up: np.ndarray
+    total: float
+    div0: bool
+    divinf: bool
+
+
+def eager_int_set(ctx, F, w):
+    """``CritCtx.int_set`` as it was: both cumulatives summed on every call,
+    the decade blocks summed one slice at a time."""
+    with np.errstate(all="ignore"):
+        return _eager_int_set(ctx, F, w)
+
+
+def _eager_int_set(ctx, F, w):
+    g = amul(F, amul(np.asarray(w(ctx.t), dtype=float), ctx.t))
+    g = np.where(np.isnan(g), 0.0, g)
+    c = 0.5 * ctx.h * (g[:-1] + g[1:])
+    c = np.where(np.isnan(c), INF, c)
+    m = ctx.m
+    b = [float(np.sum(c[i * m:(i + 1) * m])) for i in range(3)]
+    e = [float(np.sum(c[-(i + 1) * m: len(c) - i * m])) for i in range(3)]
+    div0 = criteria._diverging(b)
+    divinf = criteria._diverging(e)
+    head = INF if div0 else criteria._geom_tail(b)
+    tail = INF if divinf else criteria._geom_tail(e)
+    low = head + np.concatenate([[0.0], np.cumsum(c)])
+    up = tail + np.concatenate([np.cumsum(c[::-1])[::-1], [0.0]])
+    if div0:
+        low = np.full_like(low, INF)
+    if divinf:
+        up = np.full_like(up, INF)
+    total = head + float(np.sum(c)) + tail
+    return EagerIntSet(low=low, up=up, total=total, div0=div0, divinf=divinf)
+
+
+def assert_same(ctx, F, w):
+    ref = eager_int_set(ctx, F, w)
+    with np.errstate(all="ignore"):
+        got = ctx.int_set(F, w)
+        low, up = got.low, got.up
+    assert (got.div0, got.divinf) == (ref.div0, ref.divinf)
+    assert bits(got.total) == bits(ref.total)
+    assert bits(low) == bits(ref.low)
+    assert bits(up) == bits(ref.up)
+    return ref
+
+
+WEIGHTS = [
+    PowerWeight(1.0, -0.5),           # integrable at 0, diverges at oo
+    PowerWeight(1.0, -1.0),           # diverges at both ends
+    PowerWeight(1.0, -2.0),           # diverges at 0, integrable at oo
+    PowerWeight(1.0, 0.0, 1.0),       # e^{-t}
+    PowerWeight(2.0, 0.5, 1.0, 0.25),
+    parse_weight(LITERALS[4]),
+    parse_weight(LITERALS[5]),
+]
+
+
+class TestIntSetBitIdentical:
+    @pytest.mark.parametrize("w", WEIGHTS, ids=repr)
+    def test_ones(self, w):
+        ctx = CritCtx()
+        assert_same(ctx, ctx.ones, w)
+
+    def test_nan_and_inf_integrands(self):
+        ctx = CritCtx()
+        n = len(ctx.t)
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(40):
+            F = 10.0 ** rng.uniform(-300, 300, n)
+            F[rng.integers(0, n, 20)] = np.nan
+            F[rng.integers(0, n, 5)] = INF
+            cases.append(F)
+        head_inf = np.ones(n)
+        head_inf[3] = INF
+        tail_inf = np.ones(n)
+        tail_inf[-3] = INF
+        cases += [head_inf, tail_inf, np.full(n, np.nan), np.zeros(n), np.full(n, 1e300)]
+        flags = set()
+        for F in cases:
+            for w in WEIGHTS[:4]:
+                ref = assert_same(ctx, F, w)
+                flags.add((ref.div0, ref.divinf))
+        assert flags == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_signed_spreads(self):
+        # the decade-block sums as one reshaped reduction, on values of both
+        # signs spread over the float range
+        ctx = CritCtx()
+        n = len(ctx.t)
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            F = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            assert_same(ctx, F, PowerWeight(1.0, 0.0))
+
+    def test_sides_are_summed_on_first_access_only(self):
+        ctx = CritCtx()
+        iset = ctx.int_set(ctx.ones, PowerWeight(1.0, 0.0, 1.0))
+        assert "low" not in vars(iset) and "up" not in vars(iset)
+        assert iset.low is iset.low
+        assert "up" not in vars(iset)
+
+
+# -- evaluate_criterion with a cold and a warm memo -------------------------
+
+
+def _specs(tmp_path):
+    """Every battery spec and every fifth 686-candidate spec of
+    ``scripts/make_battery.py``, then every tenth of these again with w
+    rewritten into the table and the piecewise form."""
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import make_battery
+    finally:
+        sys.path.pop(0)
+    cfg = tmp_path / "candidates.json"
+    cfg.write_text(json.dumps({"defaults": make_battery.DEFAULTS,
+                               "scenarios": make_battery.candidates()[::5]}))
+    specs = [(sc.spec, sc.verbatim_paper) for sc in load_config(BATTERY) + load_config(str(cfg))]
+    table, piecewise = parse_weight(LITERALS[5]), parse_weight(LITERALS[4])
+    for spec, _ in specs[::10]:
+        specs += [(replace(spec, w=table), False), (replace(spec, w=piecewise), False)]
+    return specs
+
+
+def outcome(spec, verbatim):
+    try:
+        r = evaluate_criterion(spec, ctx=CritCtx(), verbatim=verbatim)
+    except criteria.TheoremInapplicable as exc:
+        return ("inapplicable", exc.predicate)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (r.theorem_id, r.regime, sorted((k, float(v).hex()) for k, v in r.terms.items()),
+            float(r.total).hex(), r.finite, sorted(r.hypothesis_report.items()), r.flags)
+
+
+def test_cold_and_warm_memo_agree(tmp_path):
+    specs = _specs(tmp_path)
+    assert len(specs) > 200
+    cold = []
+    for spec, verbatim in specs:
+        memo().cache_clear()
+        cold.append(outcome(spec, verbatim))
+    memo().cache_clear()
+    warm = [outcome(spec, verbatim) for spec, verbatim in specs]
+    warm_reversed = [outcome(spec, verbatim) for spec, verbatim in reversed(specs)][::-1]
+    assert cold == warm
+    assert cold == warm_reversed
+    assert sum(o[0] not in ("inapplicable", "error") for o in cold) > 100
