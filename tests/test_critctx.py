@@ -276,9 +276,9 @@ class TestIntSetBitIdentical:
 
 
 def _specs(tmp_path):
-    """Every battery spec and every fifth 686-candidate spec of
-    ``scripts/make_battery.py``, then every tenth of these again with w
-    rewritten into the table and the piecewise form."""
+    """``(key, spec, verbatim_paper)`` for every battery spec and every fifth
+    686-candidate spec of ``scripts/make_battery.py``, then every tenth of
+    these again with w rewritten into the table and the piecewise form."""
     sys.path.insert(0, os.path.join(ROOT, "scripts"))
     try:
         import make_battery
@@ -287,34 +287,73 @@ def _specs(tmp_path):
     cfg = tmp_path / "candidates.json"
     cfg.write_text(json.dumps({"defaults": make_battery.DEFAULTS,
                                "scenarios": make_battery.candidates()[::5]}))
-    specs = [(sc.spec, sc.verbatim_paper) for sc in load_config(BATTERY) + load_config(str(cfg))]
+    specs = [(f"{name}:{sc.id}", sc.spec, sc.verbatim_paper)
+             for name, path in (("battery", BATTERY), ("candidates", str(cfg)))
+             for sc in load_config(path)]
     table, piecewise = parse_weight(LITERALS[5]), parse_weight(LITERALS[4])
-    for spec, _ in specs[::10]:
-        specs += [(replace(spec, w=table), False), (replace(spec, w=piecewise), False)]
+    for key, spec, _ in specs[::10]:
+        specs += [(f"{key}+w=table", replace(spec, w=table), False),
+                  (f"{key}+w=piecewise", replace(spec, w=piecewise), False)]
     return specs
 
 
 def outcome(spec, verbatim):
+    """Everything a criterion reports, floats as hex; the hypothesis report
+    keeps its insertion order, which decides the failed hypothesis."""
     try:
         r = evaluate_criterion(spec, ctx=CritCtx(), verbatim=verbatim)
     except criteria.TheoremInapplicable as exc:
-        return ("inapplicable", exc.predicate)
+        return ["inapplicable", exc.predicate, list(exc.report.items())]
     except ValueError as exc:
-        return ("error", str(exc))
-    return (r.theorem_id, r.regime, sorted((k, float(v).hex()) for k, v in r.terms.items()),
-            float(r.total).hex(), r.finite, sorted(r.hypothesis_report.items()), r.flags)
+        return ["error", str(exc)]
+    return [r.theorem_id, r.regime, sorted((k, float(v).hex()) for k, v in r.terms.items()),
+            float(r.total).hex(), r.finite, list(r.hypothesis_report.items()), list(r.flags)]
 
 
 def test_cold_and_warm_memo_agree(tmp_path):
     specs = _specs(tmp_path)
     assert len(specs) > 200
     cold = []
-    for spec, verbatim in specs:
+    for _, spec, verbatim in specs:
         memo().cache_clear()
         cold.append(outcome(spec, verbatim))
     memo().cache_clear()
-    warm = [outcome(spec, verbatim) for spec, verbatim in specs]
-    warm_reversed = [outcome(spec, verbatim) for spec, verbatim in reversed(specs)][::-1]
+    warm = [outcome(spec, verbatim) for _, spec, verbatim in specs]
+    warm_reversed = [outcome(spec, verbatim) for _, spec, verbatim in reversed(specs)][::-1]
     assert cold == warm
     assert cold == warm_reversed
     assert sum(o[0] not in ("inapplicable", "error") for o in cold) > 100
+
+
+# -- evaluate_criterion against the recorded outcomes ------------------------
+
+
+GOLDEN = os.path.join(ROOT, "tests", "data", "criteria_golden.json")
+
+
+def golden_outcomes(tmp_path):
+    """The outcome of every ``_specs`` spec under both values of ``verbatim``,
+    keyed by scenario."""
+    return {key: {f"verbatim={v}": outcome(spec, v) for v in (False, True)}
+            for key, spec, _ in _specs(tmp_path)}
+
+
+def test_outcomes_match_golden(tmp_path):
+    # the golden file holds JSON round-trips of ``outcome``; rewrite it with
+    # ``python tests/test_critctx.py`` when a change to the criteria is meant
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(golden_outcomes(tmp_path)))
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = golden_outcomes(pathlib.Path(tmp))
+    with open(GOLDEN, "w") as fh:
+        fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in outs.items()) + "\n}\n")
