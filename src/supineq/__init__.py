@@ -11,7 +11,6 @@ from .weights import (
     Weight,
     parse_weight,
     phi_weights,
-    psi_weights,
     running_sup,
 )
 from .gridfn import Grid, make_log_grid, region_values, sample_monotone
@@ -21,8 +20,6 @@ from .criteria import (
     CritCtx,
     InequalitySpec,
     TheoremInapplicable,
-    crit_iterated,
-    crit_restricted_sup,
     crit_tub,
     evaluate_criterion,
     reduce_spec,

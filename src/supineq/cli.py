@@ -85,6 +85,12 @@ def _build_kind(obj: dict, anchor: str) -> OperatorKind:
         raise ConfigError(f"{anchor}: {exc}") from None
 
 
+def _integer(x, name: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioConfig]:
     try:
         with open(path) as fh:
@@ -136,13 +142,20 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
             raise
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"{anchor} (id={sid!r}): {exc}") from None
-        grid = dict(defaults["grid"])
-        grid.update(sc.get("grid", {}))
-        budget_kw = dict(defaults["budget"])
-        budget_kw.update(sc.get("budget", {}))
         try:
-            budget = OracleBudget(**budget_kw)
+            grid = dict(defaults["grid"])
+            grid.update(sc.get("grid", {}))
+            budget_kw = dict(defaults["budget"])
+            budget_kw.update(sc.get("budget", {}))
+            budget = OracleBudget(**{k: _integer(v, f"budget entry {k!r}") for k, v in budget_kw.items()})
             make_log_grid(**grid)
+            band = sc.get("band", defaults["band"])
+            if isinstance(band, bool) or not isinstance(band, (int, float)) or not band > 1.0:
+                raise ValueError(f"band must be a number above 1, got {band!r}")
+            seed = _integer(sc.get("seed", defaults["seed"]), "seed")
+            verbatim = sc.get("verbatim_paper", defaults["verbatim_paper"])
+            if not isinstance(verbatim, bool):
+                raise ValueError(f"verbatim_paper must be true or false, got {verbatim!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{anchor} (id={sid!r}): {exc}") from None
         out.append(
@@ -151,9 +164,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
                 spec=spec,
                 grid=grid,
                 budget=budget,
-                band=float(sc.get("band", defaults["band"])),
-                seed=int(sc.get("seed", defaults["seed"])),
-                verbatim_paper=bool(sc.get("verbatim_paper", defaults["verbatim_paper"])),
+                band=float(band),
+                seed=seed,
+                verbatim_paper=verbatim,
             )
         )
     if not out:

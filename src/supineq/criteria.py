@@ -31,6 +31,7 @@ from .weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
+    _CumClosure,
     conjugate,
     phi_weights,
     weight_mul,
@@ -42,10 +43,9 @@ __all__ = [
     "CriterionResult",
     "TheoremInapplicable",
     "evaluate_criterion",
-    "crit_restricted_sup",
-    "crit_iterated",
     "crit_tub",
     "reduce_spec",
+    "reduce_spec_inner",
     "ReducedSpec",
 ]
 
@@ -121,7 +121,8 @@ def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
 
 class IntSet:
     """``int F w`` on the evaluation grid: the total, the boundary divergence
-    flags, and the one-sided cumulatives, each summed on first access."""
+    flags, and the one-sided cumulatives, each summed on first access and
+    named by their side: ``low`` over (0, t], ``up`` over [t, oo)."""
 
     def __init__(self, c: np.ndarray, head: float, tail: float, div0: bool, divinf: bool):
         self._c, self._head, self._tail = c, head, tail
@@ -148,7 +149,13 @@ class CritCtx:
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
     read-only arrays ``t`` and ``ones``, built on first use, and a memo of
-    weight values on it (``vals``) bounded at 64 weights."""
+    weight values on it (``vals``) bounded at 64 weights.
+
+    One side vocabulary runs through this module: ``"low"`` is (0, x] and
+    ``"up"`` is [x, oo).  It names the cumulatives of ``IntSet``, the
+    envelopes of ``env_arr``/``env_weight``, the hypothesis checks, and the
+    side of each mirror-pair criterion: the side where its supremal
+    operator looks, "low" for S_u and "up" for S*_u."""
 
     def __init__(self, lo: float = 1e-12, hi: float = 1e12, per_decade: int = 200):
         self._grid = _grid(lo, hi, per_decade)
@@ -210,17 +217,19 @@ class CritCtx:
 
     # -- envelopes ---------------------------------------------------------------------
     def env_arr(self, vals: np.ndarray, side: str) -> np.ndarray:
+        """Running sup of grid values over (0, t] ("low") / [t, oo) ("up")."""
         v = np.where(np.isnan(vals), 0.0, np.asarray(vals, dtype=float))
-        if side == "up":
+        if side == "low":
             return np.maximum.accumulate(v)
         return np.maximum.accumulate(v[::-1])[::-1]
 
     def env_weight(self, w: Weight, side: str) -> np.ndarray:
-        """Exact running envelope of a Weight on the grid: sup over (0, t] / [t, oo)."""
+        """Exact running envelope of a Weight on the grid: sup over (0, t]
+        ("low") / [t, oo) ("up")."""
         t = self.t
         if isinstance(w, PowerWeight):
             t_star = w.argmax()
-            if side == "up":
+            if side == "low":
                 if t_star == 0.0:
                     return np.full_like(t, w.limit0())
                 if t_star == INF:
@@ -232,7 +241,7 @@ class CritCtx:
                 return self.vals(w)
             return np.asarray(w(np.maximum(t, t_star)), dtype=float)
         # generic: per-segment interval sups, accumulated
-        if side == "up":
+        if side == "low":
             segs = [w.sup_on_interval(0.0, t[0])]
             segs += [w.sup_on_interval(a, bnd) for a, bnd in zip(t[:-1], t[1:])]
             return np.maximum.accumulate(np.asarray(segs))
@@ -265,36 +274,36 @@ def _geom_tail(blocks) -> float:
 # ---------------------------------------------------------------------------
 
 
+_OTHER = {"low": "up", "up": "low"}
+_STAR = {"low": "", "up": "*"}  # V = int_0^x v, V* = int_x^oo v
+_INT = {"low": "int_0^x", "up": "int_x^oo"}
+
+
 def _analytically_positive(w: Weight, side: str) -> Optional[bool]:
-    """Whether w is provably positive on a neighbourhood of 0 ("head") / oo ("tail")."""
+    """Whether w is provably positive on a neighbourhood of 0 ("low") / oo ("up")."""
     if isinstance(w, PowerWeight):
         return w.c > 0.0
     if isinstance(w, PiecewisePowerWeight):
-        seg = w.segments[0] if side == "head" else w.segments[-1]
+        seg = w.segments[0] if side == "low" else w.segments[-1]
         return seg.c > 0.0
     if isinstance(w, TabulatedWeight):
-        return (w.y[0] if side == "head" else w.y[-1]) > 0.0
+        return (w.y[0] if side == "low" else w.y[-1]) > 0.0
     return None  # derived weight: undetermined
 
 
 def _check_cum(ctx: CritCtx, weight: Weight, name: str, side: str, report: dict) -> IntSet:
-    """Record the predicate ``0 < (int_0^x | int_x^oo) weight < oo for all x``.
+    """Record the predicate ``0 < int weight < oo`` over (0, x] ("low") or
+    [x, oo) ("up"), for all x.
 
     Positivity near the relevant boundary is decided analytically when the
     weight's symbolic form allows it (float underflow would otherwise report
     false zeros for rapidly decaying weights)."""
     iset = ctx.int_set(ctx.ones, weight)
-    if side == "low":
-        pos = _analytically_positive(weight, "head")
-        if pos is None:
-            pos = bool(iset.low[-1] > 0.0)
-        ok = (not iset.div0) and pos
-    else:
-        pos = _analytically_positive(weight, "tail")
-        if pos is None:
-            pos = bool(iset.up[0] > 0.0)
-        ok = (not iset.divinf) and pos
-    report[f"0<{name}<oo"] = bool(ok)
+    low = side == "low"
+    pos = _analytically_positive(weight, side)
+    if pos is None:
+        pos = bool((iset.low[-1] if low else iset.up[0]) > 0.0)
+    report[f"0<{name}<oo"] = bool(not (iset.div0 if low else iset.divinf) and pos)
     return iset
 
 
@@ -310,19 +319,15 @@ def _require(report: dict) -> None:
 
 
 def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
-          Eq: np.ndarray, G: np.ndarray, shape: str):
+          Eq: np.ndarray, G: np.ndarray, side: str):
     """A/B terms shared by the whole criterion family.
 
-    ``shape == "up"``:   I(x) = int_0^x Eq w,  Wmain = int_x^oo w,  envelope over (0, x];
-    ``shape == "down"``: I(x) = int_x^oo Eq w, Wmain = int_0^x w,   envelope over [x, oo).
+    ``side == "low"``: I(x) = int_0^x Eq w,  Wmain = int_x^oo w, envelope over (0, x];
+    ``side == "up"``:  I(x) = int_x^oo Eq w, Wmain = int_0^x w,  envelope over [x, oo).
     """
     flags = []
-    iset = ctx.int_set(Eq, w)
-    wset = ctx.int_set(ctx.ones, w)
-    if shape == "up":
-        I, Wm, env_side = iset.low, wset.up, "up"
-    else:
-        I, Wm, env_side = iset.up, wset.low, "down"
+    I = getattr(ctx.int_set(Eq, w), side)
+    Wm = getattr(ctx.int_set(ctx.ones, w), _OTHER[side])
     if p_eff <= q_eff:
         inner = amul(Eq, Wm) + I
         obj = amul(apow(inner, 1.0 / q_eff), G)
@@ -333,7 +338,7 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
     r_eff = 1.0 / (1.0 / q_eff - 1.0 / p_eff)
     b1_igr = amul(amul(apow(I, r_eff / p_eff), Eq), apow(G, r_eff))
     B1 = xpow(ctx.int_set(b1_igr, w).total, 1.0 / r_eff)
-    env = ctx.env_arr(amul(apow(Eq, 1.0 / q_eff), G), env_side)
+    env = ctx.env_arr(amul(apow(Eq, 1.0 / q_eff), G), side)
     b2_igr = amul(apow(Wm, r_eff / p_eff), apow(env, r_eff))
     B2 = xpow(ctx.int_set(b2_igr, w).total, 1.0 / r_eff)
     return {"B1": B1, "B2": B2}, flags
@@ -362,219 +367,154 @@ def _norm_q(ctx: CritCtx, F: np.ndarray, w: Weight, q: float) -> float:
     return xpow(ctx.int_set(apow(F, q), w).total, 1.0 / q)
 
 
-# ---------------------------------------------------------------------------
-# iterated-inequality criteria on the full nonnegative cone
-# ---------------------------------------------------------------------------
-
-
 def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
     """sigma_p(0, x) (side="low") or sigma_p(x, oo) (side="up") on the grid."""
     if p == 1.0:
-        inv = adiv(1.0, ctx.vals(v))
-        return ctx.env_arr(inv, "up" if side == "low" else "down")
+        return ctx.env_arr(adiv(1.0, ctx.vals(v)), side)
     pp = conjugate(p)
-    vp = v.power(1.0 - pp)
-    iset = ctx.int_set(ctx.ones, vp)
-    return apow(iset.low if side == "low" else iset.up, 1.0 / pp)
+    iset = ctx.int_set(ctx.ones, v.power(1.0 - pp))
+    return apow(getattr(iset, side), 1.0 / pp)
 
 
-def crit_T31(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """||S*_u (int_0^x h)||_{q,w} <= c ||h||_{p,v} over nonnegative h (p >= 1)."""
-    if e.p < 1.0:
-        raise TheoremInapplicable("p>=1", {"p>=1": False})
-    report: dict = {}
-    _check_cum(ctx, v, "V", "low", report)
-    _check_cum(ctx, w, "W", "low", report)
-    _require(report)
-    E = ctx.env_weight(u, "down")
-    Eq = apow(E, e.q)
-    G = _sigma_arrays(ctx, v, e.p, "low")
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "down")
-    return _finish("T3.1", e, terms, report, flags)
+# ---------------------------------------------------------------------------
+# the mirror pairs: one function per pair, one side per theorem
+# ---------------------------------------------------------------------------
+#
+# Each pair maps onto itself under x -> 1/x.  ``side`` is where the supremal
+# operator looks: "low" for S_u, over (0, x], and "up" for S*_u, over
+# [x, oo).  In every pair the w-hypothesis sits on the side opposite the
+# integral of ``_core``.
 
 
-def crit_T32(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents,
-             verbatim: bool = False) -> CriterionResult:
-    """||S_u (int_x^oo h)||_{q,w} <= c ||h||_{p,v} over nonnegative h (p >= 1).
+def crit_T31_32(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
+                verbatim: bool = False) -> CriterionResult:
+    """T3.1 (side "up"): ||S*_u (int_0^x h)||_{q,w} <= c ||h||_{p,v}, and
+    T3.2 (side "low"): ||S_u (int_x^oo h)||_{q,w} <= c ||h||_{p,v}, over
+    nonnegative h (p >= 1).
 
-    Default non-degeneracy condition is the one transported from the
-    x -> 1/x substitution that derives this criterion from its mirror:
+    T3.2's default non-degeneracy condition is the one transported from the
+    x -> 1/x substitution that derives it from T3.1:
     ``0 < int_x^oo v(s) s^{-2p} ds < oo``.  The literal printed condition
     ``0 < V* < oo`` (``verbatim=True``) is incompatible with finiteness of
     the tail sigma-term for every weight, so the criterion would be vacuous."""
     if e.p < 1.0:
         raise TheoremInapplicable("p>=1", {"p>=1": False})
+    other = _OTHER[side]
     report: dict = {}
-    if verbatim:
-        _check_cum(ctx, v, "V*", "up", report)
+    if side == "low" and not verbatim:
+        _check_cum(ctx, weight_mul(v, PowerWeight(1.0, -2.0 * e.p)), "V~", other, report)
     else:
-        v_sub = weight_mul(v, PowerWeight(1.0, -2.0 * e.p))
-        _check_cum(ctx, v_sub, "V~", "up", report)
-    _check_cum(ctx, w, "W*", "up", report)
+        _check_cum(ctx, v, "V" + _STAR[other], other, report)
+    _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    E = ctx.env_weight(u, "up")
-    Eq = apow(E, e.q)
-    G = _sigma_arrays(ctx, v, e.p, "up")
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "up")
-    return _finish("T3.2", e, terms, report, flags)
+    Eq = apow(ctx.env_weight(u, side), e.q)
+    G = _sigma_arrays(ctx, v, e.p, other)
+    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
+    return _finish({"up": "T3.1", "low": "T3.2"}[side], e, terms, report, flags)
 
 
-# ---------------------------------------------------------------------------
-# restricted supremal criteria on monotone cones
-# ---------------------------------------------------------------------------
+def crit_T33_34(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
+                verbatim: bool = False) -> CriterionResult:
+    """T3.3 (side "low"): S_u on non-increasing inputs, and T3.4 (side
+    "up"): S*_u on non-decreasing inputs.
 
-
-def crit_T33(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents,
-             verbatim: bool = False) -> CriterionResult:
-    """S_u on non-increasing inputs."""
+    The v-hypothesis is on ``side``; ``verbatim`` checks the printed one, on
+    the other side."""
+    vside = _OTHER[side] if verbatim else side
+    other = _OTHER[side]
     report: dict = {}
-    vset = _check_cum(ctx, v, "V*" if verbatim else "V", "up" if verbatim else "low", report)
-    _check_cum(ctx, w, "W*", "up", report)
+    vset = _check_cum(ctx, v, "V" + _STAR[vside], vside, report)
+    _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    E = ctx.env_weight(u, "up")
+    E = ctx.env_weight(u, side)
     Eq = apow(E, e.q)
-    G = apow(vset.low, -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "up")
+    G = apow(getattr(vset, side), -1.0 / e.p)
+    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
     unit = xdiv(_norm_q(ctx, E, w, e.q), xpow(vset.total, 1.0 / e.p))
-    return _finish("T3.3", e, terms, report, flags, unit=unit)
+    return _finish({"low": "T3.3", "up": "T3.4"}[side], e, terms, report, flags, unit=unit)
 
 
-def crit_T34(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents,
-             verbatim: bool = False) -> CriterionResult:
-    """S*_u on non-decreasing inputs."""
+def crit_T35_36(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
+                verbatim: bool = False) -> CriterionResult:
+    """T3.5 (side "low"): S_u on non-decreasing inputs, and T3.6 (side
+    "up"): S*_u on non-increasing inputs.  No printed variant differs, so
+    ``verbatim`` changes nothing."""
+    other = _OTHER[side]
     report: dict = {}
-    vset = _check_cum(ctx, v, "V" if verbatim else "V*", "low" if verbatim else "up", report)
-    _check_cum(ctx, w, "W", "low", report)
+    vset = _check_cum(ctx, v, "V" + _STAR[other], other, report)
+    _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    E = ctx.env_weight(u, "down")
-    Eq = apow(E, e.q)
-    G = apow(vset.up, -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "down")
-    unit = xdiv(_norm_q(ctx, E, w, e.q), xpow(vset.total, 1.0 / e.p))
-    return _finish("T3.4", e, terms, report, flags, unit=unit)
-
-
-def crit_T35(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """S_u on non-decreasing inputs."""
-    report: dict = {}
-    vset = _check_cum(ctx, v, "V*", "up", report)
-    _check_cum(ctx, w, "W*", "up", report)
-    _require(report)
-    Vup = vset.up
-    D = ctx.env_arr(amul(apow(ctx.vals(u), e.p), apow(Vup, -2.0)), "up")
+    Vo = getattr(vset, other)
+    D = ctx.env_arr(amul(apow(ctx.vals(u), e.p), apow(Vo, -2.0)), side)
     Eq = apow(D, e.q / e.p)
-    terms, flags = _core(ctx, w, 1.0, e.q / e.p, Eq, Vup, "up")
-    unit = xdiv(_norm_q(ctx, ctx.env_weight(u, "up"), w, e.q), xpow(vset.total, 1.0 / e.p))
-    return _finish("T3.5", e, terms, report, flags, root=1.0 / e.p, unit=unit)
+    terms, flags = _core(ctx, w, 1.0, e.q / e.p, Eq, Vo, side)
+    unit = xdiv(_norm_q(ctx, ctx.env_weight(u, side), w, e.q), xpow(vset.total, 1.0 / e.p))
+    return _finish({"low": "T3.5", "up": "T3.6"}[side], e, terms, report, flags,
+                   root=1.0 / e.p, unit=unit)
 
 
-def crit_T36(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """S*_u on non-increasing inputs."""
-    report: dict = {}
-    vset = _check_cum(ctx, v, "V", "low", report)
-    _check_cum(ctx, w, "W", "low", report)
-    _require(report)
-    Vlow = vset.low
-    Ee = ctx.env_arr(amul(apow(ctx.vals(u), e.p), apow(Vlow, -2.0)), "down")
-    Eq = apow(Ee, e.q / e.p)
-    terms, flags = _core(ctx, w, 1.0, e.q / e.p, Eq, Vlow, "down")
-    unit = xdiv(_norm_q(ctx, ctx.env_weight(u, "down"), w, e.q), xpow(vset.total, 1.0 / e.p))
-    return _finish("T3.6", e, terms, report, flags, root=1.0 / e.p, unit=unit)
-
-
-# ---------------------------------------------------------------------------
-# iterated criteria via the level/defect transforms
-# ---------------------------------------------------------------------------
-
-
-def crit_T41(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """||S_u (int_0^x h)||_{q,w} <= c ||h||_{p,v}, p > 1."""
+def crit_T41_43(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
+                verbatim: bool = False) -> CriterionResult:
+    """T4.1 (side "low"): ||S_u (int_0^x h)||_{q,w} <= c ||h||_{p,v}, and
+    T4.3 (side "up"): ||S*_u (int_x^oo h)||_{q,w} <= c ||h||_{p,v}, p > 1,
+    through the level transform on ``side``.  No printed variant differs, so
+    ``verbatim`` changes nothing."""
     if e.p <= 1.0:
         raise TheoremInapplicable("p>1", {"p>1": False})
     pp = e.pprime
-    vp = v.power(1.0 - pp)
+    other = _OTHER[side]
     report: dict = {}
-    aset = _check_cum(ctx, vp, "int_0^x v^{1-p'}", "low", report)
-    _check_cum(ctx, w, "W*", "up", report)
+    aset = _check_cum(ctx, v.power(1.0 - pp), _INT[side] + " v^{1-p'}", side, report)
+    _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    Phi = apow(aset.low, 1.0 / (pp + 1.0))
-    Phi1 = ctx.env_arr(amul(ctx.vals(u), apow(Phi, 2.0)), "up")
+    Phi = apow(getattr(aset, side), 1.0 / (pp + 1.0))
+    Phi1 = ctx.env_arr(amul(ctx.vals(u), apow(Phi, 2.0)), side)
     Eq = apow(Phi1, e.q)
     G = apow(Phi, -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "up")
+    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
     den = xpow(xmul(pp + 1.0, xpow(aset.total, 1.0 / (pp + 1.0))), 1.0 / e.p)
     unit = xdiv(_norm_q(ctx, Phi1, w, e.q), den)
-    return _finish("T4.1", e, terms, report, flags, unit=unit)
+    return _finish({"low": "T4.1", "up": "T4.3"}[side], e, terms, report, flags, unit=unit)
 
 
-def crit_T43(ctx: CritCtx, u: Weight, v: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """||S*_u (int_x^oo h)||_{q,w} <= c ||h||_{p,v}, p > 1."""
-    if e.p <= 1.0:
-        raise TheoremInapplicable("p>1", {"p>1": False})
-    pp = e.pprime
-    vp = v.power(1.0 - pp)
-    report: dict = {}
-    aset = _check_cum(ctx, vp, "int_x^oo v^{1-p'}", "up", report)
-    _check_cum(ctx, w, "W", "low", report)
-    _require(report)
-    Psi = apow(aset.up, 1.0 / (pp + 1.0))
-    Psi1 = ctx.env_arr(amul(ctx.vals(u), apow(Psi, 2.0)), "down")
-    Eq = apow(Psi1, e.q)
-    G = apow(Psi, -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, "down")
-    den = xpow(xmul(pp + 1.0, xpow(aset.total, 1.0 / (pp + 1.0))), 1.0 / e.p)
-    unit = xdiv(_norm_q(ctx, Psi1, w, e.q), den)
-    return _finish("T4.3", e, terms, report, flags, unit=unit)
+def crit_T42_44(ctx: CritCtx, side: str, u: Weight, nu: Weight, w: Weight, e: Exponents,
+                verbatim: bool = False) -> CriterionResult:
+    """The p = 1 variants: T4.2 (side "low"), the Hardy-iterated inequality
+    with input weight nu = 1/V, and T4.4 (side "up"), the Copson-iterated one
+    with nu = 1/V*.
 
-
-def crit_T42(ctx: CritCtx, u: Weight, nu: Weight, w: Weight, e: Exponents) -> CriterionResult:
-    """p = 1 variant of the Hardy-iterated inequality with input weight nu = 1/V."""
+    T4.4's default is the duality-derived form.  ``verbatim`` follows its
+    printed statement instead, which mirrors T4.2's W*/int_0^x shape."""
     if e.p != 1.0:
         raise TheoremInapplicable("p=1", {"p=1": False})
     nuv = ctx.vals(nu)
+    s = 1.0 if side == "low" else -1.0  # nu non-increasing / non-decreasing
+    shape = "low" if verbatim else side
+    other = _OTHER[shape]
     report: dict = {}
     report["nu positive"] = bool(np.all(nuv > 0.0))
-    report["nu non-increasing"] = bool(np.all(np.diff(nuv) <= 1e-9 * (1.0 + nuv[:-1])))
-    _check_cum(ctx, w, "W*", "up", report)
+    report[{"low": "nu non-increasing", "up": "nu non-decreasing"}[side]] = bool(
+        np.all(s * np.diff(nuv) <= 1e-9 * (1.0 + nuv[:-1])))
+    _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
     V = adiv(1.0, nuv)
-    V1 = ctx.env_arr(amul(ctx.vals(u), apow(V, 2.0)), "up")
+    V1 = ctx.env_arr(amul(ctx.vals(u), apow(V, 2.0)), side)
     Eq = apow(V1, e.q)
     G = apow(V, -1.0)
-    terms, flags = _core(ctx, w, 1.0, e.q, Eq, G, "up")
-    vinf, fl = ctx.sup(V)
-    if fl:
-        flags = list(flags) + [fl]
-    unit = xdiv(_norm_q(ctx, V1, w, e.q), vinf)
-    return _finish("T4.2", e, terms, report, flags, unit=unit)
-
-
-def crit_T44(ctx: CritCtx, u: Weight, nu: Weight, w: Weight, e: Exponents,
-             verbatim: bool = False) -> CriterionResult:
-    """p = 1 variant of the Copson-iterated inequality with input weight nu = 1/V*.
-
-    Default: the duality-derived form.  ``verbatim`` follows the printed
-    statement (which mirrors the Hardy case's W*/int_0^x) instead.
-    """
-    if e.p != 1.0:
-        raise TheoremInapplicable("p=1", {"p=1": False})
-    nuv = ctx.vals(nu)
-    report: dict = {}
-    report["nu positive"] = bool(np.all(nuv > 0.0))
-    report["nu non-decreasing"] = bool(np.all(np.diff(nuv) >= -1e-9 * (1.0 + nuv[:-1])))
-    _check_cum(ctx, w, "W*" if verbatim else "W", "up" if verbatim else "low", report)
-    _require(report)
-    Vs = adiv(1.0, nuv)
-    V1 = ctx.env_arr(amul(ctx.vals(u), apow(Vs, 2.0)), "down")
-    Eq = apow(V1, e.q)
-    G = apow(Vs, -1.0)
-    shape = "up" if verbatim else "down"
     terms, flags = _core(ctx, w, 1.0, e.q, Eq, G, shape)
-    v0, fl = ctx.sup(Vs)
+    vlim, fl = ctx.sup(V)
     if fl:
         flags = list(flags) + [fl]
-    unit = xdiv(_norm_q(ctx, V1, w, e.q), v0)
-    return _finish("T4.4", e, terms, report, flags, unit=unit)
+    unit = xdiv(_norm_q(ctx, V1, w, e.q), vlim)
+    return _finish({"low": "T4.2", "up": "T4.4"}[side], e, terms, report, flags, unit=unit)
+
+
+def _crit_T4(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
+             verbatim: bool = False) -> CriterionResult:
+    """S_u o H (side "low") and S*_u o H* (side "up"): T4.1/T4.3 for p > 1,
+    T4.2/T4.4 with input weight nu = v otherwise."""
+    crit = crit_T41_43 if e.p > 1.0 else crit_T42_44
+    return crit(ctx, side, u, v, w, e, verbatim)
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +537,15 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
     _require(report)
     Bv, Vv = bset.low, vset.low
     uv = ctx.vals(u)
-    rho = ctx.env_arr(adiv(uv, Bv), "down")
-    eta = ctx.env_arr(adiv(uv, apow(Vv, 2.0)), "down")
+    rho = ctx.env_arr(adiv(uv, Bv), "up")
+    eta = ctx.env_arr(adiv(uv, apow(Vv, 2.0)), "up")
     if p > 1.0:
         pp = e.pprime
         g1 = apow(ctx.int_set(apow(adiv(Bv, Vv), pp), v).low, 1.0 / pp)
         g2 = apow(ctx.int_set(apow(Vv, pp), v).low, 1.0 / pp)
         case = "i" if p <= q else "iii"
     else:
-        g1 = ctx.env_arr(adiv(Bv, Vv), "up")
+        g1 = ctx.env_arr(adiv(Bv, Vv), "low")
         g2 = Vv
         case = "ii" if p <= q else "iv"
     wset = ctx.int_set(ctx.ones, w)
@@ -650,40 +590,6 @@ def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
 # ---------------------------------------------------------------------------
 
 
-def crit_restricted_sup(which: str, u: Weight, v: Weight, w: Weight, e: Exponents,
-                        ctx: Optional[CritCtx] = None, verbatim: bool = False) -> CriterionResult:
-    """Restricted supremal criteria: which in S_down / S*_up / S_up / S*_down."""
-    ctx = ctx or CritCtx()
-    if which == "S_down":
-        return crit_T33(ctx, u, v, w, e, verbatim=verbatim)
-    if which == "S*_up":
-        return crit_T34(ctx, u, v, w, e, verbatim=verbatim)
-    if which == "S_up":
-        return crit_T35(ctx, u, v, w, e)
-    if which == "S*_down":
-        return crit_T36(ctx, u, v, w, e)
-    raise ValueError(f"unknown restricted form {which!r}")
-
-
-def crit_iterated(which: str, u: Weight, v: Weight, w: Weight, e: Exponents,
-                  ctx: Optional[CritCtx] = None, verbatim: bool = False) -> CriterionResult:
-    """Iterated (sup of an integral) criteria: ISI1..ISI4, ISI1_V, ISI3_V."""
-    ctx = ctx or CritCtx()
-    if which == "ISI1":
-        return crit_T41(ctx, u, v, w, e)
-    if which == "ISI2":
-        return crit_T32(ctx, u, v, w, e, verbatim=verbatim)
-    if which == "ISI3":
-        return crit_T43(ctx, u, v, w, e)
-    if which == "ISI4":
-        return crit_T31(ctx, u, v, w, e)
-    if which == "ISI1_V":
-        return crit_T42(ctx, u, v, w, e)
-    if which == "ISI3_V":
-        return crit_T44(ctx, u, v, w, e, verbatim=verbatim)
-    raise ValueError(f"unknown iterated form {which!r}")
-
-
 def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
              ctx: Optional[CritCtx] = None) -> CriterionResult:
     """Criterion for T_{u,b} on non-increasing inputs (all p > 0)."""
@@ -693,41 +599,39 @@ def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
     return crit_T53(ctx, u, b, v, w, e)
 
 
+def _pair(crit, side: str):
+    """The table row of one side of a mirror pair."""
+    def row(ctx: CritCtx, spec: InequalitySpec, verbatim: bool) -> CriterionResult:
+        return crit(ctx, side, spec.kind.u, spec.v, spec.w, spec.exps, verbatim)
+    return row
+
+
+def _tub(ctx: CritCtx, spec: InequalitySpec, verbatim: bool) -> CriterionResult:
+    return crit_tub(spec.kind.u, spec.kind.b, spec.v, spec.w, spec.exps, ctx=ctx)
+
+
+# (base, compose, cone) -> the criterion that characterizes the spec
+_CRITERIA = {
+    ("S", None, "non_increasing"): _pair(crit_T33_34, "low"),
+    ("S*", None, "non_decreasing"): _pair(crit_T33_34, "up"),
+    ("S", None, "non_decreasing"): _pair(crit_T35_36, "low"),
+    ("S*", None, "non_increasing"): _pair(crit_T35_36, "up"),
+    ("S*", "H", "none"): _pair(crit_T31_32, "up"),
+    ("S", "H*", "none"): _pair(crit_T31_32, "low"),
+    ("S", "H", "none"): _pair(_crit_T4, "low"),
+    ("S*", "H*", "none"): _pair(_crit_T4, "up"),
+    ("T_ub", None, "non_increasing"): _tub,
+}
+
+
 def evaluate_criterion(spec: InequalitySpec, ctx: Optional[CritCtx] = None,
                        verbatim: bool = False) -> CriterionResult:
     """Dispatch a spec to the criterion that characterizes it."""
-    ctx = ctx or CritCtx()
-    k, cone, e = spec.kind, spec.cone, spec.exps
-    if k.base == "T_ub":
-        if cone != "non_increasing":
-            raise ValueError("T_ub criteria cover non-increasing inputs")
-        return crit_tub(k.u, k.b, spec.v, spec.w, e, ctx=ctx)
-    if k.compose is None:
-        table = {
-            ("S", "non_increasing"): lambda: crit_T33(ctx, k.u, spec.v, spec.w, e, verbatim=verbatim),
-            ("S", "non_decreasing"): lambda: crit_T35(ctx, k.u, spec.v, spec.w, e),
-            ("S*", "non_decreasing"): lambda: crit_T34(ctx, k.u, spec.v, spec.w, e, verbatim=verbatim),
-            ("S*", "non_increasing"): lambda: crit_T36(ctx, k.u, spec.v, spec.w, e),
-        }
-        try:
-            return table[(k.base, cone)]()
-        except KeyError:
-            raise ValueError(f"no criterion for {k.base} on cone {cone}") from None
-    if cone != "none":
-        raise ValueError("iterated criteria cover the full nonnegative cone")
-    if k.base == "S*" and k.compose == "H":
-        return crit_T31(ctx, k.u, spec.v, spec.w, e)
-    if k.base == "S" and k.compose == "H*":
-        return crit_T32(ctx, k.u, spec.v, spec.w, e, verbatim=verbatim)
-    if k.base == "S" and k.compose == "H":
-        if e.p > 1.0:
-            return crit_T41(ctx, k.u, spec.v, spec.w, e)
-        return crit_T42(ctx, k.u, spec.v, spec.w, e)
-    if k.base == "S*" and k.compose == "H*":
-        if e.p > 1.0:
-            return crit_T43(ctx, k.u, spec.v, spec.w, e)
-        return crit_T44(ctx, k.u, spec.v, spec.w, e, verbatim=verbatim)
-    raise ValueError(f"no criterion for {k.describe()} on cone {cone}")
+    k = spec.kind
+    row = _CRITERIA.get((k.base, k.compose, spec.cone))
+    if row is None:
+        raise ValueError(f"no criterion for {k.describe()} on cone {spec.cone}")
+    return row(ctx or CritCtx(), spec, verbatim)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +677,7 @@ def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedS
     if k.base in ("S", "S*") and k.compose == "H" and cone == "none":
         if p > 1.0:
             # R2.5: level-transform back to a non-increasing restricted problem
-            phi, Phi = phi_weights(v, p)
+            phi, Phi = phi_weights(v, p, "low")
             u_new = weight_mul(k.u, Phi.power(2.0))
             new = InequalitySpec(OperatorKind(k.base, None, u_new), "non_increasing", phi, w, e)
             return ReducedSpec(new, "R2.5", None)
@@ -808,21 +712,11 @@ def reduce_spec_inner(spec: InequalitySpec) -> ReducedSpec:
     raise ValueError(f"no inner reduction for {k.describe()} on cone {cone}")
 
 
-@dataclass(frozen=True)
-class _UpperCumClosure:
-    v: Weight
-
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self.v.cum_up(x) for x in ts])
-        return out if np.ndim(t) else float(out[0])
-
-
 def _upper_cumulative(v: Weight) -> Weight:
     if isinstance(v, PowerWeight) and v.lam == 0.0 and v.mu == 0.0 and v.alpha < -1.0:
         a1 = v.alpha + 1.0
         return PowerWeight(-v.c / a1, a1)
-    return FuncWeight(_UpperCumClosure(v), label="V*")
+    return FuncWeight(_CumClosure(v, "up"), label="V*")
 
 
 def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,
@@ -831,6 +725,6 @@ def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,
     vtot = ctx.int_set(ctx.ones, v).total
     if not (0.0 < vtot < INF):
         return None
-    env_side = "up" if k.base == "S" else "down"
+    env_side = "low" if k.base == "S" else "up"
     num = _norm_q(ctx, ctx.env_weight(k.u, env_side), w, e.q)
     return xdiv(num, xpow(vtot, 1.0 / e.p))

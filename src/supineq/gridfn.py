@@ -50,14 +50,6 @@ class Grid:
         object.__setattr__(self, "knots", tuple(ks.tolist()))
 
     @property
-    def eps(self) -> float:
-        return self.knots[0]
-
-    @property
-    def M(self) -> float:
-        return self.knots[-1]
-
-    @property
     def n(self) -> int:
         return len(self.knots)
 

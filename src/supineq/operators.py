@@ -23,7 +23,7 @@ import numpy as np
 
 from .extreal import INF, _amul_raw, adiv
 from .gridfn import Grid, _suffix_max, region_measures
-from .weights import FuncWeight, PowerWeight, Weight, weight_mul
+from .weights import FuncWeight, PowerWeight, Weight, _CumClosure, weight_mul
 
 __all__ = [
     "OperatorKind",
@@ -81,7 +81,7 @@ def b_cumulative(b: Weight) -> Weight:
     probe = b.cum_low(1.0)
     if probe == INF:
         raise ValueError("B(t) = int_0^t b must be finite")
-    return FuncWeight(_CumClosure(b), label="B")
+    return FuncWeight(_CumClosure(b, "low"), label="B")
 
 
 def power_substitution(u: Weight, b: Weight, p: float) -> Tuple[Weight, Weight]:
@@ -91,16 +91,6 @@ def power_substitution(u: Weight, b: Weight, p: float) -> Tuple[Weight, Weight]:
     best constant whose 1/p-th power is the one for exponents (p, q)."""
     B = b_cumulative(b)
     return u.power(p).scale(1.0 / p), weight_mul(B.power(p - 1.0), b)
-
-
-@dataclass(frozen=True)
-class _CumClosure:
-    b: Weight
-
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self.b.cum_low(x) for x in ts])
-        return out if np.ndim(t) else float(out[0])
 
 
 class OperatorKernel:

@@ -20,7 +20,7 @@ together with the operations the inequality criteria need:
   * running envelopes (``running_sup``),
   * powers, scalings, products (``weight_mul``) and the substitution
     t -> 1/t with a Jacobian power (``Weight.dual``),
-  * the level/defect transforms ``phi_weights`` / ``psi_weights``.
+  * the level transform ``phi_weights`` on either side.
 
 All scalar results follow the extended arithmetic of :mod:`supineq.extreal`.
 """
@@ -50,7 +50,6 @@ __all__ = [
     "weight_mul",
     "running_sup",
     "phi_weights",
-    "psi_weights",
 ]
 
 
@@ -134,16 +133,6 @@ class Weight:
             return INF
         return lo + self.cum_up(1.0)
 
-    def integrate(self, a: float, b: float) -> float:
-        """``int_a^b w`` with 0 <= a <= b <= oo (finite for 0 < a <= b < oo)."""
-        if a == b:
-            return 0.0
-        if a == 0.0:
-            return self.cum_low(b) if b < INF else self.total()
-        if b == INF:
-            return self.cum_up(a)
-        return _interval_mass(self, a, b, self.cum_low(a), self.cum_low(b))
-
     def _scalar(self, t: float) -> float:
         """``float(self(t))`` for one float t; the integrand of ``_quad_log``,
         which calls it under ``np.errstate(all="ignore")``."""
@@ -166,9 +155,6 @@ class Weight:
             _DualClosure(self, jacobian_exponent),
             label=f"dual[{jacobian_exponent}]({self})",
         )
-
-    def to_json(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 # .. picklable closures for derived FuncWeights ..............................
@@ -210,6 +196,21 @@ class _MulClosure:
 
     def __call__(self, t):
         return amul(self.a(t), self.b(t))
+
+
+@dataclass(frozen=True)
+class _CumClosure:
+    """t -> int_0^t w (side "low") or int_t^oo w (side "up"), one cumulative
+    per point."""
+
+    w: Weight
+    side: str
+
+    def __call__(self, t):
+        cum = self.w.cum_low if self.side == "low" else self.w.cum_up
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.array([cum(x) for x in ts])
+        return out if np.ndim(t) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -369,19 +370,6 @@ class PowerWeight(Weight):
             self.c, -self.alpha - 2.0 * jacobian_exponent, self.mu, self.lam
         )
 
-    def to_json(self) -> dict:
-        if self.mu == 0.0 and self.lam == 0.0:
-            return {"form": "power", "c": self.c, "alpha": self.alpha}
-        if self.mu == 0.0:
-            return {"form": "powerexp", "c": self.c, "alpha": self.alpha, "lambda": self.lam}
-        return {
-            "form": "genpower",
-            "c": self.c,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "mu": self.mu,
-        }
-
 
 @dataclass(frozen=True)
 class PiecewisePowerWeight(Weight):
@@ -494,13 +482,6 @@ class PiecewisePowerWeight(Weight):
         new_knots = tuple(1.0 / k for k in reversed(self.knots))
         new_segs = tuple(s.dual(jacobian_exponent) for s in reversed(self.segments))
         return PiecewisePowerWeight(new_knots, new_segs)
-
-    def to_json(self) -> dict:
-        return {
-            "form": "piecewise",
-            "knots": list(self.knots),
-            "segments": [{"c": s.c, "alpha": s.alpha} for s in self.segments],
-        }
 
 
 _TINY_LOG = -690.0  # log of ~1e-300, stands in for log(0)
@@ -619,9 +600,6 @@ class TabulatedWeight(Weight):
         new_y = (ys * (1.0 / ts) ** (-2.0 * jacobian_exponent))[::-1]
         return TabulatedWeight(tuple(new_t.tolist()), tuple(new_y.tolist()))
 
-    def to_json(self) -> dict:
-        return {"form": "table", "t": list(self.t), "y": list(self.y)}
-
 
 @dataclass(frozen=True)
 class FuncWeight(Weight):
@@ -690,9 +668,6 @@ class FuncWeight(Weight):
         if b == INF and vals[-1] >= m and vals[-1] > 1.5 * vals[max(-5, -len(vals))] > 0:
             return INF
         return m
-
-    def to_json(self) -> dict:
-        raise TypeError("derived weights have no JSON literal form")
 
 
 # ---------------------------------------------------------------------------
@@ -802,78 +777,43 @@ def running_sup(w: Weight, direction: str) -> Weight:
     )
 
 
-def phi_weights(v: Weight, p: float):
-    """Level transform: returns (phi, Phi) with
+def phi_weights(v: Weight, p: float, side: str):
+    """Level transform on one side: (phi, Phi) with
     phi(x) = A(x)^{-p'/(p'+1)} v(x)^{1-p'},  Phi(x) = A(x)^{1/(p'+1)},
-    where A(x) = int_0^x v^{1-p'}.  Requires A(x) in (0, oo) for all x."""
+    where A(x) = int_0^x v^{1-p'} (side "low") or int_x^oo v^{1-p'} (side
+    "up").  Requires A(x) in (0, oo) for all x."""
     if p <= 1.0:
-        raise ValueError("phi transform requires p > 1")
+        raise ValueError("level transform requires p > 1")
     pp = conjugate(p)
     vp = v.power(1.0 - pp)
+    undefined = "level transform undefined: {} v^{{1-p'}} not in (0, oo)".format(
+        "int_0^x" if side == "low" else "int_x^oo")
     if isinstance(vp, PowerWeight) and vp.lam == 0.0 and vp.mu == 0.0:
         a1 = vp.alpha + 1.0
-        if a1 <= 0.0 or vp.c == 0.0:
-            raise ValueError("level transform undefined: int_0^x v^{1-p'} not in (0, oo)")
-        ca, ea = vp.c / a1, a1  # A(x) = ca x^ea
+        if vp.c == 0.0 or (a1 <= 0.0 if side == "low" else a1 >= 0.0):
+            raise ValueError(undefined)
+        ca, ea = vp.c / abs(a1), a1  # A(x) = ca x^ea
         phi = PowerWeight(ca ** (-pp / (pp + 1.0)) * vp.c, -ea * pp / (pp + 1.0) + vp.alpha)
         Phi = PowerWeight(ca ** (1.0 / (pp + 1.0)), ea / (pp + 1.0))
         return phi, Phi
-    probe = vp.cum_low(1.0)
+    probe = vp.cum_low(1.0) if side == "low" else vp.cum_up(1.0)
     if probe == INF or probe == 0.0:
-        raise ValueError("level transform undefined: int_0^x v^{1-p'} not in (0, oo)")
-    phi = FuncWeight(_PhiClosure(vp, pp, False), label="phi")
-    Phi = FuncWeight(_PhiClosure(vp, pp, True), label="Phi")
+        raise ValueError(undefined)
+    phi = FuncWeight(_LevelClosure(vp, pp, side, False), label=f"phi[{side}]")
+    Phi = FuncWeight(_LevelClosure(vp, pp, side, True), label=f"Phi[{side}]")
     return phi, Phi
 
 
-def psi_weights(v: Weight, p: float):
-    """Mirror transform: (psi, Psi) with Psi(x) = (int_x^oo v^{1-p'})^{1/(p'+1)}
-    and psi(x) = (int_x^oo v^{1-p'})^{-p'/(p'+1)} v(x)^{1-p'}."""
-    if p <= 1.0:
-        raise ValueError("psi transform requires p > 1")
-    pp = conjugate(p)
-    vp = v.power(1.0 - pp)
-    if isinstance(vp, PowerWeight) and vp.lam == 0.0 and vp.mu == 0.0:
-        a1 = vp.alpha + 1.0
-        if a1 >= 0.0 or vp.c == 0.0:
-            raise ValueError("mirror transform undefined: int_x^oo v^{1-p'} not in (0, oo)")
-        ca, ea = -vp.c / a1, a1  # A*(x) = ca x^ea
-        psi = PowerWeight(ca ** (-pp / (pp + 1.0)) * vp.c, -ea * pp / (pp + 1.0) + vp.alpha)
-        Psi = PowerWeight(ca ** (1.0 / (pp + 1.0)), ea / (pp + 1.0))
-        return psi, Psi
-    probe = vp.cum_up(1.0)
-    if probe == INF or probe == 0.0:
-        raise ValueError("mirror transform undefined: int_x^oo v^{1-p'} not in (0, oo)")
-    psi = FuncWeight(_PsiClosure(vp, pp, False), label="psi")
-    Psi = FuncWeight(_PsiClosure(vp, pp, True), label="Psi")
-    return psi, Psi
-
-
 @dataclass(frozen=True)
-class _PhiClosure:
+class _LevelClosure:
     vp: Weight
     pp: float
+    side: str
     upper_part: bool  # True -> Phi, False -> phi
 
     def __call__(self, t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        A = np.array([self.vp.cum_low(x) for x in ts])
-        if self.upper_part:
-            out = apow(A, 1.0 / (self.pp + 1.0))
-        else:
-            out = amul(apow(A, -self.pp / (self.pp + 1.0)), self.vp(ts))
-        return out if np.ndim(t) else float(out[0])
-
-
-@dataclass(frozen=True)
-class _PsiClosure:
-    vp: Weight
-    pp: float
-    upper_part: bool
-
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        A = np.array([self.vp.cum_up(x) for x in ts])
+        A = _CumClosure(self.vp, self.side)(ts)
         if self.upper_part:
             out = apow(A, 1.0 / (self.pp + 1.0))
         else:

@@ -18,16 +18,11 @@ from supineq.criteria import (
     CritCtx,
     InequalitySpec,
     TheoremInapplicable,
-    crit_T31,
-    crit_T32,
-    crit_T33,
-    crit_T34,
-    crit_T35,
-    crit_T36,
-    crit_T41,
-    crit_T42,
-    crit_T43,
-    crit_T44,
+    crit_T31_32,
+    crit_T33_34,
+    crit_T35_36,
+    crit_T41_43,
+    crit_T42_44,
     crit_tub,
     evaluate_criterion,
     reduce_spec,
@@ -133,8 +128,8 @@ def _pair_sup_down(ctx, rng):
     u = PowerWeight(rng.uniform(0.5, 2.0), max((av + 1.0) / p, 0.0) + rng.uniform(0.2, 1.0))
     w = _rand_w(rng)
     return (
-        crit_T33(ctx, u, v, w, e),
-        crit_T34(ctx, u.dual(0.0), v.dual(1.0), w.dual(1.0), e),
+        crit_T33_34(ctx, "low", u, v, w, e),
+        crit_T33_34(ctx, "up", u.dual(0.0), v.dual(1.0), w.dual(1.0), e),
     )
 
 
@@ -146,8 +141,8 @@ def _pair_sup_up(ctx, rng):
     u = PowerWeight(rng.uniform(0.5, 2.0), 0.0, 2.0 * lv / p + rng.uniform(0.5, 1.5))
     w = _rand_w(rng)
     return (
-        crit_T35(ctx, u, v, w, e),
-        crit_T36(ctx, u.dual(0.0), v.dual(1.0), w.dual(1.0), e),
+        crit_T35_36(ctx, "low", u, v, w, e),
+        crit_T35_36(ctx, "up", u.dual(0.0), v.dual(1.0), w.dual(1.0), e),
     )
 
 
@@ -158,8 +153,8 @@ def _pair_iter_copson(ctx, rng):
     u = PowerWeight(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5))
     w = _rand_w(rng)
     return (
-        crit_T31(ctx, u, v, w, e),
-        crit_T32(ctx, u.dual(0.0), v.dual(1.0 - p), w.dual(1.0), e),
+        crit_T31_32(ctx, "up", u, v, w, e),
+        crit_T31_32(ctx, "low", u.dual(0.0), v.dual(1.0 - p), w.dual(1.0), e),
     )
 
 
@@ -170,8 +165,8 @@ def _pair_iter_hardy(ctx, rng):
     u = PowerWeight(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0))
     w = _rand_w(rng)
     return (
-        crit_T41(ctx, u, v, w, e),
-        crit_T43(ctx, u.dual(0.0), v.dual(1.0 - p), w.dual(1.0), e),
+        crit_T41_43(ctx, "low", u, v, w, e),
+        crit_T41_43(ctx, "up", u.dual(0.0), v.dual(1.0 - p), w.dual(1.0), e),
     )
 
 
@@ -181,8 +176,8 @@ def _pair_iter_p1(ctx, rng):
     u = PowerWeight(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0))
     w = _rand_w(rng)
     return (
-        crit_T42(ctx, u, nu, w, e),
-        crit_T44(ctx, u.dual(0.0), nu.dual(0.0), w.dual(1.0), e),
+        crit_T42_44(ctx, "low", u, nu, w, e),
+        crit_T42_44(ctx, "up", u.dual(0.0), nu.dual(0.0), w.dual(1.0), e),
     )
 
 

@@ -107,6 +107,19 @@ class TestMain:
         assert main(["--config", bad]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"seed": "abc"},
+        {"band": "wide"},
+        {"band": 0.5},
+        {"budget": {"n_char": 8.5}},
+        {"verbatim_paper": "false"},
+    ], ids=lambda e: repr(e))
+    def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
+        sc = dict(GOOD_SCENARIO, **entry)
+        cfg = write_config(tmp_path, {"defaults": FAST, "scenarios": [sc]})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "scenarios[0]" in capsys.readouterr().err
+
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, {"defaults": FAST, "scenarios": [GOOD_SCENARIO]})
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -21,7 +21,6 @@ from supineq.weights import (
     TabulatedWeight,
     parse_weight,
     phi_weights,
-    psi_weights,
     running_sup,
     weight_mul,
 )
@@ -70,10 +69,10 @@ def algebra(lit):
         "weight_mul": weight_mul(w, PowerWeight(1.0, 2.0)),
         "running_sup up_to_t": running_sup(w, "up_to_t"),
         "running_sup from_t": running_sup(w, "from_t"),
-        "phi": phi_weights(v, 2.0)[0],
-        "Phi": phi_weights(v, 2.0)[1],
-        "psi": psi_weights(v, 2.0)[0],
-        "Psi": psi_weights(v, 2.0)[1],
+        "phi": phi_weights(v, 2.0, "low")[0],
+        "Phi": phi_weights(v, 2.0, "low")[1],
+        "psi": phi_weights(v, 2.0, "up")[0],
+        "Psi": phi_weights(v, 2.0, "up")[1],
         "b_cumulative": B,
         "power_substitution u": u_hat,
         "power_substitution b": b_hat,

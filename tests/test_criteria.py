@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from supineq.criteria import (
+    CritCtx,
     InequalitySpec,
     TheoremInapplicable,
-    crit_restricted_sup,
+    crit_T33_34,
     crit_tub,
     evaluate_criterion,
     reduce_spec,
@@ -65,7 +66,7 @@ class TestKnownValues:
     def test_running_sup_criterion_unit_scale(self):
         # S_u on non-increasing inputs, p = q = 1, u = t, v = 1, w = e^{-t}:
         # the criterion equals 1 (smooth check of the full A1 + unit pipeline)
-        res = crit_restricted_sup("S_down", PowerWeight(1.0, 1.0), ONE, W, Exponents(1.0, 1.0))
+        res = crit_T33_34(CritCtx(), "low", PowerWeight(1.0, 1.0), ONE, W, Exponents(1.0, 1.0))
         assert res.terms["A1"] == pytest.approx(1.0, abs=1e-4)
         assert res.terms["unit"] == 0.0
         assert res.finite

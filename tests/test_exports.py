@@ -24,12 +24,10 @@ def test_all_names_resolve():
 
 # Paper-level entry points, reached only through the library API.
 ENTRY_POINTS = {
-    "crit_restricted_sup": "the four restricted supremal criteria (T3.3-T3.6) by name",
-    "crit_iterated": "the six iterated criteria (T3.1, T3.2, T4.1-T4.4) by name",
     "reduce_spec": "the paper's reductions of a monotone-cone problem to the full cone",
+    "reduce_spec_inner": "the paper's R2.2/R2.4: the cumulative moves into the supremal weight",
     "down_dual_constant": "the closed-form sup-functional constant over non-increasing f, p <= 1",
     "verify_three_way": "the three equivalent forms of the combined operator, p <= 1",
-    "psi_weights": "the mirror of the level transform phi_weights (int_x^oo in place of int_0^x)",
     "running_sup": "the running esssup weights t -> esssup_(0,t] w and t -> esssup_[t,oo) w",
 }
 
@@ -43,16 +41,32 @@ def _is_all(stmt):
     return isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]
 
 
+def _public(name):
+    return not name.startswith("_")
+
+
 def test_every_public_name_is_used():
     # a public name must be reachable from module-level code (the CLI's
     # ``__main__`` block, module constants) or from an entry point, through
     # the bodies of the definitions it reaches; the package re-exports, the
-    # ``__all__`` lists and a definition's own body do not count
-    defs, todo = {}, set(ENTRY_POINTS)
+    # ``__all__`` lists and a definition's own body do not count.  Public
+    # names are each module's ``__all__``, its other public module-level
+    # definitions, and the public methods of its public classes.  The check
+    # goes by name, so a use of the same name elsewhere hides an unused
+    # definition: the parameters ``eps``/``M`` of ``make_log_grid`` would hide
+    # properties ``Grid.eps``/``Grid.M``, and ``scipy.integrate`` a method
+    # ``Weight.integrate``.
+    defs, todo, public = {}, set(ENTRY_POINTS), []
     for mod in MODULES:
+        public += [f"{mod.__name__}.{name}" for name in mod.__all__]
         for stmt in ast.parse(inspect.getsource(mod)).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(stmt.name, []).append(stmt)
+                if _public(stmt.name) and stmt.name not in mod.__all__:
+                    public.append(f"{mod.__name__}.{stmt.name}")
+                if isinstance(stmt, ast.ClassDef) and _public(stmt.name):
+                    public += [f"{mod.__name__}.{stmt.name}.{m.name}" for m in stmt.body
+                               if isinstance(m, ast.FunctionDef) and _public(m.name)]
             elif not _is_all(stmt):
                 todo |= _names(stmt)
     reached = set()
@@ -62,7 +76,6 @@ def test_every_public_name_is_used():
             reached.add(name)
             for d in defs.get(name, []):
                 todo |= _names(d)
-    public = [f"{mod.__name__}.{name}" for mod in MODULES for name in mod.__all__]
     unused = [q for q in public if q.rsplit(".", 1)[1] not in reached]
     assert not unused, unused
     stale = set(ENTRY_POINTS) - {q.rsplit(".", 1)[1] for q in public}

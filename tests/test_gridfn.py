@@ -40,8 +40,8 @@ class TestGrid:
     def test_log_grid_shape(self):
         g = make_log_grid(1e-2, 1e2, 5)
         assert g.n == 5
-        assert g.eps == pytest.approx(1e-2)
-        assert g.M == pytest.approx(1e2)
+        assert g.knots[0] == pytest.approx(1e-2)
+        assert g.knots[-1] == pytest.approx(1e2)
         assert np.all(np.diff(np.log(g.knots)) > 0)
 
     def test_degenerate_grids_rejected(self):
