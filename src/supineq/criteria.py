@@ -276,7 +276,6 @@ def _geom_tail(blocks) -> float:
 
 _OTHER = {"low": "up", "up": "low"}
 _STAR = {"low": "", "up": "*"}  # V = int_0^x v, V* = int_x^oo v
-_INT = {"low": "int_0^x", "up": "int_x^oo"}
 
 
 def _analytically_positive(w: Weight, side: str) -> Optional[bool]:
@@ -464,7 +463,8 @@ def crit_T41_43(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     pp = e.pprime
     other = _OTHER[side]
     report: dict = {}
-    aset = _check_cum(ctx, v.power(1.0 - pp), _INT[side] + " v^{1-p'}", side, report)
+    name = ("int_0^x" if side == "low" else "int_x^oo") + " v^{1-p'}"
+    aset = _check_cum(ctx, v.power(1.0 - pp), name, side, report)
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
     Phi = apow(getattr(aset, side), 1.0 / (pp + 1.0))
