@@ -9,6 +9,7 @@ from .weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
+    cumulative,
     parse_weight,
     phi_weights,
     running_sup,

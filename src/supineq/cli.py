@@ -91,7 +91,32 @@ def _integer(x, name: str) -> int:
     return x
 
 
+def _real(x, name: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return x
+
+
+def _layer(base: dict, top: dict, skip_none: bool = False) -> dict:
+    """The settings of ``top`` over those of ``base``; ``grid`` and ``budget``
+    merge entry by entry.  ``skip_none`` passes over unset (None) entries, as
+    the CLI flags leave them."""
+    out = dict(base)
+    for k, v in top.items():
+        if k not in base or (skip_none and v is None):
+            continue
+        if k in ("grid", "budget"):
+            if not isinstance(v, dict):
+                raise TypeError(f"{k} must be an object, got {v!r}")
+            v = {**base[k], **{kk: vv for kk, vv in v.items() if not (skip_none and vv is None)}}
+        out[k] = v
+    return out
+
+
 def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioConfig]:
+    """The scenarios of a config file.  Each setting is layered: built-in
+    defaults, then the file's ``defaults``, then the scenario's own entry,
+    then ``overrides`` (the CLI flags; None entries are unset)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -101,25 +126,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or "scenarios" not in doc:
         raise ConfigError(f"{path}: config must be an object with a 'scenarios' array")
-    defaults = dict(_DEFAULTS)
-    user_defaults = doc.get("defaults", {})
-    for k, v in user_defaults.items():
-        if k in ("grid", "budget"):
-            merged = dict(_DEFAULTS[k])
-            merged.update(v)
-            defaults[k] = merged
-        else:
-            defaults[k] = v
-    if overrides:
-        for k, v in overrides.items():
-            if v is None:
-                continue
-            if k in ("grid", "budget"):
-                merged = dict(defaults[k])
-                merged.update({kk: vv for kk, vv in v.items() if vv is not None})
-                defaults[k] = merged
-            else:
-                defaults[k] = v
+    try:
+        defaults = _layer(_DEFAULTS, doc.get("defaults", {}))
+    except (AttributeError, TypeError) as exc:
+        raise ConfigError(f"{path}: defaults: {exc}") from None
     out: List[ScenarioConfig] = []
     seen = set()
     for i, sc in enumerate(doc["scenarios"]):
@@ -143,17 +153,18 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"{anchor} (id={sid!r}): {exc}") from None
         try:
-            grid = dict(defaults["grid"])
-            grid.update(sc.get("grid", {}))
-            budget_kw = dict(defaults["budget"])
-            budget_kw.update(sc.get("budget", {}))
-            budget = OracleBudget(**{k: _integer(v, f"budget entry {k!r}") for k, v in budget_kw.items()})
+            eff = _layer(_layer(defaults, sc), overrides or {}, skip_none=True)
+            grid = dict(eff["grid"])
+            for k, x in grid.items():
+                (_integer if k == "n" else _real)(x, f"grid entry {k!r}")
             make_log_grid(**grid)
-            band = sc.get("band", defaults["band"])
-            if isinstance(band, bool) or not isinstance(band, (int, float)) or not band > 1.0:
-                raise ValueError(f"band must be a number above 1, got {band!r}")
-            seed = _integer(sc.get("seed", defaults["seed"]), "seed")
-            verbatim = sc.get("verbatim_paper", defaults["verbatim_paper"])
+            budget = OracleBudget(**{k: _integer(x, f"budget entry {k!r}")
+                                     for k, x in eff["budget"].items()})
+            band = _real(eff["band"], "band")
+            if not band > 1.0:
+                raise ValueError(f"band must be above 1, got {band!r}")
+            seed = _integer(eff["seed"], "seed")
+            verbatim = eff["verbatim_paper"]
             if not isinstance(verbatim, bool):
                 raise ValueError(f"verbatim_paper must be true or false, got {verbatim!r}")
         except (TypeError, ValueError) as exc:

@@ -26,14 +26,14 @@ from .extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
 from .operators import OperatorKind, b_cumulative, power_substitution
 from .weights import (
     Exponents,
-    FuncWeight,
     PiecewisePowerWeight,
     PowerWeight,
     TabulatedWeight,
     Weight,
-    _CumClosure,
     conjugate,
+    cumulative,
     phi_weights,
+    running_sup,
     weight_mul,
 )
 
@@ -224,30 +224,9 @@ class CritCtx:
         return np.maximum.accumulate(v[::-1])[::-1]
 
     def env_weight(self, w: Weight, side: str) -> np.ndarray:
-        """Exact running envelope of a Weight on the grid: sup over (0, t]
-        ("low") / [t, oo) ("up")."""
-        t = self.t
-        if isinstance(w, PowerWeight):
-            t_star = w.argmax()
-            if side == "low":
-                if t_star == 0.0:
-                    return np.full_like(t, w.limit0())
-                if t_star == INF:
-                    return self.vals(w)
-                return np.asarray(w(np.minimum(t, t_star)), dtype=float)
-            if t_star == INF:
-                return np.full_like(t, w.limit_inf())
-            if t_star == 0.0:
-                return self.vals(w)
-            return np.asarray(w(np.maximum(t, t_star)), dtype=float)
-        # generic: per-segment interval sups, accumulated
-        if side == "low":
-            segs = [w.sup_on_interval(0.0, t[0])]
-            segs += [w.sup_on_interval(a, bnd) for a, bnd in zip(t[:-1], t[1:])]
-            return np.maximum.accumulate(np.asarray(segs))
-        segs = [w.sup_on_interval(a, bnd) for a, bnd in zip(t[:-1], t[1:])]
-        segs.append(w.sup_on_interval(t[-1], INF))
-        return np.maximum.accumulate(np.asarray(segs)[::-1])[::-1]
+        """``running_sup(w, side)`` on the grid: sup over (0, t] ("low") /
+        [t, oo) ("up"), read-only and memoised like ``vals``."""
+        return self.vals(running_sup(w, side))
 
 
 def _diverging(blocks) -> bool:
@@ -670,7 +649,7 @@ def reduce_spec(spec: InequalitySpec, ctx: Optional[CritCtx] = None) -> ReducedS
         return ReducedSpec(new, "R2.1", side)
     if k.base in ("S", "S*") and k.compose is None and cone == "non_decreasing":
         # R2.3: f(t) = int_0^t h  =>  compose with the Hardy transform
-        Vs = _upper_cumulative(v)
+        Vs = cumulative(v, "up")
         new_v = _v_transform(v, Vs, 1.0, p)
         new = InequalitySpec(OperatorKind(k.base, "H", k.u), "none", new_v, w, e)
         return ReducedSpec(new, "R2.3", None)
@@ -704,19 +683,12 @@ def reduce_spec_inner(spec: InequalitySpec) -> ReducedSpec:
         new = InequalitySpec(OperatorKind(k.base, "H", u_new), "none", new_v, w, e)
         return ReducedSpec(new, "R2.2", None)
     if k.base in ("S", "S*") and k.compose is None and cone == "non_decreasing":
-        Vs = _upper_cumulative(v)
+        Vs = cumulative(v, "up")
         u_new = weight_mul(k.u, Vs.power(-2.0))
         new_v = _v_transform(v, Vs, -1.0, p)
         new = InequalitySpec(OperatorKind(k.base, "H*", u_new), "none", new_v, w, e)
         return ReducedSpec(new, "R2.4", None)
     raise ValueError(f"no inner reduction for {k.describe()} on cone {cone}")
-
-
-def _upper_cumulative(v: Weight) -> Weight:
-    if isinstance(v, PowerWeight) and v.lam == 0.0 and v.mu == 0.0 and v.alpha < -1.0:
-        a1 = v.alpha + 1.0
-        return PowerWeight(-v.c / a1, a1)
-    return FuncWeight(_CumClosure(v, "up"), label="V*")
 
 
 def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .extreal import INF, _amul_raw, adiv
 from .gridfn import Grid, _suffix_max, region_measures
-from .weights import FuncWeight, PowerWeight, Weight, _CumClosure, weight_mul
+from .weights import FuncWeight, PowerWeight, Weight, cumulative, weight_mul
 
 __all__ = [
     "OperatorKind",
@@ -73,15 +73,9 @@ class OperatorKind:
 
 def b_cumulative(b: Weight) -> Weight:
     """B(t) = int_0^t b as a Weight (exact power law when possible)."""
-    if isinstance(b, PowerWeight) and b.lam == 0.0 and b.mu == 0.0:
-        a1 = b.alpha + 1.0
-        if a1 <= 0.0:
-            raise ValueError("B(t) = int_0^t b must be finite")
-        return PowerWeight(b.c / a1, a1)
-    probe = b.cum_low(1.0)
-    if probe == INF:
+    if b.cum_low(1.0) == INF:
         raise ValueError("B(t) = int_0^t b must be finite")
-    return FuncWeight(_CumClosure(b, "low"), label="B")
+    return cumulative(b, "low")
 
 
 def power_substitution(u: Weight, b: Weight, p: float) -> Tuple[Weight, Weight]:

@@ -28,7 +28,7 @@ from .gridfn import (
 )
 from .operators import OperatorKernel, OperatorKind, power_substitution
 from .criteria import CriterionResult, InequalitySpec
-from .weights import Exponents, Weight
+from .weights import Exponents, Weight, running_sup
 
 __all__ = [
     "OracleBudget",
@@ -269,7 +269,7 @@ def down_dual_constant(g: Weight, v: Weight, p: float,
         raise ValueError("the closed form holds for p <= 1")
     grid = grid or default_grid()
     ks = grid.array()
-    Gt = np.array([g.sup_on_interval(0.0, t) for t in ks])
+    Gt = running_sup(g, "low")(ks)
     Vt = np.array([v.cum_low(t) for t in ks])
     cand = amul(Gt, apow(Vt, -1.0 / p))
     tail = xmul(g.sup_on_interval(0.0, INF), xpow(v.total(), -1.0 / p))

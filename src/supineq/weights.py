@@ -15,12 +15,16 @@ together with the operations the inequality criteria need:
 
   * pointwise evaluation (array-capable),
   * one-sided cumulatives ``int_0^t w`` / ``int_t^oo w`` with +inf as a
-    valid, analytically detected answer,
+    valid, analytically detected answer, and the cumulative as a weight
+    (``cumulative``),
   * essential sup / inf over intervals (exact for the symbolic forms),
-  * running envelopes (``running_sup``),
+  * running envelopes as weights (``running_sup``),
   * powers, scalings, products (``weight_mul``) and the substitution
     t -> 1/t with a Jacobian power (``Weight.dual``),
   * the level transform ``phi_weights`` on either side.
+
+The two derived weights take a side: ``"low"`` is (0, t] and ``"up"`` is
+[t, oo).
 
 All scalar results follow the extended arithmetic of :mod:`supineq.extreal`.
 """
@@ -48,6 +52,7 @@ __all__ = [
     "conjugate",
     "parse_weight",
     "weight_mul",
+    "cumulative",
     "running_sup",
     "phi_weights",
 ]
@@ -111,10 +116,7 @@ class Weight:
     def __call__(self, t):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # -- limits at the boundary (in [0, inf]) ------------------------------
-    def limit0(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
+    # -- limit at oo (in [0, inf]) ------------------------------------------
     def limit_inf(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -208,23 +210,28 @@ class _CumClosure:
 
     def __call__(self, t):
         cum = self.w.cum_low if self.side == "low" else self.w.cum_up
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([cum(x) for x in ts])
-        return out if np.ndim(t) else float(out[0])
+        return np.array([cum(x) for x in t])
 
 
 @dataclass(frozen=True)
 class _RunningSupClosure:
-    base: Weight
-    from_right: bool
+    """t -> esssup of w over (0, t] (side "low") or [t, oo) (side "up")."""
+
+    w: Weight
+    side: str
 
     def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.from_right:
-            out = np.array([self.base.sup_on_interval(x, INF) for x in ts])
-        else:
-            out = np.array([self.base.sup_on_interval(0.0, x) for x in ts])
-        return out if np.ndim(t) else float(out[0])
+        w, low = self.w, self.side == "low"
+        if isinstance(w, PowerWeight):
+            # unimodal: the sup sits at the argmax clamped into the interval,
+            # or is the limit at the open end when the argmax lies there
+            t_star = w.argmax()
+            if t_star == (0.0 if low else INF):
+                return np.full_like(t, w.limit0() if low else w.limit_inf())
+            return w(np.minimum(t, t_star) if low else np.maximum(t, t_star))
+        if low:
+            return np.array([w.sup_on_interval(0.0, x) for x in t])
+        return np.array([w.sup_on_interval(x, INF) for x in t])
 
 
 @dataclass(frozen=True)
@@ -410,9 +417,6 @@ class PiecewisePowerWeight(Weight):
         out = np.where(t > 0.0, out, 0.0)
         return out if out.ndim else float(out)
 
-    def limit0(self) -> float:
-        return self.segments[0].limit0()
-
     def limit_inf(self) -> float:
         return self.segments[-1].limit_inf()
 
@@ -533,9 +537,6 @@ class TabulatedWeight(Weight):
         out = np.exp(np.interp(np.log(t if t > 0 else self.t[0]), logt, logy))
         return 0.0 if out < 1e-290 or t <= 0.0 else float(out)
 
-    def limit0(self) -> float:
-        return float(self.y[0])
-
     def limit_inf(self) -> float:
         return float(self.y[-1])
 
@@ -616,12 +617,6 @@ class FuncWeight(Weight):
             out = np.array([float(self.fn(x)) for x in ts])
         out = np.where(np.isnan(out), 0.0, np.maximum(out, 0.0))
         return float(out[0]) if scalar else out
-
-    def limit0(self) -> float:
-        probes = self(np.array([1e-14, 1e-13, 1e-12]))
-        if probes[0] > probes[2] * 1.5 and probes[0] > 0:
-            return INF
-        return float(probes[0])
 
     def limit_inf(self) -> float:
         probes = self(np.array([1e12, 1e13, 1e14]))
@@ -763,59 +758,43 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def running_sup(w: Weight, direction: str) -> Weight:
-    """``up_to_t``: t -> esssup_{(0, t]} w; ``from_t``: t -> esssup_{[t, oo)} w."""
-    if direction not in ("up_to_t", "from_t"):
-        raise ValueError("direction must be 'up_to_t' or 'from_t'")
-    if isinstance(w, TabulatedWeight):
-        ys = np.asarray(w.y)
-        env = np.maximum.accumulate(ys) if direction == "up_to_t" else np.maximum.accumulate(ys[::-1])[::-1]
-        return TabulatedWeight(w.t, tuple(env.tolist()))
-    return FuncWeight(
-        _RunningSupClosure(w, direction == "from_t"),
-        label=f"running_sup[{direction}]",
-    )
+def _check_side(side: str) -> None:
+    if side not in ("low", "up"):
+        raise ValueError(f"side must be 'low' or 'up', got {side!r}")
+
+
+def cumulative(w: Weight, side: str) -> Weight:
+    """t -> int_0^t w (side "low") or int_t^oo w (side "up") as a weight:
+    ``c/|alpha+1| t**(alpha+1)`` for a plain power whose cumulative is
+    finite, else one cumulative of ``w`` per point."""
+    _check_side(side)
+    if isinstance(w, PowerWeight) and w.lam == 0.0 and w.mu == 0.0:
+        a1 = w.alpha + 1.0
+        if (a1 > 0.0) if side == "low" else (a1 < 0.0):
+            return PowerWeight(w.c / abs(a1), a1)
+    return FuncWeight(_CumClosure(w, side), label=f"cumulative[{side}]")
+
+
+def running_sup(w: Weight, side: str) -> Weight:
+    """t -> esssup of w over (0, t] (side "low") or [t, oo) (side "up") as a
+    weight: the argmax clamped into the interval for a ``PowerWeight``, else
+    ``w.sup_on_interval`` per point."""
+    _check_side(side)
+    return FuncWeight(_RunningSupClosure(w, side), label=f"running_sup[{side}]")
 
 
 def phi_weights(v: Weight, p: float, side: str):
     """Level transform on one side: (phi, Phi) with
     phi(x) = A(x)^{-p'/(p'+1)} v(x)^{1-p'},  Phi(x) = A(x)^{1/(p'+1)},
-    where A(x) = int_0^x v^{1-p'} (side "low") or int_x^oo v^{1-p'} (side
-    "up").  Requires A(x) in (0, oo) for all x."""
+    where A = ``cumulative(v^{1-p'}, side)``.  Requires A(x) in (0, oo) for
+    all x."""
     if p <= 1.0:
         raise ValueError("level transform requires p > 1")
     pp = conjugate(p)
     vp = v.power(1.0 - pp)
-    undefined = "level transform undefined: {} v^{{1-p'}} not in (0, oo)".format(
-        "int_0^x" if side == "low" else "int_x^oo")
-    if isinstance(vp, PowerWeight) and vp.lam == 0.0 and vp.mu == 0.0:
-        a1 = vp.alpha + 1.0
-        if vp.c == 0.0 or (a1 <= 0.0 if side == "low" else a1 >= 0.0):
-            raise ValueError(undefined)
-        ca, ea = vp.c / abs(a1), a1  # A(x) = ca x^ea
-        phi = PowerWeight(ca ** (-pp / (pp + 1.0)) * vp.c, -ea * pp / (pp + 1.0) + vp.alpha)
-        Phi = PowerWeight(ca ** (1.0 / (pp + 1.0)), ea / (pp + 1.0))
-        return phi, Phi
     probe = vp.cum_low(1.0) if side == "low" else vp.cum_up(1.0)
     if probe == INF or probe == 0.0:
-        raise ValueError(undefined)
-    phi = FuncWeight(_LevelClosure(vp, pp, side, False), label=f"phi[{side}]")
-    Phi = FuncWeight(_LevelClosure(vp, pp, side, True), label=f"Phi[{side}]")
-    return phi, Phi
-
-
-@dataclass(frozen=True)
-class _LevelClosure:
-    vp: Weight
-    pp: float
-    side: str
-    upper_part: bool  # True -> Phi, False -> phi
-
-    def __call__(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        A = _CumClosure(self.vp, self.side)(ts)
-        if self.upper_part:
-            out = apow(A, 1.0 / (self.pp + 1.0))
-        else:
-            out = amul(apow(A, -self.pp / (self.pp + 1.0)), self.vp(ts))
-        return out if np.ndim(t) else float(out[0])
+        raise ValueError("level transform undefined: {} v^{{1-p'}} not in (0, oo)".format(
+            "int_0^x" if side == "low" else "int_x^oo"))
+    A = cumulative(vp, side)
+    return weight_mul(A.power(-pp / (pp + 1.0)), vp), A.power(1.0 / (pp + 1.0))

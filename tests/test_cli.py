@@ -39,6 +39,21 @@ class TestLoadConfig:
         scs = load_config(write_config(tmp_path, doc), {"seed": 1})
         assert scs[0].seed == 1
 
+    def test_cli_flags_beat_scenario_entries(self, tmp_path):
+        sc = dict(GOOD_SCENARIO, seed=5, band=8.0, verbatim_paper=False, grid={"n": 8.5, "eps": 1e-3})
+        doc = {"defaults": {"seed": 7, "band": 4.0}, "scenarios": [sc]}
+        flags = {"seed": 99, "band": 16.0, "verbatim_paper": True, "grid": {"n": 40, "M": None}}
+        got = load_config(write_config(tmp_path, doc), flags)[0]
+        assert (got.seed, got.band, got.verbatim_paper) == (99, 16.0, True)
+        assert got.grid == {"eps": 1e-3, "M": 1e6, "n": 40}
+
+    def test_unset_flags_leave_scenario_entries(self, tmp_path):
+        sc = dict(GOOD_SCENARIO, seed=5, band=8.0)
+        doc = {"defaults": {"seed": 7, "grid": {"n": 64}}, "scenarios": [sc]}
+        flags = {"seed": None, "band": None, "verbatim_paper": None, "grid": {"n": None}}
+        got = load_config(write_config(tmp_path, doc), flags)[0]
+        assert (got.seed, got.band, got.verbatim_paper, got.grid["n"]) == (5, 8.0, False, 64)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         doc = {"scenarios": [GOOD_SCENARIO, GOOD_SCENARIO]}
         with pytest.raises(ConfigError, match="duplicate"):
@@ -113,6 +128,10 @@ class TestMain:
         {"band": 0.5},
         {"budget": {"n_char": 8.5}},
         {"verbatim_paper": "false"},
+        {"grid": {"n": 8.5}},
+        {"grid": {"eps": "small"}},
+        {"grid": {"M": True}},
+        {"grid": 40},
     ], ids=lambda e: repr(e))
     def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
         sc = dict(GOOD_SCENARIO, **entry)

@@ -67,8 +67,8 @@ def algebra(lit):
         "scale": w.scale(3.0),
         "dual": w.dual(1.0),
         "weight_mul": weight_mul(w, PowerWeight(1.0, 2.0)),
-        "running_sup up_to_t": running_sup(w, "up_to_t"),
-        "running_sup from_t": running_sup(w, "from_t"),
+        "running_sup low": running_sup(w, "low"),
+        "running_sup up": running_sup(w, "up"),
         "phi": phi_weights(v, 2.0, "low")[0],
         "Phi": phi_weights(v, 2.0, "low")[1],
         "psi": phi_weights(v, 2.0, "up")[0],
@@ -269,6 +269,72 @@ class TestIntSetBitIdentical:
         assert "low" not in vars(iset) and "up" not in vars(iset)
         assert iset.low is iset.low
         assert "up" not in vars(iset)
+
+
+# -- env_weight against the two bodies it replaced --------------------------
+
+
+def parent_env_weight(ctx, w, side):
+    """``CritCtx.env_weight`` as it was: the argmax clamp for a PowerWeight,
+    else the sups of the grid cells, accumulated."""
+    t = ctx.t
+    if isinstance(w, PowerWeight):
+        t_star = w.argmax()
+        if side == "low":
+            if t_star == 0.0:
+                return np.full_like(t, w.limit0())
+            if t_star == INF:
+                return ctx.vals(w)
+            return np.asarray(w(np.minimum(t, t_star)), dtype=float)
+        if t_star == INF:
+            return np.full_like(t, w.limit_inf())
+        if t_star == 0.0:
+            return ctx.vals(w)
+        return np.asarray(w(np.maximum(t, t_star)), dtype=float)
+    if side == "low":
+        segs = [w.sup_on_interval(0.0, t[0])]
+        segs += [w.sup_on_interval(a, bnd) for a, bnd in zip(t[:-1], t[1:])]
+        return np.maximum.accumulate(np.asarray(segs))
+    segs = [w.sup_on_interval(a, bnd) for a, bnd in zip(t[:-1], t[1:])]
+    segs.append(w.sup_on_interval(t[-1], INF))
+    return np.maximum.accumulate(np.asarray(segs)[::-1])[::-1]
+
+
+ENV_EXACT = [
+    PowerWeight(1.0, 1.0, 1.0),         # interior argmax
+    PowerWeight(1.0, -0.5),             # argmax at 0, +inf there
+    PowerWeight(1.0, 2.0),              # argmax at oo, +inf there
+    PowerWeight(3.0, 0.0),              # constant
+    PowerWeight(0.0, 1.0),              # zero
+    PowerWeight(2.0, 0.5, 1.0, 0.25),   # genpower
+    PowerWeight(1.0, -1.0, 0.0, 2.0),   # argmax mu/(-alpha) without decay at oo
+    PowerWeight(1.0, 0.0, 0.0, 1.0),    # argmax at oo, finite limit there
+    parse_weight(LITERALS[4]),
+    PiecewisePowerWeight((1e-3, 1.0, 1e3), (PowerWeight(1.0, -1.0), PowerWeight(1e-3, 0.0),
+                                            PowerWeight(5.0, 1.0), PowerWeight(1.0, -0.5))),
+]
+
+ENV_TABLES = [
+    parse_weight(LITERALS[5]),
+    TabulatedWeight(t=(1e-6, 1e-3, 1.0, 1e3, 1e6), y=(3.0, 0.5, 7.0, 0.1, 2.0)),  # dips
+    TabulatedWeight(t=(1.0, 2.0, 4.0), y=(4.0, 1.0, 8.0)),
+]
+
+
+class TestEnvWeight:
+    @pytest.mark.parametrize("side", ["low", "up"])
+    @pytest.mark.parametrize("w", ENV_EXACT, ids=repr)
+    def test_bit_identical_on_power_genpower_piecewise(self, w, side):
+        ctx = CritCtx()
+        assert bits(ctx.env_weight(w, side)) == bits(parent_env_weight(ctx, w, side))
+
+    @pytest.mark.parametrize("side", ["low", "up"])
+    @pytest.mark.parametrize("w", ENV_TABLES, ids=repr)
+    def test_within_one_ulp_on_tables(self, w, side):
+        # the cell sups read the interpolant at every knot, which may round
+        # one ulp above the samples it lies between
+        ctx = CritCtx()
+        np.testing.assert_array_max_ulp(ctx.env_weight(w, side), parent_env_weight(ctx, w, side), 1)
 
 
 # -- evaluate_criterion with a cold and a warm memo -------------------------

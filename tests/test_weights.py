@@ -178,22 +178,33 @@ class TestScalarIntegrand:
 
 
 class TestTransforms:
-    def test_running_sup_up_to_t(self):
+    def test_running_sup_low(self):
         u = PowerWeight(1.0, 1.0, 1.0)  # peaks at 1 with e^{-1}
-        ubar = running_sup(u, "up_to_t")
+        ubar = running_sup(u, "low")
         assert ubar(0.5) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-10)
         assert ubar(2.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
 
-    def test_running_sup_from_t(self):
+    def test_running_sup_up(self):
         u = PowerWeight(1.0, 1.0, 1.0)
-        utail = running_sup(u, "from_t")
+        utail = running_sup(u, "up")
         assert utail(0.5) == pytest.approx(math.exp(-1.0), rel=1e-10)
         assert utail(2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-10)
 
     def test_running_sup_tabulated_cummax(self):
         w = TabulatedWeight(t=(1.0, 2.0, 3.0), y=(2.0, 5.0, 1.0))
-        up = running_sup(w, "up_to_t")
+        up = running_sup(w, "low")
         assert up(3.0) == pytest.approx(5.0, rel=1e-9)
+
+    def test_running_sup_tabulated_between_samples(self):
+        # the sup over (0, 3] is the sample 4 at t=1, not the envelope of the
+        # samples interpolated up to the sample 8 at t=4
+        w = TabulatedWeight(t=(1.0, 2.0, 4.0), y=(4.0, 1.0, 8.0))
+        assert running_sup(w, "low")(3.0) == 4.0
+        assert running_sup(w, "up")(1.5) == 8.0
+
+    def test_running_sup_rejects_unknown_side(self):
+        with pytest.raises(ValueError):
+            running_sup(PowerWeight(1.0, 1.0), "left")
 
     def test_dual_substitute_pointwise(self):
         w = PowerWeight(2.0, 1.0, 0.5, 0.0)
