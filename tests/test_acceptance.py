@@ -6,6 +6,7 @@ the cumulative/supremal sandwich, the three-way equivalence of the combined
 operator, cone reductions, and report determinism.
 """
 
+import functools
 import json
 import os
 import time
@@ -39,6 +40,7 @@ from supineq.weights import Exponents, PowerWeight, weight_mul
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATTERY = os.path.join(ROOT, "configs", "battery.json")
+ORACLE_GOLDEN = os.path.join(ROOT, "tests", "data", "oracle_golden.json")
 
 ONE = PowerWeight(1.0, 0.0)
 T = PowerWeight(1.0, 1.0)
@@ -89,11 +91,23 @@ def test_tub_collapse_to_hardy():
 # -- 3. scenario battery ------------------------------------------------------
 
 
-def test_battery_all_consistent():
-    t0 = time.monotonic()
+@functools.lru_cache(maxsize=None)
+def battery_run():
+    """``run_batch`` of the battery, once per process: its records and exit code."""
     scenarios = load_config(BATTERY)
     assert len(scenarios) >= 50
-    records, exit_code = run_batch(scenarios, jobs=4)
+    return run_batch(scenarios, jobs=4)
+
+
+def oracle_outcomes(records):
+    """The oracle's part of each battery record, keyed by scenario."""
+    return {r["id"]: {k: r[k] for k in ("oracle_lower", "oracle_trace", "divergence_flag")}
+            for r in records}
+
+
+def test_battery_all_consistent():
+    t0 = time.monotonic()
+    records, exit_code = battery_run()
     assert exit_code == 0
     verdicts = {r["verdict"] for r in records}
     assert verdicts == {"consistent"}
@@ -106,6 +120,18 @@ def test_battery_all_consistent():
     # report the measured spread; the band itself is enforced per record
     assert max(ratios) <= 64.0 * 4.0
     assert time.monotonic() - t0 < 300.0
+
+
+def test_battery_oracle_matches_golden():
+    # the golden file holds JSON round-trips of ``oracle_outcomes``; rewrite it
+    # with ``python tests/test_acceptance.py`` when a change to the oracle's
+    # bounds is meant
+    with open(ORACLE_GOLDEN) as fh:
+        want = json.load(fh)
+    got = json.loads(json.dumps(oracle_outcomes(battery_run()[0])))
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
 
 
 # -- 4. duality identities ----------------------------------------------------
@@ -330,3 +356,9 @@ def test_reports_byte_identical(tmp_path):
     assert outs[0] == outs[1]
     records, _ = run_batch(load_config(str(cfg)))
     assert emit_report(records).encode() == outs[0]
+
+
+if __name__ == "__main__":
+    outs = oracle_outcomes(battery_run()[0])
+    with open(ORACLE_GOLDEN, "w") as fh:
+        fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in outs.items()) + "\n}\n")

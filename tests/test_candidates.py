@@ -1,0 +1,81 @@
+"""The unfiltered candidate set of ``scripts/make_battery.py`` and its verdicts.
+
+``configs/candidates.json`` holds every candidate the battery generator
+enumerates, at its ``DEFAULTS``, with none dropped for its outcome;
+``configs/candidate_verdicts.json`` maps each id to the verdict it gets.  A
+change that moves a verdict rewrites both files with
+``python tests/test_candidates.py`` and says which ids moved and which side
+(criterion or oracle) was wrong.
+"""
+
+import collections
+import importlib.util
+import json
+import os
+
+from supineq.cli import emit_report, load_config, run_batch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
+VERDICTS = os.path.join(ROOT, "configs", "candidate_verdicts.json")
+
+
+def make_battery():
+    spec = importlib.util.spec_from_file_location(
+        "make_battery", os.path.join(ROOT, "scripts", "make_battery.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def candidate_doc() -> dict:
+    """The generator's candidates at its defaults, as a config document."""
+    mb = make_battery()
+    return {"defaults": mb.DEFAULTS, "scenarios": mb.candidates()}
+
+
+def family(sid: str) -> str:
+    return sid.rsplit("-", 1)[0]
+
+
+def sweep():
+    """Records of every committed candidate, two processes."""
+    records, _ = run_batch(load_config(CANDIDATES), jobs=2)
+    return records
+
+
+def test_candidates_file_is_the_generator_output():
+    with open(CANDIDATES) as fh:
+        assert json.load(fh) == json.loads(json.dumps(candidate_doc()))
+
+
+def test_verdicts_match_the_committed_file():
+    with open(VERDICTS) as fh:
+        want = json.load(fh)
+    got = {r["id"]: r["verdict"] for r in sweep()}
+    bad = collections.Counter(family(k) for k, v in got.items() if v != "consistent")
+    print(f"\nnot consistent: {sum(bad.values())} of {len(got)};",
+          ", ".join(f"{fam} {n}" for fam, n in sorted(bad.items())))
+    assert sorted(got) == sorted(want)
+    moved = {k: (want[k], got[k]) for k in want if got[k] != want[k]}
+    assert not moved, f"verdicts moved (expected, got): {moved}"
+
+
+def _write_lines(path: str, head: str, items, tail: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(head + ",\n".join(items) + tail)
+
+
+if __name__ == "__main__":
+    import hashlib
+
+    doc = candidate_doc()
+    _write_lines(CANDIDATES, '{"defaults": ' + json.dumps(doc["defaults"], sort_keys=True)
+                 + ',\n"scenarios": [\n',
+                 (json.dumps(sc, sort_keys=True) for sc in doc["scenarios"]), "\n]}\n")
+    records = sweep()
+    _write_lines(VERDICTS, "{\n",
+                 (f"{json.dumps(r['id'])}: {json.dumps(r['verdict'])}" for r in records), "\n}\n")
+    bad = sum(r["verdict"] != "consistent" for r in records)
+    digest = hashlib.sha256(emit_report(records, "json").encode()).hexdigest()
+    print(f"{len(records)} candidates, {bad} not consistent, report sha256 {digest}")
