@@ -77,6 +77,22 @@ def _amul_raw(a, b):
     return out
 
 
+def _amul_nonneg(a, b, out=None):
+    """``_amul_raw`` of float arrays whose entries all lie in [0, inf], bit for
+    bit (a zero product keeps the sign of a -0.0 factor): on such factors the
+    only NaN a product can hold is 0 * inf, and ``fmax`` with 0 sends it to 0
+    and leaves every other entry as it is.  A NaN factor would be sent to 0
+    too, so callers check ``_all_nonneg`` first."""
+    out = np.multiply(a, b, out=out)
+    return np.fmax(out, 0.0, out=out)
+
+
+def _all_nonneg(*xs) -> bool:
+    """Whether every entry of every array (or float) lies in [0, inf]: no NaN
+    and nothing negative."""
+    return all(np.size(x) == 0 or np.min(x) >= 0.0 for x in xs)
+
+
 def adiv(a, b):
     """Elementwise quotient with 0/0 = 0, inf/inf = 0, x/0 = inf."""
     a = np.asarray(a, dtype=float)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _amul_raw, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, _all_nonneg, _amul_nonneg, _amul_raw, amul, apow, xdiv, xmul, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -82,7 +82,12 @@ class EquivalenceReport:
 
 
 class RayleighEngine:
-    """Fast evaluation of the Rayleigh quotient for a fixed spec and grid."""
+    """Fast evaluation of the Rayleigh quotient for a fixed spec and grid.
+
+    Every product of a call is ``_amul_nonneg`` when the kernel's factors,
+    ``dV``, ``dW`` and the call's rows all lie in [0, inf]; otherwise the
+    whole call takes ``_amul_raw``, so a NaN region mass or a NaN row entry
+    scores as it always has."""
 
     def __init__(self, spec: InequalitySpec, grid: Optional[Grid] = None):
         self.spec = spec
@@ -93,6 +98,7 @@ class RayleighEngine:
         self.dV = region_measures(self.grid, spec.v)
         self.dW = region_measures(self.grid, spec.w)
         self.kernel = OperatorKernel(spec.kind, spec.cone, self.grid)
+        self.fold = self.kernel.nonneg and _all_nonneg(self.dV, self.dW)
 
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
@@ -107,12 +113,21 @@ class RayleighEngine:
         regions."""
         F = np.asarray(F, dtype=float)
         segv = region_values(F, self.cone)
-        out_segv = self.kernel(segv)
         p, q = self.spec.exps.p, self.spec.exps.q
+        # one reduction: the minimum is NaN when an entry is
+        fold = self.fold and (F.size == 0 or F.min() >= 0.0)
         with np.errstate(all="ignore"):
-            # ``x ** p`` with p > 0 is ``apow``, and ``_amul_raw`` is ``amul``
-            den_sums = _amul_raw(segv ** p, self.dV).sum(axis=1)
-            num_sums = _amul_raw(out_segv ** q, self.dW).sum(axis=1)
+            out_segv = self.kernel.apply(segv, _amul_nonneg if fold else _amul_raw)
+            # ``x ** p`` with p > 0 is ``apow``, and both products are ``amul``
+            if fold:
+                # in place: ``segv`` and ``out_segv`` are this call's own arrays
+                segv **= p
+                out_segv **= q
+                den_sums = _amul_nonneg(segv, self.dV, out=segv).sum(axis=1)
+                num_sums = _amul_nonneg(out_segv, self.dW, out=out_segv).sum(axis=1)
+            else:
+                den_sums = _amul_raw(segv ** p, self.dV).sum(axis=1)
+                num_sums = _amul_raw(out_segv ** q, self.dW).sum(axis=1)
         out = np.zeros(F.shape[0])
         for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
             den = xpow(den_sum, 1.0 / p)
@@ -211,7 +226,7 @@ def best_constant_lower(
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
-_ASCENT_BATCH = 16  # most coordinates per speculative batch: 64 rows
+_ASCENT_BATCH = 12  # most coordinates per speculative batch: 48 rows
 
 
 def _first_gain(engine: RayleighEngine, vals: np.ndarray, coords: np.ndarray,

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import INF, _amul_raw, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import (INF, _all_nonneg, _amul_nonneg, _amul_raw, adiv, amul, apow,
+                             xdiv, xmul, xpow)
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -190,9 +191,19 @@ def _raw(a, b):
         return _amul_raw(a, b)
 
 
+NAN_FREE_EDGE = tuple(x for x in EDGE if not np.isnan(x))
+on_half_line = st.one_of(st.sampled_from(NAN_FREE_EDGE), st.floats(min_value=0.0, allow_nan=False))
+
+
+def _folded(a, b, out=None):
+    with np.errstate(all="ignore"):
+        return _amul_nonneg(a, b, out=out)
+
+
 class TestRawProduct:
-    """``_amul_raw``, the product of the engine's one-errstate pass, is ``amul``
-    bit for bit, NaN payloads included."""
+    """``_amul_raw``, the engine's product when a factor may be NaN, is ``amul``
+    bit for bit, NaN payloads included; ``_amul_nonneg``, its product when
+    every factor lies in [0, inf], is ``amul`` bit for bit on such factors."""
 
     @given(st.lists(st.tuples(edge_or_nonneg, edge_or_nonneg), min_size=1, max_size=12))
     def test_equals_amul_bitwise(self, pairs):
@@ -208,3 +219,28 @@ class TestRawProduct:
             assert np.array_equal(_bits(_raw(a, x)), _bits(amul(a, x)))
         assert _raw(np.array([0.0, INF]), np.array([INF, 0.0])).tolist() == [0.0, 0.0]
         assert _raw(np.array([1e300]), np.array([1e300]))[0] == INF
+
+    @given(st.lists(st.tuples(on_half_line, on_half_line), min_size=1, max_size=12))
+    def test_folded_equals_amul_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        assert np.array_equal(_bits(_folded(a, b)), _bits(amul(a, b)))
+
+    def test_folded_every_pair_of_nan_free_edge_values(self):
+        a = np.array(NAN_FREE_EDGE)
+        assert np.array_equal(_bits(_folded(a[:, None], a)), _bits(amul(a[:, None], a)))
+        for x in NAN_FREE_EDGE:
+            assert np.array_equal(_bits(_folded(a, x)), _bits(amul(a, x)))
+
+    def test_folded_in_place(self):
+        a = np.array([0.0, 2.0, INF])
+        out = _folded(a, np.array([INF, 3.0, 0.0]), out=a)
+        assert out is a and a.tolist() == [0.0, 6.0, 0.0]
+
+    def test_nan_factor_is_what_the_range_check_rules_out(self):
+        # the fold sends NaN * 2 to 0 where ``amul`` keeps NaN
+        assert _folded(np.array([np.nan]), np.array([2.0]))[0] == 0.0
+        assert np.isnan(amul(np.array([np.nan]), np.array([2.0]))[0])
+        assert _all_nonneg(np.array(NAN_FREE_EDGE), 0.0, INF, np.zeros((0, 3)))
+        assert not _all_nonneg(np.array([1.0, np.nan]))
+        assert not _all_nonneg(np.array([1.0]), np.nan)
+        assert not _all_nonneg(np.array([1.0, -1e-300]))

@@ -1,5 +1,6 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -428,6 +429,46 @@ class TestKernel:
         assert np.array_equal(batched, ref)
 
 
+# e^{-t} sampled 3 per decade on [1e-4, 1e4]: the mass of its segment
+# (215, 464) is NaN, so on a grid that ends below it the tail region's v-mass
+# dV[-1] is NaN
+EXP_TABLE_T = tuple(np.logspace(-4.0, 4.0, 25).tolist())
+NAN_TAIL_V = TabulatedWeight(EXP_TABLE_T, tuple(math.exp(-t) for t in EXP_TABLE_T))
+
+
+class TestNaNFactors:
+    """The ``0 * inf`` fold of ``_amul_nonneg`` would send a NaN factor to 0:
+    a NaN region mass or row entry keeps the masked product and its NaN."""
+
+    @pytest.mark.parametrize("cone, want", [("non_increasing", 1.024478270500566),
+                                            ("non_decreasing", math.nan), ("none", math.nan)])
+    def test_nan_region_mass_is_not_folded(self, cone, want):
+        # the non-increasing cone puts 0 on the tail region, and the masks send
+        # 0 * NaN to 0; the other cones put 1 there.  Folding NaN to 0 would
+        # drop the tail's mass and score 1.0244826285262907 on both
+        spec = InequalitySpec(OperatorKind("S", None, ONE), cone, NAN_TAIL_V, EXP,
+                              Exponents(2.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            engine = RayleighEngine(spec, make_log_grid(1e-5, 300.0, 96))
+        assert math.isnan(engine.dV[-1])
+        got = engine.ratio(np.ones(96))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("spec", [spec for _, spec in KERNEL_SPECS],
+                             ids=[sid for sid, _ in KERNEL_SPECS])
+    def test_nan_row_entry_scores_nan(self, spec):
+        engine = RayleighEngine(spec, KERNEL_GRID)
+        clean = kernel_inputs(spec, KERNEL_GRID)[0]
+        row = clean.copy()
+        row[KERNEL_GRID.n // 2] = math.nan
+        assert math.isnan(engine.ratio(row))
+        # the clean rows of the same call score as they do alone
+        rs = engine.ratios(np.stack([clean, row, clean]))
+        assert rs[0] == rs[2] == engine.ratio(clean) and math.isnan(rs[1])
+
+
+
 # -- the batched ascent against the sequential one-factor-at-a-time ascent --
 
 def sequential_best_constant_lower(spec, budget, seed, grid):
@@ -503,7 +544,7 @@ ASCENT_SPECS = {
 }
 ASCENT_GRID = make_log_grid(1e-4, 1e4, 200)
 ASCENT_BUDGET = OracleBudget(64, 20, 8)
-ROW_CAP = 64  # 16 coordinates of four factor steps
+ROW_CAP = 48  # 12 coordinates of four factor steps
 
 
 def spy_on_ascent(monkeypatch):
