@@ -114,7 +114,7 @@ class RayleighEngine:
         F = np.asarray(F, dtype=float)
         segv = region_values(F, self.cone)
         p, q = self.spec.exps.p, self.spec.exps.q
-        # one reduction: the minimum is NaN when an entry is
+        # one reduction checks the rows: their minimum is NaN if an entry is
         fold = self.fold and (F.size == 0 or F.min() >= 0.0)
         with np.errstate(all="ignore"):
             out_segv = self.kernel.apply(segv, _amul_nonneg if fold else _amul_raw)
