@@ -173,10 +173,7 @@ class CritCtx:
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
         g = amul(F, amul(self.vals(w), self.t))
-        g = np.where(np.isnan(g), 0.0, g)
-        with np.errstate(invalid="ignore"):
-            c = 0.5 * self.h * (g[:-1] + g[1:])
-        c = np.where(np.isnan(c), INF, c)
+        c = 0.5 * self.h * (g[:-1] + g[1:])
         m = self.m
         b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
         e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
@@ -188,7 +185,7 @@ class CritCtx:
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:
-        v = np.where(np.isnan(vals), 0.0, np.asarray(vals, dtype=float))
+        v = np.asarray(vals, dtype=float)
         if np.any(np.isinf(v)):
             return INF, None
         mval = float(np.max(v))
@@ -218,7 +215,7 @@ class CritCtx:
     # -- envelopes ---------------------------------------------------------------------
     def env_arr(self, vals: np.ndarray, side: str) -> np.ndarray:
         """Running sup of grid values over (0, t] ("low") / [t, oo) ("up")."""
-        v = np.where(np.isnan(vals), 0.0, np.asarray(vals, dtype=float))
+        v = np.asarray(vals, dtype=float)
         if side == "low":
             return np.maximum.accumulate(v)
         return np.maximum.accumulate(v[::-1])[::-1]

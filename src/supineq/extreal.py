@@ -8,6 +8,16 @@ The conventions
 make every weight functional in this package evaluate to a definite value in
 [0, inf]: no NaN ever escapes.  Scalar helpers (``xmul`` etc.) operate on
 plain floats; array helpers (``amul`` etc.) on numpy arrays.
+
+Every array the package computes lies in [0, inf] and holds no NaN.  On that
+domain the only NaN a product or quotient can hold is 0 * inf, 0 / 0 or
+inf / inf, so ``amul`` and ``adiv`` are one ufunc and one ``np.fmax`` with 0,
+which sends exactly those entries to 0.  The domain is enforced where values
+enter: the weight constructors and ``gridfn.Grid`` reject NaN parameters,
+knots and sample points, ``gridfn.region_measures`` integrates a NaN
+cumulative by quadrature, and ``oracle.RayleighEngine.ratios`` rejects a NaN
+or negative row entry.  Outside the domain, ``fmax`` turns a NaN or negative
+entry into 0.
 """
 
 from __future__ import annotations
@@ -64,46 +74,21 @@ def xpow(a: float, e: float) -> float:
 def amul(a, b):
     """Elementwise product on arrays with 0 * inf = 0."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.asarray(_amul_raw(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        return np.asarray(np.fmax(np.multiply(a, b, dtype=float), 0.0))
 
 
-def _amul_raw(a, b):
-    """``amul`` of float arrays (or floats) without its ``np.errstate``: for
-    array passes that enter one ``np.errstate`` around all of their products."""
-    out = a * b
-    # on [0, inf] a NaN can only be 0 * inf; NaN inputs keep the full masks
-    if np.isnan(out).any():
-        out = np.where((a == 0.0) | (b == 0.0), 0.0, out)
-    return out
-
-
-def _amul_nonneg(a, b, out=None):
-    """``_amul_raw`` of float arrays whose entries all lie in [0, inf], bit for
-    bit (a zero product keeps the sign of a -0.0 factor): on such factors the
-    only NaN a product can hold is 0 * inf, and ``fmax`` with 0 sends it to 0
-    and leaves every other entry as it is.  A NaN factor would be sent to 0
-    too, so callers check ``_all_nonneg`` first."""
+def _amul(a, b, out=None):
+    """``amul`` of float arrays without its ``np.errstate``, for passes that
+    enter one ``np.errstate`` around all of their products; ``out`` may be
+    one of the factors."""
     out = np.multiply(a, b, out=out)
     return np.fmax(out, 0.0, out=out)
 
 
-def _all_nonneg(*xs) -> bool:
-    """Whether every entry of every array (or float) lies in [0, inf]: no NaN
-    and nothing negative."""
-    return all(np.size(x) == 0 or np.min(x) >= 0.0 for x in xs)
-
-
 def adiv(a, b):
     """Elementwise quotient with 0/0 = 0, inf/inf = 0, x/0 = inf."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = a / b
-    out = np.where(a == 0.0, 0.0, out)
-    out = np.where((a != 0.0) & (b == 0.0), INF, out)
-    out = np.where(b == INF, np.where(a == INF, 0.0, out), out)
-    out = np.where((b == INF) & (a != INF), 0.0, out)
-    return out
+        return np.asarray(np.fmax(np.divide(a, b, dtype=float), 0.0))
 
 
 def apow(a, e: float):

@@ -17,12 +17,13 @@ the samplers draw reproducible random rows of a cone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .extreal import INF
-from .weights import Weight, _interval_mass
+from .weights import Weight, _interval_mass, _quad_log
 
 __all__ = [
     "Grid",
@@ -37,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing positive knots."""
+    """Strictly increasing positive finite knots."""
 
     knots: tuple
 
@@ -45,8 +46,8 @@ class Grid:
         ks = np.asarray(self.knots, dtype=float)
         if ks.ndim != 1 or len(ks) < 2:
             raise ValueError("grid needs at least 2 knots")
-        if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-            raise ValueError("knots must be positive and strictly increasing")
+        if not (np.all(ks > 0) and np.all(np.diff(ks) > 0) and ks[-1] < INF):
+            raise ValueError("knots must be positive, finite and strictly increasing")
         object.__setattr__(self, "knots", tuple(ks.tolist()))
 
     @property
@@ -81,17 +82,20 @@ def region_values(F: np.ndarray, cone: str) -> np.ndarray:
 
 
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
-    """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries may be +inf).
+    """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
-    Each interior entry is ``w.integrate`` over its region, from one
-    ``cum_low`` per knot and ``cum_up`` only at the knots that need it."""
+    Each interior entry is ``weights._interval_mass`` over its region, from
+    one ``cum_low`` per knot and ``cum_up`` only at the knots that need it.
+    An end entry whose cumulative is NaN is integrated by quadrature, as
+    ``_interval_mass`` does for the interior ones."""
     ks = grid.array()
     low = [w.cum_low(k) for k in ks]
+    up = w.cum_up(ks[-1])
     out = np.empty(grid.n + 1)
-    out[0] = low[0]
+    out[0] = _quad_log(w, 0.0, ks[0]) if math.isnan(low[0]) else low[0]
     out[1:-1] = [_interval_mass(w, a, b, la, lb)
                  for a, b, la, lb in zip(ks[:-1], ks[1:], low[:-1], low[1:])]
-    out[-1] = w.cum_up(ks[-1])
+    out[-1] = _quad_log(w, ks[-1], INF) if math.isnan(up) else up
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _all_nonneg, _amul_raw, adiv
+from .extreal import INF, _amul, adiv
 from .gridfn import Grid, _suffix_max, region_measures
 from .weights import FuncWeight, PowerWeight, Weight, cumulative, weight_mul
 
@@ -94,12 +94,7 @@ class OperatorKernel:
     operator reads; calling it maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
     row by row.  Outputs are exact at the knots, and on each region they
-    under-estimate the true output by its monotonicity.
-
-    ``nonneg`` says whether every weight array and tail factor it holds lies
-    in [0, inf]; only then may ``apply`` take the folded product
-    ``_amul_nonneg``.  A NaN factor (a table weight's NaN mass, say) needs the
-    masked product, which leaves NaN entries NaN."""
+    under-estimate the true output by its monotonicity."""
 
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
         self.kind = kind
@@ -122,46 +117,43 @@ class OperatorKernel:
             self.u_liminf = kind.u.limit_inf()
             if kind.compose is not None:
                 self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
-        self.nonneg = _all_nonneg(*(getattr(self, name) for name in _FIXED_FACTORS
-                                    if hasattr(self, name)))
 
     def __call__(self, segv: np.ndarray) -> np.ndarray:
-        """``apply`` with the masked product, in its own ``np.errstate``."""
+        """``apply`` in its own ``np.errstate``."""
         with np.errstate(all="ignore"):
             return self.apply(segv)
 
-    def apply(self, segv: np.ndarray, mul=_amul_raw) -> np.ndarray:
-        """The output region values of ``segv``, every product taken with
-        ``mul``: ``_amul_raw``, or ``_amul_nonneg`` when ``nonneg`` holds and
-        every region value lies in [0, inf].  For callers inside
-        ``np.errstate(all="ignore")``, as the oracle's engine is."""
+    def apply(self, segv: np.ndarray) -> np.ndarray:
+        """The output region values of ``segv``, whose entries lie in
+        [0, inf].  For callers inside ``np.errstate(all="ignore")``, as the
+        oracle's engine is."""
         k = self.kind
         if k.base in ("T_ub", "SS_ub"):
             if k.base == "T_ub":
                 # int_0^{k_j} f b, and the whole integral for the tail
-                inner = np.cumsum(mul(segv[:, :-1], self.dB[:-1]), axis=1)
+                inner = np.cumsum(_amul(segv[:, :-1], self.dB[:-1]), axis=1)
                 tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
             else:
                 # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
-                inner = np.maximum.accumulate(mul(segv[:, :-1], self.Bk), axis=1)
+                inner = np.maximum.accumulate(_amul(segv[:, :-1], self.Bk), axis=1)
                 tail_pos = segv[:, -1] != 0.0
             inner_tail = np.where(tail_pos, INF, inner[:, -1])
-            point = mul(self.uB, inner)
-            tail_term = mul(inner_tail, self.uB_tail_sup)[:, None]
+            point = _amul(self.uB, inner)
+            tail_term = _amul(inner_tail, self.uB_tail_sup)[:, None]
             vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            tail_val = np.minimum(mul(inner_tail, self.uB_liminf), vals[:, -1])
+            tail_val = np.minimum(_amul(inner_tail, self.uB_liminf), vals[:, -1])
             return np.concatenate([vals, tail_val[:, None]], axis=1)
         # supremal (possibly composed) operators act on the inner g's regions
         zeros = np.zeros((segv.shape[0], 1))
         if k.compose == "H":
-            gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths, mul)], axis=1)
+            gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
             g_cone = "non_decreasing"
         elif k.compose == "H*":
-            gsegv = np.concatenate([copson_at_knots(segv, self.lengths, mul), zeros], axis=1)
+            gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
             g_cone = "non_increasing"
         else:
             gsegv, g_cone = segv, self.cone
-        prods = mul(self.u_rsups, gsegv)
+        prods = _amul(self.u_rsups, gsegv)
         if k.base == "S":
             # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
             # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
@@ -170,27 +162,22 @@ class OperatorKernel:
         # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
         # output is non-increasing, region R_i takes out(k_i)
         gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
-        vals = np.maximum(mul(self.u_knots, gk), _suffix_max(prods[:, 1:]))
-        tail = np.minimum(mul(gsegv[:, -1], self.u_liminf), vals[:, -1])
+        vals = np.maximum(_amul(self.u_knots, gk), _suffix_max(prods[:, 1:]))
+        tail = np.minimum(_amul(gsegv[:, -1], self.u_liminf), vals[:, -1])
         return np.concatenate([vals, tail[:, None]], axis=1)
 
 
-# the weight arrays and tail factors a kernel multiplies region values by
-_FIXED_FACTORS = ("dB", "Bk", "uB", "uB_tail_sup", "uB_liminf",
-                  "u_rsups", "u_knots", "u_liminf", "lengths")
-
-
-def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray, mul=_amul_raw) -> np.ndarray:
+def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing.
     For callers inside ``np.errstate(all="ignore")``, as the kernel is."""
-    return np.cumsum(mul(segv[:, :-1], lengths[:-1]), axis=1)
+    return np.cumsum(_amul(segv[:, :-1], lengths[:-1]), axis=1)
 
 
-def copson_at_knots(segv: np.ndarray, lengths: np.ndarray, mul=_amul_raw) -> np.ndarray:
+def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(H* f)(k_j) = int_{k_j}^oo f, the mass of regions R_{j+1}..R_n, row-wise;
     exact, non-increasing.  For callers inside ``np.errstate(all="ignore")``, as
     the kernel is."""
-    above = mul(segv[:, 1:], lengths[1:])
+    above = _amul(segv[:, 1:], lengths[1:])
     return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _all_nonneg, _amul_nonneg, _amul_raw, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, _amul, amul, apow, xdiv, xmul, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -82,12 +82,7 @@ class EquivalenceReport:
 
 
 class RayleighEngine:
-    """Fast evaluation of the Rayleigh quotient for a fixed spec and grid.
-
-    Every product of a call is ``_amul_nonneg`` when the kernel's factors,
-    ``dV``, ``dW`` and the call's rows all lie in [0, inf]; otherwise the
-    whole call takes ``_amul_raw``, so a NaN region mass or a NaN row entry
-    scores as it always has."""
+    """Fast evaluation of the Rayleigh quotient for a fixed spec and grid."""
 
     def __init__(self, spec: InequalitySpec, grid: Optional[Grid] = None):
         self.spec = spec
@@ -98,7 +93,6 @@ class RayleighEngine:
         self.dV = region_measures(self.grid, spec.v)
         self.dW = region_measures(self.grid, spec.w)
         self.kernel = OperatorKernel(spec.kind, spec.cone, self.grid)
-        self.fold = self.kernel.nonneg and _all_nonneg(self.dV, self.dW)
 
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
@@ -110,24 +104,22 @@ class RayleighEngine:
         Region values (``segv``, ``(m, n+1)``) follow the canonical step
         semantics of the cone (``gridfn.region_values``); the operator kernel
         maps them to output region values, and both norms are exact sums over
-        regions."""
+        regions.  Every entry of ``F`` must lie in [0, inf]: a NaN or negative
+        one raises ``ValueError``."""
         F = np.asarray(F, dtype=float)
+        # one reduction checks the rows: their minimum is NaN if an entry is
+        if F.size and not F.min() >= 0.0:
+            raise ValueError("knot values must lie in [0, inf]")
         segv = region_values(F, self.cone)
         p, q = self.spec.exps.p, self.spec.exps.q
-        # one reduction checks the rows: their minimum is NaN if an entry is
-        fold = self.fold and (F.size == 0 or F.min() >= 0.0)
         with np.errstate(all="ignore"):
-            out_segv = self.kernel.apply(segv, _amul_nonneg if fold else _amul_raw)
-            # ``x ** p`` with p > 0 is ``apow``, and both products are ``amul``
-            if fold:
-                # in place: ``segv`` and ``out_segv`` are this call's own arrays
-                segv **= p
-                out_segv **= q
-                den_sums = _amul_nonneg(segv, self.dV, out=segv).sum(axis=1)
-                num_sums = _amul_nonneg(out_segv, self.dW, out=out_segv).sum(axis=1)
-            else:
-                den_sums = _amul_raw(segv ** p, self.dV).sum(axis=1)
-                num_sums = _amul_raw(out_segv ** q, self.dW).sum(axis=1)
+            out_segv = self.kernel.apply(segv)
+            # ``x ** p`` with p > 0 is ``apow``, and both products are ``amul``,
+            # in place: ``segv`` and ``out_segv`` are this call's own arrays
+            segv **= p
+            out_segv **= q
+            den_sums = _amul(segv, self.dV, out=segv).sum(axis=1)
+            num_sums = _amul(out_segv, self.dW, out=out_segv).sum(axis=1)
         out = np.zeros(F.shape[0])
         for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
             den = xpow(den_sum, 1.0 / p)

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .extreal import INF, amul, apow
+from .extreal import INF, amul, apow, xmul
 
 __all__ = [
     "Weight",
@@ -236,7 +236,8 @@ class _RunningSupClosure:
 
 @dataclass(frozen=True)
 class PowerWeight(Weight):
-    """``c * t**alpha * exp(-lam*t - mu/t)`` with c >= 0, lam >= 0, mu >= 0."""
+    """``c * t**alpha * exp(-lam*t - mu/t)`` with c >= 0, lam >= 0, mu >= 0
+    (each may be +inf) and alpha not NaN."""
 
     c: float
     alpha: float
@@ -244,8 +245,13 @@ class PowerWeight(Weight):
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c < 0 or self.lam < 0 or self.mu < 0:
+        # written so that NaN fails: a NaN compares False with everything
+        if not (self.c >= 0 and self.lam >= 0 and self.mu >= 0):
             raise ValueError("PowerWeight requires c, lam, mu >= 0")
+        if math.isnan(self.alpha):
+            raise ValueError("PowerWeight requires alpha to be a number")
+        # a -0.0 coefficient would give -0.0 values, and x / -0.0 is not +inf
+        object.__setattr__(self, "c", abs(self.c))
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, t):
@@ -369,7 +375,7 @@ class PowerWeight(Weight):
         return FuncWeight(_PowClosure(self, e), label=f"({self})**{e}")
 
     def scale(self, k: float) -> "PowerWeight":
-        return PowerWeight(self.c * k, self.alpha, self.lam, self.mu)
+        return PowerWeight(xmul(self.c, k), self.alpha, self.lam, self.mu)
 
     def dual(self, jacobian_exponent: float) -> "PowerWeight":
         # w(1/t) (1/t^2)^e = c t^{-alpha - 2e} e^{-mu t - lam/t}
@@ -395,8 +401,8 @@ class PiecewisePowerWeight(Weight):
         segs = tuple(self.segments)
         if len(segs) != len(ks) + 1:
             raise ValueError("need len(segments) == len(knots) + 1")
-        if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("knots must be positive and strictly increasing")
+        if not (all(0 < k < INF for k in ks) and all(a < b for a, b in zip(ks, ks[1:]))):
+            raise ValueError("knots must be positive, finite and strictly increasing")
         for s in segs:
             if not isinstance(s, PowerWeight) or s.lam != 0.0 or s.mu != 0.0:
                 raise ValueError("segments must be plain PowerWeight power laws")
@@ -503,8 +509,8 @@ class TabulatedWeight(Weight):
         ys = np.asarray(self.y, dtype=float)
         if ts.ndim != 1 or ts.shape != ys.shape or len(ts) < 2:
             raise ValueError("need matching 1-d t/y arrays with at least 2 samples")
-        if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
-            raise ValueError("t must be positive and strictly increasing")
+        if not (np.all(ts > 0) and np.all(np.diff(ts) > 0) and ts[-1] < INF):
+            raise ValueError("t must be positive, finite and strictly increasing")
         if np.any(ys < 0) or not np.all(np.isfinite(ys)):
             raise ValueError("y must be finite and nonnegative")
         object.__setattr__(self, "t", tuple(ts.tolist()))
@@ -700,7 +706,7 @@ def parse_weight(obj) -> Weight:
 
 def weight_mul(a: Weight, b: Weight) -> Weight:
     if isinstance(a, PowerWeight) and isinstance(b, PowerWeight):
-        return PowerWeight(a.c * b.c, a.alpha + b.alpha, a.lam + b.lam, a.mu + b.mu)
+        return PowerWeight(xmul(a.c, b.c), a.alpha + b.alpha, a.lam + b.lam, a.mu + b.mu)
     return FuncWeight(_MulClosure(a, b), label="product")
 
 

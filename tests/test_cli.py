@@ -1,6 +1,7 @@
 """Batch CLI: config parsing, exit codes, deterministic reports."""
 
 import json
+import math
 
 import pytest
 
@@ -136,6 +137,17 @@ class TestMain:
     def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
         sc = dict(GOOD_SCENARIO, **entry)
         cfg = write_config(tmp_path, {"defaults": FAST, "scenarios": [sc]})
+        assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        assert "scenarios[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["c", "alpha"])
+    def test_nan_coefficient_exits_two(self, tmp_path, capsys, field):
+        # ``json`` reads the non-standard literal NaN as a float NaN
+        sc = dict(GOOD_SCENARIO, v={"form": "power", "c": 1, "alpha": 0, field: math.nan})
+        cfg = write_config(tmp_path, {"defaults": FAST, "scenarios": [sc]})
+        assert "NaN" in open(cfg).read()
+        with pytest.raises(ConfigError, match="scenarios\\[0\\]"):
+            load_config(cfg)
         assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         assert "scenarios[0]" in capsys.readouterr().err
 

@@ -28,7 +28,6 @@ ENTRY_POINTS = {
     "reduce_spec_inner": "the paper's R2.2/R2.4: the cumulative moves into the supremal weight",
     "down_dual_constant": "the closed-form sup-functional constant over non-increasing f, p <= 1",
     "verify_three_way": "the three equivalent forms of the combined operator, p <= 1",
-    "running_sup": "the running esssup weights t -> esssup_(0,t] w and t -> esssup_[t,oo) w",
 }
 
 

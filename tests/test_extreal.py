@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import (INF, _all_nonneg, _amul_nonneg, _amul_raw, adiv, amul, apow,
-                             xdiv, xmul, xpow)
+from supineq.extreal import INF, _amul, adiv, amul, apow, xdiv, xmul, xpow
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -157,12 +156,13 @@ class TestFastPath:
         assert np.ndim(amul(0.0, INF)) == 0 and float(amul(0.0, INF)) == 0.0
         assert np.ndim(apow(0.0, -1.0)) == 0 and float(apow(0.0, -1.0)) == INF
 
-    def test_nan_inputs_keep_the_masked_result(self):
-        # NaN is outside [0, inf]; the fast path still returns what the masks give
-        a = np.array([np.nan, np.nan, 0.0, INF])
-        b = np.array([0.0, 2.0, INF, 0.0])
-        out = amul(a, b)
-        assert out[0] == 0.0 and np.isnan(out[1]) and out[2] == 0.0 and out[3] == 0.0
+    def test_outside_the_domain_fmax_gives_zero(self):
+        # NaN and negative numbers are outside [0, inf]; ``fmax`` with 0 sends
+        # a NaN or negative product or quotient to 0
+        a = np.array([np.nan, np.nan, 0.0, INF, -2.0])
+        b = np.array([0.0, 2.0, INF, 0.0, 3.0])
+        assert amul(a, b).tolist() == [0.0, 0.0, 0.0, 0.0, 0.0]
+        assert adiv(a, b).tolist() == [0.0, 0.0, 0.0, INF, 0.0]
 
     @given(st.lists(nonneg, min_size=1, max_size=8),
            st.sampled_from([-3.0, -2.0, -1.0, -0.5, -1.0 / 3.0]))
@@ -178,69 +178,70 @@ class TestFastPath:
         assert np.allclose(out[~edge], ref[~edge], rtol=4e-16, atol=1e-300)
 
 
-EDGE = (0.0, INF, np.nan, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300)
-edge_or_nonneg = st.one_of(st.sampled_from(EDGE), st.floats(min_value=0.0, allow_nan=False))
+def _masked_amul(a, b):
+    """The masked form of ``amul``: the reference for its one ``fmax``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = a * b
+    if np.isnan(out).any():
+        out = np.where((a == 0.0) | (b == 0.0), 0.0, out)
+    return np.asarray(out)
+
+
+def _masked_adiv(a, b):
+    """The four-mask form of ``adiv``: the reference for its one ``fmax``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = a / b
+    out = np.where(a == 0.0, 0.0, out)
+    out = np.where((a != 0.0) & (b == 0.0), INF, out)
+    out = np.where(b == INF, np.where(a == INF, 0.0, out), out)
+    out = np.where((b == INF) & (a != INF), 0.0, out)
+    return out
+
+
+EDGE = (0.0, INF, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300)
+on_half_line = st.one_of(st.sampled_from(EDGE), st.floats(min_value=0.0, allow_nan=False))
 
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def _raw(a, b):
-    with np.errstate(all="ignore"):
-        return _amul_raw(a, b)
-
-
-NAN_FREE_EDGE = tuple(x for x in EDGE if not np.isnan(x))
-on_half_line = st.one_of(st.sampled_from(NAN_FREE_EDGE), st.floats(min_value=0.0, allow_nan=False))
-
-
-def _folded(a, b, out=None):
-    with np.errstate(all="ignore"):
-        return _amul_nonneg(a, b, out=out)
-
-
 class TestRawProduct:
-    """``_amul_raw``, the engine's product when a factor may be NaN, is ``amul``
-    bit for bit, NaN payloads included; ``_amul_nonneg``, its product when
-    every factor lies in [0, inf], is ``amul`` bit for bit on such factors."""
+    """``amul`` and ``adiv``, one ufunc and one ``fmax`` each, equal their
+    masked forms bit for bit on [0, inf]; ``_amul``, the engine's product,
+    is ``amul`` without the ``np.errstate``."""
 
-    @given(st.lists(st.tuples(edge_or_nonneg, edge_or_nonneg), min_size=1, max_size=12))
-    def test_equals_amul_bitwise(self, pairs):
+    @given(st.lists(st.tuples(on_half_line, on_half_line), min_size=1, max_size=12))
+    def test_equals_masks_bitwise(self, pairs):
         a, b = np.array(pairs).T
-        assert np.array_equal(_bits(_raw(a, b)), _bits(amul(a, b)))
+        assert np.array_equal(_bits(amul(a, b)), _bits(_masked_amul(a, b)))
+        assert np.array_equal(_bits(adiv(a, b)), _bits(_masked_adiv(a, b)))
 
     def test_every_pair_of_edge_values(self):
         a = np.array(EDGE)
         # a column against a row: every pair, as rows are taken against measures
-        assert np.array_equal(_bits(_raw(a[:, None], a)), _bits(amul(a[:, None], a)))
-        # a Python float against an array, as the kernel takes its tail factors
-        for x in EDGE:
-            assert np.array_equal(_bits(_raw(a, x)), _bits(amul(a, x)))
-        assert _raw(np.array([0.0, INF]), np.array([INF, 0.0])).tolist() == [0.0, 0.0]
-        assert _raw(np.array([1e300]), np.array([1e300]))[0] == INF
+        for op, ref in ((amul, _masked_amul), (adiv, _masked_adiv)):
+            assert np.array_equal(_bits(op(a[:, None], a)), _bits(ref(a[:, None], a)))
+            # a Python float against an array, as the kernel takes its tail factors
+            for x in EDGE:
+                assert np.array_equal(_bits(op(a, x)), _bits(ref(a, x)))
+                assert np.array_equal(_bits(op(x, a)), _bits(ref(x, a)))
+        assert amul(np.array([0.0, INF]), np.array([INF, 0.0])).tolist() == [0.0, 0.0]
+        assert amul(np.array([1e300]), np.array([1e300]))[0] == INF
 
     @given(st.lists(st.tuples(on_half_line, on_half_line), min_size=1, max_size=12))
-    def test_folded_equals_amul_bitwise(self, pairs):
+    def test_engine_product_equals_amul_bitwise(self, pairs):
         a, b = np.array(pairs).T
-        assert np.array_equal(_bits(_folded(a, b)), _bits(amul(a, b)))
+        with np.errstate(all="ignore"):
+            got = _amul(a, b)
+        assert np.array_equal(_bits(got), _bits(amul(a, b)))
 
-    def test_folded_every_pair_of_nan_free_edge_values(self):
-        a = np.array(NAN_FREE_EDGE)
-        assert np.array_equal(_bits(_folded(a[:, None], a)), _bits(amul(a[:, None], a)))
-        for x in NAN_FREE_EDGE:
-            assert np.array_equal(_bits(_folded(a, x)), _bits(amul(a, x)))
-
-    def test_folded_in_place(self):
+    def test_engine_product_in_place(self):
         a = np.array([0.0, 2.0, INF])
-        out = _folded(a, np.array([INF, 3.0, 0.0]), out=a)
+        with np.errstate(all="ignore"):
+            out = _amul(a, np.array([INF, 3.0, 0.0]), out=a)
         assert out is a and a.tolist() == [0.0, 6.0, 0.0]
-
-    def test_nan_factor_is_what_the_range_check_rules_out(self):
-        # the fold sends NaN * 2 to 0 where ``amul`` keeps NaN
-        assert _folded(np.array([np.nan]), np.array([2.0]))[0] == 0.0
-        assert np.isnan(amul(np.array([np.nan]), np.array([2.0]))[0])
-        assert _all_nonneg(np.array(NAN_FREE_EDGE), 0.0, INF, np.zeros((0, 3)))
-        assert not _all_nonneg(np.array([1.0, np.nan]))
-        assert not _all_nonneg(np.array([1.0]), np.nan)
-        assert not _all_nonneg(np.array([1.0, -1e-300]))

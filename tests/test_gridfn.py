@@ -20,7 +20,7 @@ from supineq.gridfn import (
     sample_nonneg,
 )
 from supineq.operators import b_cumulative
-from supineq.weights import PiecewisePowerWeight, PowerWeight, TabulatedWeight
+from supineq.weights import PiecewisePowerWeight, PowerWeight, TabulatedWeight, _quad_log
 
 GRID = make_log_grid(1e-3, 1e3, 13)
 LEB = PowerWeight(1.0, 0.0)
@@ -51,6 +51,13 @@ class TestGrid:
             make_log_grid(1e-2, 1e2, 1)
         with pytest.raises(ValueError):
             make_log_grid(0.0, 1e2, 4)
+
+    @pytest.mark.parametrize("knots", [(1.0, math.nan, 3.0), (math.nan, 1.0), (1.0, INF),
+                                       (2.0, 1.0), (0.0, 1.0)], ids=repr)
+    def test_nan_and_infinite_knots_rejected(self, knots):
+        # NaN compares False with everything, so the checks are written to fail on it
+        with pytest.raises(ValueError, match="finite"):
+            Grid(knots)
 
     def test_minimal_two_point_grid(self):
         g = make_log_grid(0.5, 2.0, 2)
@@ -177,7 +184,12 @@ class TestRegionMeasuresBitIdentical:
             warnings.simplefilter("ignore")
             assert math.isnan(w.cum_low(1000.0))
             m = region_measures(BENCH_GRIDS["battery"], w)
+            # a NaN cumulative at an end knot takes quadrature too
+            head = region_measures(make_log_grid(1e3, 1e5, 8), w)
+            tail = region_measures(make_log_grid(1e-5, 300.0, 8), w)
+            assert head[0] == _quad_log(w, 0.0, 1e3) and tail[-1] == _quad_log(w, 300.0, INF)
         assert not np.any(np.isnan(m))
+        assert not np.any(np.isnan(head)) and not np.any(np.isnan(tail))
 
     def test_genpower_one_quadrature_per_knot(self, monkeypatch):
         calls = []

@@ -38,6 +38,7 @@ from supineq.weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
+    _quad_log,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -430,43 +431,90 @@ class TestKernel:
 
 
 # e^{-t} sampled 3 per decade on [1e-4, 1e4]: the mass of its segment
-# (215, 464) is NaN, so on a grid that ends below it the tail region's v-mass
-# dV[-1] is NaN
+# (215, 464) is NaN, so on a grid that ends below it the cumulative behind the
+# tail region's v-mass dV[-1] is NaN
 EXP_TABLE_T = tuple(np.logspace(-4.0, 4.0, 25).tolist())
 NAN_TAIL_V = TabulatedWeight(EXP_TABLE_T, tuple(math.exp(-t) for t in EXP_TABLE_T))
+NAN_TAIL_GRID = make_log_grid(1e-5, 300.0, 96)
 
 
 class TestNaNFactors:
-    """The ``0 * inf`` fold of ``_amul_nonneg`` would send a NaN factor to 0:
-    a NaN region mass or row entry keeps the masked product and its NaN."""
+    """Every factor of the quotient lies in [0, inf]: a NaN cumulative at the
+    grid's end is integrated by quadrature, and a NaN or negative row entry
+    is rejected."""
 
     @pytest.mark.parametrize("cone, want", [("non_increasing", 1.024478270500566),
-                                            ("non_decreasing", math.nan), ("none", math.nan)])
-    def test_nan_region_mass_is_not_folded(self, cone, want):
-        # the non-increasing cone puts 0 on the tail region, and the masks send
-        # 0 * NaN to 0; the other cones put 1 there.  Folding NaN to 0 would
-        # drop the tail's mass and score 1.0244826285262907 on both
+                                            ("non_decreasing", 1.0244826285262907),
+                                            ("none", 1.0244826285262907)])
+    def test_nan_tail_cumulative_takes_quadrature(self, cone, want):
+        # the non-increasing cone puts 0 on the tail region, the other cones 1;
+        # the tail's v-mass is about 6e-141, so it leaves the quotient as it is
         spec = InequalitySpec(OperatorKind("S", None, ONE), cone, NAN_TAIL_V, EXP,
                               Exponents(2.0, 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            engine = RayleighEngine(spec, make_log_grid(1e-5, 300.0, 96))
-        assert math.isnan(engine.dV[-1])
-        got = engine.ratio(np.ones(96))
-        assert got == want or (math.isnan(got) and math.isnan(want))
+            assert math.isnan(NAN_TAIL_V.cum_up(NAN_TAIL_GRID.knots[-1]))
+            engine = RayleighEngine(spec, NAN_TAIL_GRID)
+            assert engine.dV[-1] == _quad_log(NAN_TAIL_V, NAN_TAIL_GRID.knots[-1], INF)
+        assert not np.isnan(engine.dV).any()
+        assert engine.ratio(np.ones(96)) == want
 
     @pytest.mark.parametrize("spec", [spec for _, spec in KERNEL_SPECS],
                              ids=[sid for sid, _ in KERNEL_SPECS])
-    def test_nan_row_entry_scores_nan(self, spec):
+    def test_nan_or_negative_row_entry_raises(self, spec):
         engine = RayleighEngine(spec, KERNEL_GRID)
         clean = kernel_inputs(spec, KERNEL_GRID)[0]
-        row = clean.copy()
-        row[KERNEL_GRID.n // 2] = math.nan
-        assert math.isnan(engine.ratio(row))
-        # the clean rows of the same call score as they do alone
-        rs = engine.ratios(np.stack([clean, row, clean]))
-        assert rs[0] == rs[2] == engine.ratio(clean) and math.isnan(rs[1])
+        for bad in (math.nan, -1e-300):
+            row = clean.copy()
+            row[KERNEL_GRID.n // 2] = bad
+            with pytest.raises(ValueError, match=r"\[0, inf\]"):
+                engine.ratio(row)
+            with pytest.raises(ValueError, match=r"\[0, inf\]"):
+                engine.ratios(np.stack([clean, row, clean]))
+        assert engine.ratios(np.zeros((0, KERNEL_GRID.n))).shape == (0,)
 
+
+CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
+
+
+def factor_arrays(engine):
+    """``dV``, ``dW`` and every weight array and tail factor of the kernel."""
+    kernel = {k: v for k, v in vars(engine.kernel).items() if k not in ("kind", "cone")}
+    return {"dV": engine.dV, "dW": engine.dW, **kernel}
+
+
+class TestFactorDomain:
+    """The invariant that lets every product be one multiply and one ``fmax``:
+    each factor of the quotient lies in [0, inf] and holds no NaN."""
+
+    @staticmethod
+    def assert_in_domain(engine, sid):
+        for name, arr in factor_arrays(engine).items():
+            arr = np.asarray(arr, dtype=float)
+            assert not np.isnan(arr).any() and (arr >= 0.0).all(), (sid, name)
+
+    def test_battery_and_candidates(self):
+        scenarios = load_config(BATTERY) + load_config(CANDIDATES)
+        assert len(scenarios) == 83 + 686
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for sc in scenarios:
+                self.assert_in_domain(RayleighEngine(sc.spec, make_log_grid(**sc.grid)), sc.id)
+
+    @pytest.mark.parametrize("cone", ["non_increasing", "non_decreasing", "none"])
+    def test_nan_tail_table(self, cone):
+        spec = InequalitySpec(OperatorKind("S", "H", NAN_TAIL_V), cone, NAN_TAIL_V,
+                              NAN_TAIL_V, Exponents(2.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            engine = RayleighEngine(spec, NAN_TAIL_GRID)
+        assert {"dV", "dW", "u_rsups", "u_knots", "u_liminf", "lengths"} <= set(factor_arrays(engine))
+        self.assert_in_domain(engine, cone)
+        tub = InequalitySpec(OperatorKind("T_ub", None, NAN_TAIL_V, NAN_TAIL_V), cone,
+                             NAN_TAIL_V, NAN_TAIL_V, Exponents(2.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.assert_in_domain(RayleighEngine(tub, NAN_TAIL_GRID), cone)
 
 
 # -- the batched ascent against the sequential one-factor-at-a-time ascent --

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from supineq.extreal import INF
+from supineq.extreal import INF, adiv
 from supineq.weights import (
     Exponents,
     FuncWeight,
@@ -281,6 +281,45 @@ class TestExponents:
             Exponents(0.0, 1.0)
         with pytest.raises(ValueError):
             Exponents(1.0, -2.0)
+
+
+NAN = math.nan
+
+
+class TestDomainChecks:
+    """The weight constructors reject NaN parameters, knots and sample points:
+    the checks are written so that a NaN, which compares False with
+    everything, fails them."""
+
+    @pytest.mark.parametrize("args", [(NAN, 0.0), (1.0, NAN), (1.0, 0.0, NAN), (1.0, 0.0, 0.0, NAN),
+                                      (-1.0, 0.0), (1.0, 0.0, -1.0), (1.0, 0.0, 0.0, -1.0)],
+                             ids=repr)
+    def test_power_weight_rejects_nan_and_negative(self, args):
+        with pytest.raises(ValueError):
+            PowerWeight(*args)
+
+    def test_power_weight_keeps_infinite_coefficient(self):
+        # ``scale`` and ``weight_mul`` may overflow c to +inf; 0 * inf is 0
+        big = PowerWeight(1e300, 0.0).scale(1e300)
+        assert big.c == INF
+        assert weight_mul(big, PowerWeight(0.0, 1.0)).c == 0.0
+        assert big.scale(0.0).c == 0.0
+
+    def test_negative_zero_coefficient_gives_positive_zeros(self):
+        w = PowerWeight(-0.0, 0.0)
+        assert math.copysign(1.0, w.c) == 1.0 and math.copysign(1.0, w(2.0)) == 1.0
+        assert adiv(1.0, w(np.array([1.0, 2.0]))).tolist() == [INF, INF]
+
+    @pytest.mark.parametrize("knots", [(NAN,), (1.0, NAN), (1.0, INF), (2.0, 1.0), (0.0,)], ids=repr)
+    def test_piecewise_rejects_bad_knots(self, knots):
+        segs = tuple(PowerWeight(1.0, 0.0) for _ in range(len(knots) + 1))
+        with pytest.raises(ValueError, match="finite"):
+            PiecewisePowerWeight(knots, segs)
+
+    @pytest.mark.parametrize("t", [(1.0, NAN), (NAN, 1.0), (1.0, INF), (2.0, 1.0)], ids=repr)
+    def test_table_rejects_bad_sample_points(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedWeight(t, (1.0, 1.0))
 
 
 class TestParsing:
