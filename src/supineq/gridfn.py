@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,13 +82,29 @@ def region_values(F: np.ndarray, cone: str) -> np.ndarray:
     return np.concatenate([zeros, F], axis=-1)
 
 
+_MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, about 0.26 MB
+
+
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
     Each interior entry is ``weights._interval_mass`` over its region, from
     one ``cum_low`` per knot and ``cum_up`` only at the knots that need it.
     An end entry whose cumulative is NaN is integrated by quadrature, as
-    ``_interval_mass`` does for the interior ones."""
+    ``_interval_mass`` does for the interior ones.
+
+    The array is read-only and shared: a process-wide memo of the last 64
+    (grid, weight) pairs, keyed by value (grids and weights are frozen
+    dataclasses, so equal constructions hash alike), serves every repeat.
+    An unhashable weight (a ``FuncWeight`` over a mutable callable) is
+    computed afresh on each call."""
+    try:
+        return _memo_measures(grid, w)
+    except TypeError:  # unhashable, e.g. a FuncWeight over a mutable callable
+        return _measures(grid, w)
+
+
+def _measures(grid: Grid, w: Weight) -> np.ndarray:
     ks = grid.array()
     low = [w.cum_low(k) for k in ks]
     up = w.cum_up(ks[-1])
@@ -96,7 +113,11 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     out[1:-1] = [_interval_mass(w, a, b, la, lb)
                  for a, b, la, lb in zip(ks[:-1], ks[1:], low[:-1], low[1:])]
     out[-1] = _quad_log(w, ks[-1], INF) if math.isnan(up) else up
+    out.flags.writeable = False
     return out
+
+
+_memo_measures = lru_cache(maxsize=_MEMO_SIZE)(_measures)
 
 
 def project_rows(rows: np.ndarray, cone: str) -> np.ndarray:

@@ -121,6 +121,7 @@ class RayleighEngine:
             den_sums = _amul(segv, self.dV, out=segv).sum(axis=1)
             num_sums = _amul(out_segv, self.dW, out=out_segv).sum(axis=1)
         out = np.zeros(F.shape[0])
+        # scalar finish: np.power differs from float ** on ~5 % of sums at 1/3
         for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
             den = xpow(den_sum, 1.0 / p)
             if den != 0.0:

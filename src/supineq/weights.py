@@ -264,11 +264,13 @@ class PowerWeight(Weight):
         return out if out.ndim else float(out)
 
     def _scalar(self, t: float) -> float:
-        # the ufuncs of __call__, on a float: bit-equal to float(self(t))
+        # the ufuncs of __call__ on a float, the rest in Python floats (the
+        # same IEEE operations): bit-equal to float(self(t)).  Not math.exp
+        # or math.log: they differ from numpy's in the last bit on some inputs.
         if not t > 0.0:
             return 0.0
-        out = self.c * np.exp(self.alpha * np.log(t) - self.lam * t - self.mu / t)
-        return 0.0 if np.isnan(out) else float(out)
+        out = self.c * float(np.exp(self.alpha * float(np.log(t)) - self.lam * t - self.mu / t))
+        return 0.0 if math.isnan(out) else out
 
     # -- boundary limits ------------------------------------------------------
     def limit0(self) -> float:
@@ -546,7 +548,10 @@ class TabulatedWeight(Weight):
     def limit_inf(self) -> float:
         return float(self.y[-1])
 
+    @cached_property
     def _segment_mass(self) -> np.ndarray:
+        """The mass of each segment between samples, read-only, built on
+        first use."""
         ts, ys = self._arrays()
         out = np.zeros(len(ts) - 1)
         for i in range(len(ts) - 1):
@@ -558,11 +563,12 @@ class TabulatedWeight(Weight):
                 continue
             beta = math.log(yb / ya) / math.log(b / a)
             out[i] = _power_int(ya / a ** beta, beta, a, b)
+        out.flags.writeable = False
         return out
 
     def cum_low(self, t: float) -> float:
         ts, _ys = self._arrays()
-        mass = self._segment_mass()
+        mass = self._segment_mass
         if t <= ts[0]:
             return float(self.y[0]) * t
         head = float(self.y[0]) * ts[0]
@@ -580,7 +586,7 @@ class TabulatedWeight(Weight):
         ts, _ys = self._arrays()
         if t >= ts[-1]:
             return 0.0
-        total = float(self.y[0]) * ts[0] + float(self._segment_mass().sum())
+        total = float(self.y[0]) * ts[0] + float(self._segment_mass.sum())
         return max(total - self.cum_low(t), 0.0)
 
     def sup_on_interval(self, a: float, b: float) -> float:

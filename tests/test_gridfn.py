@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supineq import gridfn
 from supineq.extreal import INF, amul, apow, xpow
 from supineq.gridfn import (
     Grid,
@@ -20,7 +21,14 @@ from supineq.gridfn import (
     sample_nonneg,
 )
 from supineq.operators import b_cumulative
-from supineq.weights import PiecewisePowerWeight, PowerWeight, TabulatedWeight, _quad_log
+from supineq.weights import (
+    FuncWeight,
+    PiecewisePowerWeight,
+    PowerWeight,
+    TabulatedWeight,
+    _quad_log,
+    parse_weight,
+)
 
 GRID = make_log_grid(1e-3, 1e3, 13)
 LEB = PowerWeight(1.0, 0.0)
@@ -200,9 +208,45 @@ class TestRegionMeasuresBitIdentical:
             return quad(*args, **kw)
 
         monkeypatch.setattr(scipy.integrate, "quad", counting)
-        g = BENCH_GRIDS["battery"]
-        region_measures(g, PowerWeight(1.0, 0.5, 0.3, 0.2))
+        g, w = BENCH_GRIDS["battery"], PowerWeight(1.0, 0.5, 0.3, 0.2)
+        gridfn._memo_measures.cache_clear()  # another test may have computed this pair
+        first = region_measures(g, w)
         assert 0 < len(calls) <= g.n + 1
+        calls.clear()
+        assert region_measures(g, w) is first and not calls
+
+
+class _Unhashable:
+    """A mutable callable, e^{-t}: a FuncWeight over it cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, t):
+        return np.exp(-np.asarray(t))
+
+
+class TestRegionMeasuresMemo:
+    """Masses are memoised per (grid, weight) value and handed out read-only."""
+
+    def test_equal_grids_and_weights_share_one_entry(self):
+        a = region_measures(make_log_grid(1e-5, 1e5, 96), parse_weight(
+            {"form": "genpower", "c": 1.0, "alpha": 0.5, "lambda": 0.3, "mu": 0.2}))
+        b = region_measures(make_log_grid(1e-5, 1e5, 96), PowerWeight(1.0, 0.5, 0.3, 0.2))
+        assert a is b
+
+    def test_result_is_read_only(self):
+        m = region_measures(GRID, MASS_WEIGHTS["table"])
+        with pytest.raises(ValueError):
+            m[0] = 1.0
+
+    def test_unhashable_weight_is_computed_uncached(self):
+        w = FuncWeight(_Unhashable())
+        with pytest.raises(TypeError):
+            hash(w)
+        first, again = region_measures(GRID, w), region_measures(GRID, w)
+        assert first is not again
+        assert np.array_equal(first.view(np.int64), old_region_measures(GRID, w).view(np.int64))
+        assert np.array_equal(first.view(np.int64), again.view(np.int64))
 
 
 class TestWeightedNorm:

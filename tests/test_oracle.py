@@ -192,6 +192,12 @@ class TestHelpers:
             assert v >= 0.0
         assert "ratios" in out and "divergence_flags" in out
 
+    def test_engines_on_one_grid_share_region_masses(self):
+        # the v- and b-masses are memoised per (grid, weight), across specs
+        a = RayleighEngine(tub_spec(1.0, 2.0), make_log_grid(1e-4, 1e4, 49))
+        b = RayleighEngine(down_spec(2.0, 1.0), GRID)
+        assert b.dV is a.dV and b.dW is a.dW and a.kernel.dB is a.dV
+
 
 # -- the batched kernel against the per-row wrapper and a step-function reference --
 

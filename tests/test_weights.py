@@ -1,6 +1,7 @@
 """Weight families, cumulatives, transforms, and exponent bookkeeping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,24 @@ class TestScalarIntegrand:
         assert "_logs" not in vars(w)
         w(1.5)
         assert "_logs" in vars(w)
+
+    def test_table_segment_masses_are_built_once(self):
+        # a**beta underflows on a table of e^{-t}: the warnings come once per table
+        ts = tuple(np.logspace(-4.0, 4.0, 25).tolist())
+        w = TabulatedWeight(t=ts, y=tuple(math.exp(-t) for t in ts))
+        assert "_segment_mass" not in vars(w)
+        with warnings.catch_warnings(record=True) as first:
+            warnings.simplefilter("always")
+            w.cum_low(5e3)
+        mass = vars(w)["_segment_mass"]
+        assert first
+        with warnings.catch_warnings(record=True) as again:
+            warnings.simplefilter("always")
+            w.cum_low(5e3)
+            w.cum_up(0.5)
+        assert not again and w._segment_mass is mass
+        with pytest.raises(ValueError):
+            mass[0] = 0.0
 
     @given(st.floats(min_value=0.0, max_value=1e3), alpha_st,
            st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.0, max_value=1e4),
