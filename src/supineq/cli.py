@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -236,7 +237,9 @@ def run_scenario(sc: ScenarioConfig, timing: bool = False) -> dict:
 
 
 def run_batch(scenarios: List[ScenarioConfig], jobs: int = 1, timing: bool = False):
-    """Run all scenarios; returns (records, exit_code)."""
+    """Run all scenarios; returns (records, exit_code).  At most one worker
+    process per scenario and per CPU is started, whatever ``jobs`` asks for."""
+    jobs = min(jobs, len(scenarios), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

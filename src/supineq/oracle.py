@@ -181,27 +181,28 @@ def best_constant_lower(
     trace.append(best)
 
     if budget.n_ascent > 0 and best > 0.0:
-        # speculative batches: the factor steps at the next k coordinates of
-        # the sweep, all from the current point, are scored in one engine call.
-        # The first gain in (coordinate, factor) order is taken, the rest of
-        # the batch (built from a point now stale) is dropped, and the sweep
-        # resumes after that coordinate, so the ascent visits the same points
-        # as trying one coordinate and one factor at a time.  k doubles after a
-        # batch without a gain, up to _ASCENT_BATCH, and drops to 1 after one.
+        # predicted-path batches: pred[j] is coordinate j's outcome at its last
+        # visit, the index of the factor that gained or -1 for none.  A batch
+        # scores the next k coordinates of the sweep in one engine call, each
+        # from the point reached if every earlier coordinate of the batch met
+        # its prediction, and replays the first-gain rule up to the first
+        # coordinate that does not.  Every quotient acted on is thus scored
+        # from the point the sequential ascent would be at, so the ascent
+        # visits the same points as trying one coordinate and one factor at a
+        # time.  k doubles after a batch without a miss, up to the cap, and
+        # drops to 1 after one.
+        cap = min(_ASCENT_BATCH, max(1, _ASCENT_BATCH_KNOTS // n))
         vals = best_vals.copy()
+        pred = [-1] * n
         rng = np.random.default_rng(seed + 104729)
-        for sweep in range(budget.n_ascent):
-            improved = False
+        for _ in range(budget.n_ascent):
+            start = best
             order = rng.permutation(n)
             pos, k = 0, 1
             while pos < n:
-                gain = _first_gain(engine, vals, order[pos:pos + k], best * (1.0 + 1e-12))
-                if gain is None:
-                    pos, k = pos + k, min(2 * k, _ASCENT_BATCH)
-                else:
-                    step, vals, best = gain
-                    pos, k, improved = pos + step + 1, 1, True
-            if not improved:
+                done, hit, vals, best = _predicted_batch(engine, vals, best, order[pos:pos + k], pred)
+                pos, k = pos + done, (min(2 * k, cap) if hit else 1)
+            if best == start:
                 break
         best_vals = vals
     trace.append(best)
@@ -219,29 +220,71 @@ def best_constant_lower(
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
-_ASCENT_BATCH = 12  # most coordinates per speculative batch: 48 rows
+_ASCENT_BATCH = 12  # most coordinates per batch: 48 rows
+# most coordinates x knots per batch: a row costs more in larger calls at
+# n = 512, where 8 coordinates beat 12; at n = 96, 12 beat 8
+_ASCENT_BATCH_KNOTS = 4096
 
 
-def _first_gain(engine: RayleighEngine, vals: np.ndarray, coords: np.ndarray,
-                floor: float) -> Optional[Tuple[int, np.ndarray, float]]:
-    """The first of the factor steps from ``vals`` at ``coords``, in
-    (coordinate, factor) order and projected onto the cone, whose quotient is
-    finite and above ``floor``: ``(its position in coords, its row, its
-    quotient)``, or None.  Steps that projection takes back to ``vals`` are not
-    scored: their quotient is the current best, which is not above ``floor``."""
-    nf = len(_ASCENT_FACTORS)
-    rows = np.repeat(vals[None], nf * len(coords), axis=0)
+def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
+                     coords: np.ndarray, pred: list) -> Tuple[int, bool, np.ndarray, float]:
+    """One predicted-path batch of the ascent from ``vals`` at ``best``.
+
+    A coordinate predicted to gain with factor f takes the steps of factors
+    0..f, one predicted not to gain takes all four; each is stepped from the
+    point its predecessors' predicted outcomes lead to and projected onto the
+    cone.  Steps that projection takes back to their own base are not scored:
+    their quotient is that base's, which is not above the floor.  The
+    sequential first-gain rule (a finite quotient above ``best * (1 + 1e-12)``,
+    the factors of one coordinate in order) is replayed up to the first
+    coordinate whose outcome differs from ``pred``, which is updated in place.
+    Returns ``(coordinates settled, whether every prediction held, point,
+    best)``.  A coordinate whose predicted factor and the ones before it fail
+    is not settled: its later factors were not scored, so it is predicted
+    not to gain and visited again."""
+    cone = engine.cone
+    coords = coords.tolist()
+    # the predicted path: only a coordinate predicted to gain moves the base
+    bases = np.empty((len(coords), len(vals)))
+    base = vals
     for c, j in enumerate(coords):
-        step = vals[j] * _ASCENT_FACTORS if vals[j] > 0 else _ASCENT_FROM_ZERO
-        rows[nf * c:nf * (c + 1), j] = step
-    rows = project_rows(rows, engine.cone)
-    fresh = np.flatnonzero((rows != vals).any(axis=1))
-    if fresh.size == 0:
-        return None
-    for i, r in zip(fresh.tolist(), engine.ratios(rows[fresh]).tolist()):
-        if floor < r < INF:
-            return i // nf, rows[i].copy(), r
-    return None
+        bases[c] = base
+        f = pred[j]
+        if f >= 0:
+            base = base.copy()
+            base[j] = base[j] * _ASCENT_FACTORS[f] if base[j] > 0 else _ASCENT_FROM_ZERO[f]
+            base = project_rows(base[None], cone)[0]
+    sizes = np.array([len(_ASCENT_FACTORS) if pred[j] < 0 else pred[j] + 1 for j in coords])
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(coords)), sizes)
+    at = np.arange(len(owner))
+    fac = at - (ends - sizes)[owner]
+    cols = np.array(coords)[owner]
+    stepped_from = bases[owner]
+    rows = stepped_from.copy()
+    x = rows[at, cols]
+    rows[at, cols] = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
+    rows = project_rows(rows, cone)
+    fresh = (rows != stepped_from).any(axis=1)
+    # a row not scored reads 0, below every floor (best > 0)
+    scores = np.zeros(len(rows))
+    if fresh.any():
+        scores[fresh] = engine.ratios(rows[fresh])
+    scores = scores.tolist()
+    start = 0
+    for c, (j, end) in enumerate(zip(coords, ends.tolist())):
+        floor = best * (1.0 + 1e-12)
+        gain = next((i for i, r in enumerate(scores[start:end]) if floor < r < INF), -1)
+        if gain >= 0:
+            vals, best = rows[start + gain].copy(), scores[start + gain]
+        if gain != pred[j]:
+            if gain < 0:
+                pred[j] = -1
+                return c, False, vals, best
+            pred[j] = gain
+            return c + 1, False, vals, best
+        start = end
+    return len(coords), True, vals, best
 
 
 def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:

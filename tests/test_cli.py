@@ -1,7 +1,9 @@
 """Batch CLI: config parsing, exit codes, deterministic reports."""
 
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
@@ -113,6 +115,39 @@ class TestRunBatch:
         par, c2 = run_batch(load_config(write_config(tmp_path, doc)), jobs=2)
         assert c1 == c2
         assert emit_report(serial) == emit_report(par)
+
+    @pytest.mark.parametrize("jobs, scenarios, cpus, workers", [
+        (10**6, 3, 8, 3),  # one worker per scenario
+        (10**6, 5, 2, 2),  # one worker per CPU
+        (2, 5, 8, 2),
+        (10**6, 1, 8, None),  # one scenario runs in this process
+        (4, 3, None, None),  # an unknown CPU count counts as one
+    ])
+    def test_worker_count_clamped(self, tmp_path, monkeypatch, jobs, scenarios, cpus, workers):
+        started = []
+
+        class RecordingExecutor:
+            """Records ``max_workers`` and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        doc = {"defaults": FAST,
+               "scenarios": [dict(GOOD_SCENARIO, id=f"s{i}") for i in range(scenarios)]}
+        records, code = run_batch(load_config(write_config(tmp_path, doc)), jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(records) == scenarios and code == 0
 
 
 class TestMain:

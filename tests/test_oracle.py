@@ -23,6 +23,7 @@ from supineq.gridfn import (
     sample_nonneg,
 )
 from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
+from supineq import oracle
 from supineq.oracle import (
     OracleBudget,
     OracleResult,
@@ -598,44 +599,136 @@ ASCENT_SPECS = {
 }
 ASCENT_GRID = make_log_grid(1e-4, 1e4, 200)
 ASCENT_BUDGET = OracleBudget(64, 20, 8)
-ROW_CAP = 48  # 12 coordinates of four factor steps
+ASCENT_SEED = 3
+ASCENT_FACTORS = (2.0, 0.5, 1.1, 1.0 / 1.1)
+BATCH_CAP = 12  # most coordinates per ascent call at 200 knots
+ROW_CAP = 48  # BATCH_CAP coordinates of four factor steps
 
 
-def spy_on_ascent(monkeypatch):
-    """Wrap ``RayleighEngine.ratios`` and replay the oracle's acceptance rules
-    on what it scores.  ``ratio`` calls (indicator scan, random samples) take
-    any finite gain; ``ratios`` calls of the ascent take the first finite row
-    above ``best * (1 + 1e-12)``.  Each ascent call must stay within the row
-    cap and score no row equal to the current point."""
-    seen = {"point": None, "best": 0.0, "ascent_calls": [], "single": False}
-    ratios, ratio = RayleighEngine.ratios, RayleighEngine.ratio
+def ascent_steps(base, j, m, cone):
+    """The first ``m`` factor steps at coordinate ``j`` from ``base``, each
+    projected onto the cone, as the sequential ascent builds them."""
+    rows = []
+    for fac in ASCENT_FACTORS[:m]:
+        cand = base.copy()
+        cand[j] = cand[j] * fac if cand[j] > 0 else fac - 1.0 if fac > 1 else 0.0
+        if cone == "non_increasing":
+            cand = np.maximum.accumulate(cand[::-1])[::-1]
+        elif cone == "non_decreasing":
+            cand = np.maximum.accumulate(cand)
+        else:
+            cand = np.maximum(cand, 0.0)
+        rows.append(cand)
+    return rows
 
-    def spy_ratio(self, values):
-        seen["single"] = True
-        try:
-            return ratio(self, values)
-        finally:
-            seen["single"] = False
 
-    def spy_ratios(self, F):
-        F = np.array(F, dtype=float)
-        rs = ratios(self, F)
-        if seen["single"]:
-            if np.isfinite(rs[0]) and rs[0] > seen["best"]:
-                seen["point"], seen["best"] = F[0], float(rs[0])
+class PredictedPathSpy:
+    """Wraps ``RayleighEngine.ratio``/``ratios`` and replays the oracle's
+    acceptance rules on what it scores.  ``ratio`` calls (indicator scan,
+    random samples) take any finite gain.  The ascent is modelled on its own:
+    each sweep visits a permutation of the coordinates; ``pred[j]`` is the
+    outcome of coordinate j's last visit (the index of the factor that
+    gained, or -1); a batch of k coordinates takes factors 0..pred[j], or all
+    four when pred[j] = -1, each stepped from the point the earlier
+    coordinates' predicted outcomes lead to; steps equal to their own base
+    are not scored, and a batch without a row to score makes no call.  The
+    first-gain rule is replayed up to the first coordinate whose outcome is
+    not its prediction (a miss); k doubles up to ``BATCH_CAP`` after a batch
+    without one and drops to 1 after one.  Each ascent call must score
+    exactly the model's rows, within the row cap."""
+
+    MISS_KINDS = ("earlier", "rescore", "unpredicted")
+
+    def __init__(self, monkeypatch, n, seed):
+        self.n = n
+        self.point, self.best = None, 0.0
+        self.calls = []  # rows per ascent call
+        self.sweeps = 0
+        self.misses = dict.fromkeys(self.MISS_KINDS, 0)
+        self.pred = [-1] * n
+        self.rng = np.random.default_rng(seed + 104729)
+        self.order, self.pos, self.k, self.sweep_start = None, n, 1, None
+        self.cone = None
+        self._single = False
+        ratios, ratio = RayleighEngine.ratios, RayleighEngine.ratio
+        spy = self
+
+        def spy_ratio(engine, values):
+            spy._single = True
+            try:
+                return ratio(engine, values)
+            finally:
+                spy._single = False
+
+        def spy_ratios(engine, F):
+            F = np.array(F, dtype=float)
+            rs = ratios(engine, F)
+            if spy._single:
+                if np.isfinite(rs[0]) and rs[0] > spy.best:
+                    spy.point, spy.best = F[0], float(rs[0])
+            else:
+                spy.cone = engine.cone
+                spy.ascent_call(F, rs)
             return rs
-        assert len(F) <= ROW_CAP
-        assert not (F == seen["point"]).all(axis=1).any()
-        seen["ascent_calls"].append(len(F))
-        for row, r in zip(F, rs):
-            if np.isfinite(r) and r > seen["best"] * (1.0 + 1e-12):
-                seen["point"], seen["best"] = row, float(r)
-                break
-        return rs
 
-    monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
-    monkeypatch.setattr(RayleighEngine, "ratios", spy_ratios)
-    return seen
+        monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+        monkeypatch.setattr(RayleighEngine, "ratios", spy_ratios)
+
+    def next_batch(self):
+        """The model's next batch: ``(coords, blocks, fresh)``, one block of
+        step rows per coordinate and a mask per block of the rows scored."""
+        if self.pos >= self.n:
+            assert self.sweep_start is None or self.best > self.sweep_start, "sweep without a gain"
+            self.order, self.pos, self.k = self.rng.permutation(self.n), 0, 1
+            self.sweep_start = self.best
+            self.sweeps += 1
+        coords = self.order[self.pos:self.pos + self.k].tolist()
+        blocks, fresh, base = [], [], self.point
+        for j in coords:
+            f = self.pred[j]
+            rows = ascent_steps(base, j, len(ASCENT_FACTORS) if f < 0 else f + 1, self.cone)
+            blocks.append(rows)
+            fresh.append([not np.array_equal(row, base) for row in rows])
+            if f >= 0:
+                base = rows[f]
+        return coords, blocks, fresh
+
+    def replay(self, coords, blocks, scores):
+        """Replay the first-gain rule on a batch; ``scores`` holds one list
+        per block, 0.0 for a row not scored."""
+        for c, (j, rows, rs) in enumerate(zip(coords, blocks, scores)):
+            floor = self.best * (1.0 + 1e-12)
+            gain = next((i for i, r in enumerate(rs) if np.isfinite(r) and r > floor), -1)
+            if gain >= 0:
+                self.point, self.best = rows[gain], float(rs[gain])
+            if gain == self.pred[j]:
+                continue
+            if gain < 0:
+                self.misses["rescore"] += 1
+                self.pred[j], self.pos, self.k = -1, self.pos + c, 1
+            else:
+                self.misses["earlier" if self.pred[j] >= 0 else "unpredicted"] += 1
+                self.pred[j], self.pos, self.k = gain, self.pos + c + 1, 1
+            return
+        self.pos, self.k = self.pos + len(coords), min(2 * self.k, BATCH_CAP)
+
+    def ascent_call(self, F, rs):
+        assert len(F) <= ROW_CAP
+        while True:
+            coords, blocks, fresh = self.next_batch()
+            if any(map(any, fresh)):
+                break
+            self.replay(coords, blocks, [[0.0] * len(rows) for rows in blocks])
+        # the call scores the model's rows: no step equal to its own base
+        expected = [row for rows, keep in zip(blocks, fresh) for row, k in zip(rows, keep) if k]
+        assert np.array_equal(F, np.array(expected))
+        self.calls.append(len(F))
+        it = iter(rs.tolist())
+        self.replay(coords, blocks, [[next(it) if k else 0.0 for k in keep] for keep in fresh])
+
+    @property
+    def rows(self):
+        return sum(self.calls)
 
 
 class TestBatchedAscent:
@@ -656,13 +749,60 @@ class TestBatchedAscent:
 
     @pytest.mark.parametrize("name", list(ASCENT_SPECS))
     def test_scores_no_current_point_within_row_cap(self, name, monkeypatch):
-        seen = spy_on_ascent(monkeypatch)
-        got = best_constant_lower(ASCENT_SPECS[name], ASCENT_BUDGET, seed=3, grid=ASCENT_GRID)
+        spy = PredictedPathSpy(monkeypatch, ASCENT_GRID.n, ASCENT_SEED)
+        got = best_constant_lower(ASCENT_SPECS[name], ASCENT_BUDGET, seed=ASCENT_SEED, grid=ASCENT_GRID)
         # the replayed acceptances end where the oracle does
-        assert seen["best"] == got.lower_bound
-        assert np.array_equal(seen["point"], got.witness)
+        assert spy.best == got.lower_bound
+        assert np.array_equal(spy.point, got.witness)
         if name == "S-no-gain":
             # batches grow past one coordinate: the one sweep takes far fewer
             # calls than it has coordinates
-            assert max(seen["ascent_calls"]) > 4
-            assert len(seen["ascent_calls"]) < ASCENT_GRID.n // 4
+            assert max(spy.calls) > 4
+            assert len(spy.calls) < ASCENT_GRID.n // 4
+
+    # (spec, seed) whose ascent takes each kind of miss: an earlier factor
+    # gains than the one predicted; the predicted factor and those before it
+    # fail, so the later ones are scored on a second visit; a coordinate
+    # predicted not to gain gains
+    MISS_CASES = {"earlier": ("S*oH", 5), "rescore": ("SoH", 11), "unpredicted": ("T_ub", 5)}
+
+    @pytest.mark.parametrize("kind", PredictedPathSpy.MISS_KINDS)
+    def test_miss_resumes_on_the_sequential_path(self, kind, monkeypatch):
+        name, seed = self.MISS_CASES[kind]
+        spec = ASCENT_SPECS[name]
+        best, witness, trace = sequential_best_constant_lower(spec, ASCENT_BUDGET, seed, ASCENT_GRID)
+        spy = PredictedPathSpy(monkeypatch, ASCENT_GRID.n, seed)
+        got = best_constant_lower(spec, ASCENT_BUDGET, seed=seed, grid=ASCENT_GRID)
+        assert spy.misses[kind] > 0
+        assert got.lower_bound == best == spy.best
+        assert np.array_equal(got.witness, witness)
+        assert got.trace == trace
+
+    def test_cost_on_unbounded_spec(self, monkeypatch):
+        spy = PredictedPathSpy(monkeypatch, ASCENT_GRID.n, ASCENT_SEED)
+        best_constant_lower(ASCENT_SPECS["S*-up-unbounded"], ASCENT_BUDGET, seed=ASCENT_SEED,
+                            grid=ASCENT_GRID)
+        # every sweep gains, so all eight run: 1,600 coordinate visits
+        visits = spy.sweeps * ASCENT_GRID.n
+        assert visits == ASCENT_BUDGET.n_ascent * ASCENT_GRID.n
+        # 202 calls and 2.16 rows per visit when pinned; resetting the batch
+        # to one coordinate at every gain takes about 1,600 calls, and scoring
+        # every factor about 4 rows per visit
+        assert len(spy.calls) <= 240
+        assert spy.rows <= 2.5 * visits
+
+    @pytest.mark.parametrize("n, cap", [(96, 12), (512, 8), (1024, 4)])
+    def test_batch_cap_shrinks_on_large_grids(self, n, cap, monkeypatch):
+        sizes = []
+        batch = oracle._predicted_batch
+
+        def spy_batch(engine, vals, best, coords, pred):
+            sizes.append(len(coords))
+            return batch(engine, vals, best, coords, pred)
+
+        monkeypatch.setattr(oracle, "_predicted_batch", spy_batch)
+        got = best_constant_lower(ASCENT_SPECS["S-no-gain"], OracleBudget(16, 0, 1), seed=ASCENT_SEED,
+                                  grid=make_log_grid(1e-4, 1e4, n))
+        assert got.trace[-1] == got.trace[0]  # one sweep without a gain
+        assert sum(sizes) == n
+        assert max(sizes) == cap
