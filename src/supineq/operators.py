@@ -91,7 +91,7 @@ class OperatorKernel:
     """The step-function semantics of one operator on one grid.
 
     Built from ``(kind, cone, grid)``, it holds the weight arrays the
-    operator reads; calling it maps an ``(m, n+1)`` stack of input region
+    operator reads; ``apply`` maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
     row by row.  Outputs are exact at the knots, and on each region they
     under-estimate the true output by its monotonicity."""
@@ -118,11 +118,6 @@ class OperatorKernel:
             if kind.compose is not None:
                 self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
 
-    def __call__(self, segv: np.ndarray) -> np.ndarray:
-        """``apply`` in its own ``np.errstate``."""
-        with np.errstate(all="ignore"):
-            return self.apply(segv)
-
     def apply(self, segv: np.ndarray) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
         [0, inf].  For callers inside ``np.errstate(all="ignore")``, as the
@@ -130,8 +125,8 @@ class OperatorKernel:
         k = self.kind
         if k.base in ("T_ub", "SS_ub"):
             if k.base == "T_ub":
-                # int_0^{k_j} f b, and the whole integral for the tail
-                inner = np.cumsum(_amul(segv[:, :-1], self.dB[:-1]), axis=1)
+                # int_0^{k_j} f b, with b's region masses as lengths
+                inner = hardy_at_knots(segv, self.dB)
                 tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
             else:
                 # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)

@@ -10,6 +10,8 @@ it can under-report, never over-report.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -39,12 +41,7 @@ __all__ = [
     "down_dual_constant",
     "equivalence_report",
     "verify_three_way",
-    "default_grid",
 ]
-
-
-def default_grid() -> Grid:
-    return make_log_grid(**DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class OracleResult:
     witness: np.ndarray  # knot values of the best step function found
     trace: Tuple[float, ...]  # best-so-far after each stage (non-decreasing)
     divergence_flag: bool
-    tail_side: Optional[str] = None  # which boundary drove the divergence flag
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class RayleighEngine:
 
     def __init__(self, spec: InequalitySpec, grid: Optional[Grid] = None):
         self.spec = spec
-        self.grid = grid or default_grid()
+        self.grid = grid or make_log_grid(**DEFAULT_GRID)
         self.cone = spec.cone
         self.ks = self.grid.array()
         self.n = self.grid.n
@@ -153,31 +149,25 @@ def best_constant_lower(
     best_vals = np.zeros(n)
     trace = []
 
-    char_scans = []  # (knots used, ratios)
+    def offer(vals: np.ndarray) -> float:
+        """Score one witness, keep it if it gains, and return its quotient."""
+        nonlocal best, best_vals
+        r = engine.ratio(vals)
+        if _gains(r, best):
+            best, best_vals = r, vals
+        return r
+
+    char_scans = []  # (knots used, ratios with a non-finite one read as 0)
     if budget.n_char > 0:
         idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
-        fams = [cone] if cone != "none" else ["non_increasing", "non_decreasing"]
-        for fam in fams:
-            rs = np.zeros(len(idxs))
-            for pos, j in enumerate(idxs):
-                vals = _characteristic_values(n, int(j), fam)
-                r = engine.ratio(vals)
-                rs[pos] = r if np.isfinite(r) else 0.0
-                if np.isfinite(r) and r > best:
-                    best = r
-                    best_vals = vals
-            char_scans.append((engine.ks[idxs], rs))
+        for fam in [cone] if cone != "none" else ["non_increasing", "non_decreasing"]:
+            rs = np.array([offer(_characteristic_values(n, int(j), fam)) for j in idxs])
+            char_scans.append((engine.ks[idxs], np.where(np.isfinite(rs), rs, 0.0)))
     trace.append(best)
 
+    sample = sample_nonneg if cone == "none" else functools.partial(sample_monotone, cone)
     for i in range(budget.n_random):
-        if cone == "none":
-            f = sample_nonneg(engine.grid, seed + 7919 * (i + 1))
-        else:
-            f = sample_monotone(cone, engine.grid, seed + 7919 * (i + 1))
-        r = engine.ratio(f)
-        if np.isfinite(r) and r > best:
-            best = r
-            best_vals = f
+        offer(sample(engine.grid, seed + 7919 * (i + 1)))
     trace.append(best)
 
     if budget.n_ascent > 0 and best > 0.0:
@@ -207,14 +197,18 @@ def best_constant_lower(
         best_vals = vals
     trace.append(best)
 
-    div_flag, side = _divergence_from_char(char_scans)
     return OracleResult(
         lower_bound=float(best),
         witness=best_vals,
         trace=tuple(trace),
-        divergence_flag=div_flag,
-        tail_side=side,
+        divergence_flag=_divergence_from_char(char_scans),
     )
+
+
+def _gains(r: float, floor: float) -> bool:
+    """Whether quotient ``r`` certifies a bound above ``floor``: the one
+    acceptance rule of every search stage."""
+    return floor < r < INF
 
 
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
@@ -274,7 +268,7 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     start = 0
     for c, (j, end) in enumerate(zip(coords, ends.tolist())):
         floor = best * (1.0 + 1e-12)
-        gain = next((i for i, r in enumerate(scores[start:end]) if floor < r < INF), -1)
+        gain = next((i for i, r in enumerate(scores[start:end]) if _gains(r, floor)), -1)
         if gain >= 0:
             vals, best = rows[start + gain].copy(), scores[start + gain]
         if gain != pred[j]:
@@ -287,13 +281,14 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     return len(coords), True, vals, best
 
 
-def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:
+def _divergence_from_char(char_scans) -> bool:
     """Power-law growth of characteristic ratios toward a boundary => divergence."""
     m = 8
     for knots, rs in char_scans:
         if len(rs) < 2 * m:
             continue
-        for side, sel in (("left", slice(0, m)), ("right", slice(-m, None))):
+        # growth toward 0 is a negative slope, toward oo a positive one
+        for sign, sel in ((-1.0, slice(0, m)), (1.0, slice(-m, None))):
             x = np.log(knots[sel])
             y = rs[sel]
             if np.any(y <= 0.0):
@@ -304,10 +299,9 @@ def _divergence_from_char(char_scans) -> Tuple[bool, Optional[str]]:
             ss_res = float(np.sum((ly - pred) ** 2))
             ss_tot = float(np.sum((ly - ly.mean()) ** 2))
             r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-            grow = (side == "left" and slope < -0.05) or (side == "right" and slope > 0.05)
-            if grow and r2 > 0.99:
-                return True, side
-    return False, None
+            if sign * slope > 0.05 and r2 > 0.99:
+                return True
+    return False
 
 
 def down_dual_constant(g: Weight, v: Weight, p: float,
@@ -318,7 +312,7 @@ def down_dual_constant(g: Weight, v: Weight, p: float,
     over non-increasing f with ||f||_{p,v} <= 1."""
     if p > 1.0:
         raise ValueError("the closed form holds for p <= 1")
-    grid = grid or default_grid()
+    grid = grid or make_log_grid(**DEFAULT_GRID)
     ks = grid.array()
     Gt = running_sup(g, "low")(ks)
     Vt = np.array([v.cum_low(t) for t in ks])
@@ -327,16 +321,18 @@ def down_dual_constant(g: Weight, v: Weight, p: float,
     return float(np.max(np.concatenate([cand, [tail]])))
 
 
+_SAFETY = 4.0  # slack on the band's upper end, for the oracle's discretization bias
+
+
 def equivalence_report(
     crit: CriterionResult,
     oracle: OracleResult,
     band: float = 64.0,
-    safety: float = 4.0,
 ) -> EquivalenceReport:
     """Compare a criterion total with an oracle lower bound.
 
     ``consistent`` requires matching finiteness and, when both are finite,
-    ``1/band <= criterion/oracle <= band * safety`` (the safety factor absorbs
+    ``1/band <= criterion/oracle <= band * _SAFETY`` (the safety factor absorbs
     the oracle's discretization bias, which only ever pushes it down)."""
     if band <= 1.0:
         raise ValueError("band must exceed 1")
@@ -344,18 +340,18 @@ def equivalence_report(
     lb = oracle.lower_bound
     ratio = xdiv(total, lb)
     crit_inf = not crit.finite
-    if crit_inf != oracle.divergence_flag:
-        # a huge finite lower bound is also fine evidence of divergence
-        if not (crit_inf and lb > 1e6):
-            verdict = "inconsistent_finiteness"
-            return EquivalenceReport(verdict, total, lb, ratio, band, oracle.divergence_flag)
-    if crit_inf:
-        return EquivalenceReport("consistent", total, lb, ratio, band, oracle.divergence_flag)
-    if total == 0.0 and lb == 0.0:
-        return EquivalenceReport("consistent", total, lb, 1.0, band, oracle.divergence_flag)
-    if 1.0 / band <= ratio <= band * safety:
-        return EquivalenceReport("consistent", total, lb, ratio, band, oracle.divergence_flag)
-    return EquivalenceReport("ratio_out_of_band", total, lb, ratio, band, oracle.divergence_flag)
+    # a huge finite lower bound is also fine evidence of divergence
+    if crit_inf != oracle.divergence_flag and not (crit_inf and lb > 1e6):
+        verdict = "inconsistent_finiteness"
+    elif crit_inf:
+        verdict = "consistent"
+    elif total == 0.0 and lb == 0.0:
+        verdict, ratio = "consistent", 1.0
+    elif 1.0 / band <= ratio <= band * _SAFETY:
+        verdict = "consistent"
+    else:
+        verdict = "ratio_out_of_band"
+    return EquivalenceReport(verdict, total, lb, ratio, band, oracle.divergence_flag)
 
 
 def verify_three_way(
@@ -374,32 +370,18 @@ def verify_three_way(
     p, q = e.p, e.q
     if p > 1.0:
         raise ValueError("the three-way equivalence is stated for p <= 1")
-    direct = InequalitySpec(OperatorKind("T_ub", None, u, b), "non_increasing", v, w, e)
     u_hat, b_hat = power_substitution(u, b, p)
-    powered = InequalitySpec(
-        OperatorKind("T_ub", None, u_hat, b_hat), "non_increasing", v, w, Exponents(1.0, q / p)
-    )
-    double = InequalitySpec(OperatorKind("SS_ub", None, u, b), "non_increasing", v, w, e)
-    r1 = best_constant_lower(direct, budget, seed, grid)
-    r2 = best_constant_lower(powered, budget, seed, grid)
-    r3 = best_constant_lower(double, budget, seed, grid)
-    lbs = {
-        "direct": r1.lower_bound,
-        "powered": xpow(r2.lower_bound, 1.0 / p),
-        "double_sup": r3.lower_bound,
+    specs = {
+        "direct": InequalitySpec(OperatorKind("T_ub", None, u, b), "non_increasing", v, w, e),
+        "powered": InequalitySpec(OperatorKind("T_ub", None, u_hat, b_hat), "non_increasing",
+                                  v, w, Exponents(1.0, q / p)),
+        "double_sup": InequalitySpec(OperatorKind("SS_ub", None, u, b), "non_increasing", v, w, e),
     }
-    names = list(lbs)
-    ratios = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a_, b_ = lbs[names[i]], lbs[names[j]]
-            ratios[f"{names[i]}/{names[j]}"] = xdiv(a_, b_)
+    runs = {name: best_constant_lower(spec, budget, seed, grid) for name, spec in specs.items()}
+    lbs = {name: r.lower_bound for name, r in runs.items()}
+    lbs["powered"] = xpow(lbs["powered"], 1.0 / p)
     return {
         "lower_bounds": lbs,
-        "ratios": ratios,
-        "divergence_flags": {
-            "direct": r1.divergence_flag,
-            "powered": r2.divergence_flag,
-            "double_sup": r3.divergence_flag,
-        },
+        "ratios": {f"{x}/{y}": xdiv(lbs[x], lbs[y]) for x, y in itertools.combinations(lbs, 2)},
+        "divergence_flags": {name: r.divergence_flag for name, r in runs.items()},
     }
