@@ -5,7 +5,9 @@ over step-function witnesses in the input cone.  Because operator outputs
 are computed exactly at knots (or under-estimated inside regions) and the
 denominator is exact for step functions, every quotient it reports is a
 certified lower bound on the best constant.  It is a *lower-bound oracle*:
-it can under-report, never over-report.
+it can under-report, never over-report.  A quotient of +inf is kept when the
+numerator has an infinite factor (``_gains``); the bound is then +inf, with
+the divergence flag set.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def best_constant_lower(
         """Score one witness, keep it if it gains, and return its quotient."""
         nonlocal best, best_vals
         r = engine.ratio(vals)
-        if _gains(r, best):
+        if _gains(engine, vals, r, best):
             best, best_vals = r, vals
         return r
 
@@ -170,7 +172,7 @@ def best_constant_lower(
         offer(sample(engine.grid, seed + 7919 * (i + 1)))
     trace.append(best)
 
-    if budget.n_ascent > 0 and best > 0.0:
+    if budget.n_ascent > 0 and 0.0 < best < INF:
         # predicted-path batches: pred[j] is coordinate j's outcome at its last
         # visit, the index of the factor that gained or -1 for none.  A batch
         # scores the next k coordinates of the sweep in one engine call, each
@@ -189,10 +191,10 @@ def best_constant_lower(
             start = best
             order = rng.permutation(n)
             pos, k = 0, 1
-            while pos < n:
+            while pos < n and best < INF:
                 done, hit, vals, best = _predicted_batch(engine, vals, best, order[pos:pos + k], pred)
                 pos, k = pos + done, (min(2 * k, cap) if hit else 1)
-            if best == start:
+            if best in (start, INF):
                 break
         best_vals = vals
     trace.append(best)
@@ -201,14 +203,27 @@ def best_constant_lower(
         lower_bound=float(best),
         witness=best_vals,
         trace=tuple(trace),
-        divergence_flag=_divergence_from_char(char_scans),
+        divergence_flag=best == INF or _divergence_from_char(char_scans),
     )
 
 
-def _gains(r: float, floor: float) -> bool:
-    """Whether quotient ``r`` certifies a bound above ``floor``: the one
-    acceptance rule of every search stage."""
-    return floor < r < INF
+def _gains(engine: RayleighEngine, row: np.ndarray, r: float, floor: float) -> bool:
+    """Whether ``row``'s quotient ``r`` certifies a bound above ``floor``: the
+    one acceptance rule of every search stage.
+
+    A quotient of +inf certifies only when the numerator has an infinite
+    factor: an output region value of +inf on a region of positive w-mass, or
+    a positive output on a region of infinite w-mass.  Output region values
+    under-estimate the true output, so either makes the true numerator
+    infinite; a +inf that only float overflow in the norms produced does not."""
+    if not floor < r:
+        return False
+    if r < INF:
+        return True
+    with np.errstate(all="ignore"):
+        out = engine.kernel.apply(region_values(np.asarray(row, dtype=float)[None], engine.cone))[0]
+    dW = engine.dW
+    return bool((((out == INF) & (dW > 0.0)) | ((dW == INF) & (out > 0.0))).any())
 
 
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
@@ -229,8 +244,8 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     point its predecessors' predicted outcomes lead to and projected onto the
     cone.  Steps that projection takes back to their own base are not scored:
     their quotient is that base's, which is not above the floor.  The
-    sequential first-gain rule (a finite quotient above ``best * (1 + 1e-12)``,
-    the factors of one coordinate in order) is replayed up to the first
+    sequential first-gain rule (``_gains`` over ``best * (1 + 1e-12)``, the
+    factors of one coordinate in order) is replayed up to the first
     coordinate whose outcome differs from ``pred``, which is updated in place.
     Returns ``(coordinates settled, whether every prediction held, point,
     best)``.  A coordinate whose predicted factor and the ones before it fail
@@ -268,7 +283,8 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     start = 0
     for c, (j, end) in enumerate(zip(coords, ends.tolist())):
         floor = best * (1.0 + 1e-12)
-        gain = next((i for i, r in enumerate(scores[start:end]) if _gains(r, floor)), -1)
+        gain = next((i for i, r in enumerate(scores[start:end])
+                     if _gains(engine, rows[start + i], r, floor)), -1)
         if gain >= 0:
             vals, best = rows[start + gain].copy(), scores[start + gain]
         if gain != pred[j]:

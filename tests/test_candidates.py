@@ -38,6 +38,13 @@ def family(sid: str) -> str:
     return sid.rsplit("-", 1)[0]
 
 
+def not_consistent(verdicts: dict) -> str:
+    """The non-consistent count and its per-family split, as one line."""
+    bad = collections.Counter(family(k) for k, v in verdicts.items() if v != "consistent")
+    return (f"not consistent: {sum(bad.values())} of {len(verdicts)}; "
+            + ", ".join(f"{fam} {n}" for fam, n in sorted(bad.items())))
+
+
 def sweep():
     """Records of every committed candidate, two processes."""
     records, _ = run_batch(load_config(CANDIDATES), jobs=2)
@@ -53,9 +60,7 @@ def test_verdicts_match_the_committed_file():
     with open(VERDICTS) as fh:
         want = json.load(fh)
     got = {r["id"]: r["verdict"] for r in sweep()}
-    bad = collections.Counter(family(k) for k, v in got.items() if v != "consistent")
-    print(f"\nnot consistent: {sum(bad.values())} of {len(got)};",
-          ", ".join(f"{fam} {n}" for fam, n in sorted(bad.items())))
+    print("\n" + not_consistent(got))
     assert sorted(got) == sorted(want)
     moved = {k: (want[k], got[k]) for k in want if got[k] != want[k]}
     assert not moved, f"verdicts moved (expected, got): {moved}"
@@ -69,13 +74,20 @@ def _write_lines(path: str, head: str, items, tail: str) -> None:
 if __name__ == "__main__":
     import hashlib
 
+    with open(VERDICTS) as fh:
+        old = json.load(fh)
     doc = candidate_doc()
     _write_lines(CANDIDATES, '{"defaults": ' + json.dumps(doc["defaults"], sort_keys=True)
                  + ',\n"scenarios": [\n',
                  (json.dumps(sc, sort_keys=True) for sc in doc["scenarios"]), "\n]}\n")
     records = sweep()
+    got = {r["id"]: r["verdict"] for r in records}
+    # the verdicts that moved, and the split, before the old file is overwritten
+    for sid in dict.fromkeys([*old, *got]):
+        if old.get(sid) != got.get(sid):
+            print(f"{sid}: {old.get(sid)} -> {got.get(sid)}")
+    print(not_consistent(got))
     _write_lines(VERDICTS, "{\n",
                  (f"{json.dumps(r['id'])}: {json.dumps(r['verdict'])}" for r in records), "\n}\n")
-    bad = sum(r["verdict"] != "consistent" for r in records)
     digest = hashlib.sha256(emit_report(records, "json").encode()).hexdigest()
-    print(f"{len(records)} candidates, {bad} not consistent, report sha256 {digest}")
+    print(f"report sha256 {digest}")

@@ -525,6 +525,60 @@ class TestFactorDomain:
             self.assert_in_domain(RayleighEngine(tub, NAN_TAIL_GRID), cone)
 
 
+class TestInfiniteQuotients:
+    """A quotient of +inf is a certified bound when the numerator has an
+    infinite factor, and is kept; one that float overflow alone produced is
+    not."""
+
+    def test_overflow_only_inf_is_never_reported(self, monkeypatch):
+        # S with u = 1, v = 1, w = e^{-t}, p = 1, q = 2: the quotient is
+        # 0-homogeneous, but (1e200)^2 overflows the numerator's norm
+        spec = InequalitySpec(OperatorKind("S", None, ONE), "non_increasing", ONE, EXP,
+                              Exponents(1.0, 2.0))
+        grid = make_log_grid(1e-3, 1e3, 40)
+        engine = RayleighEngine(spec, grid)
+        huge = np.full(40, 1e200)
+        assert engine.ratio(huge) == INF
+        assert engine.ratio(np.ones(40)) == pytest.approx(1.0e-3, rel=1e-3)
+        assert not oracle._gains(engine, huge, INF, 0.0)
+        # offered by the random stage, the overflowing row is passed over
+        monkeypatch.setattr(oracle, "sample_monotone", lambda cone, grid, seed: huge)
+        orc = best_constant_lower(spec, OracleBudget(16, 4, 2), seed=1, grid=grid)
+        assert 0.0 < orc.lower_bound < INF
+        assert all(t < INF for t in orc.trace)
+
+    @pytest.mark.parametrize("sid", ["sstarup-176", "isi4-312"])
+    def test_certified_inf_is_kept_with_the_flag(self, sid):
+        sc = next(sc for sc in load_config(CANDIDATES) if sc.id == sid)
+        grid = make_log_grid(**sc.grid)
+        orc = best_constant_lower(sc.spec, sc.budget, sc.seed, grid)
+        assert orc.lower_bound == INF and orc.divergence_flag
+        engine = RayleighEngine(sc.spec, grid)
+        assert engine.ratio(orc.witness) == INF
+        assert oracle._gains(engine, orc.witness, INF, 0.0)
+
+    def test_ascent_that_reaches_inf_stops(self, monkeypatch):
+        # S o H* on the full cone, v = w = e^{-t}: a positive value on the tail
+        # region has a finite v-norm and an infinite Copson transform.  The one
+        # random sample is 0 there; an ascent step that lifts it is +inf.
+        spec = InequalitySpec(OperatorKind("S", "H*", ONE), "none", EXP, EXP, Exponents(1.0, 1.0))
+        bests = []
+        batch = oracle._predicted_batch
+
+        def spy_batch(engine, vals, best, coords, pred):
+            out = batch(engine, vals, best, coords, pred)
+            bests.append(out[3])
+            return out
+
+        monkeypatch.setattr(oracle, "_predicted_batch", spy_batch)
+        orc = best_constant_lower(spec, OracleBudget(0, 1, 5), seed=0,
+                                  grid=make_log_grid(1e-3, 1e3, 40))
+        assert 0.0 < orc.trace[1] < INF
+        assert orc.lower_bound == orc.trace[2] == INF and orc.divergence_flag
+        # no batch runs after the one that reached +inf
+        assert bests[-1] == INF and INF not in bests[:-1]
+
+
 # -- the batched ascent against the sequential one-factor-at-a-time ascent --
 
 def sequential_best_constant_lower(spec, budget, seed, grid):
