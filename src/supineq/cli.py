@@ -37,6 +37,7 @@ from .criteria import (
     CritCtx,
     InequalitySpec,
     TheoremInapplicable,
+    _criterion_of,
     evaluate_criterion,
 )
 from .extreal import INF
@@ -148,7 +149,11 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
             v = parse_weight(sc["v"])
             w = parse_weight(sc["w"])
             exps = Exponents(float(sc["p"]), float(sc["q"]))
+            if INF in (exps.p, exps.q):
+                # the oracle's norms are sums of f^p and (T f)^q over regions
+                raise ValueError("p and q must be finite")
             spec = InequalitySpec(kind, sc.get("cone", "non_increasing"), v, w, exps)
+            _criterion_of(spec)
         except ConfigError:
             raise
         except (KeyError, ValueError, TypeError) as exc:
@@ -165,6 +170,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
             if not band > 1.0:
                 raise ValueError(f"band must be above 1, got {band!r}")
             seed = _integer(eff["seed"], "seed")
+            if seed < 0:
+                # the oracle seeds numpy generators with seed plus offsets
+                raise ValueError(f"seed must be nonnegative, got {seed}")
             verbatim = eff["verbatim_paper"]
             if not isinstance(verbatim, bool):
                 raise ValueError(f"verbatim_paper must be true or false, got {verbatim!r}")

@@ -603,11 +603,16 @@ _CRITERIA = {
 def evaluate_criterion(spec: InequalitySpec, ctx: Optional[CritCtx] = None,
                        verbatim: bool = False) -> CriterionResult:
     """Dispatch a spec to the criterion that characterizes it."""
+    return _criterion_of(spec)(ctx or CritCtx(), spec, verbatim)
+
+
+def _criterion_of(spec: InequalitySpec):
+    """The criterion for ``spec``'s operator and cone; ``ValueError`` if none."""
     k = spec.kind
     row = _CRITERIA.get((k.base, k.compose, spec.cone))
     if row is None:
         raise ValueError(f"no criterion for {k.describe()} on cone {spec.cone}")
-    return row(ctx or CritCtx(), spec, verbatim)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,13 @@ class TestMain:
         {"grid": {"eps": "small"}},
         {"grid": {"M": True}},
         {"grid": 40},
+        # no criterion for the operator on the cone
+        {"operator": {"base": "S", "compose": "H"}},
+        {"operator": {"base": "SS_ub"}},
+        # the oracle's norms need finite exponents
+        {"operator": {"base": "T_ub"}, "q": "inf"},
+        {"p": "inf"},
+        {"seed": -10000},
     ], ids=lambda e: repr(e))
     def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
         sc = dict(GOOD_SCENARIO, **entry)
