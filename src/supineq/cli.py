@@ -153,7 +153,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
                 # the oracle's norms are sums of f^p and (T f)^q over regions
                 raise ValueError("p and q must be finite")
             spec = InequalitySpec(kind, sc.get("cone", "non_increasing"), v, w, exps)
-            _criterion_of(spec)
+            _criterion_of(spec)  # ValueError for an operator without one on its cone
         except ConfigError:
             raise
         except (KeyError, ValueError, TypeError) as exc:
