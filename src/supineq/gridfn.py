@@ -11,8 +11,8 @@ them.  A non-increasing row takes values[i] on R_i (so on (0, k_0] too) and
 0 on R_n.  Any other row takes 0 on R_0 and values[i] on R_{i+1}; pointwise
 it is values[i] on [k_i, k_{i+1}), so it keeps its last value on the tail.
 With these semantics each row belongs to its cone, and weighted norms are
-exact sums of region values against :func:`region_measures`.  :func:`project_rows` maps rows onto a cone, and
-the samplers draw reproducible random rows of a cone.
+exact sums of region values against :func:`region_measures`.  The samplers
+draw reproducible random rows of a cone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "make_log_grid",
     "region_values",
     "region_measures",
-    "project_rows",
     "sample_monotone",
     "sample_nonneg",
 ]
@@ -118,21 +117,6 @@ def _measures(grid: Grid, w: Weight) -> np.ndarray:
 
 
 _memo_measures = lru_cache(maxsize=_MEMO_SIZE)(_measures)
-
-
-def project_rows(rows: np.ndarray, cone: str) -> np.ndarray:
-    """Project each row of an ``(m, n)`` stack of knot values onto the cone:
-    the least monotone majorant, or the positive part for ``none``."""
-    if cone == "non_increasing":
-        return _suffix_max(rows)
-    if cone == "non_decreasing":
-        return np.maximum.accumulate(rows, axis=1)
-    return np.maximum(rows, 0.0)
-
-
-def _suffix_max(a: np.ndarray) -> np.ndarray:
-    """Row-wise running maximum from the right."""
-    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def sample_monotone(cone: str, grid: Grid, seed: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .extreal import INF, _amul, adiv
-from .gridfn import Grid, _suffix_max, region_measures
+from .gridfn import Grid, region_measures
 from .weights import FuncWeight, PowerWeight, Weight, cumulative, weight_mul
 
 __all__ = [
@@ -174,6 +174,11 @@ def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     the kernel is."""
     above = _amul(segv[:, 1:], lengths[1:])
     return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+
+
+def _suffix_max(a: np.ndarray) -> np.ndarray:
+    """Row-wise running maximum from the right."""
+    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _ratio_weight(u: Weight, B: Weight) -> Weight:

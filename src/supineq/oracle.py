@@ -24,7 +24,6 @@ from .gridfn import (
     DEFAULT_GRID,
     Grid,
     make_log_grid,
-    project_rows,
     region_measures,
     region_values,
     sample_monotone,
@@ -83,6 +82,10 @@ class RayleighEngine:
     """Fast evaluation of the Rayleigh quotient for a fixed spec and grid."""
 
     def __init__(self, spec: InequalitySpec, grid: Optional[Grid] = None):
+        # the norms are sums of region values to the p and q; with an
+        # infinite exponent that is no L^oo norm
+        if INF in (spec.exps.p, spec.exps.q):
+            raise ValueError("the oracle needs finite exponents p and q")
         self.spec = spec
         self.grid = grid or make_log_grid(**DEFAULT_GRID)
         self.cone = spec.cone
@@ -235,64 +238,120 @@ _ASCENT_BATCH = 12  # most coordinates per batch: 48 rows
 _ASCENT_BATCH_KNOTS = 4096
 
 
+def _steps(bases: np.ndarray, owner: np.ndarray, cols: np.ndarray, fac: np.ndarray,
+           cone: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascent steps that move knot ``cols[i]`` of the cone row
+    ``bases[owner[i]]`` by factor ``fac[i]`` and project the row onto the
+    cone: which of them differ from their base, and those rows only.  Each
+    row of ``bases`` carries one zero after its n knots: the neighbour past
+    either end (column n, which index -1 also reads); the rows returned have
+    n entries.
+
+    A step sets knot j to y.  Its projection differs from the base only at j,
+    which takes ``max(y, b[j+1])`` on the non-increasing cone,
+    ``max(y, b[j-1])`` on the non-decreasing one and y on ``none``, and, when
+    y rose above b[j], on the knots of the lifted side (before j, or after j)
+    that lie below y.  So a step is fresh exactly when its value at j differs
+    from b[j], which is decided before any row is built; max is exact, so the
+    rows equal those of a row-wide running maximum bit for bit."""
+    x = bases[owner, cols]
+    y = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
+    n = bases.shape[1] - 1
+    if cone == "none":
+        at_j = y
+    else:
+        # the neighbour that holds knot j up
+        at_j = np.maximum(y, bases[owner, cols + (1 if cone == "non_increasing" else -1)])
+    fresh = at_j != x
+    rows = bases[owner[fresh], :n]
+    cols, y = cols[fresh], y[fresh]
+    if cone != "none":
+        knots = np.arange(n)
+        side = knots < cols[:, None] if cone == "non_increasing" else knots > cols[:, None]
+        np.maximum(rows, y[:, None], out=rows, where=side)
+    rows[np.arange(len(rows)), cols] = at_j[fresh]
+    return fresh, rows
+
+
+def _step(base: np.ndarray, j: int, f: int, cone: str) -> np.ndarray:
+    """``_steps`` for one step, on scalars: ``base`` moved at knot j by factor
+    f and projected onto the cone, as a new row, or ``base`` itself when the
+    projection takes the step back to it."""
+    x = base[j]
+    y = x * _ASCENT_FACTORS[f] if x > 0 else _ASCENT_FROM_ZERO[f]
+    nb = j + 1 if cone == "non_increasing" else j - 1
+    at_j = max(y, base[nb]) if cone != "none" and 0 <= nb < len(base) else y
+    if at_j == x:
+        return base
+    base = base.copy()
+    if cone != "none":
+        lifted = base[:j] if cone == "non_increasing" else base[j + 1:]
+        np.maximum(lifted, y, out=lifted)
+    base[j] = at_j
+    return base
+
+
 def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
                      coords: np.ndarray, pred: list) -> Tuple[int, bool, np.ndarray, float]:
     """One predicted-path batch of the ascent from ``vals`` at ``best``.
 
-    A coordinate predicted to gain with factor f takes the steps of factors
-    0..f, one predicted not to gain takes all four; each is stepped from the
-    point its predecessors' predicted outcomes lead to and projected onto the
-    cone.  Steps that projection takes back to their own base are not scored:
-    their quotient is that base's, which is not above the floor.  The
-    sequential first-gain rule (``_gains`` over ``best * (1 + 1e-12)``, the
-    factors of one coordinate in order) is replayed up to the first
-    coordinate whose outcome differs from ``pred``, which is updated in place.
-    Returns ``(coordinates settled, whether every prediction held, point,
-    best)``.  A coordinate whose predicted factor and the ones before it fail
-    is not settled: its later factors were not scored, so it is predicted
-    not to gain and visited again."""
+    ``pred[j]`` is f >= 0 when coordinate j is predicted to gain with factor
+    f, and -1 - s when it is predicted not to gain, its factors to be tried
+    from s on (s = 0 but on the visit after a rescore miss).  A coordinate
+    predicted to gain takes the steps of factors 0..f, one predicted not to
+    gain those of factors s..3; each is stepped from the point its
+    predecessors' predicted outcomes lead to (``_steps``).  Steps equal to
+    their own base are neither built nor scored: their quotient is that
+    base's, which is not above the floor.  The sequential first-gain rule
+    (``_gains`` over ``best * (1 + 1e-12)``, the factors of one coordinate in
+    order) is replayed up to the first coordinate whose outcome differs from
+    its prediction, and ``pred`` is updated in place.  Returns
+    ``(coordinates settled, whether every prediction held, point, best)``.
+    A coordinate whose predicted factor f and the ones before it fail is not
+    settled: the next batch starts at it, from the same point, and scores
+    only factors f+1..3 (none when f = 3)."""
     cone = engine.cone
     coords = coords.tolist()
-    # the predicted path: only a coordinate predicted to gain moves the base
-    bases = np.empty((len(coords), len(vals)))
+    # the predicted path: only a coordinate predicted to gain moves the base;
+    # the steps of the batch, one coordinate's after another's
+    bases = np.zeros((len(coords), len(vals) + 1))
     base = vals
+    owner, cols, fac, ends = [], [], [], []
     for c, j in enumerate(coords):
-        bases[c] = base
+        bases[c, :-1] = base
         f = pred[j]
+        span = range(f + 1) if f >= 0 else range(-1 - f, len(_ASCENT_FACTORS))
+        owner += [c] * len(span)
+        cols += [j] * len(span)
+        fac += span
+        ends.append(len(fac))
         if f >= 0:
-            base = base.copy()
-            base[j] = base[j] * _ASCENT_FACTORS[f] if base[j] > 0 else _ASCENT_FROM_ZERO[f]
-            base = project_rows(base[None], cone)[0]
-    sizes = np.array([len(_ASCENT_FACTORS) if pred[j] < 0 else pred[j] + 1 for j in coords])
-    ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(coords)), sizes)
-    at = np.arange(len(owner))
-    fac = at - (ends - sizes)[owner]
-    cols = np.array(coords)[owner]
-    stepped_from = bases[owner]
-    rows = stepped_from.copy()
-    x = rows[at, cols]
-    rows[at, cols] = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
-    rows = project_rows(rows, cone)
-    fresh = (rows != stepped_from).any(axis=1)
-    # a row not scored reads 0, below every floor (best > 0)
-    scores = np.zeros(len(rows))
-    if fresh.any():
-        scores[fresh] = engine.ratios(rows[fresh])
+            base = _step(base, j, f, cone)
+    fresh, rows = _steps(bases, np.array(owner, dtype=int), np.array(cols, dtype=int),
+                         np.array(fac, dtype=int), cone)
+    # a step not built reads 0, below every floor (best > 0)
+    scores = np.zeros(len(owner))
+    if len(rows):
+        scores[fresh] = engine.ratios(rows)
     scores = scores.tolist()
+    row_of = (np.cumsum(fresh) - 1).tolist()  # the built row of each fresh step
+    fresh = fresh.tolist()
     start = 0
-    for c, (j, end) in enumerate(zip(coords, ends.tolist())):
+    for c, (j, end) in enumerate(zip(coords, ends)):
         floor = best * (1.0 + 1e-12)
-        gain = next((i for i, r in enumerate(scores[start:end])
-                     if _gains(engine, rows[start + i], r, floor)), -1)
+        gain = next((i for i in range(start, end)
+                     if fresh[i] and _gains(engine, rows[row_of[i]], scores[i], floor)), -1)
         if gain >= 0:
-            vals, best = rows[start + gain].copy(), scores[start + gain]
-        if gain != pred[j]:
+            vals, best = rows[row_of[gain]].copy(), scores[gain]
+            gain = fac[gain]
+        if gain != max(pred[j], -1):
             if gain < 0:
-                pred[j] = -1
+                # factors 0..f failed: the next visit resumes at factor f + 1
+                pred[j] = -2 - pred[j]
                 return c, False, vals, best
             pred[j] = gain
             return c + 1, False, vals, best
+        pred[j] = gain
         start = end
     return len(coords), True, vals, best
 

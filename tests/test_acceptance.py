@@ -100,9 +100,10 @@ def battery_run():
 
 
 def oracle_outcomes(records):
-    """The oracle's part of each battery record, keyed by scenario."""
+    """The oracle's part of each record that has one (an inapplicable
+    criterion skips the oracle), keyed by scenario."""
     return {r["id"]: {k: r[k] for k in ("oracle_lower", "oracle_trace", "divergence_flag")}
-            for r in records}
+            for r in records if "oracle_lower" in r}
 
 
 def test_battery_all_consistent():

@@ -2,8 +2,11 @@
 
 ``configs/candidates.json`` holds every candidate the battery generator
 enumerates, at its ``DEFAULTS``, with none dropped for its outcome;
-``configs/candidate_verdicts.json`` maps each id to the verdict it gets.  A
-change that moves a verdict rewrites both files with
+``configs/candidate_verdicts.json`` maps each id to the verdict it gets, and
+``tests/data/candidate_oracle_golden.json`` to its oracle outcome (bound,
+trace and divergence flag, as ``test_acceptance.oracle_outcomes`` reads them),
+so a change meant to keep reports byte-identical is checked on all 686.  A
+change that moves a verdict or an outcome rewrites the three files with
 ``python tests/test_candidates.py`` and says which ids moved and which side
 (criterion or oracle) was wrong.
 """
@@ -14,10 +17,12 @@ import json
 import os
 
 from supineq.cli import emit_report, load_config, run_batch
+from test_acceptance import oracle_outcomes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
 VERDICTS = os.path.join(ROOT, "configs", "candidate_verdicts.json")
+ORACLE_GOLDEN = os.path.join(ROOT, "tests", "data", "candidate_oracle_golden.json")
 
 
 def make_battery():
@@ -59,11 +64,19 @@ def test_candidates_file_is_the_generator_output():
 def test_verdicts_match_the_committed_file():
     with open(VERDICTS) as fh:
         want = json.load(fh)
-    got = {r["id"]: r["verdict"] for r in sweep()}
+    with open(ORACLE_GOLDEN) as fh:
+        want_outcomes = json.load(fh)
+    records = sweep()
+    got = {r["id"]: r["verdict"] for r in records}
     print("\n" + not_consistent(got))
     assert sorted(got) == sorted(want)
     moved = {k: (want[k], got[k]) for k in want if got[k] != want[k]}
     assert not moved, f"verdicts moved (expected, got): {moved}"
+    # the golden file holds JSON round-trips of ``oracle_outcomes``, exactly
+    outcomes = json.loads(json.dumps(oracle_outcomes(records)))
+    assert sorted(outcomes) == sorted(want_outcomes)
+    moved = [k for k in want_outcomes if outcomes[k] != want_outcomes[k]]
+    assert not moved, f"oracle outcomes moved: {moved}"
 
 
 def _write_lines(path: str, head: str, items, tail: str) -> None:
@@ -89,5 +102,8 @@ if __name__ == "__main__":
     print(not_consistent(got))
     _write_lines(VERDICTS, "{\n",
                  (f"{json.dumps(r['id'])}: {json.dumps(r['verdict'])}" for r in records), "\n}\n")
+    _write_lines(ORACLE_GOLDEN, "{\n",
+                 (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in oracle_outcomes(records).items()),
+                 "\n}\n")
     digest = hashlib.sha256(emit_report(records, "json").encode()).hexdigest()
     print(f"report sha256 {digest}")

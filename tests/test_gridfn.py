@@ -1,4 +1,4 @@
-"""Knot-value rows on log grids: region semantics, norms, sampling, projection."""
+"""Knot-value rows on log grids: region semantics, norms, sampling."""
 
 import math
 import warnings
@@ -14,7 +14,6 @@ from supineq.extreal import INF, amul, apow, xpow
 from supineq.gridfn import (
     Grid,
     make_log_grid,
-    project_rows,
     region_measures,
     region_values,
     sample_monotone,
@@ -318,24 +317,3 @@ class TestSamplingAndProjection:
         v = sample_nonneg(GRID, 11)
         assert v.shape == (GRID.n,)
         assert np.all(v >= 0)
-
-    @given(seed_st, st.sampled_from(["non_increasing", "non_decreasing"]))
-    @settings(max_examples=40, deadline=None)
-    def test_projection_idempotent_and_monotone(self, seed, cone):
-        raw = np.array([sample_nonneg(GRID, seed), sample_nonneg(GRID, seed + 1)])
-        proj = project_rows(raw, cone)
-        assert np.all(proj >= raw)  # a majorant
-        d = np.diff(proj, axis=1)
-        if cone == "non_increasing":
-            assert np.all(d <= 1e-12)
-        else:
-            assert np.all(d >= -1e-12)
-        assert np.array_equal(project_rows(proj, cone), proj)
-
-    def test_projection_fixes_monotone_input(self):
-        rows = np.array([sample_monotone("non_increasing", GRID, 3)])
-        assert np.array_equal(project_rows(rows, "non_increasing"), rows)
-
-    def test_projection_onto_none_is_positive_part(self):
-        rows = np.array([[-1.0, 0.0, 2.0], [3.0, -0.5, 1.0]])
-        assert np.array_equal(project_rows(rows, "none"), np.maximum(rows, 0.0))

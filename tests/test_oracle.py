@@ -93,6 +93,16 @@ class TestSoundness:
         with pytest.raises(ValueError):
             OracleBudget(0, 0, 0)
 
+    # T_ub with p = oo and S with q = oo: a sum of f^oo and its 0-th root is
+    # no L^oo norm, and the search read 4.4e25 and 1.1e19 on GRID
+    @pytest.mark.parametrize("spec", [tub_spec(INF, 1.0), down_spec(1.0, INF)],
+                             ids=["Tub-p-inf", "S-q-inf"])
+    def test_infinite_exponent_rejected(self, spec):
+        with pytest.raises(ValueError):
+            RayleighEngine(spec, GRID)
+        with pytest.raises(ValueError):
+            best_constant_lower(spec, grid=GRID)
+
     def test_ratio_never_exceeds_true_constant(self):
         # u = t, v = 1, w = e^{-t}, p = q = 1 on the non-increasing cone has
         # best constant exactly 1 (characteristic functions are extremal)
@@ -660,11 +670,11 @@ BATCH_CAP = 12  # most coordinates per ascent call at 200 knots
 ROW_CAP = 48  # BATCH_CAP coordinates of four factor steps
 
 
-def ascent_steps(base, j, m, cone):
-    """The first ``m`` factor steps at coordinate ``j`` from ``base``, each
+def ascent_steps(base, j, factors, cone):
+    """The steps of ``factors`` at coordinate ``j`` from ``base``, each
     projected onto the cone, as the sequential ascent builds them."""
     rows = []
-    for fac in ASCENT_FACTORS[:m]:
+    for fac in factors:
         cand = base.copy()
         cand[j] = cand[j] * fac if cand[j] > 0 else fac - 1.0 if fac > 1 else 0.0
         if cone == "non_increasing":
@@ -675,6 +685,48 @@ def ascent_steps(base, j, m, cone):
             cand = np.maximum(cand, 0.0)
         rows.append(cand)
     return rows
+
+
+# cone rows with plateaus, zeros, subnormal-scale, huge and +inf entries
+STEP_VALUES = st.sampled_from([0.0, 0.0, 5e-324, 0.5, 1.0, 1.0, 1.1, 2.0, 1e300, INF])
+
+
+@st.composite
+def cone_rows(draw):
+    cone = draw(st.sampled_from(["non_increasing", "non_decreasing", "none"]))
+    n = draw(st.integers(3, 12))
+    rows = np.array(draw(st.lists(st.lists(STEP_VALUES, min_size=n, max_size=n),
+                                  min_size=1, max_size=3)))
+    if cone != "none":
+        rows = np.sort(rows, axis=1)
+        if cone == "non_increasing":
+            rows = rows[:, ::-1].copy()
+    return cone, rows
+
+
+class TestAscentStep:
+    """The closed-form step of the ascent against 'set knot j, then project
+    onto the cone with a running maximum' (``ascent_steps``)."""
+
+    @given(cone_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_step_is_the_projected_step(self, case, data):
+        cone, bases = case
+        m, n = bases.shape
+        # every row takes all four factors at its first, last and an interior knot
+        knots = [0, n - 1, data.draw(st.integers(1, n - 2))]
+        steps = [(b, j, f) for b in range(m) for j in knots for f in range(len(ASCENT_FACTORS))]
+        owner, cols, fac = (np.array(col) for col in zip(*steps))
+        with np.errstate(over="ignore"):  # 2 x 1e300
+            want = [ascent_steps(bases[b], j, ASCENT_FACTORS[f:f + 1], cone)[0] for b, j, f in steps]
+            fresh, rows = oracle._steps(np.pad(bases, ((0, 0), (0, 1))), owner, cols, fac, cone)
+            singles = [oracle._step(bases[b], j, f, cone) for b, j, f in steps]
+        assert fresh.tolist() == [bool((w != bases[b]).any()) for w, (b, _, _) in zip(want, steps)]
+        assert rows.tobytes() == np.array([w for w, k in zip(want, fresh) if k]).reshape(-1, n).tobytes()
+        # the one-step form returns its base itself when the step leaves it
+        for w, k, row, (b, _, _) in zip(want, fresh, singles, steps):
+            assert row.tobytes() == w.tobytes()
+            assert np.shares_memory(row, bases) == (not k)
 
 
 class PredictedPathSpy:
@@ -689,8 +741,10 @@ class PredictedPathSpy:
     are not scored, and a batch without a row to score makes no call.  The
     first-gain rule is replayed up to the first coordinate whose outcome is
     not its prediction (a miss); k doubles up to ``BATCH_CAP`` after a batch
-    without one and drops to 1 after one.  Each ascent call must score
-    exactly the model's rows, within the row cap."""
+    without one and drops to 1 after one.  After a rescore miss (factors
+    0..f failed) the next batch starts at that coordinate and takes only
+    factors f+1..3, none when f = 3.  Each ascent call must score exactly
+    the model's rows, within the row cap."""
 
     MISS_KINDS = ("earlier", "rescore", "unpredicted")
 
@@ -701,6 +755,7 @@ class PredictedPathSpy:
         self.sweeps = 0
         self.misses = dict.fromkeys(self.MISS_KINDS, 0)
         self.pred = [-1] * n
+        self.resume = {}  # coordinate -> first factor of its next visit, after a rescore miss
         self.rng = np.random.default_rng(seed + 104729)
         self.order, self.pos, self.k, self.sweep_start = None, n, 1, None
         self.cone = None
@@ -730,36 +785,42 @@ class PredictedPathSpy:
         monkeypatch.setattr(RayleighEngine, "ratios", spy_ratios)
 
     def next_batch(self):
-        """The model's next batch: ``(coords, blocks, fresh)``, one block of
-        step rows per coordinate and a mask per block of the rows scored."""
+        """The model's next batch: ``(coords, firsts, blocks, fresh)``, the
+        first factor of each coordinate's steps, one block of step rows per
+        coordinate and a mask per block of the rows scored."""
         if self.pos >= self.n:
             assert self.sweep_start is None or self.best > self.sweep_start, "sweep without a gain"
             self.order, self.pos, self.k = self.rng.permutation(self.n), 0, 1
             self.sweep_start = self.best
             self.sweeps += 1
         coords = self.order[self.pos:self.pos + self.k].tolist()
-        blocks, fresh, base = [], [], self.point
+        firsts, blocks, fresh, base = [], [], [], self.point
         for j in coords:
             f = self.pred[j]
-            rows = ascent_steps(base, j, len(ASCENT_FACTORS) if f < 0 else f + 1, self.cone)
+            first = 0 if f >= 0 else self.resume.get(j, 0)
+            rows = ascent_steps(base, j, ASCENT_FACTORS[first:f + 1 if f >= 0 else None], self.cone)
+            firsts.append(first)
             blocks.append(rows)
             fresh.append([not np.array_equal(row, base) for row in rows])
             if f >= 0:
                 base = rows[f]
-        return coords, blocks, fresh
+        return coords, firsts, blocks, fresh
 
-    def replay(self, coords, blocks, scores):
+    def replay(self, coords, firsts, blocks, scores):
         """Replay the first-gain rule on a batch; ``scores`` holds one list
         per block, 0.0 for a row not scored."""
-        for c, (j, rows, rs) in enumerate(zip(coords, blocks, scores)):
+        for c, (j, first, rows, rs) in enumerate(zip(coords, firsts, blocks, scores)):
             floor = self.best * (1.0 + 1e-12)
             gain = next((i for i, r in enumerate(rs) if np.isfinite(r) and r > floor), -1)
             if gain >= 0:
                 self.point, self.best = rows[gain], float(rs[gain])
+                gain += first
+            self.resume.pop(j, None)
             if gain == self.pred[j]:
                 continue
             if gain < 0:
                 self.misses["rescore"] += 1
+                self.resume[j] = self.pred[j] + 1
                 self.pred[j], self.pos, self.k = -1, self.pos + c, 1
             else:
                 self.misses["earlier" if self.pred[j] >= 0 else "unpredicted"] += 1
@@ -770,16 +831,16 @@ class PredictedPathSpy:
     def ascent_call(self, F, rs):
         assert len(F) <= ROW_CAP
         while True:
-            coords, blocks, fresh = self.next_batch()
+            coords, firsts, blocks, fresh = self.next_batch()
             if any(map(any, fresh)):
                 break
-            self.replay(coords, blocks, [[0.0] * len(rows) for rows in blocks])
+            self.replay(coords, firsts, blocks, [[0.0] * len(rows) for rows in blocks])
         # the call scores the model's rows: no step equal to its own base
         expected = [row for rows, keep in zip(blocks, fresh) for row, k in zip(rows, keep) if k]
         assert np.array_equal(F, np.array(expected))
         self.calls.append(len(F))
         it = iter(rs.tolist())
-        self.replay(coords, blocks, [[next(it) if k else 0.0 for k in keep] for keep in fresh])
+        self.replay(coords, firsts, blocks, [[next(it) if k else 0.0 for k in keep] for keep in fresh])
 
     @property
     def rows(self):
@@ -840,7 +901,7 @@ class TestBatchedAscent:
         # every sweep gains, so all eight run: 1,600 coordinate visits
         visits = spy.sweeps * ASCENT_GRID.n
         assert visits == ASCENT_BUDGET.n_ascent * ASCENT_GRID.n
-        # 202 calls and 2.16 rows per visit when pinned; resetting the batch
+        # 202 calls and 2.15 rows per visit when pinned; resetting the batch
         # to one coordinate at every gain takes about 1,600 calls, and scoring
         # every factor about 4 rows per visit
         assert len(spy.calls) <= 240
