@@ -177,7 +177,8 @@ def best_constant_lower(
 
     if budget.n_ascent > 0 and 0.0 < best < INF:
         # predicted-path batches: pred[j] is coordinate j's outcome at its last
-        # visit, the index of the factor that gained or -1 for none.  A batch
+        # visit, the index of the factor that gained or -1 for none (below -1
+        # between a rescore miss and the visit that resumes it).  A batch
         # scores the next k coordinates of the sweep in one engine call, each
         # from the point reached if every earlier coordinate of the batch met
         # its prediction, and replays the first-gain rule up to the first
