@@ -30,9 +30,7 @@ from .oracle import (
     OracleBudget,
     OracleResult,
     best_constant_lower,
-    down_dual_constant,
     equivalence_report,
-    verify_three_way,
 )
 
 __version__ = "0.1.0"

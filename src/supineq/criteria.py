@@ -469,8 +469,11 @@ def crit_T42_44(ctx: CritCtx, side: str, u: Weight, nu: Weight, w: Weight, e: Ex
     other = _OTHER[shape]
     report: dict = {}
     report["nu positive"] = bool(np.all(nuv > 0.0))
+    # equal neighbours step by 0, two +inf ones too, where np.diff reads NaN;
+    # the slack scales with the smaller neighbour, so a step from +inf fails
+    steps = np.subtract(nuv[1:], nuv[:-1], out=np.zeros(len(nuv) - 1), where=nuv[1:] != nuv[:-1])
     report[{"low": "nu non-increasing", "up": "nu non-decreasing"}[side]] = bool(
-        np.all(s * np.diff(nuv) <= 1e-9 * (1.0 + nuv[:-1])))
+        np.all(s * steps <= 1e-9 * (1.0 + np.minimum(nuv[1:], nuv[:-1]))))
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
     V = adiv(1.0, nuv)

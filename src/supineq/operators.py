@@ -1,14 +1,13 @@
 """Supremal, Hardy-type and combined operators on step functions.
 
 :class:`OperatorKind` names an operator: S_u or S*_u, possibly composed with
-the Hardy transform H or the Copson transform H*, T_{u,b}, or the double-sup
-form SS_{u,b}.  :class:`OperatorKernel` is the one implementation of their
-semantics on a grid: it maps the region values of step functions to the
-region values of the operator's output, row-wise.  Output values at the
-knots are exact; on each region the output is under-estimated by its
-monotonicity.  This is the soundness contract the oracle relies on:
-Rayleigh quotients built from these outputs never exceed the true quotient
-of the step witness.
+the Hardy transform H or the Copson transform H*, or T_{u,b}.
+:class:`OperatorKernel` is the one implementation of their semantics on a
+grid: it maps the region values of step functions to the region values of
+the operator's output, row-wise.  Output values at the knots are exact; on
+each region the output is under-estimated by its monotonicity.  This is the
+soundness contract the oracle relies on: Rayleigh quotients built from these
+outputs never exceed the true quotient of the step witness.
 
 Values may be ``+inf`` (for instance the Copson transform of a function
 with positive tail).
@@ -40,12 +39,11 @@ class OperatorKind:
     """A recipe for one of the supported operators.
 
     ``base``:  "S" (sup over (0, t]), "S*" (sup over [t, oo)),
-               "T_ub" (t -> sup_{tau >= t} u(tau)/B(tau) * int_0^tau f b),
-               "SS_ub" (t -> sup_{tau >= t} u(tau)/B(tau) * sup_{y <= tau} f(y) B(y)).
+               "T_ub" (t -> sup_{tau >= t} u(tau)/B(tau) * int_0^tau f b).
     ``compose``: for "S"/"S*" only; None, "H" (inner Hardy transform
                int_0^t) or "H*" (inner Copson transform int_t^oo).
     ``u``:     the multiplying weight of the supremal part (default 1).
-    ``b``:     the averaging weight of "T_ub"/"SS_ub" (default 1).
+    ``b``:     the averaging weight of "T_ub" (default 1).
     """
 
     base: str
@@ -54,12 +52,12 @@ class OperatorKind:
     b: Weight = ONE
 
     def __post_init__(self) -> None:
-        if self.base not in ("S", "S*", "T_ub", "SS_ub"):
+        if self.base not in ("S", "S*", "T_ub"):
             raise ValueError(f"unknown operator base {self.base!r}")
         if self.compose not in (None, "H", "H*"):
             raise ValueError(f"unknown composition {self.compose!r}")
-        if self.base in ("T_ub", "SS_ub") and self.compose is not None:
-            raise ValueError("T_ub/SS_ub do not compose")
+        if self.base == "T_ub" and self.compose is not None:
+            raise ValueError("T_ub does not compose")
 
     @classmethod
     def t_gamma(cls, gamma_over_n: float) -> "OperatorKind":
@@ -81,8 +79,11 @@ def b_cumulative(b: Weight) -> Weight:
 def power_substitution(u: Weight, b: Weight, p: float) -> Tuple[Weight, Weight]:
     """The power substitution for T_{u,b} with p <= 1: ``(u**p / p, B**(p-1) b)``.
 
-    With these weights, the T_{u,b} inequality with exponents (1, q/p) has a
-    best constant whose 1/p-th power is the one for exponents (p, q)."""
+    With these weights B^ = B**p / p, and on every indicator chi_(0,a] the
+    quotient of T_{u^,b^} at exponents (1, q/p) is Q**p / p, where Q is the
+    quotient of T_{u,b} at (p, q).  The two best constants are only
+    equivalent: over all non-increasing f the identity becomes a two-sided
+    bound, not an equality."""
     B = b_cumulative(b)
     return u.power(p).scale(1.0 / p), weight_mul(B.power(p - 1.0), b)
 
@@ -94,18 +95,37 @@ class OperatorKernel:
     operator reads; ``apply`` maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
     row by row.  Outputs are exact at the knots, and on each region they
-    under-estimate the true output by its monotonicity."""
+    under-estimate the true output by its monotonicity.
+
+    ``apply`` keeps four properties, row by row and up to rounding:
+
+    (i) subadditive: ``apply(f + g) <= apply(f) + apply(g)``;
+    (ii) positively homogeneous: ``apply(c f) = c apply(f)`` for c > 0;
+    (iii) monotone: f <= g implies ``apply(f) <= apply(g)``;
+    (iv) refinable: a witness scores at most the same step function on the
+         grid with a knot inserted between each pair of knots.
+
+    (iv) follows from the soundness contract above, which the oracle's lower
+    bounds rest on; (i)-(iii) let a cone's extreme rays bound every quotient
+    when p <= 1 <= q.  Each output is a maximum of nonnegative multiples of
+    the input's region values or of their running sums, which gives
+    (i)-(iii), but for the ``np.minimum`` on the tail region of S* and T_ub.
+    Its second argument, the value at the last knot, is at least the tail
+    input times the sup of u (of u/B for T_ub) on the tail region, and that
+    sup is at least the liminf of the same weight at infinity.  So the
+    minimum always picks its first argument, the tail input times that
+    liminf, which is linear.
+    This holds under 0 * inf = 0 too: a zero tail input makes both products
+    0, and an infinite liminf makes the sup infinite."""
 
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
         self.kind = kind
         self.cone = cone
         ks = grid.array()
-        if kind.base in ("T_ub", "SS_ub"):
+        if kind.base == "T_ub":
             B = b_cumulative(kind.b)
-            self.Bk = np.asarray(B(ks), dtype=float)
-            if kind.base == "T_ub":
-                self.dB = region_measures(grid, kind.b)
-            self.uB = adiv(np.asarray(kind.u(ks), dtype=float), self.Bk)
+            self.dB = region_measures(grid, kind.b)
+            self.uB = adiv(np.asarray(kind.u(ks), dtype=float), np.asarray(B(ks), dtype=float))
             ratio_w = _ratio_weight(kind.u, B)
             self.uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
             self.uB_liminf = ratio_w.limit_inf()
@@ -123,15 +143,10 @@ class OperatorKernel:
         [0, inf].  For callers inside ``np.errstate(all="ignore")``, as the
         oracle's engine is."""
         k = self.kind
-        if k.base in ("T_ub", "SS_ub"):
-            if k.base == "T_ub":
-                # int_0^{k_j} f b, with b's region masses as lengths
-                inner = hardy_at_knots(segv, self.dB)
-                tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
-            else:
-                # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * B(k_i)
-                inner = np.maximum.accumulate(_amul(segv[:, :-1], self.Bk), axis=1)
-                tail_pos = segv[:, -1] != 0.0
+        if k.base == "T_ub":
+            # int_0^{k_j} f b, with b's region masses as lengths
+            inner = hardy_at_knots(segv, self.dB)
+            tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
             inner_tail = np.where(tail_pos, INF, inner[:, -1])
             point = _amul(self.uB, inner)
             tail_term = _amul(inner_tail, self.uB_tail_sup)[:, None]

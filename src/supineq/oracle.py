@@ -13,13 +13,12 @@ the divergence flag set.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _amul, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, _amul, xdiv, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -29,9 +28,8 @@ from .gridfn import (
     sample_monotone,
     sample_nonneg,
 )
-from .operators import OperatorKernel, OperatorKind, power_substitution
+from .operators import OperatorKernel
 from .criteria import CriterionResult, InequalitySpec
-from .weights import Exponents, Weight, running_sup
 
 __all__ = [
     "OracleBudget",
@@ -39,9 +37,7 @@ __all__ = [
     "EquivalenceReport",
     "RayleighEngine",
     "best_constant_lower",
-    "down_dual_constant",
     "equivalence_report",
-    "verify_three_way",
 ]
 
 
@@ -256,7 +252,8 @@ def _steps(bases: np.ndarray, owner: np.ndarray, cols: np.ndarray, fac: np.ndarr
     from b[j], which is decided before any row is built; max is exact, so the
     rows equal those of a row-wide running maximum bit for bit."""
     x = bases[owner, cols]
-    y = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
+    with np.errstate(over="ignore"):  # a knot above 9e307 steps to +inf
+        y = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
     n = bases.shape[1] - 1
     if cone == "none":
         at_j = y
@@ -278,8 +275,9 @@ def _step(base: np.ndarray, j: int, f: int, cone: str) -> np.ndarray:
     """``_steps`` for one step, on scalars: ``base`` moved at knot j by factor
     f and projected onto the cone, as a new row, or ``base`` itself when the
     projection takes the step back to it."""
-    x = base[j]
-    y = x * _ASCENT_FACTORS[f] if x > 0 else _ASCENT_FROM_ZERO[f]
+    # Python floats: their product overflows to +inf without numpy's warning
+    x = float(base[j])
+    y = x * float(_ASCENT_FACTORS[f]) if x > 0 else _ASCENT_FROM_ZERO[f]
     nb = j + 1 if cone == "non_increasing" else j - 1
     at_j = max(y, base[nb]) if cone != "none" and 0 <= nb < len(base) else y
     if at_j == x:
@@ -380,23 +378,6 @@ def _divergence_from_char(char_scans) -> bool:
     return False
 
 
-def down_dual_constant(g: Weight, v: Weight, p: float,
-                       grid: Optional[Grid] = None) -> float:
-    """sup_t G(t) V(t)^{-1/p} with G(t) = esssup_{(0,t]} g, for p <= 1.
-
-    This is the closed-form best constant of ``||g f||_oo-type`` functionals
-    over non-increasing f with ||f||_{p,v} <= 1."""
-    if p > 1.0:
-        raise ValueError("the closed form holds for p <= 1")
-    grid = grid or make_log_grid(**DEFAULT_GRID)
-    ks = grid.array()
-    Gt = running_sup(g, "low")(ks)
-    Vt = np.array([v.cum_low(t) for t in ks])
-    cand = amul(Gt, apow(Vt, -1.0 / p))
-    tail = xmul(g.sup_on_interval(0.0, INF), xpow(v.total(), -1.0 / p))
-    return float(np.max(np.concatenate([cand, [tail]])))
-
-
 _SAFETY = 4.0  # slack on the band's upper end, for the oracle's discretization bias
 
 
@@ -428,36 +409,3 @@ def equivalence_report(
     else:
         verdict = "ratio_out_of_band"
     return EquivalenceReport(verdict, total, lb, ratio, band, oracle.divergence_flag)
-
-
-def verify_three_way(
-    u: Weight,
-    b: Weight,
-    v: Weight,
-    w: Weight,
-    e: Exponents,
-    budget: OracleBudget = OracleBudget(n_char=256, n_random=60, n_ascent=10),
-    seed: int = 0,
-    grid: Optional[Grid] = None,
-) -> dict:
-    """Oracle bounds for the three equivalent forms of the combined inequality
-    (p <= 1): the direct form, the power-substituted form, and the double-sup
-    form.  Returns the three bounds, their pairwise ratios, and flags."""
-    p, q = e.p, e.q
-    if p > 1.0:
-        raise ValueError("the three-way equivalence is stated for p <= 1")
-    u_hat, b_hat = power_substitution(u, b, p)
-    specs = {
-        "direct": InequalitySpec(OperatorKind("T_ub", None, u, b), "non_increasing", v, w, e),
-        "powered": InequalitySpec(OperatorKind("T_ub", None, u_hat, b_hat), "non_increasing",
-                                  v, w, Exponents(1.0, q / p)),
-        "double_sup": InequalitySpec(OperatorKind("SS_ub", None, u, b), "non_increasing", v, w, e),
-    }
-    runs = {name: best_constant_lower(spec, budget, seed, grid) for name, spec in specs.items()}
-    lbs = {name: r.lower_bound for name, r in runs.items()}
-    lbs["powered"] = xpow(lbs["powered"], 1.0 / p)
-    return {
-        "lower_bounds": lbs,
-        "ratios": {f"{x}/{y}": xdiv(lbs[x], lbs[y]) for x, y in itertools.combinations(lbs, 2)},
-        "divergence_flags": {name: r.divergence_flag for name, r in runs.items()},
-    }

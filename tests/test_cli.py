@@ -170,6 +170,7 @@ class TestMain:
         {"grid": 40},
         # no criterion for the operator on the cone
         {"operator": {"base": "S", "compose": "H"}},
+        # an unknown operator base
         {"operator": {"base": "SS_ub"}},
         # the oracle's norms need finite exponents
         {"operator": {"base": "T_ub"}, "q": "inf"},

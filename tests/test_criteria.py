@@ -1,8 +1,12 @@
 """Criterion evaluation: dispatch, scaling laws, hypotheses, reductions."""
 
+import os
+import warnings
+
 import numpy as np
 import pytest
 
+from supineq.cli import load_config
 from supineq.criteria import (
     CritCtx,
     InequalitySpec,
@@ -15,7 +19,7 @@ from supineq.criteria import (
 )
 from supineq.extreal import INF
 from supineq.operators import OperatorKind
-from supineq.weights import Exponents, PowerWeight
+from supineq.weights import Exponents, PiecewisePowerWeight, PowerWeight
 
 U = PowerWeight(1.0, 0.5)
 V = PowerWeight(1.0, 1.0)          # head-integrable: 0 < V(x) < oo
@@ -23,6 +27,8 @@ VTAIL = PowerWeight(1.0, 0.0, 1.0)  # tail-integrable: 0 < V*(x) < oo
 VROOT = PowerWeight(1.0, 0.5)       # v^{1-p'} head-integrable for p = 2
 W = PowerWeight(1.0, 0.0, 1.0)      # e^{-t}
 ONE = PowerWeight(1.0, 0.0)
+CANDIDATES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "candidates.json")
 
 
 def spec_for(base, cone, u=U, b=ONE, v=V, w=W, p=2.0, q=2.0, compose=None):
@@ -198,6 +204,33 @@ class TestReductions:
         assert r.rule == "R2.5"
         assert r.spec.cone == "non_increasing"
         assert r.spec.kind.compose is None
+
+    def test_nu_monotone_through_a_stretch_of_inf(self):
+        # sstarup-144 under R2.4: nu is finite and non-decreasing up to t ~ 716,
+        # then +inf, where np.diff reads inf - inf = NaN
+        sc = next(sc for sc in load_config(CANDIDATES) if sc.id == "sstarup-144")
+        red = reduce_spec_inner(sc.spec)
+        assert red.rule == "R2.4" and red.spec.exps.p == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nuv = CritCtx().vals(red.spec.v)
+            report = evaluate_criterion(red.spec).hypothesis_report
+        assert np.isinf(nuv).sum() > 1 and np.isfinite(nuv).any()
+        assert report["nu non-decreasing"] is True
+
+    @pytest.mark.parametrize("side, pieces", [
+        ("up", (PowerWeight(INF, 0.0), PowerWeight(1.0, 1.0))),
+        ("low", (PowerWeight(1.0, -1.0), PowerWeight(INF, 0.0))),
+    ], ids=["down-from-inf", "up-to-inf"])
+    def test_nu_step_between_inf_and_finite_is_not_monotone(self, side, pieces):
+        # nu is +inf on one side of t = 1 and finite on the other, against the
+        # monotonicity the side asks for; a slack relative to +inf would pass it
+        nu = PiecewisePowerWeight((1.0,), pieces)
+        spec = spec_for("S" if side == "low" else "S*", "none", v=nu, p=1.0, q=1.0,
+                        compose="H" if side == "low" else "H*")
+        with pytest.raises(TheoremInapplicable) as exc:
+            evaluate_criterion(spec)
+        assert exc.value.report[{"low": "nu non-increasing", "up": "nu non-decreasing"}[side]] is False
 
 
 class TestResultShape:

@@ -26,8 +26,6 @@ def test_all_names_resolve():
 ENTRY_POINTS = {
     "reduce_spec": "the paper's reductions of a monotone-cone problem to the full cone",
     "reduce_spec_inner": "the paper's R2.2/R2.4: the cumulative moves into the supremal weight",
-    "down_dual_constant": "the closed-form sup-functional constant over non-increasing f, p <= 1",
-    "verify_three_way": "the three equivalent forms of the combined operator, p <= 1",
 }
 
 

@@ -46,8 +46,8 @@ def copson(f, cone):
 
 def apply(kind, f, cone):
     """Knot values of the operator's output on ``f``.  A non-decreasing output
-    (S) takes out(k_{i-1}) on region R_i, a non-increasing one (S*, T_ub,
-    SS_ub) takes out(k_i)."""
+    (S) takes out(k_{i-1}) on region R_i, a non-increasing one (S*, T_ub)
+    takes out(k_i)."""
     with np.errstate(all="ignore"):
         out = OperatorKernel(kind, cone, GRID).apply(regions(f, cone))[0]
     return out[1:] if kind.base == "S" else out[:-1]
@@ -164,17 +164,6 @@ class TestTub:
                     "non_increasing")
         assert np.all(np.diff(out) <= 1e-12)
 
-    @given(seed_st)
-    @settings(max_examples=30, deadline=None)
-    def test_double_sup_below_t_on_cone(self, seed):
-        # sup_{y <= tau} f(y) B(y) <= int_0^tau f b for non-increasing f,
-        # hence the double-sup form never exceeds the integral form
-        f = sample_monotone("non_increasing", GRID, seed)
-        u, b = PowerWeight(1.0, 0.5), ONE
-        lhs = apply(OperatorKind("SS_ub", None, u, b), f, "non_increasing")
-        rhs = apply(OperatorKind("T_ub", None, u, b), f, "non_increasing")
-        assert np.all(lhs <= rhs * (1 + 1e-10) + 1e-300)
-
     def test_t_gamma_kind(self):
         kind = OperatorKind.t_gamma(0.5)
         assert kind.base == "T_ub"
@@ -205,11 +194,11 @@ class TestApplySpec:
 
     def test_plain_bases(self):
         # u = t, b = 1 on f = indicator of (0, a]: S f = min(t, a),
-        # S* f = a on (0, a] and 0 beyond, and T_ub f = SS_ub f = a
+        # S* f = a on (0, a] and 0 beyond, and T_ub f = a
         j = 12
         a = KNOTS[j]
         expect = {"S": np.minimum(KNOTS, a), "S*": np.where(KNOTS <= a, a, 0.0),
-                  "T_ub": np.full(GRID.n, a), "SS_ub": np.full(GRID.n, a)}
+                  "T_ub": np.full(GRID.n, a)}
         for base, want in expect.items():
             got = apply(OperatorKind(base, None, T, ONE), indicator(j), "non_increasing")
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), base

@@ -1,9 +1,10 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
+import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,9 +30,7 @@ from supineq.oracle import (
     OracleResult,
     RayleighEngine,
     best_constant_lower,
-    down_dual_constant,
     equivalence_report,
-    verify_three_way,
 )
 from supineq.weights import (
     Exponents,
@@ -189,21 +188,6 @@ class TestEquivalenceReport:
 
 
 class TestHelpers:
-    def test_down_dual_constant_matches_ratio(self):
-        # g = V for v = 1, p = 1: the quotient G(t) V(t)^{-1} is exactly 1
-        g = PowerWeight(1.0, 1.0)
-        val = down_dual_constant(g, ONE, 1.0, grid=GRID)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_verify_three_way_structure(self):
-        out = verify_three_way(PowerWeight(1.0, 1.0), ONE, ONE, EXP,
-                               Exponents(0.5, 0.5),
-                               budget=OracleBudget(64, 10, 3), seed=4, grid=GRID)
-        assert set(out["lower_bounds"]) == {"direct", "powered", "double_sup"}
-        for v in out["lower_bounds"].values():
-            assert v >= 0.0
-        assert "ratios" in out and "divergence_flags" in out
-
     def test_engines_on_one_grid_share_region_masses(self):
         # the v- and b-masses are memoised per (grid, weight), across specs
         a = RayleighEngine(tub_spec(1.0, 2.0), make_log_grid(1e-4, 1e4, 49))
@@ -336,32 +320,10 @@ def t_ub(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
                         head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
 
 
-def double_sup(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
-    """t -> sup_{tau >= t} u(tau)/B(tau) * sup_{y <= tau} f(y) B(y)."""
-    B = b_cumulative(b)
-    ks = f.grid.array()
-    segv = f.region_values()
-    Bk = np.asarray(B(ks), dtype=float)
-    # sup_{y <= k_j} f(y) B(y): region R_i contributes segv_i * sup_{R_i} B = segv_i * B(right)
-    inner = np.maximum.accumulate(amul(segv[:-1], Bk))
-    uB = adiv(np.asarray(u(ks), dtype=float), Bk)
-    point = amul(uB, inner)
-    ratio_w = _ratio_weight(u, B)
-    tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
-    inner_tail = inner[-1] if segv[-1] == 0.0 else INF
-    tail_term = xmul(inner_tail, tail_fac)
-    vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
-    tail_val = xmul(inner_tail, ratio_w.limit_inf())
-    return StepFunction(f.grid, vals, "non_increasing",
-                        head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
-
-
 def apply_spec(kind: OperatorKind, f: StepFunction) -> StepFunction:
     """Apply the operator described by ``kind`` to ``f``."""
     if kind.base == "T_ub":
         return t_ub(f, kind.u, kind.b)
-    if kind.base == "SS_ub":
-        return double_sup(f, kind.u, kind.b)
     if kind.compose == "H":
         inner = hardy(f)
     elif kind.compose == "H*":
@@ -379,10 +341,6 @@ U_PIECEWISE = PiecewisePowerWeight((1.0, 100.0), (PowerWeight(1.0, 0.5), PowerWe
                                                   PowerWeight(0.01, 0.5)))
 
 KERNEL_SPECS = [(sc.id, sc.spec) for sc in load_config(BATTERY)] + [
-    ("ss_ub", InequalitySpec(OperatorKind("SS_ub", None, PowerWeight(1.0, 1.0), ONE),
-                             "non_increasing", ONE, EXP, Exponents(0.5, 0.5))),
-    ("ss_ub-b2t", InequalitySpec(OperatorKind("SS_ub", None, PowerWeight(1.0, 2.0), B2T),
-                                 "non_increasing", ONE, EXP, Exponents(0.5, 1.0))),
     ("tub-b2t", InequalitySpec(OperatorKind("T_ub", None, PowerWeight(1.0, 2.0), B2T),
                                "non_increasing", ONE, EXP, Exponents(2.0, 1.0))),
     ("s-table", InequalitySpec(OperatorKind("S", None, U_TABLE), "non_increasing",
@@ -422,15 +380,15 @@ def kernel_inputs(spec, grid):
     return np.array(rand + ind)
 
 
-def reference_ratio(engine, values):
-    """The same quotient through ``apply_spec`` on a StepFunction witness."""
+def reference(engine, values):
+    """The quotient and the output region values of ``values``, through
+    ``apply_spec`` on a StepFunction witness."""
     spec = engine.spec
     f = StepFunction(engine.grid, values, spec.cone)
-    den = norm(f, spec.exps.p, engine.dV)
-    if den == 0.0:
-        return 0.0
     out = apply_spec(spec.kind, f)
-    return xdiv(norm(out, spec.exps.q, engine.dW), den)
+    den = norm(f, spec.exps.p, engine.dV)
+    ratio = 0.0 if den == 0.0 else xdiv(norm(out, spec.exps.q, engine.dW), den)
+    return ratio, out.region_values()
 
 
 class TestKernel:
@@ -443,9 +401,124 @@ class TestKernel:
         # rows of a batch never interact: bit-for-bit the one-row wrapper
         single = np.array([engine.ratio(row) for row in stack])
         assert np.array_equal(batched, single)
-        # and the StepFunction reference
-        ref = np.array([reference_ratio(engine, row) for row in stack])
-        assert np.array_equal(batched, ref)
+        # and the StepFunction reference, region value by region value too:
+        # every w here decays like e^{-t}, so the quotients give the tail
+        # region no weight
+        ref, ref_out = zip(*(reference(engine, row) for row in stack))
+        assert np.array_equal(batched, np.array(ref))
+        with np.errstate(all="ignore"):
+            out = engine.kernel.apply(region_values(stack, spec.cone))
+        assert np.array_equal(out, np.array(ref_out))
+
+
+# -- the kernel contract: the properties the oracle's certificates rest on --
+
+CONES = ("non_increasing", "non_decreasing", "none")
+# every kernel spec's operator on every cone, not only the one its criterion
+# takes: the properties hold for any rows of region values
+CONTRACT_CASES = [(sid, spec, cone) for sid, spec in KERNEL_SPECS for cone in CONES]
+CONTRACT_IDS = [f"{sid}-{cone}" for sid, _, cone in CONTRACT_CASES]
+RTOL = 1e-12  # rounding only
+
+
+def halved(grid):
+    """``grid`` with the geometric midpoint of each pair of neighbouring knots
+    inserted: every region of ``grid`` is the union of two of its regions."""
+    ks = grid.array()
+    return Grid(tuple(np.insert(ks, np.arange(1, len(ks)), np.sqrt(ks[:-1] * ks[1:])).tolist()))
+
+
+def carried_over(F, cone):
+    """Knot values on ``halved(grid)`` of the same step functions as the rows
+    of ``F``.  A non-increasing row holds values[i] on (k_{i-1}, k_i], so a new
+    knot takes the value of the knot to its right; a row of the other two
+    cones holds values[i] on [k_i, k_{i+1}), so a new knot takes the value of
+    the knot to its left."""
+    out = np.empty((F.shape[0], 2 * F.shape[1] - 1))
+    out[:, ::2] = F
+    out[:, 1::2] = F[:, 1:] if cone == "non_increasing" else F[:, :-1]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def contract_engine(case, refined=False):
+    """The engine of contract case ``case`` on ``KERNEL_GRID`` or its halving."""
+    _, spec, cone = CONTRACT_CASES[case]
+    grid = halved(KERNEL_GRID) if refined else KERNEL_GRID
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return RayleighEngine(replace(spec, cone=cone), grid)
+
+
+def kernel_out(engine, F):
+    """The kernel's output region values for the knot-value rows ``F``."""
+    with np.errstate(all="ignore"):
+        return engine.kernel.apply(region_values(F, engine.cone))
+
+
+def witnesses(cone, rng, m=3):
+    """An ``(m, n)`` stack of rows of ``cone`` on ``KERNEL_GRID``, drawn with
+    ``rng``: sampled rows and indicators, each scaled by a power of ten."""
+    n, fams = KERNEL_GRID.n, indicator_families(cone)
+    rows = []
+    for _ in range(m):
+        seed = int(rng.integers(2**31))
+        if rng.random() < 0.5:
+            row = (sample_nonneg(KERNEL_GRID, seed) if cone == "none"
+                   else sample_monotone(cone, KERNEL_GRID, seed))
+        else:
+            row = indicator(n, seed % n, fams[seed % len(fams)])
+        rows.append(row * 10.0 ** int(rng.integers(-30, 31)))
+    return np.array(rows)
+
+
+class TestKernelContract:
+    """The four properties ``OperatorKernel`` states, row by row at relative
+    tolerance ``RTOL``: (i) subadditive, (ii) positively homogeneous, (iii)
+    monotone, and (iv) a witness scores at most its carried-over copy on the
+    halved grid.  Each example checks every kernel spec's operator on every
+    cone, with witnesses drawn from its seed."""
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_subadditive(self, seed):
+        rng = np.random.default_rng(seed)
+        for case, cid in enumerate(CONTRACT_IDS):
+            engine = contract_engine(case)
+            F, G = witnesses(engine.cone, rng), witnesses(engine.cone, rng)
+            rhs = kernel_out(engine, F) + kernel_out(engine, G)
+            assert np.all(kernel_out(engine, F + G) <= rhs * (1.0 + RTOL)), cid
+
+    @given(seed=st.integers(0, 2**31 - 1), c=st.floats(1e-3, 1e3))
+    @settings(max_examples=5, deadline=None)
+    def test_positively_homogeneous(self, seed, c):
+        rng = np.random.default_rng(seed)
+        for case, cid in enumerate(CONTRACT_IDS):
+            engine = contract_engine(case)
+            F = witnesses(engine.cone, rng)
+            assert np.allclose(kernel_out(engine, c * F), c * kernel_out(engine, F),
+                               rtol=RTOL, atol=0.0), cid
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_monotone(self, seed):
+        # F <= F + G, and both lie in the cone
+        rng = np.random.default_rng(seed)
+        for case, cid in enumerate(CONTRACT_IDS):
+            engine = contract_engine(case)
+            F, G = witnesses(engine.cone, rng), witnesses(engine.cone, rng)
+            assert np.all(kernel_out(engine, F) <= kernel_out(engine, F + G) * (1.0 + RTOL)), cid
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_refinement_never_lowers_the_quotient(self, seed):
+        # the same step function, with outputs exact at more knots
+        rng = np.random.default_rng(seed)
+        for case, cid in enumerate(CONTRACT_IDS):
+            engine, fine = contract_engine(case), contract_engine(case, refined=True)
+            F = witnesses(engine.cone, rng)
+            fine_rs = fine.ratios(carried_over(F, engine.cone))
+            assert np.all(engine.ratios(F) <= fine_rs * (1.0 + RTOL)), cid
 
 
 # e^{-t} sampled 3 per decade on [1e-4, 1e4]: the mass of its segment
@@ -653,8 +726,6 @@ ASCENT_SPECS = {
     "S*oH*": InequalitySpec(OperatorKind("S*", "H*", ONE), "none", ONE, EXP, Exponents(2.0, 2.0)),
     "T_ub": InequalitySpec(OperatorKind("T_ub", None, ONE, ONE), "non_increasing", ONE, EXP,
                            Exponents(2.0, 2.0)),
-    "SS_ub": InequalitySpec(OperatorKind("SS_ub", None, ONE, ONE), "non_increasing", T, EXP,
-                            Exponents(3.0, 1.5)),
     # unbounded: the quotient keeps doubling, sweep after sweep
     "S*-up-unbounded": InequalitySpec(OperatorKind("S*", None, ONE), "non_decreasing", EXP, EXP,
                                       Exponents(1.0, 1.0)),
@@ -719,14 +790,28 @@ class TestAscentStep:
         owner, cols, fac = (np.array(col) for col in zip(*steps))
         with np.errstate(over="ignore"):  # 2 x 1e300
             want = [ascent_steps(bases[b], j, ASCENT_FACTORS[f:f + 1], cone)[0] for b, j, f in steps]
-            fresh, rows = oracle._steps(np.pad(bases, ((0, 0), (0, 1))), owner, cols, fac, cone)
-            singles = [oracle._step(bases[b], j, f, cone) for b, j, f in steps]
+        fresh, rows = oracle._steps(np.pad(bases, ((0, 0), (0, 1))), owner, cols, fac, cone)
+        singles = [oracle._step(bases[b], j, f, cone) for b, j, f in steps]
         assert fresh.tolist() == [bool((w != bases[b]).any()) for w, (b, _, _) in zip(want, steps)]
         assert rows.tobytes() == np.array([w for w, k in zip(want, fresh) if k]).reshape(-1, n).tobytes()
         # the one-step form returns its base itself when the step leaves it
         for w, k, row, (b, _, _) in zip(want, fresh, singles, steps):
             assert row.tobytes() == w.tobytes()
             assert np.shares_memory(row, bases) == (not k)
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_overflowing_step_is_inf_without_a_warning(self, cone):
+        # factor 2 takes a knot of 1e308 past the float range: the step reads
+        # +inf, and the library emits no overflow warning
+        base = np.full(5, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh, rows = oracle._steps(np.pad(base, (0, 1))[None], np.array([0]), np.array([2]),
+                                        np.array([0]), cone)
+            single = oracle._step(base, 2, 0, cone)
+        assert fresh.tolist() == [True]
+        assert rows[0].tobytes() == single.tobytes()
+        assert single[2] == INF
 
 
 class PredictedPathSpy:
