@@ -164,6 +164,20 @@ class TestTub:
                     "non_increasing")
         assert np.all(np.diff(out) <= 1e-12)
 
+    @pytest.mark.parametrize("u, b", [(T, ONE), (PowerWeight(1.0, 2.0), PowerWeight(2.0, 1.0)),
+                                      (PowerWeight(1.0, 0.5), ONE),
+                                      (PowerWeight(1.0, -0.5), PowerWeight(2.0, 1.0))],
+                             ids=["t-1", "t2-2t", "sqrt-1", "invsqrt-2t"])
+    @given(seed=seed_st)
+    @settings(max_examples=20, deadline=None)
+    def test_dominates_s_star_on_cone(self, u, b, seed):
+        # int_0^tau f b >= f(tau) B(tau) for non-increasing f, so
+        # T_{u,b} f >= S*_u f at every knot
+        f = sample_monotone("non_increasing", GRID, seed)
+        t_out = apply(OperatorKind("T_ub", None, u, b), f, "non_increasing")
+        s_out = apply(OperatorKind("S*", None, u), f, "non_increasing")
+        assert np.all(s_out <= t_out * (1 + 1e-12))
+
     def test_t_gamma_kind(self):
         kind = OperatorKind.t_gamma(0.5)
         assert kind.base == "T_ub"

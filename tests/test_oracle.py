@@ -310,12 +310,15 @@ def t_ub(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
     cumk = np.cumsum(amul(segv[:-1], dB[:-1]))  # int_0^{k_j} f b, exact
     uB = adiv(np.asarray(u(ks), dtype=float), Bk)
     point = amul(uB, cumk)
+    # beyond the grid the integral stays at cumk[-1] unless f b has mass on
+    # the tail region, which is read as unbounded
+    inner_tail = INF if segv[-1] > 0.0 and dB[-1] > 0.0 else cumk[-1]
     # tail factor: certified under-estimate of sup_{tau > M} u/B via probes
     ratio_w = _ratio_weight(u, B)
     tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
-    tail_term = xmul(cumk[-1] if segv[-1] == 0.0 else INF, tail_fac)
+    tail_term = xmul(inner_tail, tail_fac)
     vals = np.maximum.accumulate(np.concatenate([point, [tail_term]])[::-1])[::-1][:-1]
-    tail_val = xmul(cumk[-1] if segv[-1] == 0.0 else INF, ratio_w.limit_inf())
+    tail_val = xmul(inner_tail, ratio_w.limit_inf())
     return StepFunction(f.grid, vals, "non_increasing",
                         head=float(vals[0]), tail=float(min(tail_val, vals[-1])))
 
@@ -339,10 +342,15 @@ B2T = PowerWeight(2.0, 1.0)  # b = 2t
 U_TABLE = TabulatedWeight((1e-3, 1e-1, 10.0, 1e3), (0.5, 2.0, 1.0, 3.0))
 U_PIECEWISE = PiecewisePowerWeight((1.0, 100.0), (PowerWeight(1.0, 0.5), PowerWeight(1.0, -0.5),
                                                   PowerWeight(0.01, 0.5)))
+# b = 1 on (0, 100] and 0 beyond: no b-mass on the tail region, so a positive
+# tail input leaves int_0^tau f b bounded there
+B_CUT = PiecewisePowerWeight((100.0,), (ONE, PowerWeight(0.0, 0.0)))
 
 KERNEL_SPECS = [(sc.id, sc.spec) for sc in load_config(BATTERY)] + [
     ("tub-b2t", InequalitySpec(OperatorKind("T_ub", None, PowerWeight(1.0, 2.0), B2T),
                                "non_increasing", ONE, EXP, Exponents(2.0, 1.0))),
+    ("tub-cut-b", InequalitySpec(OperatorKind("T_ub", None, ONE, B_CUT), "none",
+                                 ONE, EXP, Exponents(2.0, 1.0))),
     ("s-table", InequalitySpec(OperatorKind("S", None, U_TABLE), "non_increasing",
                                ONE, EXP, Exponents(2.0, 2.0))),
     ("sstar-table", InequalitySpec(OperatorKind("S*", None, U_TABLE), "non_decreasing",
