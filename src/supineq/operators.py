@@ -4,7 +4,8 @@
 the Hardy transform H or the Copson transform H*, or T_{u,b}.
 :class:`OperatorKernel` is the one implementation of their semantics on a
 grid: it maps the region values of step functions to the region values of
-the operator's output, row-wise.  Output values at the knots are exact; on
+the operator's output, row-wise.  Output values at the knots are exact (but
+for T_{u,b} on a row with tail input, where they are under-estimated); on
 each region the output is under-estimated by its monotonicity.  This is the
 soundness contract the oracle relies on: Rayleigh quotients built from these
 outputs never exceed the true quotient of the step witness.
@@ -95,7 +96,9 @@ class OperatorKernel:
     operator reads; ``apply`` maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
     row by row.  Outputs are exact at the knots, and on each region they
-    under-estimate the true output by its monotonicity.
+    under-estimate the true output by its monotonicity.  Beyond the last
+    knot T_ub reads int_0^tau f b as its value there (f b >= 0, so this
+    under-estimates): on a row with tail input its knot outputs do too.
 
     ``apply`` keeps four properties, row by row and up to rounding:
 
@@ -144,14 +147,13 @@ class OperatorKernel:
         oracle's engine is."""
         k = self.kind
         if k.base == "T_ub":
-            # int_0^{k_j} f b, with b's region masses as lengths
+            # int_0^{k_j} f b, with b's region masses as lengths; beyond the
+            # grid, its value at the last knot
             inner = hardy_at_knots(segv, self.dB)
-            tail_pos = (segv[:, -1] > 0.0) & (self.dB[-1] > 0.0)
-            inner_tail = np.where(tail_pos, INF, inner[:, -1])
             point = _amul(self.uB, inner)
-            tail_term = _amul(inner_tail, self.uB_tail_sup)[:, None]
+            tail_term = _amul(inner[:, -1], self.uB_tail_sup)[:, None]
             vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            tail_val = np.minimum(_amul(inner_tail, self.uB_liminf), vals[:, -1])
+            tail_val = np.minimum(_amul(inner[:, -1], self.uB_liminf), vals[:, -1])
             return np.concatenate([vals, tail_val[:, None]], axis=1)
         # supremal (possibly composed) operators act on the inner g's regions
         zeros = np.zeros((segv.shape[0], 1))

@@ -5,9 +5,9 @@ over step-function witnesses in the input cone.  Because operator outputs
 are computed exactly at knots (or under-estimated inside regions) and the
 denominator is exact for step functions, every quotient it reports is a
 certified lower bound on the best constant.  It is a *lower-bound oracle*:
-it can under-report, never over-report.  A quotient of +inf is kept when the
-numerator has an infinite factor (``_gains``); the bound is then +inf, with
-the divergence flag set.
+it can under-report, never over-report.  ``RayleighEngine.ratios`` reads +inf
+only when the numerator has an infinite factor; the bound is then +inf, with
+the divergence flag set, and every search stage stops.
 """
 
 from __future__ import annotations
@@ -102,7 +102,12 @@ class RayleighEngine:
         semantics of the cone (``gridfn.region_values``); the operator kernel
         maps them to output region values, and both norms are exact sums over
         regions.  Every entry of ``F`` must lie in [0, inf]: a NaN or negative
-        one raises ``ValueError``."""
+        one raises ``ValueError``.
+
+        Each quotient is certified.  A row reads +inf only when its numerator
+        has an infinite factor, an output region value of +inf on positive
+        w-mass or a positive one on infinite w-mass (outputs under-estimate);
+        one that float overflow alone sends to +inf reads 0, a sound bound."""
         F = np.asarray(F, dtype=float)
         # one reduction checks the rows: their minimum is NaN if an entry is
         if F.size and not F.min() >= 0.0:
@@ -118,11 +123,19 @@ class RayleighEngine:
             den_sums = _amul(segv, self.dV, out=segv).sum(axis=1)
             num_sums = _amul(out_segv, self.dW, out=out_segv).sum(axis=1)
         out = np.zeros(F.shape[0])
+        unsure = []  # rows that read +inf
         # scalar finish: np.power differs from float ** on ~5 % of sums at 1/3
         for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
             den = xpow(den_sum, 1.0 / p)
             if den != 0.0:
-                out[i] = xdiv(xpow(num_sum, 1.0 / q), den)
+                out[i] = r = xdiv(xpow(num_sum, 1.0 / q), den)
+                if r == INF:
+                    unsure.append(i)
+        if unsure:  # ``out_segv`` holds powers now: one more pass, on these rows
+            with np.errstate(all="ignore"):
+                o = self.kernel.apply(region_values(F[unsure], self.cone))
+            inf_factor = ((o == INF) & (self.dW > 0.0)) | ((self.dW == INF) & (o > 0.0))
+            out[unsure] = np.where(inf_factor.any(axis=1), INF, 0.0)
         return out
 
 
@@ -154,20 +167,24 @@ def best_constant_lower(
         """Score one witness, keep it if it gains, and return its quotient."""
         nonlocal best, best_vals
         r = engine.ratio(vals)
-        if _gains(engine, vals, r, best):
+        if r > best:
             best, best_vals = r, vals
         return r
 
-    char_scans = []  # (knots used, ratios with a non-finite one read as 0)
+    # every stage stops once the bound is +inf, which nothing beats; the scans
+    # are read only when it ends finite, and then every ratio in them is
+    char_scans = []  # (knots scored, their ratios)
     if budget.n_char > 0:
         idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
         for fam in [cone] if cone != "none" else ["non_increasing", "non_decreasing"]:
-            rs = np.array([offer(_characteristic_values(n, int(j), fam)) for j in idxs])
-            char_scans.append((engine.ks[idxs], np.where(np.isfinite(rs), rs, 0.0)))
+            rs = [offer(_characteristic_values(n, int(j), fam)) for j in idxs if best < INF]
+            char_scans.append((engine.ks[idxs[:len(rs)]], np.array(rs)))
     trace.append(best)
 
     sample = sample_nonneg if cone == "none" else functools.partial(sample_monotone, cone)
     for i in range(budget.n_random):
+        if best == INF:
+            break
         offer(sample(engine.grid, seed + 7919 * (i + 1)))
     trace.append(best)
 
@@ -205,25 +222,6 @@ def best_constant_lower(
         trace=tuple(trace),
         divergence_flag=best == INF or _divergence_from_char(char_scans),
     )
-
-
-def _gains(engine: RayleighEngine, row: np.ndarray, r: float, floor: float) -> bool:
-    """Whether ``row``'s quotient ``r`` certifies a bound above ``floor``: the
-    one acceptance rule of every search stage.
-
-    A quotient of +inf certifies only when the numerator has an infinite
-    factor: an output region value of +inf on a region of positive w-mass, or
-    a positive output on a region of infinite w-mass.  Output region values
-    under-estimate the true output, so either makes the true numerator
-    infinite; a +inf that only float overflow in the norms produced does not."""
-    if not floor < r:
-        return False
-    if r < INF:
-        return True
-    with np.errstate(all="ignore"):
-        out = engine.kernel.apply(region_values(np.asarray(row, dtype=float)[None], engine.cone))[0]
-    dW = engine.dW
-    return bool((((out == INF) & (dW > 0.0)) | ((dW == INF) & (out > 0.0))).any())
 
 
 _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
@@ -302,9 +300,9 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     predecessors' predicted outcomes lead to (``_steps``).  Steps equal to
     their own base are neither built nor scored: their quotient is that
     base's, which is not above the floor.  The sequential first-gain rule
-    (``_gains`` over ``best * (1 + 1e-12)``, the factors of one coordinate in
-    order) is replayed up to the first coordinate whose outcome differs from
-    its prediction, and ``pred`` is updated in place.  Returns
+    (a quotient above ``best * (1 + 1e-12)``, the factors of one coordinate
+    in order) is replayed up to the first coordinate whose outcome differs
+    from its prediction, and ``pred`` is updated in place.  Returns
     ``(coordinates settled, whether every prediction held, point, best)``.
     A coordinate whose predicted factor f and the ones before it fail is not
     settled: the next batch starts at it, from the same point, and scores
@@ -334,12 +332,10 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
         scores[fresh] = engine.ratios(rows)
     scores = scores.tolist()
     row_of = (np.cumsum(fresh) - 1).tolist()  # the built row of each fresh step
-    fresh = fresh.tolist()
     start = 0
     for c, (j, end) in enumerate(zip(coords, ends)):
         floor = best * (1.0 + 1e-12)
-        gain = next((i for i in range(start, end)
-                     if fresh[i] and _gains(engine, rows[row_of[i]], scores[i], floor)), -1)
+        gain = next((i for i in range(start, end) if scores[i] > floor), -1)
         if gain >= 0:
             vals, best = rows[row_of[gain]].copy(), scores[gain]
             gain = fac[gain]

@@ -4,7 +4,7 @@
 enumerates, at its ``DEFAULTS``, with none dropped for its outcome;
 ``configs/candidate_verdicts.json`` maps each id to the verdict it gets, and
 ``tests/data/candidate_oracle_golden.json`` to its oracle outcome (bound,
-trace and divergence flag, as ``test_acceptance.oracle_outcomes`` reads them),
+trace and divergence flag, as ``oracle_outcomes`` reads them),
 so a change meant to keep reports byte-identical is checked on all 686.  A
 change that moves a verdict or an outcome rewrites the three files with
 ``python tests/test_candidates.py`` and says which ids moved and which side
@@ -17,7 +17,6 @@ import json
 import os
 
 from supineq.cli import emit_report, load_config, run_batch
-from test_acceptance import oracle_outcomes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
@@ -48,6 +47,13 @@ def not_consistent(verdicts: dict) -> str:
     bad = collections.Counter(family(k) for k, v in verdicts.items() if v != "consistent")
     return (f"not consistent: {sum(bad.values())} of {len(verdicts)}; "
             + ", ".join(f"{fam} {n}" for fam, n in sorted(bad.items())))
+
+
+def oracle_outcomes(records):
+    """The oracle's part of each record that has one (an inapplicable
+    criterion skips the oracle), keyed by scenario."""
+    return {r["id"]: {k: r[k] for k in ("oracle_lower", "oracle_trace", "divergence_flag")}
+            for r in records if "oracle_lower" in r}
 
 
 def sweep():

@@ -109,6 +109,20 @@ class TestSoundness:
         assert orc.lower_bound <= 1.0 + 1e-9
         assert orc.lower_bound >= 0.99
 
+    def test_tub_tail_input_is_not_read_as_unbounded(self):
+        # T_ub with u = e^{-t}, b = 1, v = w = e^{-t}, p = q = 1 on the
+        # non-decreasing cone: (1/tau) int_0^tau f <= f(tau) and
+        # e^{-tau} f(tau) <= int_tau^oo f e^{-s} ds <= ||f||_{1,v}, so
+        # ||T f||_{1,w} <= ||f||_{1,v} and the best constant is at most 1,
+        # though every witness puts positive input on the tail region
+        spec = InequalitySpec(OperatorKind("T_ub", None, EXP, ONE), "non_decreasing", EXP, EXP,
+                              Exponents(1.0, 1.0))
+        grid = make_log_grid(1e-2, 10, 30)
+        engine = RayleighEngine(spec, grid)
+        assert 0.0 < engine.ratio(np.ones(30)) < 1.0
+        orc = best_constant_lower(spec, seed=0, grid=grid)
+        assert 0.0 < orc.lower_bound <= 1.0 and not orc.divergence_flag
+
 
 class TestFloatRange:
     def test_overflowing_norm_does_not_raise(self):
@@ -310,9 +324,9 @@ def t_ub(f: StepFunction, u: Weight = ONE, b: Weight = ONE) -> StepFunction:
     cumk = np.cumsum(amul(segv[:-1], dB[:-1]))  # int_0^{k_j} f b, exact
     uB = adiv(np.asarray(u(ks), dtype=float), Bk)
     point = amul(uB, cumk)
-    # beyond the grid the integral stays at cumk[-1] unless f b has mass on
-    # the tail region, which is read as unbounded
-    inner_tail = INF if segv[-1] > 0.0 and dB[-1] > 0.0 else cumk[-1]
+    # beyond the grid the integral is read as its value at the last knot, an
+    # under-estimate where f b has mass on the tail region
+    inner_tail = cumk[-1]
     # tail factor: certified under-estimate of sup_{tau > M} u/B via probes
     ratio_w = _ratio_weight(u, B)
     tail_fac = ratio_w.sup_on_interval(ks[-1], INF)
@@ -342,8 +356,8 @@ B2T = PowerWeight(2.0, 1.0)  # b = 2t
 U_TABLE = TabulatedWeight((1e-3, 1e-1, 10.0, 1e3), (0.5, 2.0, 1.0, 3.0))
 U_PIECEWISE = PiecewisePowerWeight((1.0, 100.0), (PowerWeight(1.0, 0.5), PowerWeight(1.0, -0.5),
                                                   PowerWeight(0.01, 0.5)))
-# b = 1 on (0, 100] and 0 beyond: no b-mass on the tail region, so a positive
-# tail input leaves int_0^tau f b bounded there
+# b = 1 on (0, 100] and 0 beyond: no b-mass on the tail region, so T_ub's
+# reading of int_0^tau f b there, its value at the last knot, is exact
 B_CUT = PiecewisePowerWeight((100.0,), (ONE, PowerWeight(0.0, 0.0)))
 
 KERNEL_SPECS = [(sc.id, sc.spec) for sc in load_config(BATTERY)] + [
@@ -616,22 +630,34 @@ class TestFactorDomain:
             self.assert_in_domain(RayleighEngine(tub, NAN_TAIL_GRID), cone)
 
 
-class TestInfiniteQuotients:
-    """A quotient of +inf is a certified bound when the numerator has an
-    infinite factor, and is kept; one that float overflow alone produced is
-    not."""
+def certifies(engine, row):
+    """The +inf rule: the numerator has an infinite factor, an output region
+    value of +inf on a region of positive w-mass or a positive output on a
+    region of infinite w-mass."""
+    with np.errstate(all="ignore"):
+        out = engine.kernel.apply(region_values(row[None], engine.cone))[0]
+    dW = engine.dW
+    return bool((((out == INF) & (dW > 0.0)) | ((dW == INF) & (out > 0.0))).any())
 
-    def test_overflow_only_inf_is_never_reported(self, monkeypatch):
+
+class TestInfiniteQuotients:
+    """``ratios`` reads +inf only where the numerator has an infinite factor;
+    a row that float overflow alone sends to +inf reads 0.  The search
+    stages compare these certified quotients and stop at +inf."""
+
+    def test_overflow_only_row_reads_zero(self, monkeypatch):
         # S with u = 1, v = 1, w = e^{-t}, p = 1, q = 2: the quotient is
         # 0-homogeneous, but (1e200)^2 overflows the numerator's norm
         spec = InequalitySpec(OperatorKind("S", None, ONE), "non_increasing", ONE, EXP,
                               Exponents(1.0, 2.0))
         grid = make_log_grid(1e-3, 1e3, 40)
         engine = RayleighEngine(spec, grid)
-        huge = np.full(40, 1e200)
-        assert engine.ratio(huge) == INF
-        assert engine.ratio(np.ones(40)) == pytest.approx(1.0e-3, rel=1e-3)
-        assert not oracle._gains(engine, huge, INF, 0.0)
+        huge, ones = np.full(40, 1e200), np.ones(40)
+        assert not certifies(engine, huge)
+        assert engine.ratio(huge) == 0.0
+        assert engine.ratio(ones) == pytest.approx(1.0e-3, rel=1e-3)
+        assert np.array_equal(engine.ratios(np.stack([huge, ones, huge])),
+                              [0.0, engine.ratio(ones), 0.0])
         # offered by the random stage, the overflowing row is passed over
         monkeypatch.setattr(oracle, "sample_monotone", lambda cone, grid, seed: huge)
         orc = best_constant_lower(spec, OracleBudget(16, 4, 2), seed=1, grid=grid)
@@ -645,8 +671,40 @@ class TestInfiniteQuotients:
         orc = best_constant_lower(sc.spec, sc.budget, sc.seed, grid)
         assert orc.lower_bound == INF and orc.divergence_flag
         engine = RayleighEngine(sc.spec, grid)
+        assert certifies(engine, orc.witness)
         assert engine.ratio(orc.witness) == INF
-        assert oracle._gains(engine, orc.witness, INF, 0.0)
+        assert np.array_equal(engine.ratios(np.stack([orc.witness, orc.witness])), [INF, INF])
+
+    @pytest.mark.parametrize("spec", [spec for _, spec in KERNEL_SPECS],
+                             ids=[sid for sid, _ in KERNEL_SPECS])
+    def test_inf_exactly_where_certified(self, spec):
+        # the kernel inputs and the same rows scaled by 1e200, whose norms
+        # overflow wherever p or q exceeds 1: a raw quotient of +inf stays
+        # +inf where the rule certifies it and reads 0 elsewhere
+        engine = RayleighEngine(spec, KERNEL_GRID)
+        stack = kernel_inputs(spec, KERNEL_GRID)
+        rows = np.concatenate([stack, 1e200 * stack])
+        with np.errstate(all="ignore"):
+            raw = np.array([reference(engine, row)[0] for row in rows])
+        cert = np.array([certifies(engine, row) for row in rows])
+        want = np.where(raw < INF, raw, np.where(cert, INF, 0.0))
+        assert np.array_equal(engine.ratios(rows), want)
+
+    def test_no_call_after_the_first_inf(self, monkeypatch):
+        # sstarup-176 reaches +inf at its first indicator: every stage stops
+        sc = next(sc for sc in load_config(CANDIDATES) if sc.id == "sstarup-176")
+        calls = []
+        ratio = RayleighEngine.ratio
+
+        def spy_ratio(engine, values):
+            calls.append(ratio(engine, values))
+            return calls[-1]
+
+        monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+        orc = best_constant_lower(sc.spec, sc.budget, sc.seed, make_log_grid(**sc.grid))
+        assert orc.lower_bound == INF and orc.divergence_flag
+        assert calls[-1] == INF and INF not in calls[:-1]
+        assert len(calls) == 1
 
     def test_ascent_that_reaches_inf_stops(self, monkeypatch):
         # S o H* on the full cone, v = w = e^{-t}: a positive value on the tail
