@@ -8,6 +8,20 @@ certified lower bound on the best constant.  It is a *lower-bound oracle*:
 it can under-report, never over-report.  ``RayleighEngine.ratios`` reads +inf
 only when the numerator has an infinite factor; the bound is then +inf, with
 the divergence flag set, and every search stage stops.
+
+Where p <= 1 <= q the third stage is one pass over the cone's extreme rays,
+and the best of them is the discrete best constant.  Every cone row is a
+nonnegative sum of rays: of chi_(0, k_j] on the non-increasing cone, of
+chi_[k_j, oo) on the non-decreasing one and of unit rows on ``none``.  The
+kernel is subadditive and positively homogeneous, so with Minkowski (q >= 1)
+the numerator of a sum is at most the sum of the rays' numerators, and with
+reverse Minkowski (p <= 1) its denominator is at least the sum of theirs.
+No row thus scores above the best ray, and a search there finds nothing the
+ray pass has not.  The last step divides by each ray's denominator, so it
+needs every ray to have positive v-mass.  A ray whose v-mass reads 0 (an
+underflowing e^{-t} on the last region, say) scores 0 although its true
+quotient may be +inf or huge; then, and for every other (p, q), the third
+stage is the coordinate ascent.
 """
 
 from __future__ import annotations
@@ -139,14 +153,25 @@ class RayleighEngine:
         return out
 
 
-def _characteristic_values(n: int, j: int, cone: str) -> np.ndarray:
-    """chi_(0, k_j] for non-increasing/none witnesses, chi_[k_j, oo) for non-decreasing."""
-    vals = np.zeros(n)
-    if cone == "non_decreasing":
-        vals[j:] = 1.0
-    else:
-        vals[: j + 1] = 1.0
-    return vals
+def _rays(n: int, cone: str, js) -> np.ndarray:
+    """The extreme rays of ``cone`` at knots ``js``, one row each: chi_(0, k_j]
+    on the non-increasing cone, chi_[k_j, oo) on the non-decreasing one and
+    the unit row at j, the indicator of region R_{j+1}, on ``none``."""
+    j, k = np.asarray(js)[:, None], np.arange(n)
+    if cone == "non_increasing":
+        return (k <= j).astype(float)
+    return (k >= j if cone == "non_decreasing" else k == j).astype(float)
+
+
+def _rays_are_exact(engine: RayleighEngine) -> bool:
+    """Whether the best extreme ray is the discrete best constant: p <= 1 <= q
+    and every ray has positive v-mass, so that each denominator is exact."""
+    if not engine.spec.exps.p <= 1.0 <= engine.spec.exps.q:
+        return False
+    dV = engine.dV
+    if engine.cone == "none":
+        return bool((dV[1:] > 0.0).all())
+    return bool(dV[0] > 0.0 if engine.cone == "non_increasing" else dV[-1] > 0.0)
 
 
 def best_constant_lower(
@@ -155,7 +180,16 @@ def best_constant_lower(
     seed: int = 0,
     grid: Optional[Grid] = None,
 ) -> OracleResult:
-    """Certified lower bound on the best constant of ``spec``'s inequality."""
+    """Certified lower bound on the best constant of ``spec``'s inequality.
+
+    Three stages, each recorded in ``trace``: the indicator scan, the random
+    samples, then a third one that runs when ``n_ascent > 0`` and the bound so
+    far is positive and finite.  Where p <= 1 <= q and every extreme ray of
+    the cone has positive v-mass, it scores the n rays in calls of at most 48
+    rows and keeps the best (on a monotone cone whose scan took every knot,
+    the scan has scored them); no cone row beats that ray (module docstring),
+    so the bound is then the discrete best constant.  Otherwise it is the
+    predicted-path coordinate ascent."""
     engine = RayleighEngine(spec, grid)
     n = engine.n
     cone = spec.cone
@@ -177,7 +211,7 @@ def best_constant_lower(
     if budget.n_char > 0:
         idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
         for fam in [cone] if cone != "none" else ["non_increasing", "non_decreasing"]:
-            rs = [offer(_characteristic_values(n, int(j), fam)) for j in idxs if best < INF]
+            rs = [offer(_rays(n, fam, [j])[0]) for j in idxs if best < INF]
             char_scans.append((engine.ks[idxs[:len(rs)]], np.array(rs)))
     trace.append(best)
 
@@ -188,7 +222,19 @@ def best_constant_lower(
         offer(sample(engine.grid, seed + 7919 * (i + 1)))
     trace.append(best)
 
-    if budget.n_ascent > 0 and 0.0 < best < INF:
+    search = budget.n_ascent > 0 and 0.0 < best < INF
+    if search and _rays_are_exact(engine):
+        # the ray pass: no row scores above the best extreme ray (module
+        # docstring), and on a monotone cone a scan of every knot scored them
+        if cone == "none" or budget.n_char < n:
+            for lo in range(0, n, _ASCENT_ROWS):
+                rs = engine.ratios(_rays(n, cone, range(lo, min(lo + _ASCENT_ROWS, n))))
+                i = int(rs.argmax())
+                if rs[i] > best:
+                    best, best_vals = float(rs[i]), _rays(n, cone, [lo + i])[0]
+                if best == INF:
+                    break
+    elif search:
         # predicted-path batches: pred[j] is coordinate j's outcome at its last
         # visit, the index of the factor that gained or -1 for none (below -1
         # between a rescore miss and the visit that resumes it).  A batch
@@ -228,6 +274,7 @@ _ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
 _ASCENT_BATCH = 12  # most coordinates per batch: 48 rows
+_ASCENT_ROWS = 4 * _ASCENT_BATCH  # most rows per call of the third stage
 # most coordinates x knots per batch: a row costs more in larger calls at
 # n = 512, where 8 coordinates beat 12; at n = 96, 12 beat 8
 _ASCENT_BATCH_KNOTS = 4096

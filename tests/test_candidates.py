@@ -17,6 +17,8 @@ import json
 import os
 
 from supineq.cli import emit_report, load_config, run_batch
+from supineq.gridfn import make_log_grid
+from supineq.oracle import RayleighEngine, _rays_are_exact
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
@@ -49,6 +51,21 @@ def not_consistent(verdicts: dict) -> str:
             + ", ".join(f"{fam} {n}" for fam, n in sorted(bad.items())))
 
 
+def third_stages(records) -> str:
+    """Where p <= 1 <= q, the candidates reaching the oracle whose third stage
+    is the ray pass and those whose third stage is the ascent, with their
+    per-family split, as one line."""
+    ran = {r["id"] for r in records if "oracle_lower" in r}
+    paths = {"rays": collections.Counter(), "ascent": collections.Counter()}
+    for sc in load_config(CANDIDATES):
+        if sc.id in ran and sc.spec.exps.p <= 1.0 <= sc.spec.exps.q:
+            engine = RayleighEngine(sc.spec, make_log_grid(**sc.grid))
+            paths["rays" if _rays_are_exact(engine) else "ascent"][family(sc.id)] += 1
+    return "third stage where p <= 1 <= q: " + "; ".join(
+        f"{path} {sum(c.values())} (" + ", ".join(f"{fam} {n}" for fam, n in sorted(c.items())) + ")"
+        for path, c in paths.items())
+
+
 def oracle_outcomes(records):
     """The oracle's part of each record that has one (an inapplicable
     criterion skips the oracle), keyed by scenario."""
@@ -74,7 +91,7 @@ def test_verdicts_match_the_committed_file():
         want_outcomes = json.load(fh)
     records = sweep()
     got = {r["id"]: r["verdict"] for r in records}
-    print("\n" + not_consistent(got))
+    print("\n" + not_consistent(got) + "\n" + third_stages(records))
     assert sorted(got) == sorted(want)
     moved = {k: (want[k], got[k]) for k in want if got[k] != want[k]}
     assert not moved, f"verdicts moved (expected, got): {moved}"
@@ -106,6 +123,7 @@ if __name__ == "__main__":
         if old.get(sid) != got.get(sid):
             print(f"{sid}: {old.get(sid)} -> {got.get(sid)}")
     print(not_consistent(got))
+    print(third_stages(records))
     _write_lines(VERDICTS, "{\n",
                  (f"{json.dumps(r['id'])}: {json.dumps(r['verdict'])}" for r in records), "\n}\n")
     _write_lines(ORACLE_GOLDEN, "{\n",

@@ -1,6 +1,7 @@
 """Brute-force lower-bound search: soundness, reproducibility, reporting."""
 
 import functools
+import json
 import math
 import os
 import warnings
@@ -795,9 +796,10 @@ ASCENT_SPECS = {
     # unbounded: the quotient keeps doubling, sweep after sweep
     "S*-up-unbounded": InequalitySpec(OperatorKind("S*", None, ONE), "non_decreasing", EXP, EXP,
                                       Exponents(1.0, 1.0)),
-    # u = t, v = 1, w = e^{-t}, p = q = 1: an indicator is extremal, so no
-    # ascent step gains and the ascent ends after one sweep
-    "S-no-gain": down_spec(),
+    # u = t, v = 1, w = e^{-t}, p = 1, q = 1/2: the best indicator is a local
+    # maximum, so no ascent step gains and the ascent ends after one sweep
+    # (q < 1 keeps it off the ray pass, which p = q = 1 would take)
+    "S-no-gain": down_spec(1.0, 0.5),
 }
 ASCENT_GRID = make_log_grid(1e-4, 1e4, 200)
 ASCENT_BUDGET = OracleBudget(64, 20, 8)
@@ -1073,3 +1075,129 @@ class TestBatchedAscent:
         assert got.trace[-1] == got.trace[0]  # one sweep without a gain
         assert sum(sizes) == n
         assert max(sizes) == cap
+
+
+# -- the ray pass: the third stage where p <= 1 <= q --
+
+def on_ray_path(engine):
+    """p <= 1 <= q, and every extreme ray of the cone has positive v-mass:
+    chi_(0, k_0] (region R_0) on the non-increasing cone, chi_[k_{n-1}, oo)
+    (region R_n) on the non-decreasing one and each unit row on ``none``."""
+    spec = engine.spec
+    if not spec.exps.p <= 1.0 <= spec.exps.q:
+        return False
+    mass = {"non_increasing": engine.dV[:1], "non_decreasing": engine.dV[-1:], "none": engine.dV[1:]}
+    return bool((mass[spec.cone] > 0.0).all())
+
+
+def all_rays(n, cone):
+    """The cone's n extreme rays, one row each, in knot order."""
+    if cone == "none":
+        return np.eye(n)
+    return np.tril(np.ones((n, n))) if cone == "non_increasing" else np.triu(np.ones((n, n)))
+
+
+def candidate(sid):
+    return next(sc for sc in load_config(CANDIDATES) if sc.id == sid)
+
+
+# S with u = t, v = t^{-2}, w = e^{-t}, p = q = 1 on the non-decreasing cone:
+# chi_[a, oo) scores a (a + 1) e^{-a}, and every ray has positive v-mass
+S_UP_RAYS = InequalitySpec(OperatorKind("S", None, T), "non_decreasing", PowerWeight(1.0, -2.0), EXP,
+                           Exponents(1.0, 1.0))
+RAY_GRID = make_log_grid(1e-5, 1e5, 200)  # four calls of 48 rays and one of 8
+# (spec, n_char): unit rows on ``none``; monotone cones whose scan skipped
+# knots; a monotone cone whose scan took every knot and so scored the rays
+RAY_CASES = {
+    "isi1v-444": (lambda: candidate("isi1v-444").spec, 128),
+    "sdown-036": (lambda: candidate("sdown-036").spec, 64),
+    "S-up": (lambda: S_UP_RAYS, 64),
+    "S-up-full-scan": (lambda: S_UP_RAYS, RAY_GRID.n),
+}
+
+
+class TestRayPass:
+    """Where p <= 1 <= q and every extreme ray has positive v-mass, the third
+    stage scores the cone's extreme rays and runs no ascent; any other spec
+    runs the ascent."""
+
+    def test_no_row_beats_the_best_ray(self, monkeypatch):
+        # the rows of a short sequential search, random samples and ascent
+        # steps alike, on every battery scenario and candidate on the ray path
+        scored = []
+        ratio = RayleighEngine.ratio
+
+        def spy_ratio(engine, values):
+            scored.append(ratio(engine, values))
+            return scored[-1]
+
+        monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+        on_path = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for sc in load_config(BATTERY) + load_config(CANDIDATES):
+                engine = RayleighEngine(sc.spec, make_log_grid(**sc.grid))
+                assert oracle._rays_are_exact(engine) == on_ray_path(engine), sc.id
+                if not on_ray_path(engine):
+                    continue
+                on_path += 1
+                top = engine.ratios(all_rays(engine.n, sc.spec.cone)).max()
+                scored.clear()
+                sequential_best_constant_lower(sc.spec, OracleBudget(8, 8, 1), sc.seed, engine.grid)
+                assert max(scored) <= top * (1.0 + 1e-12), sc.id
+        assert on_path == 31 + 186
+
+    def test_zero_v_mass_ray_falls_back_to_the_ascent(self, monkeypatch):
+        # S* with u = 1, v = w = e^{-t}, p = q = 1 on the non-decreasing cone:
+        # chi_[k_95, oo) has v-mass 0 (e^{-1e5} underflows), so it reads 0
+        # while its true quotient is about e^{1e5}, and the best ray, 3.9e14,
+        # is no bound on the constant; the ascent keeps the pinned 1.6e21
+        sc = candidate("sstarup-144")
+        grid = make_log_grid(**sc.grid)
+        engine = RayleighEngine(sc.spec, grid)
+        assert sc.spec.exps.p <= 1.0 <= sc.spec.exps.q and engine.dV[-1] == 0.0
+        top = engine.ratios(all_rays(engine.n, sc.spec.cone)).max()
+        batches = []
+        batch = oracle._predicted_batch
+
+        def spy_batch(engine, vals, best, coords, pred):
+            batches.append(len(coords))
+            return batch(engine, vals, best, coords, pred)
+
+        monkeypatch.setattr(oracle, "_predicted_batch", spy_batch)
+        orc = best_constant_lower(sc.spec, sc.budget, sc.seed, grid)
+        with open(os.path.join(ROOT, "tests", "data", "candidate_oracle_golden.json")) as fh:
+            pinned = json.load(fh)["sstarup-144"]["oracle_lower"]
+        assert batches
+        assert orc.lower_bound == pinned > 1e21 and top < 1e15
+
+    @pytest.mark.parametrize("name", list(RAY_CASES))
+    def test_scores_the_rays_in_calls_of_at_most_48_rows(self, name, monkeypatch):
+        make, n_char = RAY_CASES[name]
+        spec = make()
+        calls, batches = [], []
+        ratios = RayleighEngine.ratios
+
+        def spy_ratios(engine, F):
+            calls.append(len(F))
+            return ratios(engine, F)
+
+        monkeypatch.setattr(RayleighEngine, "ratios", spy_ratios)
+        monkeypatch.setattr(oracle, "_predicted_batch", lambda *args: batches.append(args))
+        best_constant_lower(spec, OracleBudget(n_char, 8, 50), seed=1, grid=RAY_GRID)
+        assert not batches
+        # one row per indicator and sample, then the rays unless the scan took them
+        rays = [48, 48, 48, 48, 8] if spec.cone == "none" or n_char < RAY_GRID.n else []
+        assert calls == [1] * (len(calls) - len(rays)) + rays
+
+    @pytest.mark.parametrize("name", list(RAY_CASES))
+    def test_bound_is_the_best_ray(self, name):
+        make, n_char = RAY_CASES[name]
+        spec = make()
+        orc = best_constant_lower(spec, OracleBudget(n_char, 8, 50), seed=1, grid=RAY_GRID)
+        engine = RayleighEngine(spec, RAY_GRID)
+        rays = all_rays(RAY_GRID.n, spec.cone)
+        rs = engine.ratios(rays)  # one n-row call
+        assert orc.lower_bound == orc.trace[2] == max(orc.trace[1], rs.max())
+        if rs.max() > orc.trace[1]:
+            assert np.array_equal(orc.witness, rays[rs.argmax()])
