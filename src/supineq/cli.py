@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional
 
 from .criteria import (
@@ -73,14 +73,18 @@ _DEFAULTS = {
 }
 
 
-def _build_kind(obj: dict, anchor: str) -> OperatorKind:
+def _build_kind(obj: dict, anchor: str, weight) -> OperatorKind:
+    """The operator of a scenario; ``weight`` turns a weight literal (or a
+    Weight) into the Weight to use."""
     base = obj.get("base")
     if base == "T_gamma":
         if "gamma_over_n" not in obj:
             raise ConfigError(f"{anchor}: T_gamma needs 'gamma_over_n'")
-        return OperatorKind.t_gamma(float(obj["gamma_over_n"]))
-    u = parse_weight(obj["u"]) if "u" in obj else parse_weight({"form": "power", "c": 1, "alpha": 0})
-    b = parse_weight(obj["b"]) if "b" in obj else parse_weight({"form": "power", "c": 1, "alpha": 0})
+        kind = OperatorKind.t_gamma(float(obj["gamma_over_n"]))
+        return replace(kind, u=weight(kind.u), b=weight(kind.b))
+    one = {"form": "power", "c": 1, "alpha": 0}
+    u = weight(obj.get("u", one))
+    b = weight(obj.get("b", one))
     try:
         return OperatorKind(base, obj.get("compose"), u, b)
     except ValueError as exc:
@@ -134,6 +138,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
         raise ConfigError(f"{path}: defaults: {exc}") from None
     out: List[ScenarioConfig] = []
     seen = set()
+    weights: dict = {}  # every parsed weight, keyed by value: equal ones are one object
+
+    def weight(lit):
+        w = parse_weight(lit)
+        return weights.setdefault(w, w)
+
     for i, sc in enumerate(doc["scenarios"]):
         anchor = f"{path}: scenarios[{i}]"
         if not isinstance(sc, dict):
@@ -145,9 +155,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
             raise ConfigError(f"{anchor}: duplicate id {sid!r}")
         seen.add(sid)
         try:
-            kind = _build_kind(sc.get("operator", {}), anchor)
-            v = parse_weight(sc["v"])
-            w = parse_weight(sc["w"])
+            kind = _build_kind(sc.get("operator", {}), anchor, weight)
+            v = weight(sc["v"])
+            w = weight(sc["w"])
             exps = Exponents(float(sc["p"]), float(sc["q"]))
             if INF in (exps.p, exps.q):
                 # the oracle's norms are sums of f^p and (T f)^q over regions

@@ -86,6 +86,7 @@ class CriterionResult:
 
 
 _MEMO_SIZE = 64  # weight-value arrays kept per grid: 64 x 4,801 floats, about 2.5 MB
+_INT_MEMO_SIZE = 32  # integrals of a weight alone: two cumulatives each, about 2.5 MB
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -94,10 +95,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The read-only arrays of one log grid and the memo of weight values on it.
+    """The read-only arrays of one log grid and two memos on it: the values
+    of a weight (``values``) and the integral of a weight alone
+    (``integrals``).
 
-    The memo is keyed by the weight's value (weights are frozen dataclasses,
-    so equal constructions hash alike), least recently used entries go first."""
+    Both memos are keyed by the weight's value (weights are frozen
+    dataclasses, so equal constructions hash alike), least recently used
+    entries go first."""
 
     def __init__(self, lo: float, hi: float, per_decade: int):
         ndec = math.log10(hi / lo)
@@ -107,11 +111,28 @@ class _Grid:
                              "divergence is read from three decade blocks at each end")
         self.t = _frozen(np.geomspace(lo, hi, n))
         self.h = math.log(hi / lo) / (n - 1)
-        self.ones = _frozen(np.ones(n))
+        self.m = per_decade
         self.values = lru_cache(maxsize=_MEMO_SIZE)(self._values)
+        self.integrals = lru_cache(maxsize=_INT_MEMO_SIZE)(self._integral)
 
     def _values(self, w: Weight) -> np.ndarray:
         return _frozen(np.array(w(self.t), dtype=float))
+
+    def _integral(self, w: Weight) -> "IntSet":
+        return self.integrate(amul(self.values(w), self.t)).settled()
+
+    def integrate(self, g: np.ndarray) -> "IntSet":
+        """``int g dt/t`` by the trapezoid rule in log t, with the boundary
+        divergence read from three decade blocks at each end."""
+        c = 0.5 * self.h * (g[:-1] + g[1:])
+        m = self.m
+        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
+        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
+        div0 = _diverging(b)
+        divinf = _diverging(e)
+        head = INF if div0 else _geom_tail(b)
+        tail = INF if divinf else _geom_tail(e)
+        return IntSet(c, head, tail, div0, divinf)
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +164,22 @@ class IntSet:
             return np.full(len(self._c) + 1, INF)
         return self._tail + np.concatenate([np.cumsum(self._c[::-1])[::-1], [0.0]])
 
+    def settled(self) -> "IntSet":
+        """This set with both sides summed and read-only, and the trapezoid
+        masses dropped: the form a memo keeps."""
+        _frozen(self.low)
+        _frozen(self.up)
+        self._c = None
+        return self
+
 
 class CritCtx:
     """Numerical context: log grid, quadrature, envelopes, suprema.
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
-    read-only arrays ``t`` and ``ones``, built on first use, and a memo of
-    weight values on it (``vals``) bounded at 64 weights.
+    read-only array ``t``, built on first use, a memo of weight values on it
+    (``vals``) bounded at 64 weights, and a memo of integrals of a weight
+    alone (``int_w``) bounded at 32.
 
     One side vocabulary runs through this module: ``"low"`` is (0, x] and
     ``"up"`` is [x, oo).  It names the cumulatives of ``IntSet``, the
@@ -159,8 +189,7 @@ class CritCtx:
 
     def __init__(self, lo: float = 1e-12, hi: float = 1e12, per_decade: int = 200):
         self._grid = _grid(lo, hi, per_decade)
-        self.t, self.h, self.ones = self._grid.t, self._grid.h, self._grid.ones
-        self.m = per_decade
+        self.t, self.h, self.m = self._grid.t, self._grid.h, self._grid.m
 
     # -- pointwise values ----------------------------------------------------
     def vals(self, w: Weight) -> np.ndarray:
@@ -172,16 +201,15 @@ class CritCtx:
 
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
-        g = amul(F, amul(self.vals(w), self.t))
-        c = 0.5 * self.h * (g[:-1] + g[1:])
-        m = self.m
-        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
-        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
-        div0 = _diverging(b)
-        divinf = _diverging(e)
-        head = INF if div0 else _geom_tail(b)
-        tail = INF if divinf else _geom_tail(e)
-        return IntSet(c, head, tail, div0, divinf)
+        return self._grid.integrate(amul(F, amul(self.vals(w), self.t)))
+
+    def int_w(self, w: Weight) -> IntSet:
+        """``int_set`` of ``w`` alone (F = 1), both sides summed and
+        read-only; shared by every context on this grid."""
+        try:
+            return self._grid.integrals(w)
+        except TypeError:  # unhashable, as in ``vals``
+            return self._grid.integrate(amul(self._grid._values(w), self.t))
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:
@@ -273,7 +301,7 @@ def _check_cum(ctx: CritCtx, weight: Weight, name: str, side: str, report: dict)
     Positivity near the relevant boundary is decided analytically when the
     weight's symbolic form allows it (float underflow would otherwise report
     false zeros for rapidly decaying weights)."""
-    iset = ctx.int_set(ctx.ones, weight)
+    iset = ctx.int_w(weight)
     low = side == "low"
     pos = _analytically_positive(weight, side)
     if pos is None:
@@ -302,7 +330,7 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
     """
     flags = []
     I = getattr(ctx.int_set(Eq, w), side)
-    Wm = getattr(ctx.int_set(ctx.ones, w), _OTHER[side])
+    Wm = getattr(ctx.int_w(w), _OTHER[side])
     if p_eff <= q_eff:
         inner = amul(Eq, Wm) + I
         obj = amul(apow(inner, 1.0 / q_eff), G)
@@ -347,7 +375,7 @@ def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
     if p == 1.0:
         return ctx.env_arr(adiv(1.0, ctx.vals(v)), side)
     pp = conjugate(p)
-    iset = ctx.int_set(ctx.ones, v.power(1.0 - pp))
+    iset = ctx.int_w(v.power(1.0 - pp))
     return apow(getattr(iset, side), 1.0 / pp)
 
 
@@ -527,7 +555,7 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
         g1 = ctx.env_arr(adiv(Bv, Vv), "low")
         g2 = Vv
         case = "ii" if p <= q else "iv"
-    wset = ctx.int_set(ctx.ones, w)
+    wset = ctx.int_w(w)
     flags: list = []
     terms: dict = {}
     if p <= q:
@@ -699,7 +727,7 @@ def reduce_spec_inner(spec: InequalitySpec) -> ReducedSpec:
 def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,
                    e: Exponents) -> Optional[float]:
     """||T 1||_{q,w} / ||1||_{p,v} when 0 < int_0^oo v < oo, else None."""
-    vtot = ctx.int_set(ctx.ones, v).total
+    vtot = ctx.int_w(v).total
     if not (0.0 < vtot < INF):
         return None
     env_side = "low" if k.base == "S" else "up"

@@ -59,12 +59,18 @@ class Grid:
 
 
 def make_log_grid(eps: float, M: float, n: int) -> Grid:
-    """Log-spaced grid of ``n`` knots from eps to M (inclusive)."""
+    """Log-spaced grid of ``n`` knots from eps to M (inclusive).  Equal
+    arguments give the same (immutable) grid object."""
     if not (0.0 < eps < M < INF):
         raise ValueError("need 0 < eps < M < oo")
     if n < 2:
         raise ValueError("need at least 2 knots")
-    return Grid(tuple(np.geomspace(eps, M, int(n)).tolist()))
+    return _log_grid(float(eps), float(M), int(n))
+
+
+@lru_cache(maxsize=16)
+def _log_grid(eps: float, M: float, n: int) -> Grid:
+    return Grid(tuple(np.geomspace(eps, M, n).tolist()))
 
 
 DEFAULT_GRID = dict(eps=1e-6, M=1e6, n=512)

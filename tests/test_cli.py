@@ -18,6 +18,8 @@ GOOD_SCENARIO = {
     "p": 1, "q": 1,
 }
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 FAST = {"grid": {"eps": 1e-4, "M": 1e4, "n": 48},
         "budget": {"n_char": 48, "n_random": 10, "n_ascent": 3}}
 
@@ -84,6 +86,14 @@ class TestLoadConfig:
         scs = load_config(write_config(tmp_path, {"scenarios": [sc]}))
         assert scs[0].spec.kind.base == "T_ub"
         assert scs[0].spec.kind.u(4.0) == pytest.approx(2.0)
+
+
+    def test_equal_weights_are_one_object(self):
+        # load_config interns every weight by value; the memos key weights by
+        # value, so this changes no number
+        scs = load_config(os.path.join(ROOT, "configs", "battery.json"))
+        ws = [x for sc in scs for x in (sc.spec.v, sc.spec.w, sc.spec.kind.u, sc.spec.kind.b)]
+        assert len({id(x) for x in ws}) == len(set(ws)) < len(ws)
 
 
 class TestRunBatch:

@@ -1,5 +1,6 @@
-"""The criterion context: one shared grid, the memo of weight values, and
-``int_set`` against the eager form it replaced."""
+"""The criterion context: one shared grid, the memos of weight values and
+of integrals of a weight alone, and ``int_set`` against the eager form it
+replaced."""
 
 import json
 import os
@@ -44,6 +45,10 @@ SMALL = (1e-2, 1e2, 2)  # 9 points: the derived weights evaluate by quadrature p
 
 def memo(grid=(1e-12, 1e12, 200)):
     return criteria._grid(*grid).values
+
+
+def int_memo(grid=(1e-12, 1e12, 200)):
+    return criteria._grid(*grid).integrals
 
 
 def bits(a):
@@ -117,7 +122,7 @@ class TestMemoKeys:
 
     def test_memo_arrays_are_read_only(self):
         ctx = CritCtx()
-        for arr in (ctx.vals(PowerWeight(1.0, 1.0)), ctx.t, ctx.ones):
+        for arr in (ctx.vals(PowerWeight(1.0, 1.0)), ctx.t):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -151,7 +156,8 @@ class TestMemoKeys:
     def test_contexts_share_one_grid_per_key(self):
         a, b = CritCtx(), CritCtx(1e-12, 1e12, 200)
         assert a is not b
-        assert a.t is b.t and a.ones is b.ones and a.h == b.h
+        assert a.t is b.t and a.h == b.h
+        assert a.int_w(PowerWeight(1.0, 1.0)) is b.int_w(PowerWeight(1.0, 1.0))
         c = CritCtx(1e-6, 1e6, 50)
         assert len(c.t) == 601 and c.t is not a.t
         assert c.vals(PowerWeight(1.0, 1.0)).shape == (601,)
@@ -159,6 +165,67 @@ class TestMemoKeys:
     def test_grid_under_three_decades_rejected(self):
         with pytest.raises(ValueError):
             CritCtx(1.0, 100.0, 50)
+
+
+# -- the memo of integrals of a weight alone --------------------------------
+
+
+def assert_same_sets(got, ref):
+    assert (got.div0, got.divinf) == (ref.div0, ref.divinf)
+    assert bits(got.total) == bits(ref.total)
+    assert bits(got.low) == bits(ref.low)
+    assert bits(got.up) == bits(ref.up)
+
+
+class TestIntegralMemo:
+    @pytest.mark.parametrize("lit", LITERALS, ids=lambda x: x["form"] if isinstance(x, dict) else "number")
+    def test_equals_int_set_of_ones(self, lit):
+        ctx, small = CritCtx(), CritCtx(*SMALL)
+        w = parse_weight(lit)
+        with np.errstate(all="ignore"):
+            assert_same_sets(ctx.int_w(w), ctx.int_set(np.ones(len(ctx.t)), w))
+            for a in algebra(lit).values():
+                assert_same_sets(small.int_w(a), small.int_set(np.ones(len(small.t)), a))
+
+    def test_sides_are_summed_read_only_and_masses_dropped(self):
+        ctx = CritCtx()
+        int_memo().cache_clear()
+        iset = ctx.int_w(PowerWeight(1.0, 0.0, 1.0))
+        assert "low" in vars(iset) and "up" in vars(iset)
+        assert iset._c is None
+        for arr in (iset.low, iset.up):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert ctx.int_w(PowerWeight(1.0, 0.0, 1.0)) is iset
+
+    def test_memo_is_bounded(self):
+        ctx = CritCtx()
+        int_memo().cache_clear()
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(33)]
+        for w in weights:
+            ctx.int_w(w)
+        assert int_memo().cache_info().currsize <= 32
+        hits = int_memo().cache_info().hits
+        ctx.int_w(weights[0])  # least recently used: evicted
+        assert int_memo().cache_info().hits == hits
+        ctx.int_w(weights[-1])
+        assert int_memo().cache_info().hits == hits + 1
+
+    def test_unhashable_weight_is_integrated_unmemoised(self):
+        @dataclass
+        class Doubling:  # eq without frozen: not hashable
+            k: float
+
+            def __call__(self, t):
+                return self.k * np.asarray(t)
+
+        w = FuncWeight(Doubling(0.5))
+        ctx = CritCtx()
+        int_memo().cache_clear()
+        got = ctx.int_w(w)
+        assert int_memo().cache_info().currsize == 0
+        assert got is not ctx.int_w(w)
+        assert_same_sets(got, ctx.int_set(np.ones(len(ctx.t)), w))
 
 
 # -- int_set against the eager reference -------------------------------------
@@ -229,7 +296,7 @@ class TestIntSetBitIdentical:
     @pytest.mark.parametrize("w", WEIGHTS, ids=repr)
     def test_ones(self, w):
         ctx = CritCtx()
-        assert_same(ctx, ctx.ones, w)
+        assert_same(ctx, np.ones(len(ctx.t)), w)
 
     def test_nan_and_inf_integrands(self):
         ctx = CritCtx()
@@ -264,8 +331,10 @@ class TestIntSetBitIdentical:
             assert_same(ctx, F, PowerWeight(1.0, 0.0))
 
     def test_sides_are_summed_on_first_access_only(self):
+        # an integrand other than the weight alone, whose sides ``int_w`` sums
+        # when it memoises them
         ctx = CritCtx()
-        iset = ctx.int_set(ctx.ones, PowerWeight(1.0, 0.0, 1.0))
+        iset = ctx.int_set(ctx.vals(PowerWeight(1.0, 0.5)), PowerWeight(1.0, 0.0, 1.0))
         assert "low" not in vars(iset) and "up" not in vars(iset)
         assert iset.low is iset.low
         assert "up" not in vars(iset)
@@ -381,8 +450,10 @@ def test_cold_and_warm_memo_agree(tmp_path):
     cold = []
     for _, spec, verbatim in specs:
         memo().cache_clear()
+        int_memo().cache_clear()
         cold.append(outcome(spec, verbatim))
     memo().cache_clear()
+    int_memo().cache_clear()
     warm = [outcome(spec, verbatim) for _, spec, verbatim in specs]
     warm_reversed = [outcome(spec, verbatim) for _, spec, verbatim in reversed(specs)][::-1]
     assert cold == warm

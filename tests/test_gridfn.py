@@ -70,6 +70,23 @@ class TestGrid:
         g = make_log_grid(0.5, 2.0, 2)
         assert g.n == 2
 
+    def test_equal_arguments_give_one_grid(self):
+        g = make_log_grid(1e-5, 1e5, 96)
+        assert make_log_grid(1e-5, 1e5, 96) is g
+        assert make_log_grid(eps=1e-5, M=1e5, n=96) is g
+        assert make_log_grid(1e-5, 1e5, 97) is not g
+        assert make_log_grid(1, 1000, 4) is make_log_grid(1.0, 1000.0, 4)
+        assert make_log_grid(1, 1000, 4).knots == tuple(np.geomspace(1.0, 1000.0, 4).tolist())
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 4), (1e-2, 1e2, 1), (0.0, 1e2, 4),
+                                      (math.nan, 1e2, 4), (1e-2, INF, 4), (2.0, 2.0 + 1e-15, 4096)],
+                             ids=repr)
+    def test_bad_grid_raises_on_every_call(self, args):
+        # a failed build is not memoised: the second call checks again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make_log_grid(*args)
+
 
 class TestGridFunctionSemantics:
     def test_non_increasing_regions(self):
