@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -85,8 +85,7 @@ class CriterionResult:
     flags: Tuple[str, ...] = ()
 
 
-_MEMO_SIZE = 64  # weight-value arrays kept per grid: 64 x 4,801 floats, about 2.5 MB
-_INT_MEMO_SIZE = 32  # integrals of a weight alone: two cumulatives each, about 2.5 MB
+_MEMO_SIZE = 64  # weights kept per grid: values and, once read, the integral; at most about 7.4 MB
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -95,13 +94,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The read-only arrays of one log grid and two memos on it: the values
-    of a weight (``values``) and the integral of a weight alone
-    (``integrals``).
-
-    Both memos are keyed by the weight's value (weights are frozen
-    dataclasses, so equal constructions hash alike), least recently used
-    entries go first."""
+    """The read-only arrays of one log grid and one memo on it: an ``_Entry``
+    for each of the 64 most recently used weights, keyed by the weight's
+    value (weights are frozen dataclasses, hashable by construction, so
+    equal constructions hash alike)."""
 
     def __init__(self, lo: float, hi: float, per_decade: int):
         ndec = math.log10(hi / lo)
@@ -112,14 +108,7 @@ class _Grid:
         self.t = _frozen(np.geomspace(lo, hi, n))
         self.h = math.log(hi / lo) / (n - 1)
         self.m = per_decade
-        self.values = lru_cache(maxsize=_MEMO_SIZE)(self._values)
-        self.integrals = lru_cache(maxsize=_INT_MEMO_SIZE)(self._integral)
-
-    def _values(self, w: Weight) -> np.ndarray:
-        return _frozen(np.array(w(self.t), dtype=float))
-
-    def _integral(self, w: Weight) -> "IntSet":
-        return self.integrate(amul(self.values(w), self.t)).settled()
+        self.memo = lru_cache(maxsize=_MEMO_SIZE)(partial(_Entry, self))
 
     def integrate(self, g: np.ndarray) -> "IntSet":
         """``int g dt/t`` by the trapezoid rule in log t, with the boundary
@@ -138,6 +127,20 @@ class _Grid:
 @lru_cache(maxsize=None)
 def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
     return _Grid(lo, hi, per_decade)
+
+
+class _Entry:
+    """One weight's memo entry on a grid: its values, read-only, and the
+    integral of the weight alone, settled on first access and evicted with
+    the values."""
+
+    def __init__(self, grid: _Grid, w: Weight):
+        self._grid = grid
+        self.vals = _frozen(np.array(w(grid.t), dtype=float))
+
+    @cached_property
+    def integral(self) -> "IntSet":
+        return self._grid.integrate(amul(self.vals, self._grid.t)).settled()
 
 
 class IntSet:
@@ -177,9 +180,10 @@ class CritCtx:
     """Numerical context: log grid, quadrature, envelopes, suprema.
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
-    read-only array ``t``, built on first use, a memo of weight values on it
-    (``vals``) bounded at 64 weights, and a memo of integrals of a weight
-    alone (``int_w``) bounded at 32.
+    read-only array ``t``, built on first use, and one memo on it bounded at
+    64 weights.  A weight's entry holds its values (``vals``) and, from the
+    first ``int_w``, the integral of the weight alone, so both go together
+    when the entry is evicted.
 
     One side vocabulary runs through this module: ``"low"`` is (0, x] and
     ``"up"`` is [x, oo).  It names the cumulatives of ``IntSet``, the
@@ -194,10 +198,7 @@ class CritCtx:
     # -- pointwise values ----------------------------------------------------
     def vals(self, w: Weight) -> np.ndarray:
         """``w`` on the grid, read-only; shared by every context on this grid."""
-        try:
-            return self._grid.values(w)
-        except TypeError:  # unhashable, e.g. a FuncWeight over a mutable callable
-            return self._grid._values(w)
+        return self._grid.memo(w).vals
 
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
@@ -205,11 +206,8 @@ class CritCtx:
 
     def int_w(self, w: Weight) -> IntSet:
         """``int_set`` of ``w`` alone (F = 1), both sides summed and
-        read-only; shared by every context on this grid."""
-        try:
-            return self._grid.integrals(w)
-        except TypeError:  # unhashable, as in ``vals``
-            return self._grid.integrate(amul(self._grid._values(w), self.t))
+        read-only; kept in ``w``'s memo entry next to its values."""
+        return self._grid.memo(w).integral
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:

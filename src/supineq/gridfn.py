@@ -90,6 +90,7 @@ def region_values(F: np.ndarray, cone: str) -> np.ndarray:
 _MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, about 0.26 MB
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
@@ -100,16 +101,8 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
 
     The array is read-only and shared: a process-wide memo of the last 64
     (grid, weight) pairs, keyed by value (grids and weights are frozen
-    dataclasses, so equal constructions hash alike), serves every repeat.
-    An unhashable weight (a ``FuncWeight`` over a mutable callable) is
-    computed afresh on each call."""
-    try:
-        return _memo_measures(grid, w)
-    except TypeError:  # unhashable, e.g. a FuncWeight over a mutable callable
-        return _measures(grid, w)
-
-
-def _measures(grid: Grid, w: Weight) -> np.ndarray:
+    dataclasses, hashable by construction, so equal constructions hash
+    alike), serves every repeat."""
     ks = grid.array()
     low = [w.cum_low(k) for k in ks]
     up = w.cum_up(ks[-1])
@@ -120,9 +113,6 @@ def _measures(grid: Grid, w: Weight) -> np.ndarray:
     out[-1] = _quad_log(w, ks[-1], INF) if math.isnan(up) else up
     out.flags.writeable = False
     return out
-
-
-_memo_measures = lru_cache(maxsize=_MEMO_SIZE)(_measures)
 
 
 def sample_monotone(cone: str, grid: Grid, seed: int) -> np.ndarray:

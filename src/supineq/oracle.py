@@ -66,8 +66,8 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if min(self.n_char, self.n_random, self.n_ascent) < 0:
             raise ValueError("budget entries must be nonnegative")
-        if self.n_char == 0 and self.n_random == 0 and self.n_ascent == 0:
-            raise ValueError("budget must allow at least one evaluation")
+        if self.n_char == 0 and self.n_random == 0:
+            raise ValueError("budget must allow a scan or a random sample for the ascent to start")
 
 
 @dataclass(frozen=True)

@@ -616,10 +616,17 @@ class TabulatedWeight(Weight):
 
 @dataclass(frozen=True)
 class FuncWeight(Weight):
-    """Callable-backed weight for derived quantities (envelopes, transforms)."""
+    """Callable-backed weight for derived quantities (envelopes, transforms).
+    ``fn`` must be hashable, as the memos key every weight by its value."""
 
     fn: Callable
     label: str = "func"
+
+    def __post_init__(self) -> None:
+        try:
+            hash(self.fn)
+        except TypeError:
+            raise ValueError(f"FuncWeight needs a hashable callable, got {self.fn!r}") from None
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0

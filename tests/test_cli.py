@@ -173,6 +173,7 @@ class TestMain:
         {"band": "wide"},
         {"band": 0.5},
         {"budget": {"n_char": 8.5}},
+        {"budget": {"n_char": 0, "n_random": 0}},
         {"verbatim_paper": "false"},
         {"grid": {"n": 8.5}},
         {"grid": {"eps": "small"}},

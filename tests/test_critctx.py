@@ -1,6 +1,6 @@
-"""The criterion context: one shared grid, the memos of weight values and
-of integrals of a weight alone, and ``int_set`` against the eager form it
-replaced."""
+"""The criterion context: one shared grid, its one memo of weights (the
+values of each and, once read, the integral of the weight alone), and
+``int_set`` against the eager form it replaced."""
 
 import json
 import os
@@ -44,16 +44,31 @@ SMALL = (1e-2, 1e2, 2)  # 9 points: the derived weights evaluate by quadrature p
 
 
 def memo(grid=(1e-12, 1e12, 200)):
-    return criteria._grid(*grid).values
-
-
-def int_memo(grid=(1e-12, 1e12, 200)):
-    return criteria._grid(*grid).integrals
+    return criteria._grid(*grid).memo
 
 
 def bits(a):
     a = np.asarray(a, dtype=float)
     return a.shape, a.tobytes()
+
+
+@dataclass
+class Doubling:
+    """The callable t -> k t, with ``eq`` but not ``frozen``: not hashable."""
+
+    k: float
+
+    def __call__(self, t):
+        return self.k * np.asarray(t)
+
+
+class Unhashable:
+    """A mutable callable, e^{-t}, that opts out of hashing."""
+
+    __hash__ = None
+
+    def __call__(self, t):
+        return np.exp(-np.asarray(t))
 
 
 # -- the memo keys ----------------------------------------------------------
@@ -139,19 +154,12 @@ class TestMemoKeys:
         ctx.vals(weights[-1])
         assert memo().cache_info().hits == hits + 1
 
-    def test_unhashable_weight_is_evaluated_unmemoised(self):
-        @dataclass
-        class Doubling:  # eq without frozen: not hashable
-            k: float
-
-            def __call__(self, t):
-                return self.k * np.asarray(t)
-
-        w = FuncWeight(Doubling(2.0))
+    @pytest.mark.parametrize("fn", [Doubling(2.0), Unhashable()], ids=["eq-not-frozen", "hash-none"])
+    def test_func_weight_rejects_unhashable_callable(self, fn):
         with pytest.raises(TypeError):
-            hash(w)
-        ctx = CritCtx()
-        assert bits(ctx.vals(w)) == bits(w(ctx.t))
+            hash(fn)
+        with pytest.raises(ValueError, match="hashable"):
+            FuncWeight(fn)
 
     def test_contexts_share_one_grid_per_key(self):
         a, b = CritCtx(), CritCtx(1e-12, 1e12, 200)
@@ -167,7 +175,7 @@ class TestMemoKeys:
             CritCtx(1.0, 100.0, 50)
 
 
-# -- the memo of integrals of a weight alone --------------------------------
+# -- integrals of a weight alone, in the same memo ---------------------------
 
 
 def assert_same_sets(got, ref):
@@ -189,7 +197,7 @@ class TestIntegralMemo:
 
     def test_sides_are_summed_read_only_and_masses_dropped(self):
         ctx = CritCtx()
-        int_memo().cache_clear()
+        memo().cache_clear()
         iset = ctx.int_w(PowerWeight(1.0, 0.0, 1.0))
         assert "low" in vars(iset) and "up" in vars(iset)
         assert iset._c is None
@@ -198,34 +206,30 @@ class TestIntegralMemo:
                 arr[0] = 1.0
         assert ctx.int_w(PowerWeight(1.0, 0.0, 1.0)) is iset
 
-    def test_memo_is_bounded(self):
+    def test_vals_and_int_w_share_one_entry_of_64(self):
         ctx = CritCtx()
-        int_memo().cache_clear()
-        weights = [PowerWeight(1.0, 0.01 * k) for k in range(33)]
-        for w in weights:
+        memo().cache_clear()
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(65)]
+        for w in weights[:64]:
             ctx.int_w(w)
-        assert int_memo().cache_info().currsize <= 32
-        hits = int_memo().cache_info().hits
-        ctx.int_w(weights[0])  # least recently used: evicted
-        assert int_memo().cache_info().hits == hits
-        ctx.int_w(weights[-1])
-        assert int_memo().cache_info().hits == hits + 1
+        entry = memo()(weights[1])
+        assert ctx.vals(weights[1]) is entry.vals and ctx.int_w(weights[1]) is entry.integral
+        assert memo().cache_info().currsize == 64
+        ctx.vals(weights[-1])
+        assert memo().cache_info().currsize == 64
 
-    def test_unhashable_weight_is_integrated_unmemoised(self):
-        @dataclass
-        class Doubling:  # eq without frozen: not hashable
-            k: float
-
-            def __call__(self, t):
-                return self.k * np.asarray(t)
-
-        w = FuncWeight(Doubling(0.5))
+    def test_evicted_weight_loses_its_integral(self):
         ctx = CritCtx()
-        int_memo().cache_clear()
-        got = ctx.int_w(w)
-        assert int_memo().cache_info().currsize == 0
-        assert got is not ctx.int_w(w)
-        assert_same_sets(got, ctx.int_set(np.ones(len(ctx.t)), w))
+        memo().cache_clear()
+        w = PowerWeight(1.0, 0.0, 1.0)
+        iset = ctx.int_w(w)
+        assert ctx.int_w(w) is iset
+        for k in range(64):
+            ctx.vals(PowerWeight(1.0, 0.01 * k))
+        again = ctx.int_w(w)
+        assert again is not iset
+        assert again is ctx.int_w(w)
+        assert_same_sets(again, iset)
 
 
 # -- int_set against the eager reference -------------------------------------
@@ -450,10 +454,8 @@ def test_cold_and_warm_memo_agree(tmp_path):
     cold = []
     for _, spec, verbatim in specs:
         memo().cache_clear()
-        int_memo().cache_clear()
         cold.append(outcome(spec, verbatim))
     memo().cache_clear()
-    int_memo().cache_clear()
     warm = [outcome(spec, verbatim) for _, spec, verbatim in specs]
     warm_reversed = [outcome(spec, verbatim) for _, spec, verbatim in reversed(specs)][::-1]
     assert cold == warm

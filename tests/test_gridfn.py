@@ -9,7 +9,6 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supineq import gridfn
 from supineq.extreal import INF, amul, apow, xpow
 from supineq.gridfn import (
     Grid,
@@ -21,7 +20,6 @@ from supineq.gridfn import (
 )
 from supineq.operators import b_cumulative
 from supineq.weights import (
-    FuncWeight,
     PiecewisePowerWeight,
     PowerWeight,
     TabulatedWeight,
@@ -225,20 +223,11 @@ class TestRegionMeasuresBitIdentical:
 
         monkeypatch.setattr(scipy.integrate, "quad", counting)
         g, w = BENCH_GRIDS["battery"], PowerWeight(1.0, 0.5, 0.3, 0.2)
-        gridfn._memo_measures.cache_clear()  # another test may have computed this pair
+        region_measures.cache_clear()  # another test may have computed this pair
         first = region_measures(g, w)
         assert 0 < len(calls) <= g.n + 1
         calls.clear()
         assert region_measures(g, w) is first and not calls
-
-
-class _Unhashable:
-    """A mutable callable, e^{-t}: a FuncWeight over it cannot be hashed."""
-
-    __hash__ = None
-
-    def __call__(self, t):
-        return np.exp(-np.asarray(t))
 
 
 class TestRegionMeasuresMemo:
@@ -254,15 +243,6 @@ class TestRegionMeasuresMemo:
         m = region_measures(GRID, MASS_WEIGHTS["table"])
         with pytest.raises(ValueError):
             m[0] = 1.0
-
-    def test_unhashable_weight_is_computed_uncached(self):
-        w = FuncWeight(_Unhashable())
-        with pytest.raises(TypeError):
-            hash(w)
-        first, again = region_measures(GRID, w), region_measures(GRID, w)
-        assert first is not again
-        assert np.array_equal(first.view(np.int64), old_region_measures(GRID, w).view(np.int64))
-        assert np.array_equal(first.view(np.int64), again.view(np.int64))
 
 
 class TestWeightedNorm:

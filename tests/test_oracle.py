@@ -92,6 +92,10 @@ class TestSoundness:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             OracleBudget(0, 0, 0)
+        # the third stage starts only from a positive bound, which nothing
+        # before it would have found
+        with pytest.raises(ValueError):
+            OracleBudget(0, 0, 5)
 
     # T_ub with p = oo and S with q = oo: a sum of f^oo and its 0-th root is
     # no L^oo norm, and the search read 4.4e25 and 1.1e19 on GRID
