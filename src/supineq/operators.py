@@ -12,6 +12,20 @@ outputs never exceed the true quotient of the step witness.
 
 Values may be ``+inf`` (for instance the Copson transform of a function
 with positive tail).
+
+Each supremal operator ends in one row-wise running maximum of products
+u_i g_i of a weight table and an inner function (S: from the left; S* and
+T_{u,b}: from the right).  The kernel reads it off instead of scanning
+where the product is monotone, by this lemma: if two rows in [0, inf] are
+both non-decreasing (or both non-increasing), so is their product under
+0 * inf = 0, in floats.  Correctly rounded multiplication of nonnegative
+floats is monotone in each factor, and an entry 0 * inf forces every entry
+on its side to be 0 (the factor that is 0 there is 0 on that whole side),
+so it is no smaller than them and no larger than the others.  A running
+maximum of a monotone row is the row itself or the entry the scan starts
+at, and max is exact, so the read-off equals the scan bit for bit.  The kernel checks the
+table's direction in floats; the inner function's direction comes from the
+operator (H f rises, H* f falls) or, without a composition, from the cone.
 """
 
 from __future__ import annotations
@@ -119,7 +133,19 @@ class OperatorKernel:
     minimum always picks its first argument, the tail input times that
     liminf, which is linear.
     This holds under 0 * inf = 0 too: a zero tail input makes both products
-    0, and an infinite liminf makes the sup infinite."""
+    0, and an infinite liminf makes the sup infinite.
+
+    ``monotone`` is the direction every scanned product row takes on inputs
+    in the cone, or None: the direction of the inner g (non-decreasing under
+    H and T_ub's inner integral, non-increasing under H*, the cone's without
+    a composition, none on ``none``) when the weight table (``u_rsups[:-1]``
+    for S, ``u_rsups[1:]`` for S*, ``uB`` then ``uB_tail_sup`` for T_ub) runs
+    the same way in floats.  Where it is set, ``apply`` reads the running
+    maximum off (module docstring).  Under H, H* and T_ub that is exact on
+    every row; for plain S and S* only on rows in the cone, which every
+    oracle stage builds.  On a row off the cone each output is one of the
+    products the scan takes the maximum of, so it reads at most the scanned
+    output and the quotient stays a lower bound."""
 
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
         self.kind = kind
@@ -132,51 +158,85 @@ class OperatorKernel:
             ratio_w = _ratio_weight(kind.u, B)
             self.uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
             self.uB_liminf = ratio_w.limit_inf()
+            # the inner int_0^tau f b is non-decreasing on every input
+            self.monotone = _product_direction(np.append(self.uB, self.uB_tail_sup),
+                                               "non_decreasing")
         else:
             lo = np.concatenate([[0.0], ks])
             hi = np.concatenate([ks, [INF]])
-            self.u_rsups = np.array([kind.u.sup_on_interval(a, b) for a, b in zip(lo, hi)])
+            self.u_rsups = kind.u.sup_on_intervals(lo, hi)
             self.u_knots = np.asarray(kind.u(ks), dtype=float)
             self.u_liminf = kind.u.limit_inf()
             if kind.compose is not None:
                 self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
+            table = self.u_rsups[:-1] if kind.base == "S" else self.u_rsups[1:]
+            self.monotone = _product_direction(table, _inner_direction(kind, cone))
 
     def apply(self, segv: np.ndarray) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
-        [0, inf].  For callers inside ``np.errstate(all="ignore")``, as the
-        oracle's engine is."""
+        [0, inf], as a new array.  For callers inside
+        ``np.errstate(all="ignore")``, as the oracle's engine is.
+
+        Where ``monotone`` is set, the running maximum is read off.  For plain
+        S and S* that is exact only on rows in the cone (class docstring); off
+        it the outputs read at most the scanned ones, so they stay sound."""
         k = self.kind
+        out = np.empty(segv.shape)
         if k.base == "T_ub":
             # int_0^{k_j} f b, with b's region masses as lengths; beyond the
             # grid, its value at the last knot
             inner = hardy_at_knots(segv, self.dB)
-            point = _amul(self.uB, inner)
-            tail_term = _amul(inner[:, -1], self.uB_tail_sup)[:, None]
-            vals = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            tail_val = np.minimum(_amul(inner[:, -1], self.uB_liminf), vals[:, -1])
-            return np.concatenate([vals, tail_val[:, None]], axis=1)
+            last = inner[:, -1:]
+            tail_term = _amul(last, self.uB_tail_sup)
+            vals = out[:, :-1]
+            if self.monotone:  # the products rise to the tail term
+                vals[:] = tail_term
+            else:
+                point = _amul(self.uB, inner)
+                vals[:] = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
+            np.minimum(_amul(last, self.uB_liminf), vals[:, -1:], out=out[:, -1:])
+            return out
         # supremal (possibly composed) operators act on the inner g's regions
         zeros = np.zeros((segv.shape[0], 1))
         if k.compose == "H":
             gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
-            g_cone = "non_decreasing"
         elif k.compose == "H*":
             gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
-            g_cone = "non_increasing"
         else:
-            gsegv, g_cone = segv, self.cone
-        prods = _amul(self.u_rsups, gsegv)
+            gsegv = segv
         if k.base == "S":
             # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
             # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
-            vals = np.maximum.accumulate(prods[:, :-1], axis=1)
-            return np.concatenate([zeros, vals], axis=1)
+            out[:, 0] = 0.0
+            self._running_max(self.u_rsups[:-1], gsegv[:, :-1], out[:, 1:], from_right=False)
+            return out
         # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
         # output is non-increasing, region R_i takes out(k_i)
-        gk = gsegv[:, :-1] if g_cone == "non_increasing" else gsegv[:, 1:]
-        vals = np.maximum(_amul(self.u_knots, gk), _suffix_max(prods[:, 1:]))
-        tail = np.minimum(_amul(gsegv[:, -1], self.u_liminf), vals[:, -1])
-        return np.concatenate([vals, tail[:, None]], axis=1)
+        vals = out[:, :-1]
+        self._running_max(self.u_rsups[1:], gsegv[:, 1:], vals, from_right=True)
+        non_increasing = _inner_direction(k, self.cone) == "non_increasing"
+        gk = gsegv[:, :-1] if non_increasing else gsegv[:, 1:]
+        np.maximum(_amul(self.u_knots, gk), vals, out=vals)
+        np.minimum(_amul(gsegv[:, -1:], self.u_liminf), vals[:, -1:], out=out[:, -1:])
+        return out
+
+    def _running_max(self, table: np.ndarray, g: np.ndarray, out: np.ndarray,
+                     from_right: bool) -> None:
+        """Write the row-wise running maximum of ``table * g`` into ``out``,
+        from the left or from the right.  Where the product is monotone it
+        is read off: the row itself when its maximum runs along the scan,
+        else the entry the scan starts at, broadcast."""
+        if self.monotone is None:
+            prods = _amul(table, g)
+            if from_right:
+                np.maximum.accumulate(prods[:, ::-1], axis=1, out=out[:, ::-1])
+            else:
+                np.maximum.accumulate(prods, axis=1, out=out)
+        elif (self.monotone == "non_increasing") == from_right:
+            _amul(table, g, out=out)
+        else:
+            start = slice(-1, None) if from_right else slice(0, 1)
+            out[:] = _amul(table[start], g[:, start])
 
 
 def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -191,6 +251,27 @@ def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     the kernel is."""
     above = _amul(segv[:, 1:], lengths[1:])
     return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+
+
+def _inner_direction(kind: OperatorKind, cone: str) -> str:
+    """The direction of the inner g of S or S* on rows in ``cone``: H f is
+    non-decreasing and H* f non-increasing on every input, and without a
+    composition g is the input, with the cone's direction ("none" has none)."""
+    return {"H": "non_decreasing", "H*": "non_increasing"}.get(kind.compose, cone)
+
+
+def _product_direction(table: np.ndarray, g_direction: str) -> Optional[str]:
+    """The direction every row ``_amul(table, g)`` shares with g, for g of
+    direction ``g_direction``, or None.  That holds when the table, checked
+    in floats, runs the same way (a constant one runs both ways): see the
+    module docstring."""
+    if g_direction == "non_decreasing":
+        steps = table[1:] >= table[:-1]
+    elif g_direction == "non_increasing":
+        steps = table[1:] <= table[:-1]
+    else:
+        return None
+    return g_direction if steps.all() else None
 
 
 def _suffix_max(a: np.ndarray) -> np.ndarray:

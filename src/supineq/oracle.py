@@ -116,7 +116,10 @@ class RayleighEngine:
         semantics of the cone (``gridfn.region_values``); the operator kernel
         maps them to output region values, and both norms are exact sums over
         regions.  Every entry of ``F`` must lie in [0, inf]: a NaN or negative
-        one raises ``ValueError``.
+        one raises ``ValueError``.  Rows are meant to lie in the cone, as every
+        stage's are: there the kernel's read-off of a monotone running maximum
+        is exact, and on a row off the cone it reads at most the scan, so the
+        quotient is still a lower bound (``OperatorKernel``).
 
         Each quotient is certified.  A row reads +inf only when its numerator
         has an infinite factor, an output region value of +inf on positive

@@ -144,6 +144,10 @@ class Weight:
     def sup_on_interval(self, a: float, b: float) -> float:
         raise NotImplementedError
 
+    def sup_on_intervals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``sup_on_interval(lo[i], hi[i])`` for every i, as one array."""
+        return np.array([self.sup_on_interval(a, b) for a, b in zip(lo, hi)])
+
     # -- algebra --------------------------------------------------------------
     def power(self, e: float) -> "Weight":
         return FuncWeight(_PowClosure(self, e), label=f"({self})**{e}")
@@ -221,17 +225,9 @@ class _RunningSupClosure:
     side: str
 
     def __call__(self, t):
-        w, low = self.w, self.side == "low"
-        if isinstance(w, PowerWeight):
-            # unimodal: the sup sits at the argmax clamped into the interval,
-            # or is the limit at the open end when the argmax lies there
-            t_star = w.argmax()
-            if t_star == (0.0 if low else INF):
-                return np.full_like(t, w.limit0() if low else w.limit_inf())
-            return w(np.minimum(t, t_star) if low else np.maximum(t, t_star))
-        if low:
-            return np.array([w.sup_on_interval(0.0, x) for x in t])
-        return np.array([w.sup_on_interval(x, INF) for x in t])
+        if self.side == "low":
+            return self.w.sup_on_intervals(np.zeros_like(t), t)
+        return self.w.sup_on_intervals(t, np.full_like(t, INF))
 
 
 @dataclass(frozen=True)
@@ -305,15 +301,19 @@ class PowerWeight(Weight):
         return 0.0
 
     def sup_on_interval(self, a: float, b: float) -> float:
-        if self.c == 0.0 or a > b:
-            return 0.0
-        t_star = self.argmax()
-        t_eval = min(max(t_star, a), b)
-        if t_eval == 0.0:
-            return self.limit0()
-        if t_eval == INF:
-            return self.limit_inf()
-        return float(self(t_eval))
+        return float(self.sup_on_intervals(np.array([a]), np.array([b]))[0])
+
+    def sup_on_intervals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Unimodal: on each interval the sup is the value at the argmax
+        clipped into it, or the limit at 0 or oo where the clip lands there;
+        0 on an empty interval (lo > hi).  One array pass."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        t = np.clip(self.argmax(), lo, hi)
+        out = np.asarray(self(t), dtype=float)
+        out[t == 0.0] = self.limit0()
+        out[t == INF] = self.limit_inf()
+        out[lo > hi] = 0.0
+        return out
 
     # -- cumulatives --------------------------------------------------------------
     def cum_low(self, t: float) -> float:
@@ -796,8 +796,8 @@ def cumulative(w: Weight, side: str) -> Weight:
 
 def running_sup(w: Weight, side: str) -> Weight:
     """t -> esssup of w over (0, t] (side "low") or [t, oo) (side "up") as a
-    weight: the argmax clamped into the interval for a ``PowerWeight``, else
-    ``w.sup_on_interval`` per point."""
+    weight: ``w.sup_on_intervals`` at the points, one array pass for a
+    ``PowerWeight``."""
     _check_side(side)
     return FuncWeight(_RunningSupClosure(w, side), label=f"running_sup[{side}]")
 

@@ -1,14 +1,23 @@
 """Integral and supremal operators on step functions: exactness and structure.
 
 Each check runs the operator kernel on the region values of one witness (its
-knot values in a cone) and reads the output at the knots."""
+knot values in a cone) and reads the output at the knots.  The read-off
+checks compare whole output rows with a test-local scan of the running
+maxima."""
+
+import copy
+import functools
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supineq.extreal import INF
+from supineq.cli import load_config
+from supineq.criteria import InequalitySpec
+from supineq.extreal import INF, amul
 from supineq.gridfn import make_log_grid, region_values, sample_monotone, sample_nonneg
 from supineq.operators import (
     OperatorKernel,
@@ -17,7 +26,8 @@ from supineq.operators import (
     copson_at_knots,
     hardy_at_knots,
 )
-from supineq.weights import PowerWeight
+from supineq.oracle import RayleighEngine
+from supineq.weights import Exponents, PowerWeight
 
 GRID = make_log_grid(1e-3, 1e3, 25)
 ONE = PowerWeight(1.0, 0.0)
@@ -220,3 +230,214 @@ class TestApplySpec:
     def test_invalid_compose_rejected(self):
         with pytest.raises(ValueError):
             OperatorKind(base="T_ub", compose="H")
+
+
+# -- the read-off of monotone products ------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONES = ("non_increasing", "non_decreasing", "none")
+BATTERY_GRID = make_log_grid(1e-5, 1e5, 96)
+EXP = PowerWeight(1.0, 0.0, 1.0)
+# the benchmark's known answers (best constant 1), at the battery grid
+KNOWN = [
+    ("sdown-known", InequalitySpec(OperatorKind("S", None, T), "non_increasing", ONE, EXP,
+                                   Exponents(1.0, 1.0))),
+    ("tub-known", InequalitySpec(OperatorKind("T_ub", None, T, ONE), "non_increasing", ONE, EXP,
+                                 Exponents(1.0, 1.0))),
+    ("sup-known", InequalitySpec(OperatorKind("S", None, ONE), "non_decreasing", EXP, EXP,
+                                 Exponents(1.0, 1.0))),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def scenarios():
+    """``(set, id, spec)`` of every battery, candidate and known-answer
+    scenario; all of them run at the battery grid."""
+    out = []
+    for name in ("battery", "candidates"):
+        for sc in load_config(os.path.join(ROOT, "configs", f"{name}.json")):
+            assert make_log_grid(**sc.grid) == BATTERY_GRID
+            out.append((name, sc.id, sc.spec))
+    return tuple(out + [("known", sid, spec) for sid, spec in KNOWN])
+
+
+def kernel(kind, cone):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return OperatorKernel(kind, cone, BATTERY_GRID)
+
+
+def scanned(kern, segv):
+    """The kernel's outputs with every running maximum scanned, written out
+    from its weight arrays, and the first argument of the tail minimum of S*
+    and T_ub (None for S)."""
+    k = kern.kind
+    with np.errstate(all="ignore"):
+        if k.base == "T_ub":
+            inner = hardy_at_knots(segv, kern.dB)
+            prods = amul(np.append(kern.uB, kern.uB_tail_sup), np.column_stack([inner, inner[:, -1]]))
+            vals = np.maximum.accumulate(prods[:, ::-1], axis=1)[:, ::-1][:, :-1]
+            first = amul(inner[:, -1], kern.uB_liminf)
+        else:
+            zero = np.zeros((len(segv), 1))
+            if k.compose == "H":
+                g, falling = np.hstack([zero, hardy_at_knots(segv, kern.lengths)]), False
+            elif k.compose == "H*":
+                g, falling = np.hstack([copson_at_knots(segv, kern.lengths), zero]), True
+            else:
+                g, falling = segv, kern.cone == "non_increasing"
+            prods = amul(kern.u_rsups, g)
+            if k.base == "S":
+                return np.hstack([zero, np.maximum.accumulate(prods[:, :-1], axis=1)]), None
+            gk = g[:, :-1] if falling else g[:, 1:]
+            suffix = np.maximum.accumulate(prods[:, :0:-1], axis=1)[:, ::-1]
+            vals = np.maximum(amul(kern.u_knots, gk), suffix)
+            first = amul(g[:, -1], kern.u_liminf)
+        return np.column_stack([vals, np.minimum(first, vals[:, -1])]), first
+
+
+def in_cone(rows, cone):
+    if cone == "non_increasing":
+        return bool((rows[:, 1:] <= rows[:, :-1]).all())
+    return cone == "none" or bool((rows[:, 1:] >= rows[:, :-1]).all())
+
+
+def witness_rows(cone, seed):
+    """Rows in ``cone``: all zeros, three samples, a plateau row, an extreme
+    ray, a row with +inf entries and one whose products overflow."""
+    n = BATTERY_GRID.n
+    rng = np.random.default_rng(seed)
+
+    def sample(s):
+        return sample_nonneg(BATTERY_GRID, s) if cone == "none" else sample_monotone(cone, BATTERY_GRID, s)
+
+    plateau = rng.choice([0.0, 0.5, 3.0], n)
+    j, knots = int(rng.integers(n)), np.arange(n)
+    with_inf = sample(seed + 3)
+    if cone == "non_increasing":
+        plateau, ray = np.sort(plateau)[::-1], (knots <= j).astype(float)
+        with_inf[:j] = INF
+    elif cone == "non_decreasing":
+        plateau, ray = np.sort(plateau), (knots >= j).astype(float)
+        with_inf[j:] = INF
+    else:
+        ray = (knots == j).astype(float)
+        with_inf[rng.choice(n, 3)] = INF
+    rows = np.array([np.zeros(n), sample(seed), sample(seed + 1), sample(seed + 2), plateau, ray,
+                     with_inf, 1e300 * sample(seed + 4)])
+    assert in_cone(rows, cone)
+    return rows
+
+
+def off_cone_rows(cone, seed):
+    """Rows outside the monotone ``cone``: reversed cone rows and samples
+    without a direction."""
+    n = BATTERY_GRID.n
+    other = "non_decreasing" if cone == "non_increasing" else "non_increasing"
+    rows = np.array([sample_monotone(other, BATTERY_GRID, seed), sample_nonneg(BATTERY_GRID, seed),
+                     sample_nonneg(BATTERY_GRID, seed + 1), witness_rows(other, seed)[6],
+                     np.where(np.arange(n) % 2, 1.0, 0.0)])
+    return rows[[not in_cone(r[None], cone) for r in rows]]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestReadOff:
+    """Where the scanned products are monotone, ``apply`` reads their
+    running maximum off; on rows in the cone that is the scan, bit for bit."""
+
+    def test_every_kind_on_every_cone_equals_the_scan(self):
+        kinds = {spec.kind for _, _, spec in scenarios()}
+        read_off = 0
+        for i, kind in enumerate(sorted(kinds, key=repr)):
+            for cone in CONES:
+                kern = kernel(kind, cone)
+                read_off += kern.monotone is not None
+                segv = region_values(witness_rows(cone, 17 * i), cone)
+                with np.errstate(all="ignore"):
+                    got = kern.apply(segv)
+                want, _ = scanned(kern, segv)
+                assert np.array_equal(bits(got), bits(want)), (kind, cone, kern.monotone)
+        assert read_off > 0
+
+    def test_where_the_scenarios_read_off(self):
+        counts = {}
+        for name, _, spec in scenarios():
+            n, k = counts.get(name, (0, 0))
+            counts[name] = (n + 1, k + (kernel(spec.kind, spec.cone).monotone is not None))
+        assert counts == {"battery": (83, 60), "candidates": (686, 347), "known": (3, 2)}
+
+    def test_direction_is_read_from_the_table(self):
+        # u = t rises and u = 1/t falls: with a falling g only the second reads off
+        for u, want in ((T, None), (PowerWeight(1.0, -1.0), "non_increasing"),
+                        (ONE, "non_increasing")):
+            assert kernel(OperatorKind("S", None, u), "non_increasing").monotone == want
+        assert kernel(OperatorKind("S", "H", T), "none").monotone == "non_decreasing"
+        assert kernel(OperatorKind("S*", None, T), "none").monotone is None
+        # T_ub needs u/B, then its sup on the tail, to rise: u = t^2, b = 1
+        assert kernel(OperatorKind("T_ub", None, PowerWeight(1.0, 2.0), ONE), "none").monotone \
+            == "non_decreasing"
+        assert kernel(OperatorKind("T_ub", None, PowerWeight(1.0, 0.5), ONE), "none").monotone is None
+
+    def test_apply_returns_an_array_of_its_own(self):
+        for kind, cone in ((OperatorKind("S", None, ONE), "non_decreasing"),
+                           (OperatorKind("S*", None, ONE), "non_increasing"),
+                           (OperatorKind("T_ub", None, T, ONE), "non_increasing")):
+            kern = kernel(kind, cone)
+            segv = region_values(witness_rows(cone, 3), cone)
+            keep = segv.copy()
+            with np.errstate(all="ignore"):
+                out = kern.apply(segv)
+            assert kern.monotone is not None and out.shape == segv.shape
+            assert out.flags.owndata and out.flags.writeable
+            assert not np.shares_memory(out, segv) and np.array_equal(segv, keep)
+
+    def test_off_cone_rows_never_score_above_the_scan(self):
+        # S and S* without a composition read g's direction off the cone; a
+        # row off it reads at most the scan, so the quotient stays sound
+        checked = 0
+        for i, (_, sid, spec) in enumerate(scenarios()):
+            if spec.kind.compose is not None or spec.kind.base == "T_ub" or spec.cone == "none":
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                engine = RayleighEngine(spec, BATTERY_GRID)
+            kern = engine.kernel
+            if kern.monotone is None:
+                continue
+            rows = off_cone_rows(spec.cone, 31 * i)
+            segv = region_values(rows, spec.cone)
+            with np.errstate(all="ignore"):
+                got = kern.apply(segv)
+            assert np.all(got <= scanned(kern, segv)[0]), sid
+            scan = copy.copy(engine)
+            scan.kernel = copy.copy(kern)
+            scan.kernel.monotone = None
+            assert np.all(engine.ratios(rows) <= scan.ratios(rows)), sid
+            checked += 1
+        assert checked > 100
+
+
+class TestTailMinimum:
+    """The tail ``np.minimum`` of S* and T_ub always picks its first
+    argument, the tail input times the weight's liminf at infinity."""
+
+    def test_tail_sup_is_at_least_the_liminf(self):
+        for _, sid, spec in scenarios():
+            kern = kernel(spec.kind, spec.cone)
+            if spec.kind.base == "T_ub":
+                assert kern.uB_tail_sup >= kern.uB_liminf, sid
+            else:
+                assert kern.u_rsups[-1] >= kern.u_liminf, sid
+
+    def test_tail_output_is_the_first_argument(self):
+        kinds = {(spec.kind, spec.cone) for _, _, spec in scenarios() if spec.kind.base != "S"}
+        for i, (kind, cone) in enumerate(sorted(kinds, key=repr)):
+            kern = kernel(kind, cone)
+            segv = region_values(witness_rows(cone, 5 * i), cone)
+            with np.errstate(all="ignore"):
+                out = kern.apply(segv)
+            _, first = scanned(kern, segv)
+            assert np.array_equal(bits(out[:, -1]), bits(first)), (kind, cone)

@@ -596,8 +596,10 @@ CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
 
 
 def factor_arrays(engine):
-    """``dV``, ``dW`` and every weight array and tail factor of the kernel."""
-    kernel = {k: v for k, v in vars(engine.kernel).items() if k not in ("kind", "cone")}
+    """``dV``, ``dW`` and every weight array and tail factor of the kernel
+    (all of its attributes but its recipe and its read-off direction)."""
+    kernel = {k: v for k, v in vars(engine.kernel).items()
+              if k not in ("kind", "cone", "monotone")}
     return {"dV": engine.dV, "dW": engine.dW, **kernel}
 
 

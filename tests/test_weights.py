@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from supineq.extreal import INF, adiv
+from supineq.gridfn import make_log_grid
 from supineq.weights import (
     Exponents,
     FuncWeight,
@@ -194,6 +195,61 @@ class TestScalarIntegrand:
         with np.errstate(all="ignore"):
             fast = w._scalar(t)
         assert bits(fast) == bits(float(w(t)))
+
+
+# the battery grid and the CLI default grid
+BENCH_GRIDS = [make_log_grid(1e-5, 1e5, 96), make_log_grid(1e-6, 1e6, 512)]
+
+
+def sup_rule(w, a, b):
+    """The per-interval rule for a unimodal power weight: w at its argmax
+    clipped into [a, b], or its limit where the clip lands on 0 or oo; 0 for
+    the zero weight and on an empty interval."""
+    if w.c == 0.0 or a > b:
+        return 0.0
+    t = min(max(w.argmax(), a), b)
+    if t == 0.0:
+        return w.limit0()
+    if t == INF:
+        return w.limit_inf()
+    return float(w(t))
+
+
+class TestOnePassSuprema:
+    """``PowerWeight.sup_on_intervals`` is one array pass of the per-interval
+    rule, bit for bit, on the regions of both benchmark grids."""
+
+    @given(st.one_of(st.just(0.0), coef_st), alpha_st,
+           st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+           st.sampled_from(range(len(BENCH_GRIDS))))
+    @example(0.0, 1.0, 0.0, 0.0, 0)  # the zero weight
+    @example(1.0, -0.5, 0.0, 0.0, 1)  # argmax at 0: limit0 is +inf
+    @example(2.0, 0.0, 0.0, 0.0, 0)  # constant: argmax at oo, limit_inf is c
+    @example(1.0, 1.5, 0.0, 0.0, 1)  # argmax at oo: limit_inf is +inf
+    @example(1.0, 1.0, 1.0, 0.0, 0)  # argmax 1, inside a region
+    @example(1.0, -2.0, 0.0, 0.5, 1)  # mu > 0, alpha < 0: argmax mu/-alpha
+    @example(1.0, -2.0, 3.0, 0.0, 0)  # lam > 0 with argmax at 0
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_per_interval_rule(self, c, alpha, lam, mu, g):
+        w = PowerWeight(c, alpha, lam, mu)
+        ks = BENCH_GRIDS[g].array()
+        lo, hi = np.concatenate([[0.0], ks]), np.concatenate([ks, [INF]])
+        want = [sup_rule(w, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert np.array_equal(bits(w.sup_on_intervals(lo, hi)), bits(want))
+        # the one-interval case, on the head, a middle and the tail region
+        for i in (0, len(ks) // 2, len(ks)):
+            assert bits(w.sup_on_interval(lo[i], hi[i])) == bits(want[i])
+
+    def test_empty_interval_reads_zero(self):
+        w = PowerWeight(1.0, -1.0)
+        assert w.sup_on_intervals(np.array([2.0, 1.0]), np.array([1.0, 2.0])).tolist() == [0.0, 1.0]
+
+    def test_default_loops_over_intervals(self):
+        w = PiecewisePowerWeight((1.0,), (PowerWeight(1.0, 1.0), PowerWeight(1.0, -1.0)))
+        lo, hi = np.array([0.0, 0.5, 2.0]), np.array([0.5, 2.0, INF])
+        assert w.sup_on_intervals(lo, hi).tolist() == [w.sup_on_interval(a, b)
+                                                      for a, b in zip(lo, hi)]
 
 
 class TestTransforms:
