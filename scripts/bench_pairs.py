@@ -1,19 +1,22 @@
 """Alternating parent/change pairs of the benchmark, summarised as one JSON file.
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \
-        --workload cli-default --workload battery --seeds 601-610 --seconds 10 \
+        --workload cli-default --workload battery --seeds 601-610 \
         --out BENCH_21.json --what "..." --claim cli-default:wall_s
 
 ``--parent`` and ``--change`` are two checkouts of the repository (for
 example ``git archive`` of each commit, unpacked).  For every workload and
 seed the script runs ``perfbench/run.py`` once in each checkout, back to
-back, the parent first on odd pairs and the change first on even ones.  The
-end-to-end metrics and bounds are those of the change's ``BENCHMARK.json``;
+back, the parent first on odd pairs and the change first on even ones, for
+the ``run_seconds`` of the change's ``BENCHMARK.json``.  The end-to-end
+metrics and bounds are those of the same file;
 with ``--trace 1`` the per-layer metrics are summarised instead, without
 bounds.  Each side gets the median and quartiles of its runs, each metric the
 pairs the change won and lost (ties count for neither), the relative change
 of the medians, the parent's IQR and whether the gap between the medians
-exceeds it.  Every run made is listed under ``pairs``.  Nothing in either
+exceeds it.  A claim counts as met only if, on its workload, every pair is
+correct with equal report digests and the change fails no more operations
+than the parent.  Every run made is listed under ``pairs``.  Nothing in either
 checkout changes but the benchmark's own output directory.
 """
 
@@ -65,10 +68,21 @@ def summarise(pairs: list, metric: str, better: str, bound) -> dict:
 
 
 def parse_seeds(text: str) -> list:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    lo, hi = (int(x) for x in text.split("-"))
+    if hi <= lo:
+        raise ValueError(f"--seeds {text}: quartiles need at least two pairs")
+    return list(range(lo, hi + 1))
+
+
+def claim_met(pairs: list, s: dict, better: str) -> bool:
+    """At least 9 of 10 pairs won, the medians further apart than the parent's
+    IQR, in the better direction, with no pair incorrect, no digest changed
+    and no more failed operations than the parent."""
+    sign = 1.0 if better == "lower" else -1.0
+    sound = (all(p["correct"] and p["digest_equal"] for p in pairs)
+             and sum(p["failed"]["change"] for p in pairs) <= sum(p["failed"]["parent"] for p in pairs))
+    return (sound and s["change_better_pairs"] >= 0.9 * s["runs"]
+            and s["median_gap_exceeds_parent_iqr"] and sign * s["median_change_rel"] < 0)
 
 
 def main(argv=None) -> int:
@@ -76,8 +90,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seeds", required=True, help="'601-610' or '601,602,...': one pair per seed")
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seeds", required=True, help="'601-610': one pair per seed, at least two")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", required=True)
     ap.add_argument("--what", default="", help="what the change does")
@@ -86,6 +99,7 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    seconds = bench["run_seconds"]
     if args.trace:
         metrics = {m["name"]: (m["better"], None) for m in bench["per_layer"]}
     else:
@@ -93,7 +107,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     key = "per_layer" if args.trace else "end_to_end"
     doc = {"what": args.what, "claim": None, "method": {
-        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} "
                    f"--trace {args.trace}",
         "seeds": f"pair i uses seed {seeds[0]}+i-1 on both sides ({args.seeds})",
         "order": "parent first on odd pairs, change first on even pairs; both sides of one "
@@ -107,7 +121,7 @@ def main(argv=None) -> int:
         pairs = []
         for i, seed in enumerate(seeds, start=1):
             order = ["parent", "change"] if i % 2 else ["change", "parent"]
-            runs = {side: run_once(sides[side], workload, seed, args.seconds, args.trace)
+            runs = {side: run_once(sides[side], workload, seed, seconds, args.trace)
                     for side in order}
             doc["machine"] = doc["machine"] or runs["change"]["details"]["fingerprint"]
             pairs.append({
@@ -124,10 +138,8 @@ def main(argv=None) -> int:
         doc["pairs"][workload] = pairs
     if doc["claim"]:
         c = doc["claim"]
-        s = doc[key][c["workload"]][c["metric"]]
-        sign = 1.0 if metrics[c["metric"]][0] == "lower" else -1.0
-        c["met"] = (s["change_better_pairs"] >= 0.9 * s["runs"]
-                    and s["median_gap_exceeds_parent_iqr"] and sign * s["median_change_rel"] < 0)
+        c["met"] = claim_met(doc["pairs"][c["workload"]], doc[key][c["workload"]][c["metric"]],
+                             metrics[c["metric"]][0])
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

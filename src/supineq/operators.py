@@ -4,9 +4,11 @@
 the Hardy transform H or the Copson transform H*, or T_{u,b}.
 :class:`OperatorKernel` is the one implementation of their semantics on a
 grid: it maps the region values of step functions to the region values of
-the operator's output, row-wise.  Output values at the knots are exact (but
-for T_{u,b} on a row with tail input, where they are under-estimated); on
-each region the output is under-estimated by its monotonicity.  This is the
+the operator's output, row-wise.  Output values at the knots are exact on
+rows in the input's cone (but for T_{u,b} on a row with tail input, where
+they are under-estimated); off the cone, plain S_u and S*_u may read below
+the running-maximum scan (see :class:`OperatorKernel`).  On each region the
+output is under-estimated by its monotonicity.  This is the
 soundness contract the oracle relies on: Rayleigh quotients built from these
 outputs never exceed the true quotient of the step witness.
 
@@ -109,8 +111,9 @@ class OperatorKernel:
     Built from ``(kind, cone, grid)``, it holds the weight arrays the
     operator reads; ``apply`` maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
-    row by row.  Outputs are exact at the knots, and on each region they
-    under-estimate the true output by its monotonicity.  Beyond the last
+    row by row.  Outputs are exact at the knots on rows in the cone (off it,
+    plain S and S* may read below the scan, see ``monotone`` below), and on
+    each region they under-estimate the true output by its monotonicity.  Beyond the last
     knot T_ub reads int_0^tau f b as its value there (f b >= 0, so this
     under-estimates): on a row with tail input its knot outputs do too.
 
