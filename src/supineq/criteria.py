@@ -553,19 +553,16 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
         g1 = ctx.env_arr(adiv(Bv, Vv), "low")
         g2 = Vv
         case = "ii" if p <= q else "iv"
-    wset = ctx.int_w(w)
     flags: list = []
     terms: dict = {}
     if p <= q:
         for name, base, g in (("A1", rho, g1), ("A2", eta, g2)):
-            eqv = apow(base, q)
-            inner = amul(eqv, wset.low) + ctx.int_set(eqv, w).up
-            val, fl = ctx.sup(amul(apow(inner, 1.0 / q), g))
-            if fl:
-                flags.append(fl)
-            terms[name] = val
+            core, fl = _core(ctx, w, p, q, apow(base, q), g, "up")
+            terms[name] = core["A1"]
+            flags += fl
     else:
         r = e.r
+        wset = ctx.int_w(w)
         for pre, base, g in (("B1", rho, g1), ("B3", eta, g2)):
             eqv = apow(base, q)
             Iup = ctx.int_set(eqv, w).up

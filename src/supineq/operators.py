@@ -142,13 +142,13 @@ class OperatorKernel:
     in the cone, or None: the direction of the inner g (non-decreasing under
     H and T_ub's inner integral, non-increasing under H*, the cone's without
     a composition, none on ``none``) when the weight table (``u_rsups[:-1]``
-    for S, ``u_rsups[1:]`` for S*, ``uB`` then ``uB_tail_sup`` for T_ub) runs
-    the same way in floats.  Where it is set, ``apply`` reads the running
-    maximum off (module docstring).  Under H, H* and T_ub that is exact on
-    every row; for plain S and S* only on rows in the cone, which every
-    oracle stage builds.  On a row off the cone each output is one of the
-    products the scan takes the maximum of, so it reads at most the scanned
-    output and the quotient stays a lower bound."""
+    for S, ``u_rsups[1:]`` for S*, ``uB`` for T_ub: u/B at the knots, then its
+    sup on the tail region) runs the same way in floats.  Where it is set,
+    ``apply`` reads the running maximum off (module docstring).  Under H, H*
+    and T_ub that is exact on every row; for plain S and S* only on rows in
+    the cone, which every oracle stage builds.  On a row off the cone each
+    output is one of the products the scan takes the maximum of, so it reads
+    at most the scanned output and the quotient stays a lower bound."""
 
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
         self.kind = kind
@@ -157,13 +157,13 @@ class OperatorKernel:
         if kind.base == "T_ub":
             B = b_cumulative(kind.b)
             self.dB = region_measures(grid, kind.b)
-            self.uB = adiv(np.asarray(kind.u(ks), dtype=float), np.asarray(B(ks), dtype=float))
+            uB = adiv(np.asarray(kind.u(ks), dtype=float), np.asarray(B(ks), dtype=float))
             ratio_w = _ratio_weight(kind.u, B)
-            self.uB_tail_sup = ratio_w.sup_on_interval(ks[-1], INF)
+            # u/B at the knots, then its sup on the tail region
+            self.uB = np.append(uB, ratio_w.sup_on_interval(ks[-1], INF))
             self.uB_liminf = ratio_w.limit_inf()
             # the inner int_0^tau f b is non-decreasing on every input
-            self.monotone = _product_direction(np.append(self.uB, self.uB_tail_sup),
-                                               "non_decreasing")
+            self.monotone = _product_direction(self.uB, "non_decreasing")
         else:
             lo = np.concatenate([[0.0], ks])
             hi = np.concatenate([ks, [INF]])
@@ -186,18 +186,15 @@ class OperatorKernel:
         k = self.kind
         out = np.empty(segv.shape)
         if k.base == "T_ub":
-            # int_0^{k_j} f b, with b's region masses as lengths; beyond the
-            # grid, its value at the last knot
-            inner = hardy_at_knots(segv, self.dB)
-            last = inner[:, -1:]
-            tail_term = _amul(last, self.uB_tail_sup)
-            vals = out[:, :-1]
-            if self.monotone:  # the products rise to the tail term
-                vals[:] = tail_term
-            else:
-                point = _amul(self.uB, inner)
-                vals[:] = _suffix_max(np.concatenate([point, tail_term], axis=1))[:, :-1]
-            np.minimum(_amul(last, self.uB_liminf), vals[:, -1:], out=out[:, -1:])
+            # g: int_0^{k_j} f b at the knots (``hardy_at_knots`` with b's
+            # region masses as lengths) and, beyond the grid, its value at
+            # the last knot: the tail region adds nothing.  Built in place,
+            # with no copy to append that column.
+            g = _amul(segv, self.dB)
+            g[:, -1] = 0.0
+            np.cumsum(g, axis=1, out=g)
+            self._running_max(self.uB, g, out, from_right=True)
+            np.minimum(_amul(g[:, -1:], self.uB_liminf), out[:, -2:-1], out=out[:, -1:])
             return out
         # supremal (possibly composed) operators act on the inner g's regions
         zeros = np.zeros((segv.shape[0], 1))
@@ -275,11 +272,6 @@ def _product_direction(table: np.ndarray, g_direction: str) -> Optional[str]:
     else:
         return None
     return g_direction if steps.all() else None
-
-
-def _suffix_max(a: np.ndarray) -> np.ndarray:
-    """Row-wise running maximum from the right."""
-    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
 def _ratio_weight(u: Weight, B: Weight) -> Weight:

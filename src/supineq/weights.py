@@ -15,7 +15,9 @@ together with the operations the inequality criteria need:
 
   * pointwise evaluation (array-capable),
   * one-sided cumulatives ``int_0^t w`` / ``int_t^oo w`` with +inf as a
-    valid, analytically detected answer, and the cumulative as a weight
+    valid, analytically detected answer (each power family states this
+    calculus once, in ``_mass(a, b)``, which the cumulatives and
+    ``PowerWeight.total`` read), and the cumulative as a weight
     (``cumulative``),
   * essential sup / inf over intervals (exact for the symbolic forms),
   * running envelopes as weights (``running_sup``),
@@ -100,13 +102,15 @@ def _interval_mass(w: "Weight", a: float, b: float, la: float, lb: float) -> flo
 
 
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
-    """Exact ``int_a^b c t**alpha dt`` for 0 < a <= b < oo (alpha = -1 ok)."""
+    """Exact ``int_a^b c t**alpha dt`` for 0 <= a <= b <= oo where it converges
+    (alpha = -1 ok inside (0, oo)).  ``abs`` only turns the -0.0 of an
+    underflowed difference over a negative exponent into 0.0."""
     if c == 0.0 or a == b:
         return 0.0
     if alpha == -1.0:
         return c * math.log(b / a)
     e = alpha + 1.0
-    return c * (b ** e - a ** e) / e
+    return abs(c * (b ** e - a ** e) / e)
 
 
 class Weight:
@@ -123,10 +127,16 @@ class Weight:
     # -- cumulatives --------------------------------------------------------
     def cum_low(self, t: float) -> float:
         """``int_0^t w``, +inf when the integral diverges at 0."""
-        raise NotImplementedError
+        return self._mass(0.0, t)
 
     def cum_up(self, t: float) -> float:
         """``int_t^oo w``, +inf when the integral diverges at oo."""
+        return self._mass(t, INF)
+
+    def _mass(self, a: float, b: float) -> float:
+        """``int_a^b w`` for 0 <= a <= b <= oo, +inf when it diverges: the one
+        mass rule of a symbolic family, which the cumulatives read.  A family
+        without one overrides ``cum_low`` and ``cum_up``."""
         raise NotImplementedError
 
     def total(self) -> float:
@@ -316,51 +326,32 @@ class PowerWeight(Weight):
         return out
 
     # -- cumulatives --------------------------------------------------------------
-    def cum_low(self, t: float) -> float:
-        if self.c == 0.0 or t == 0.0:
+    def _mass(self, a: float, b: float) -> float:
+        """``int_a^b w``, by the first rule that applies: 0 on an empty range;
+        +inf at an open end that diverges (at 0 when mu = 0 and alpha <= -1,
+        at oo when lam = 0 and alpha >= -1); exact for a plain power; the
+        incomplete gamma function for a power-exponential with alpha > -1 on
+        (0, b], [a, oo) or (0, oo); else quadrature."""
+        c, alpha, lam, mu = self.c, self.alpha, self.lam, self.mu
+        if c == 0.0 or a == b:
             return 0.0
-        if t == INF:
-            return self.total()
-        if self.mu == 0.0:
-            a1 = self.alpha + 1.0
-            if a1 <= 0.0:
-                return INF
-            if self.lam == 0.0:
-                return self.c * t ** a1 / a1
-            return float(
-                self.c * self.lam ** (-a1) * _sp.gamma(a1) * _sp.gammainc(a1, self.lam * t)
-            )
-        # mu > 0: always convergent at zero
-        return _quad_log(self, 0.0, t)
-
-    def cum_up(self, t: float) -> float:
-        if self.c == 0.0 or t == INF:
-            return 0.0
-        if self.lam == 0.0 and self.alpha >= -1.0:
+        if (a == 0.0 and mu == 0.0 and alpha <= -1.0) or (
+                b == INF and lam == 0.0 and alpha >= -1.0):
             return INF
-        if t == 0.0:
-            return self.total()
-        if self.mu == 0.0:
-            a1 = self.alpha + 1.0
-            if self.lam == 0.0:
-                return -self.c * t ** a1 / a1
-            if a1 > 0.0:
-                return float(
-                    self.c * self.lam ** (-a1) * _sp.gamma(a1) * _sp.gammaincc(a1, self.lam * t)
-                )
-        return _quad_log(self, t, INF)
+        if lam == 0.0 and mu == 0.0:
+            return _power_int(c, alpha, a, b)
+        a1 = alpha + 1.0
+        if mu == 0.0 and a1 > 0.0 and (a == 0.0 or b == INF):
+            mass = c * lam ** (-a1) * _sp.gamma(a1)
+            if b < INF:
+                mass = mass * _sp.gammainc(a1, lam * b)
+            elif a > 0.0:
+                mass = mass * _sp.gammaincc(a1, lam * a)
+            return float(mass)
+        return _quad_log(self, a, b)
 
     def total(self) -> float:
-        if self.c == 0.0:
-            return 0.0
-        if self.lam == 0.0 and self.alpha >= -1.0:
-            return INF
-        if self.mu == 0.0 and self.alpha <= -1.0:
-            return INF
-        if self.mu == 0.0:
-            a1 = self.alpha + 1.0
-            return float(self.c * self.lam ** (-a1) * _sp.gamma(a1))
-        return _quad_log(self, 0.0, INF)
+        return self._mass(0.0, INF)
 
     # -- algebra --------------------------------------------------------------------
     def power(self, e: float) -> "PowerWeight":
@@ -433,44 +424,14 @@ class PiecewisePowerWeight(Weight):
         hi = INF if i == len(self.knots) else self.knots[i]
         return lo, hi
 
-    def cum_low(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        first = self.segments[0]
-        if first.c > 0.0 and first.alpha <= -1.0:
-            return INF
+    def _mass(self, a: float, b: float) -> float:
+        """Each segment's mass over its overlap with [a, b], summed left to
+        right; an end segment's own rule gives +inf where it diverges."""
         acc = 0.0
         for i, seg in enumerate(self.segments):
             lo, hi = self._bounds(i)
-            if lo >= t:
-                break
-            b = min(hi, t)
-            if i == 0:
-                acc += seg.cum_low(b)
-            else:
-                acc += _power_int(seg.c, seg.alpha, lo, b)
-            if b == t:
-                break
-        return acc
-
-    def cum_up(self, t: float) -> float:
-        last = self.segments[-1]
-        if last.c > 0.0 and last.alpha >= -1.0:
-            return INF
-        acc = 0.0
-        for i, seg in enumerate(self.segments):
-            lo, hi = self._bounds(i)
-            if hi <= t:
-                continue
-            a = max(lo, t)
-            if hi == INF:
-                acc += seg.cum_up(a)
-            elif a == 0.0:
-                acc += seg.cum_low(hi)
-            else:
-                acc += _power_int(seg.c, seg.alpha, a, hi)
-            if acc == INF:
-                return INF
+            if lo < b and a < hi:
+                acc += seg._mass(max(lo, a), min(hi, b))
         return acc
 
     def sup_on_interval(self, a: float, b: float) -> float:
@@ -577,7 +538,7 @@ class TabulatedWeight(Weight):
         if idx < len(ts) - 1 and t > ts[idx]:
             acc += _quad_log(self, ts[idx], min(t, ts[idx + 1]))
         elif t > ts[-1]:
-            acc += float(self.y[-1]) * (t - ts[-1])
+            acc += xmul(float(self.y[-1]), t - ts[-1])
         return acc
 
     def cum_up(self, t: float) -> float:

@@ -26,6 +26,8 @@ def test_all_names_resolve():
 ENTRY_POINTS = {
     "reduce_spec": "the paper's reductions of a monotone-cone problem to the full cone",
     "reduce_spec_inner": "the paper's R2.2/R2.4: the cumulative moves into the supremal weight",
+    "dual": "the paper's t -> 1/t substitution behind every mirror pair; the mirror tests "
+            "in test_acceptance.py and ROADMAP item 3 use it",
 }
 
 
@@ -42,37 +44,62 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(cls):
+    """A class's methods but its dunders, which are reached with the class."""
+    return [m for m in cls.body if isinstance(m, ast.FunctionDef) and not _dunder(m.name)]
+
+
+def _class_names(cls):
+    """The names a class uses outside its non-dunder methods: its bases,
+    decorators, fields and dunder methods."""
+    methods = {id(m) for m in _methods(cls)}
+    parts = [*cls.bases, *cls.keywords, *cls.decorator_list,
+             *(s for s in cls.body if id(s) not in methods)]
+    return set().union(*map(_names, parts))
+
+
 def test_every_public_name_is_used():
     # a public name must be reachable from module-level code (the CLI's
     # ``__main__`` block, module constants) or from an entry point, through
     # the bodies of the definitions it reaches; the package re-exports, the
-    # ``__all__`` lists and a definition's own body do not count.  Public
-    # names are each module's ``__all__``, its other public module-level
-    # definitions, and the public methods of its public classes.  The check
-    # goes by name, so a use of the same name elsewhere hides an unused
-    # definition: the parameters ``eps``/``M`` of ``make_log_grid`` would hide
-    # properties ``Grid.eps``/``Grid.M``, and ``scipy.integrate`` a method
+    # ``__all__`` lists and a definition's own body do not count.  A class
+    # brings its bases, fields and dunder methods; each other method is a
+    # definition of its own, reached by its name.  Public names are each
+    # module's ``__all__``, its other public module-level definitions, and
+    # the public methods of its public classes.  The check goes by name, so a
+    # use of the same name elsewhere hides an unused definition: the
+    # parameters ``eps``/``M`` of ``make_log_grid`` would hide properties
+    # ``Grid.eps``/``Grid.M``, and ``scipy.integrate`` a method
     # ``Weight.integrate``.
-    defs, todo, public = {}, set(ENTRY_POINTS), []
+    uses, todo, public = {}, set(ENTRY_POINTS), []
     for mod in MODULES:
         public += [f"{mod.__name__}.{name}" for name in mod.__all__]
         for stmt in ast.parse(inspect.getsource(mod)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(stmt.name, []).append(stmt)
-                if _public(stmt.name) and stmt.name not in mod.__all__:
-                    public.append(f"{mod.__name__}.{stmt.name}")
-                if isinstance(stmt, ast.ClassDef) and _public(stmt.name):
-                    public += [f"{mod.__name__}.{stmt.name}.{m.name}" for m in stmt.body
-                               if isinstance(m, ast.FunctionDef) and _public(m.name)]
-            elif not _is_all(stmt):
-                todo |= _names(stmt)
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not _is_all(stmt):
+                    todo |= _names(stmt)
+                continue
+            if _public(stmt.name) and stmt.name not in mod.__all__:
+                public.append(f"{mod.__name__}.{stmt.name}")
+            if isinstance(stmt, ast.FunctionDef):
+                uses.setdefault(stmt.name, []).append(_names(stmt))
+                continue
+            uses.setdefault(stmt.name, []).append(_class_names(stmt))
+            for m in _methods(stmt):
+                uses.setdefault(m.name, []).append(_names(m))
+                if _public(stmt.name) and _public(m.name):
+                    public.append(f"{mod.__name__}.{stmt.name}.{m.name}")
     reached = set()
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            for d in defs.get(name, []):
-                todo |= _names(d)
+            for names in uses.get(name, []):
+                todo |= names
     unused = [q for q in public if q.rsplit(".", 1)[1] not in reached]
     assert not unused, unused
     stale = set(ENTRY_POINTS) - {q.rsplit(".", 1)[1] for q in public}

@@ -275,7 +275,7 @@ def scanned(kern, segv):
     with np.errstate(all="ignore"):
         if k.base == "T_ub":
             inner = hardy_at_knots(segv, kern.dB)
-            prods = amul(np.append(kern.uB, kern.uB_tail_sup), np.column_stack([inner, inner[:, -1]]))
+            prods = amul(kern.uB, np.column_stack([inner, inner[:, -1]]))
             vals = np.maximum.accumulate(prods[:, ::-1], axis=1)[:, ::-1][:, :-1]
             first = amul(inner[:, -1], kern.uB_liminf)
         else:
@@ -428,7 +428,7 @@ class TestTailMinimum:
         for _, sid, spec in scenarios():
             kern = kernel(spec.kind, spec.cone)
             if spec.kind.base == "T_ub":
-                assert kern.uB_tail_sup >= kern.uB_liminf, sid
+                assert kern.uB[-1] >= kern.uB_liminf, sid
             else:
                 assert kern.u_rsups[-1] >= kern.u_liminf, sid
 

@@ -1,5 +1,6 @@
 """Weight families, cumulatives, transforms, and exponent bookkeeping."""
 
+import functools
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as _sp
 
 from supineq.extreal import INF, adiv
 from supineq.gridfn import make_log_grid
@@ -20,6 +22,7 @@ from supineq.weights import (
     conjugate,
     parse_weight,
     _interval_mass,
+    _quad_log,
     phi_weights,
     running_sup,
     weight_mul,
@@ -56,6 +59,10 @@ class TestPowerWeight:
         assert PowerWeight(1.0, -1.0).cum_low(1.0) == INF
         assert PowerWeight(1.0, -1.0).cum_up(1.0) == INF
         assert PowerWeight(1.0, -2.0).cum_up(1.0) == pytest.approx(1.0, rel=1e-12)
+        # no mass lies beyond oo, even where the tail diverges
+        assert PowerWeight(1.0, -1.0).cum_up(INF) == 0.0
+        pw = PiecewisePowerWeight((1.0,), (PowerWeight(1.0, 0.0), PowerWeight(1.0, -1.0)))
+        assert pw.cum_up(1.0) == INF and pw.cum_up(INF) == 0.0
 
     def test_interval_sup_unimodal(self):
         # t e^{-t} peaks at t = 1 with value e^{-1}
@@ -112,10 +119,198 @@ class TestPiecewiseAndTabulated:
         mass = _interval_mass(w, 1.0, 100.0, w.cum_low(1.0), w.cum_low(100.0))
         assert mass == pytest.approx((100.0**2 - 1.0) / 2.0, rel=1e-9)
 
-    def test_tabulated_constant_extension(self):
-        w = TabulatedWeight(t=(1.0, 2.0), y=(3.0, 3.0))
-        assert w(0.1) == pytest.approx(3.0) and w(50.0) == pytest.approx(3.0)
-        assert w.cum_up(2.0) == INF
+    @pytest.mark.parametrize("t,y", [((1.0, 2.0), (3.0, 3.0)), ((1.0, 2.0, 4.0), (1.0, 0.5, 0.0))])
+    def test_tabulated_constant_extension(self, t, y):
+        w = TabulatedWeight(t=t, y=y)
+        assert w(0.1) == pytest.approx(y[0]) and w(50.0) == pytest.approx(y[-1])
+        if y[-1] > 0.0:
+            assert w.cum_up(t[-1]) == INF and w.cum_low(INF) == INF
+        else:  # a zero extension carries no mass, also out to oo (not 0 * oo)
+            assert w.cum_up(t[-1]) == 0.0 and w.cum_low(INF) == w.cum_low(t[-1])
+            assert w.cum_low(INF) == pytest.approx(w.total(), rel=1e-12)
+
+
+# -- one mass rule per power family ----------------------------------------------
+#
+# A copy of the rules PowerWeight and PiecewisePowerWeight stated separately in
+# cum_low, cum_up and total before each family had one ``_mass``.
+
+
+def _old_power_int(c, alpha, a, b):
+    if c == 0.0 or a == b:
+        return 0.0
+    if alpha == -1.0:
+        return c * math.log(b / a)
+    e = alpha + 1.0
+    return c * (b ** e - a ** e) / e
+
+
+def _old_power_total(w):
+    if w.c == 0.0:
+        return 0.0
+    if w.lam == 0.0 and w.alpha >= -1.0:
+        return INF
+    if w.mu == 0.0 and w.alpha <= -1.0:
+        return INF
+    if w.mu == 0.0:
+        a1 = w.alpha + 1.0
+        return float(w.c * w.lam ** (-a1) * _sp.gamma(a1))
+    return _quad_log(w, 0.0, INF)
+
+
+def _old_power_cum_low(w, t):
+    if w.c == 0.0 or t == 0.0:
+        return 0.0
+    if t == INF:
+        return _old_power_total(w)
+    if w.mu == 0.0:
+        a1 = w.alpha + 1.0
+        if a1 <= 0.0:
+            return INF
+        if w.lam == 0.0:
+            return w.c * t ** a1 / a1
+        return float(w.c * w.lam ** (-a1) * _sp.gamma(a1) * _sp.gammainc(a1, w.lam * t))
+    return _quad_log(w, 0.0, t)
+
+
+def _old_power_cum_up(w, t):
+    if w.c == 0.0 or t == INF:
+        return 0.0
+    if w.lam == 0.0 and w.alpha >= -1.0:
+        return INF
+    if t == 0.0:
+        return _old_power_total(w)
+    if w.mu == 0.0:
+        a1 = w.alpha + 1.0
+        if w.lam == 0.0:
+            return -w.c * t ** a1 / a1
+        if a1 > 0.0:
+            return float(w.c * w.lam ** (-a1) * _sp.gamma(a1) * _sp.gammaincc(a1, w.lam * t))
+    return _quad_log(w, t, INF)
+
+
+def _old_piecewise_cum_low(w, t):
+    if t == 0.0:
+        return 0.0
+    first = w.segments[0]
+    if first.c > 0.0 and first.alpha <= -1.0:
+        return INF
+    acc = 0.0
+    for i, seg in enumerate(w.segments):
+        lo, hi = w._bounds(i)
+        if lo >= t:
+            break
+        b = min(hi, t)
+        acc += _old_power_cum_low(seg, b) if i == 0 else _old_power_int(seg.c, seg.alpha, lo, b)
+        if b == t:
+            break
+    return acc
+
+
+def _old_piecewise_cum_up(w, t):
+    last = w.segments[-1]
+    if last.c > 0.0 and last.alpha >= -1.0:
+        return INF
+    acc = 0.0
+    for i, seg in enumerate(w.segments):
+        lo, hi = w._bounds(i)
+        if hi <= t:
+            continue
+        a = max(lo, t)
+        if hi == INF:
+            acc += _old_power_cum_up(seg, a)
+        elif a == 0.0:
+            acc += _old_power_cum_low(seg, hi)
+        else:
+            acc += _old_power_int(seg.c, seg.alpha, a, hi)
+        if acc == INF:
+            return INF
+    return acc
+
+
+def _old_piecewise_total(w):
+    lo = _old_piecewise_cum_low(w, 1.0)
+    return INF if lo == INF else lo + _old_piecewise_cum_up(w, 1.0)
+
+
+OLD_RULES = {
+    PowerWeight: (_old_power_cum_low, _old_power_cum_up, _old_power_total),
+    PiecewisePowerWeight: (_old_piecewise_cum_low, _old_piecewise_cum_up, _old_piecewise_total),
+}
+
+MASS_C = (0.0, 1.0, 2.5, INF)
+MASS_ALPHA = (-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+# 1e200 underflows t**(alpha+1) for alpha <= -3, where the old upper cumulative
+# read +0.0, and overflows it for alpha >= 1
+MASS_T = (0.0, 1e-12, 1e-5, 0.3, 1.0, 7.0, 215.0, 745.0, 1e4, 1e12, 1e200, INF)
+
+
+def _outcome(f, *args):
+    """The exact float ``f`` returns (its bits; any NaN alike), or the error it raises."""
+    try:
+        x = f(*args)
+    except OverflowError:
+        return "OverflowError"
+    return "nan" if math.isnan(x) else int(bits(x))
+
+
+def mass_mismatches(weights_and_points):
+    """The (weight, method, t) whose ``cum_low``, ``cum_up`` or ``total``
+    differs from the old rules, bit for bit; ``cum_up(oo)`` of a piecewise
+    weight, the one intended change, is left out."""
+    bad = []
+    for w, ts in weights_and_points:
+        old_low, old_up, old_total = OLD_RULES[type(w)]
+        if _outcome(w.total) != _outcome(old_total, w):
+            bad.append((w, "total", None))
+        for t in ts:
+            if _outcome(w.cum_low, t) != _outcome(old_low, w, t):
+                bad.append((w, "cum_low", t))
+            piecewise_at_inf = t == INF and isinstance(w, PiecewisePowerWeight)
+            if not piecewise_at_inf and _outcome(w.cum_up, t) != _outcome(old_up, w, t):
+                bad.append((w, "cum_up", t))
+    return bad
+
+
+def random_piecewise(rng, n):
+    """``n`` piecewise weights with 1 to 4 knots and segments drawn from the
+    power grid; their knots, the ends and a point inside each segment."""
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(1, 5))
+        knots = np.sort(10.0 ** rng.uniform(-6.0, 6.0, size=k))
+        segs = tuple(PowerWeight(float(rng.choice(MASS_C[:3])), float(rng.choice(MASS_ALPHA)))
+                     for _ in range(k + 1))
+        w = PiecewisePowerWeight(tuple(knots.tolist()), segs)
+        inner = np.sqrt(knots[1:] * knots[:-1]).tolist() + [knots[0] / 2.0, knots[-1] * 2.0]
+        out.append((w, [0.0, *w.knots, *inner, INF]))
+    return out
+
+
+class TestMassRule:
+    """``cum_low``, ``cum_up`` and ``total`` of both power families read one
+    ``_mass`` each and give the old per-method rules' floats, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _one_quadrature_per_integral(self, monkeypatch):
+        # the old and the new rules integrate the same (w, a, b): once is enough
+        import supineq.weights as weights
+
+        monkeypatch.setattr(weights, "_quad_log", functools.lru_cache(None)(weights._quad_log))
+        with np.errstate(all="ignore"):  # c = oo meets a gamma factor of 0
+            yield
+
+    def test_power_weights_on_the_grid(self):
+        grid = [(PowerWeight(c, alpha, lam, mu), MASS_T) for c in MASS_C for alpha in MASS_ALPHA
+                for lam in (0.0, 0.5, 1.0, 2.0) for mu in (0.0, 0.1)]
+        assert mass_mismatches(grid) == []
+
+    def test_random_piecewise_weights_at_their_knots(self):
+        cases = random_piecewise(np.random.default_rng(20), 200)
+        assert mass_mismatches(cases) == []
+        # the one intended change: the mass beyond oo is 0, as for a PowerWeight
+        assert all(w.cum_up(INF) == 0.0 for w, _ in cases)
+        assert any(_old_piecewise_cum_up(w, INF) == INF for w, _ in cases)
 
 
 # -- the scalar integrand of the quadrature ------------------------------------
