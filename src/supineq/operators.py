@@ -192,7 +192,7 @@ class OperatorKernel:
             # with no copy to append that column.
             g = _amul(segv, self.dB)
             g[:, -1] = 0.0
-            np.cumsum(g, axis=1, out=g)
+            np.add.accumulate(g, axis=1, out=g)
             self._running_max(self.uB, g, out, from_right=True)
             np.minimum(_amul(g[:, -1:], self.uB_liminf), out[:, -2:-1], out=out[:, -1:])
             return out
@@ -242,7 +242,7 @@ class OperatorKernel:
 def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing.
     For callers inside ``np.errstate(all="ignore")``, as the kernel is."""
-    return np.cumsum(_amul(segv[:, :-1], lengths[:-1]), axis=1)
+    return np.add.accumulate(_amul(segv[:, :-1], lengths[:-1]), axis=1)
 
 
 def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     exact, non-increasing.  For callers inside ``np.errstate(all="ignore")``, as
     the kernel is."""
     above = _amul(segv[:, 1:], lengths[1:])
-    return np.cumsum(above[:, ::-1], axis=1)[:, ::-1]
+    return np.add.accumulate(above[:, ::-1], axis=1)[:, ::-1]
 
 
 def _inner_direction(kind: OperatorKind, cone: str) -> str:

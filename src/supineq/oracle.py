@@ -133,16 +133,18 @@ class RayleighEngine:
         p, q = self.spec.exps.p, self.spec.exps.q
         with np.errstate(all="ignore"):
             out_segv = self.kernel.apply(segv)
-            # ``x ** p`` with p > 0 is ``apow``, and both products are ``amul``,
-            # in place: ``segv`` and ``out_segv`` are this call's own arrays
-            segv **= p
-            out_segv **= q
-            den_sums = _amul(segv, self.dV, out=segv).sum(axis=1)
-            num_sums = _amul(out_segv, self.dW, out=out_segv).sum(axis=1)
-        out = np.zeros(F.shape[0])
+            # ``x ** p`` with p > 0 is ``apow`` (x ** 1 is x), and both products
+            # are ``amul``, in place: ``segv`` and ``out_segv`` are this call's own
+            if p != 1.0:
+                segv **= p
+            if q != 1.0:
+                out_segv **= q
+            den_sums = np.add.reduce(_amul(segv, self.dV, out=segv), axis=1).tolist()
+            num_sums = np.add.reduce(_amul(out_segv, self.dW, out=out_segv), axis=1).tolist()
+        out = [0.0] * len(den_sums)
         unsure = []  # rows that read +inf
         # scalar finish: np.power differs from float ** on ~5 % of sums at 1/3
-        for i, (den_sum, num_sum) in enumerate(zip(den_sums.tolist(), num_sums.tolist())):
+        for i, (den_sum, num_sum) in enumerate(zip(den_sums, num_sums)):
             den = xpow(den_sum, 1.0 / p)
             if den != 0.0:
                 out[i] = r = xdiv(xpow(num_sum, 1.0 / q), den)
@@ -152,8 +154,9 @@ class RayleighEngine:
             with np.errstate(all="ignore"):
                 o = self.kernel.apply(region_values(F[unsure], self.cone))
             inf_factor = ((o == INF) & (self.dW > 0.0)) | ((self.dW == INF) & (o > 0.0))
-            out[unsure] = np.where(inf_factor.any(axis=1), INF, 0.0)
-        return out
+            for i, inf in zip(unsure, inf_factor.any(axis=1).tolist()):
+                out[i] = INF if inf else 0.0
+        return np.array(out)
 
 
 def _rays(n: int, cone: str, js) -> np.ndarray:
@@ -273,9 +276,9 @@ def best_constant_lower(
     )
 
 
-_ASCENT_FACTORS = np.array([2.0, 0.5, 1.1, 1.0 / 1.1])
+_ASCENT_FACTORS = (2.0, 0.5, 1.1, 1.0 / 1.1)
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
-_ASCENT_FROM_ZERO = np.where(_ASCENT_FACTORS > 1.0, _ASCENT_FACTORS - 1.0, 0.0)
+_ASCENT_FROM_ZERO = tuple(f - 1.0 if f > 1.0 else 0.0 for f in _ASCENT_FACTORS)
 _ASCENT_BATCH = 12  # most coordinates per batch: 48 rows
 _ASCENT_ROWS = 4 * _ASCENT_BATCH  # most rows per call of the third stage
 # most coordinates x knots per batch: a row costs more in larger calls at
@@ -283,59 +286,55 @@ _ASCENT_ROWS = 4 * _ASCENT_BATCH  # most rows per call of the third stage
 _ASCENT_BATCH_KNOTS = 4096
 
 
-def _steps(bases: np.ndarray, owner: np.ndarray, cols: np.ndarray, fac: np.ndarray,
-           cone: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The ascent steps that move knot ``cols[i]`` of the cone row
-    ``bases[owner[i]]`` by factor ``fac[i]`` and project the row onto the
-    cone: which of them differ from their base, and those rows only.  Each
-    row of ``bases`` carries one zero after its n knots: the neighbour past
-    either end (column n, which index -1 also reads); the rows returned have
-    n entries.
-
-    A step sets knot j to y.  Its projection differs from the base only at j,
-    which takes ``max(y, b[j+1])`` on the non-increasing cone,
-    ``max(y, b[j-1])`` on the non-decreasing one and y on ``none``, and, when
-    y rose above b[j], on the knots of the lifted side (before j, or after j)
-    that lie below y.  So a step is fresh exactly when its value at j differs
-    from b[j], which is decided before any row is built; max is exact, so the
-    rows equal those of a row-wide running maximum bit for bit."""
-    x = bases[owner, cols]
-    with np.errstate(over="ignore"):  # a knot above 9e307 steps to +inf
-        y = np.where(x > 0, x * _ASCENT_FACTORS[fac], _ASCENT_FROM_ZERO[fac])
-    n = bases.shape[1] - 1
+def _around(base: np.ndarray, j: int, cone: str) -> Tuple[float, float, float]:
+    """What a step at knot j of the cone row ``base`` reads, as Python
+    floats: b[j]; the neighbour that holds knot j up, b[j+1] on the
+    non-increasing cone and b[j-1] on the non-decreasing one (0 on ``none``
+    and past either end); and the nearest knot of the side a rise of knot j
+    lifts, b[j-1] or b[j+1] (+inf on ``none`` and past either end)."""
+    x = float(base[j])
     if cone == "none":
-        at_j = y
-    else:
-        # the neighbour that holds knot j up
-        at_j = np.maximum(y, bases[owner, cols + (1 if cone == "non_increasing" else -1)])
-    fresh = at_j != x
-    rows = bases[owner[fresh], :n]
-    cols, y = cols[fresh], y[fresh]
-    if cone != "none":
-        knots = np.arange(n)
-        side = knots < cols[:, None] if cone == "non_increasing" else knots > cols[:, None]
-        np.maximum(rows, y[:, None], out=rows, where=side)
-    rows[np.arange(len(rows)), cols] = at_j[fresh]
-    return fresh, rows
+        return x, 0.0, INF
+    before = float(base[j - 1]) if j > 0 else None
+    after = float(base[j + 1]) if j + 1 < len(base) else None
+    if cone == "non_decreasing":
+        before, after = after, before
+    return x, 0.0 if after is None else after, INF if before is None else before
+
+
+def _rule(x: float, hold: float, edge: float, f: int) -> Tuple[float, float, bool]:
+    """The closed-form ascent step on the floats ``_around`` reads: knot j
+    moves from x to y by factor f; the projection onto the cone sets it to
+    ``max(y, hold)`` and, where y exceeds ``edge``, raises the knots of the
+    lifted side that lie below y to y.  Returns ``(y, value at j, lifts)``.
+    The step leaves its base unchanged exactly when the value at j is x."""
+    # Python floats: their product overflows to +inf without numpy's warning
+    y = x * _ASCENT_FACTORS[f] if x > 0.0 else _ASCENT_FROM_ZERO[f]
+    return y, max(y, hold), y > edge
 
 
 def _step(base: np.ndarray, j: int, f: int, cone: str) -> np.ndarray:
-    """``_steps`` for one step, on scalars: ``base`` moved at knot j by factor
-    f and projected onto the cone, as a new row, or ``base`` itself when the
-    projection takes the step back to it."""
-    # Python floats: their product overflows to +inf without numpy's warning
-    x = float(base[j])
-    y = x * float(_ASCENT_FACTORS[f]) if x > 0 else _ASCENT_FROM_ZERO[f]
-    nb = j + 1 if cone == "non_increasing" else j - 1
-    at_j = max(y, base[nb]) if cone != "none" and 0 <= nb < len(base) else y
+    """``base`` moved at knot j by factor f and projected onto the cone
+    (``_rule``), as a new row, or ``base`` itself when the projection takes
+    the step back to it.  Max is exact, so the row equals setting the knot
+    and taking a row-wide running maximum, bit for bit."""
+    x, hold, edge = _around(base, j, cone)
+    y, at_j, lifts = _rule(x, hold, edge, f)
     if at_j == x:
         return base
     base = base.copy()
-    if cone != "none":
-        lifted = base[:j] if cone == "non_increasing" else base[j + 1:]
-        np.maximum(lifted, y, out=lifted)
+    if lifts:
+        _lift(base, j, y, cone)
     base[j] = at_j
     return base
+
+
+def _lift(row: np.ndarray, j: int, y: float, cone: str) -> None:
+    """Raise the knots of ``row`` on the side a rise of knot j to y lifts
+    (before j on the non-increasing cone, after j on the non-decreasing one)
+    to at least y, in place."""
+    side = row[:j] if cone == "non_increasing" else row[j + 1:]
+    np.maximum(side, y, out=side)
 
 
 def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
@@ -347,48 +346,54 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     from s on (s = 0 but on the visit after a rescore miss).  A coordinate
     predicted to gain takes the steps of factors 0..f, one predicted not to
     gain those of factors s..3; each is stepped from the point its
-    predecessors' predicted outcomes lead to (``_steps``).  Steps equal to
-    their own base are neither built nor scored: their quotient is that
-    base's, which is not above the floor.  The sequential first-gain rule
-    (a quotient above ``best * (1 + 1e-12)``, the factors of one coordinate
-    in order) is replayed up to the first coordinate whose outcome differs
-    from its prediction, and ``pred`` is updated in place.  Returns
-    ``(coordinates settled, whether every prediction held, point, best)``.
-    A coordinate whose predicted factor f and the ones before it fail is not
-    settled: the next batch starts at it, from the same point, and scores
-    only factors f+1..3 (none when f = 3)."""
+    predecessors' predicted outcomes lead to.  Every step is planned on
+    Python floats with ``_rule``.  Steps equal to their own base are neither
+    built nor scored: their quotient is that base's, which is not above the
+    floor.  The bases are the batch start and the point each predicted gain
+    that moves it leads to (``_step``); the other rows are one gather from
+    them, one in-place maximum on the lifted side of each row that lifts and
+    one scatter of the values at the stepped knots.  The sequential
+    first-gain rule (a quotient above ``best * (1 + 1e-12)``, the factors of
+    one coordinate in order) is replayed on Python lists up to the first
+    coordinate whose outcome differs from its prediction, and ``pred`` is
+    updated in place.  Returns ``(coordinates settled, whether every
+    prediction held, point, best)``.  A coordinate whose predicted factor f
+    and the ones before it fail is not settled: the next batch starts at it,
+    from the same point, and scores only factors f+1..3 (none when f = 3)."""
     cone = engine.cone
-    coords = coords.tolist()
-    # the predicted path: only a coordinate predicted to gain moves the base;
-    # the steps of the batch, one coordinate's after another's
-    bases = np.zeros((len(coords), len(vals) + 1))
-    base = vals
-    owner, cols, fac, ends = [], [], [], []
-    for c, j in enumerate(coords):
-        bases[c, :-1] = base
+    bases = [vals]
+    plan = []  # per coordinate: j and its fresh steps, (factor, row)
+    take, knots, at, lifted = [], [], [], []  # per row: base, knot, value there; (row, j, y)
+    for j in coords.tolist():
         f = pred[j]
-        span = range(f + 1) if f >= 0 else range(-1 - f, len(_ASCENT_FACTORS))
-        owner += [c] * len(span)
-        cols += [j] * len(span)
-        fac += span
-        ends.append(len(fac))
-        if f >= 0:
-            base = _step(base, j, f, cone)
-    fresh, rows = _steps(bases, np.array(owner, dtype=int), np.array(cols, dtype=int),
-                         np.array(fac, dtype=int), cone)
-    # a step not built reads 0, below every floor (best > 0)
-    scores = np.zeros(len(owner))
-    if len(rows):
-        scores[fresh] = engine.ratios(rows)
-    scores = scores.tolist()
-    row_of = (np.cumsum(fresh) - 1).tolist()  # the built row of each fresh step
-    start = 0
-    for c, (j, end) in enumerate(zip(coords, ends)):
+        x, hold, edge = _around(bases[-1], j, cone)
+        steps = []
+        for g in range(f + 1) if f >= 0 else range(-1 - f, len(_ASCENT_FACTORS)):
+            y, at_j, lifts = _rule(x, hold, edge, g)
+            if at_j == x:
+                continue
+            steps.append((g, len(take)))
+            if g == f:  # the predicted gain moves the path: its row is the new base
+                bases.append(_step(bases[-1], j, f, cone))
+            elif lifts:
+                lifted.append((len(take), j, y))
+            take.append(len(bases) - 1)
+            knots.append(j)
+            at.append(at_j)
+        plan.append((j, steps))
+    if take:
+        rows = (vals[None] if len(bases) == 1 else np.array(bases))[take]
+        for i, j, y in lifted:
+            _lift(rows[i], j, y, cone)
+        rows[np.arange(len(take)), knots] = at
+        scores = engine.ratios(rows).tolist()
+    for c, (j, steps) in enumerate(plan):
         floor = best * (1.0 + 1e-12)
-        gain = next((i for i in range(start, end) if scores[i] > floor), -1)
-        if gain >= 0:
-            vals, best = rows[row_of[gain]].copy(), scores[gain]
-            gain = fac[gain]
+        gain = -1
+        for g, i in steps:
+            if scores[i] > floor:
+                vals, best, gain = rows[i].copy(), scores[i], g
+                break
         if gain != max(pred[j], -1):
             if gain < 0:
                 # factors 0..f failed: the next visit resumes at factor f + 1
@@ -397,7 +402,6 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
             pred[j] = gain
             return c + 1, False, vals, best
         pred[j] = gain
-        start = end
     return len(coords), True, vals, best
 
 

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .extreal import INF, amul, apow, xmul
+from .extreal import INF, amul, apow, xmul, xpow
 
 __all__ = [
     "Weight",
@@ -103,14 +103,17 @@ def _interval_mass(w: "Weight", a: float, b: float, la: float, lb: float) -> flo
 
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
     """Exact ``int_a^b c t**alpha dt`` for 0 <= a <= b <= oo where it converges
-    (alpha = -1 ok inside (0, oo)).  ``abs`` only turns the -0.0 of an
-    underflowed difference over a negative exponent into 0.0."""
+    (alpha = -1 ok inside (0, oo)).  A power past the float range reads +inf,
+    as in ``xpow``, and so does the mass, also where both ends' powers do.
+    ``abs`` only turns the -0.0 of an underflowed difference over a negative
+    exponent into 0.0."""
     if c == 0.0 or a == b:
         return 0.0
     if alpha == -1.0:
         return c * math.log(b / a)
     e = alpha + 1.0
-    return abs(c * (b ** e - a ** e) / e)
+    diff = xpow(b, e) - xpow(a, e)
+    return INF if math.isnan(diff) else abs(c * diff / e)
 
 
 class Weight:
@@ -328,26 +331,30 @@ class PowerWeight(Weight):
     # -- cumulatives --------------------------------------------------------------
     def _mass(self, a: float, b: float) -> float:
         """``int_a^b w``, by the first rule that applies: 0 on an empty range;
-        +inf at an open end that diverges (at 0 when mu = 0 and alpha <= -1,
-        at oo when lam = 0 and alpha >= -1); exact for a plain power; the
-        incomplete gamma function for a power-exponential with alpha > -1 on
-        (0, b], [a, oo) or (0, oo); else quadrature."""
+        +inf for c = oo, where w is +inf on all of (0, oo); +inf at an open
+        end that diverges (at 0 when mu = 0 and alpha <= -1, at oo when lam = 0
+        and alpha >= -1); exact for a plain power; the incomplete gamma
+        function for a power-exponential with alpha > -1 on (0, b], [a, oo)
+        or (0, oo), unless it reads NaN (a factor past the float range, read
+        +inf as in ``xpow``, times one that underflows to 0); else quadrature."""
         c, alpha, lam, mu = self.c, self.alpha, self.lam, self.mu
         if c == 0.0 or a == b:
             return 0.0
-        if (a == 0.0 and mu == 0.0 and alpha <= -1.0) or (
+        if c == INF or (a == 0.0 and mu == 0.0 and alpha <= -1.0) or (
                 b == INF and lam == 0.0 and alpha >= -1.0):
             return INF
         if lam == 0.0 and mu == 0.0:
             return _power_int(c, alpha, a, b)
         a1 = alpha + 1.0
         if mu == 0.0 and a1 > 0.0 and (a == 0.0 or b == INF):
-            mass = c * lam ** (-a1) * _sp.gamma(a1)
+            # Python floats: inf * 0 is NaN without numpy's warning
+            mass = c * xpow(lam, -a1) * float(_sp.gamma(a1))
             if b < INF:
-                mass = mass * _sp.gammainc(a1, lam * b)
+                mass = mass * float(_sp.gammainc(a1, lam * b))
             elif a > 0.0:
-                mass = mass * _sp.gammaincc(a1, lam * a)
-            return float(mass)
+                mass = mass * float(_sp.gammaincc(a1, lam * a))
+            if not math.isnan(mass):
+                return mass
         return _quad_log(self, a, b)
 
     def total(self) -> float:

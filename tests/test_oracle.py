@@ -850,8 +850,9 @@ def cone_rows(draw):
 
 
 class TestAscentStep:
-    """The closed-form step of the ascent against 'set knot j, then project
-    onto the cone with a running maximum' (``ascent_steps``)."""
+    """The closed-form step of the ascent (``_around`` and ``_rule``, on
+    floats, and ``_step``) against 'set knot j, then project onto the cone
+    with a running maximum' (``ascent_steps``)."""
 
     @given(cone_rows(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -861,17 +862,23 @@ class TestAscentStep:
         # every row takes all four factors at its first, last and an interior knot
         knots = [0, n - 1, data.draw(st.integers(1, n - 2))]
         steps = [(b, j, f) for b in range(m) for j in knots for f in range(len(ASCENT_FACTORS))]
-        owner, cols, fac = (np.array(col) for col in zip(*steps))
         with np.errstate(over="ignore"):  # 2 x 1e300
             want = [ascent_steps(bases[b], j, ASCENT_FACTORS[f:f + 1], cone)[0] for b, j, f in steps]
-        fresh, rows = oracle._steps(np.pad(bases, ((0, 0), (0, 1))), owner, cols, fac, cone)
-        singles = [oracle._step(bases[b], j, f, cone) for b, j, f in steps]
-        assert fresh.tolist() == [bool((w != bases[b]).any()) for w, (b, _, _) in zip(want, steps)]
-        assert rows.tobytes() == np.array([w for w, k in zip(want, fresh) if k]).reshape(-1, n).tobytes()
-        # the one-step form returns its base itself when the step leaves it
-        for w, k, row, (b, _, _) in zip(want, fresh, singles, steps):
+        for w, (b, j, f) in zip(want, steps):
+            base = bases[b]
+            x, hold, edge = oracle._around(base, j, cone)
+            y, at_j, lifts = oracle._rule(x, hold, edge, f)
+            fresh = bool((w != base).any())
+            # the plan decides, on floats alone, whether the step is fresh,
+            # its value at j and whether it lifts a knot of the other side
+            assert (at_j != x) == fresh
+            assert np.float64(at_j).tobytes() == w[j].tobytes()
+            side = slice(0, j) if cone == "non_increasing" else slice(j + 1, n)
+            assert lifts == (cone != "none" and bool((w[side] != base[side]).any()))
+            # the one-step form returns its base itself when the step leaves it
+            row = oracle._step(base, j, f, cone)
             assert row.tobytes() == w.tobytes()
-            assert np.shares_memory(row, bases) == (not k)
+            assert np.shares_memory(row, bases) == (not fresh)
 
     @pytest.mark.parametrize("cone", CONES)
     def test_overflowing_step_is_inf_without_a_warning(self, cone):
@@ -880,12 +887,72 @@ class TestAscentStep:
         base = np.full(5, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fresh, rows = oracle._steps(np.pad(base, (0, 1))[None], np.array([0]), np.array([2]),
-                                        np.array([0]), cone)
+            y, at_j, _ = oracle._rule(*oracle._around(base, 2, cone), 0)
             single = oracle._step(base, 2, 0, cone)
-        assert fresh.tolist() == [True]
-        assert rows[0].tobytes() == single.tobytes()
-        assert single[2] == INF
+        assert y == at_j == single[2] == INF
+        with np.errstate(over="ignore"):
+            assert single.tobytes() == ascent_steps(base, 2, ASCENT_FACTORS[:1], cone)[0].tobytes()
+
+
+class RowsEngine:
+    """A stand-in for ``RayleighEngine`` in one ``_predicted_batch``: it
+    records the rows of each ``ratios`` call and scores every row 0."""
+
+    def __init__(self, cone):
+        self.cone = cone
+        self.calls = []
+
+    def ratios(self, F):
+        self.calls.append(np.array(F))
+        return np.zeros(len(F))
+
+
+@st.composite
+def predicted_batches(draw):
+    """A cone row, a batch of its coordinates and a prediction for each, of
+    which at least two are predicted gains (f >= 0); -1 - s is 'no gain,
+    factors from s on', s = 0..4."""
+    cone, rows = draw(cone_rows())
+    vals = rows[0]
+    n = len(vals)
+    coords = draw(st.permutations(range(n)).flatmap(
+        lambda order: st.integers(2, n).map(lambda k: order[:k])))
+    preds = draw(st.lists(st.integers(-5, 3), min_size=len(coords), max_size=len(coords))
+                 .filter(lambda ps: sum(f >= 0 for f in ps) >= 2))
+    pred = [-1] * n
+    for j, f in zip(coords, preds):
+        pred[j] = f
+    return cone, vals, coords, pred
+
+
+class TestPredictedBatch:
+    @given(predicted_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_scores_the_steps_from_the_model_bases(self, case):
+        cone, vals, coords, pred = case
+        # the model: each coordinate's steps from the point the earlier
+        # predicted gains lead to, without the steps equal to their base
+        expected, base = [], vals
+        for j in coords:
+            f = pred[j]
+            first = 0 if f >= 0 else -1 - f
+            rows = ascent_steps(base, j, ASCENT_FACTORS[first:f + 1 if f >= 0 else None], cone)
+            expected += [row for row in rows if not np.array_equal(row, base)]
+            if f >= 0:
+                base = rows[-1]
+        engine, before = RowsEngine(cone), list(pred)
+        done, hit, point, best = oracle._predicted_batch(engine, vals, 1.0, np.array(coords), pred)
+        if expected:
+            assert len(engine.calls) == 1
+            assert engine.calls[0].tobytes() == np.array(expected).tobytes()
+        else:
+            assert engine.calls == []
+        # every row scores 0: the first predicted gain is a rescore miss, at
+        # the point the batch started from
+        c = next(c for c, j in enumerate(coords) if before[j] >= 0)
+        assert (done, hit, best) == (c, False, 1.0)
+        assert point is vals
+        assert [pred[j] for j in coords[:c + 1]] == [-1] * c + [-2 - before[coords[c]]]
 
 
 class PredictedPathSpy:

@@ -255,21 +255,30 @@ def _outcome(f, *args):
 
 
 def mass_mismatches(weights_and_points):
-    """The (weight, method, t) whose ``cum_low``, ``cum_up`` or ``total``
-    differs from the old rules, bit for bit; ``cum_up(oo)`` of a piecewise
-    weight, the one intended change, is left out."""
+    """The (weight, method, t, old outcome, new outcome) whose ``cum_low``,
+    ``cum_up`` or ``total`` differs from the old rules, bit for bit;
+    ``cum_up(oo)`` of a piecewise weight, an intended change, is left out."""
     bad = []
     for w, ts in weights_and_points:
         old_low, old_up, old_total = OLD_RULES[type(w)]
-        if _outcome(w.total) != _outcome(old_total, w):
-            bad.append((w, "total", None))
+        calls = [("total", None, w.total, (old_total, w))]
         for t in ts:
-            if _outcome(w.cum_low, t) != _outcome(old_low, w, t):
-                bad.append((w, "cum_low", t))
-            piecewise_at_inf = t == INF and isinstance(w, PiecewisePowerWeight)
-            if not piecewise_at_inf and _outcome(w.cum_up, t) != _outcome(old_up, w, t):
-                bad.append((w, "cum_up", t))
+            calls.append(("cum_low", t, functools.partial(w.cum_low, t), (old_low, w, t)))
+            if not (t == INF and isinstance(w, PiecewisePowerWeight)):
+                calls.append(("cum_up", t, functools.partial(w.cum_up, t), (old_up, w, t)))
+        for method, t, new_rule, old_rule in calls:
+            new, old = _outcome(new_rule), _outcome(*old_rule)
+            if new != old:
+                bad.append((w, method, t, old, new))
     return bad
+
+
+def intended_change(mismatch):
+    """+inf where the old rules' float ``**`` left the range (they raised
+    ``OverflowError``), and +inf on every range of positive length for
+    c = oo, where the old rules read NaN or a quadrature's 0."""
+    w, _method, _t, old, new = mismatch
+    return new == _outcome(lambda: INF) and (old == "OverflowError" or w.c == INF)
 
 
 def random_piecewise(rng, n):
@@ -303,7 +312,13 @@ class TestMassRule:
     def test_power_weights_on_the_grid(self):
         grid = [(PowerWeight(c, alpha, lam, mu), MASS_T) for c in MASS_C for alpha in MASS_ALPHA
                 for lam in (0.0, 0.5, 1.0, 2.0) for mu in (0.0, 0.1)]
-        assert mass_mismatches(grid) == []
+        changes = mass_mismatches(grid)
+        assert [m for m in changes if not intended_change(m)] == []
+        # both intended changes occur on the grid: t**4 at 1e200, and c = oo
+        # on a range where the incomplete gamma factor underflows to 0
+        kinds = {(w, method, t): old for w, method, t, old, _ in changes}
+        assert kinds[(PowerWeight(1.0, 3.0), "cum_low", 1e200)] == "OverflowError"
+        assert kinds[(PowerWeight(INF, 1.0, 1.0), "cum_up", 1e4)] == "nan"
 
     def test_random_piecewise_weights_at_their_knots(self):
         cases = random_piecewise(np.random.default_rng(20), 200)
@@ -311,6 +326,39 @@ class TestMassRule:
         # the one intended change: the mass beyond oo is 0, as for a PowerWeight
         assert all(w.cum_up(INF) == 0.0 for w, _ in cases)
         assert any(_old_piecewise_cum_up(w, INF) == INF for w, _ in cases)
+
+
+class TestMassRange:
+    """Masses where the closed forms leave the float range, with warnings as
+    errors: no ``OverflowError``, no NaN and no RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_powers_past_the_float_range_read_inf(self):
+        assert PowerWeight(1.0, 3.0).cum_low(1e200) == INF
+        assert PowerWeight(1.0, -3.0).cum_up(1e-200) == INF
+        assert PowerWeight(1.0, 2.0, 1e-200).total() == INF  # lam ** -3
+        # both ends' powers past the range
+        assert PowerWeight(1.0, 3.0)._mass(1e200, 1e250) == INF
+        # lam ** -3 past the range times gammainc(3, 1e-200), which is 0:
+        # quadrature reads the mass, about 1/3
+        assert PowerWeight(1.0, 2.0, 1e-200).cum_low(1.0) == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("w", [PowerWeight(INF, 1.0, 1.0), PowerWeight(INF, -2.0, 1.0, 0.1),
+                                   PowerWeight(INF, 0.5)])
+    def test_infinite_coefficient_is_inf_on_every_range(self, w):
+        # w is +inf on all of (0, oo): +inf on a range of positive length
+        for t in (1e-300, 1e-12, 1.0, 1000.0, 1e300):
+            assert w.cum_low(t) == INF
+            assert w.cum_up(t) == INF
+        assert w.total() == INF
+        assert w._mass(1.0, 2.0) == INF
+        # and 0 on an empty one
+        assert w.cum_low(0.0) == w.cum_up(INF) == w._mass(3.0, 3.0) == 0.0
 
 
 # -- the scalar integrand of the quadrature ------------------------------------
