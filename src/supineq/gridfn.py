@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .extreal import INF
-from .weights import Weight, _interval_mass, _quad_log
+from .weights import Weight, _quad_log
 
 __all__ = [
     "Grid",
@@ -87,6 +87,19 @@ def region_values(F: np.ndarray, cone: str) -> np.ndarray:
     return np.concatenate([zeros, F], axis=-1)
 
 
+def _interval_mass(w: Weight, a: float, b: float, la: float, lb: float) -> float:
+    """``int_a^b w`` for 0 < a < b < oo, given ``la``/``lb`` = ``w.cum_low``
+    at a and b: the difference of lower cumulatives when ``lb`` is finite
+    (a NaN falls through), else of upper ones, else quadrature.  ``w.cum_up``
+    is called only on that second branch, at b only when it is finite at a."""
+    if lb < INF:
+        return max(lb - la, 0.0)
+    ua = w.cum_up(a)
+    if ua < INF:
+        return max(ua - w.cum_up(b), 0.0)
+    return _quad_log(w, a, b)
+
+
 _MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, about 0.26 MB
 
 
@@ -94,7 +107,7 @@ _MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, ab
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
-    Each interior entry is ``weights._interval_mass`` over its region, from
+    Each interior entry is ``_interval_mass`` over its region, from
     one ``cum_low`` per knot and ``cum_up`` only at the knots that need it.
     An end entry whose cumulative is NaN is integrated by quadrature, as
     ``_interval_mass`` does for the interior ones.

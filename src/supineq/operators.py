@@ -1,14 +1,16 @@
 """Supremal, Hardy-type and combined operators on step functions.
 
 :class:`OperatorKind` names an operator: S_u or S*_u, possibly composed with
-the Hardy transform H or the Copson transform H*, or T_{u,b}.
-:class:`OperatorKernel` is the one implementation of their semantics on a
-grid: it maps the region values of step functions to the region values of
-the operator's output, row-wise.  Output values at the knots are exact on
-rows in the input's cone (but for T_{u,b} on a row with tail input, where
-they are under-estimated); off the cone, plain S_u and S*_u may read below
-the running-maximum scan (see :class:`OperatorKernel`).  On each region the
-output is under-estimated by its monotonicity.  This is the
+the Hardy transform H or the Copson transform H*, or T_{u,b}, which is
+S*_{u/B} composed with H_b f = int_0^. f b.  :class:`OperatorKernel` is the
+one implementation of their semantics on a grid: it maps the region values
+of step functions to the region values of the operator's output, row-wise.
+Output values at the knots are exact on rows in the input's cone, but where
+S* reads a rising inner transform (S*oH and T_{u,b}) on a row with tail
+input: beyond the last knot H f and H_b f read their value there, so those
+knot outputs are under-estimated.  Off the cone, plain S_u and S*_u may
+read below the running-maximum scan (see :class:`OperatorKernel`).  On each
+region the output is under-estimated by its monotonicity.  This is the
 soundness contract the oracle relies on: Rayleigh quotients built from these
 outputs never exceed the true quotient of the step witness.
 
@@ -16,8 +18,8 @@ Values may be ``+inf`` (for instance the Copson transform of a function
 with positive tail).
 
 Each supremal operator ends in one row-wise running maximum of products
-u_i g_i of a weight table and an inner function (S: from the left; S* and
-T_{u,b}: from the right).  The kernel reads it off instead of scanning
+u_i g_i of a weight table and an inner function (S: from the left; S*:
+from the right).  The kernel reads it off instead of scanning
 where the product is monotone, by this lemma: if two rows in [0, inf] are
 both non-decreasing (or both non-increasing), so is their product under
 0 * inf = 0, in floats.  Correctly rounded multiplication of nonnegative
@@ -27,7 +29,8 @@ so it is no smaller than them and no larger than the others.  A running
 maximum of a monotone row is the row itself or the entry the scan starts
 at, and max is exact, so the read-off equals the scan bit for bit.  The kernel checks the
 table's direction in floats; the inner function's direction comes from the
-operator (H f rises, H* f falls) or, without a composition, from the cone.
+inner transform (H f and H_b f rise, H* f falls) or, without one, from the
+cone.
 """
 
 from __future__ import annotations
@@ -111,11 +114,32 @@ class OperatorKernel:
     Built from ``(kind, cone, grid)``, it holds the weight arrays the
     operator reads; ``apply`` maps an ``(m, n+1)`` stack of input region
     values (the canonical semantics of ``cone``) to the output region values,
-    row by row.  Outputs are exact at the knots on rows in the cone (off it,
-    plain S and S* may read below the scan, see ``monotone`` below), and on
-    each region they under-estimate the true output by its monotonicity.  Beyond the last
-    knot T_ub reads int_0^tau f b as its value there (f b >= 0, so this
-    under-estimates): on a row with tail input its knot outputs do too.
+    row by row.  Every operator is S or S* over an inner g: the input itself,
+    H f, H* f, or for T_{u,b} the transform H_b f = int_0^. f b, since
+    T_{u,b} = S*_{u/B} o H_b.  Outputs are exact at the knots on rows in the
+    cone (off it, plain S and S* may read below the scan, see ``monotone``
+    below), and on each region they under-estimate the true output by its
+    monotonicity.  Beyond the last knot a rising g (H f, H_b f) reads its
+    value at that knot (f >= 0, so this under-estimates); under S* (S*oH and
+    T_{u,b}) a row with tail input then reads low at the knots too.
+
+    ``table`` is the weight of the running maximum: u's region suprema on
+    R_0..R_{n-1} for S; for S* the sup on R_{j+1} at knot j, and where g
+    does not fall, u(k_j) folded in as ``max(u(k_j), sup_{R_{j+1}} u)``.
+    There g(k_j) is g's value on R_{j+1} (plain S* on ``none`` reads it so
+    too), and rounded multiplication of nonnegative floats is monotone, with
+    ``fmax`` sending 0 * inf to 0 on both sides, so ``max(a, b) * g`` is the
+    larger of the two products, bit for bit.  The suffix maximum then also
+    takes u(k_i) g(k_i) for i > j: values of u g on [k_j, oo), as the knot
+    term u(k_j) g(k_j) is at j, so the outputs stay exact.  Where u's sup on
+    R_{i+1} bounds u(k_i), as for every continuous weight, these terms add
+    nothing to the region scan.  A ``PiecewisePowerWeight`` that jumps down
+    at a grid knot k_i gives u(k_i) its left segment's value, above that
+    sup, and the outputs at the earlier knots then read u(k_i) g(k_i) where
+    the region scan read lower.  Where g falls, u(k_j) g(k_j) reads g on
+    R_j, and ``u_knots`` keeps it as a term of its own.  For T_{u,b} the
+    knot values are u/B and the region suprema are 0 but on the tail
+    region, where they are the sup of u/B there.
 
     ``apply`` keeps four properties, row by row and up to rounding:
 
@@ -129,51 +153,52 @@ class OperatorKernel:
     bounds rest on; (i)-(iii) let a cone's extreme rays bound every quotient
     when p <= 1 <= q.  Each output is a maximum of nonnegative multiples of
     the input's region values or of their running sums, which gives
-    (i)-(iii), but for the ``np.minimum`` on the tail region of S* and T_ub.
-    Its second argument, the value at the last knot, is at least the tail
-    input times the sup of u (of u/B for T_ub) on the tail region, and that
-    sup is at least the liminf of the same weight at infinity.  So the
-    minimum always picks its first argument, the tail input times that
-    liminf, which is linear.
-    This holds under 0 * inf = 0 too: a zero tail input makes both products
+    (i)-(iii), but for the ``np.minimum`` on the tail region of S*.  Its
+    second argument, the value at the last knot, is at least g's tail value
+    times ``table[-1]``, which is at least the sup of the weight (u, or u/B
+    for T_{u,b}) on the tail region, and that sup is at least the weight's
+    liminf at infinity.  So the minimum always picks its first argument,
+    g's tail value times that liminf, which is linear.
+    This holds under 0 * inf = 0 too: a zero tail value makes both products
     0, and an infinite liminf makes the sup infinite.
 
     ``monotone`` is the direction every scanned product row takes on inputs
-    in the cone, or None: the direction of the inner g (non-decreasing under
-    H and T_ub's inner integral, non-increasing under H*, the cone's without
-    a composition, none on ``none``) when the weight table (``u_rsups[:-1]``
-    for S, ``u_rsups[1:]`` for S*, ``uB`` for T_ub: u/B at the knots, then its
-    sup on the tail region) runs the same way in floats.  Where it is set,
+    in the cone, or None: the direction of g (non-decreasing under H and
+    H_b, non-increasing under H*, the cone's without a composition, none on
+    ``none``) when ``table`` runs the same way in floats.  Where it is set,
     ``apply`` reads the running maximum off (module docstring).  Under H, H*
-    and T_ub that is exact on every row; for plain S and S* only on rows in
+    and H_b that is exact on every row; for plain S and S* only on rows in
     the cone, which every oracle stage builds.  On a row off the cone each
     output is one of the products the scan takes the maximum of, so it reads
     at most the scanned output and the quotient stays a lower bound."""
 
+    u_knots: Optional[np.ndarray] = None  # u at the knots, for S* where g falls
+
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
-        self.kind = kind
-        self.cone = cone
+        self.kind, self.cone = kind, cone
         ks = grid.array()
         if kind.base == "T_ub":
             B = b_cumulative(kind.b)
-            self.dB = region_measures(grid, kind.b)
+            ratio = _ratio_weight(kind.u, B)
+            self.inner, self.lengths = "H_b", region_measures(grid, kind.b)
+            self.u_liminf = ratio.limit_inf()
+            # u/B H_b f is read at the knots and, beyond them, with u/B's sup
+            # on the tail region
             uB = adiv(np.asarray(kind.u(ks), dtype=float), np.asarray(B(ks), dtype=float))
-            ratio_w = _ratio_weight(kind.u, B)
-            # u/B at the knots, then its sup on the tail region
-            self.uB = np.append(uB, ratio_w.sup_on_interval(ks[-1], INF))
-            self.uB_liminf = ratio_w.limit_inf()
-            # the inner int_0^tau f b is non-decreasing on every input
-            self.monotone = _product_direction(self.uB, "non_decreasing")
+            self.table = np.append(uB[:-1], np.maximum(uB[-1], ratio.sup_on_interval(ks[-1], INF)))
         else:
-            lo = np.concatenate([[0.0], ks])
-            hi = np.concatenate([ks, [INF]])
-            self.u_rsups = kind.u.sup_on_intervals(lo, hi)
-            self.u_knots = np.asarray(kind.u(ks), dtype=float)
+            self.inner = kind.compose
+            if self.inner is not None:
+                self.lengths = np.diff(ks, prepend=0.0, append=INF)
+            u_rsups = kind.u.sup_on_intervals(np.append(0.0, ks), np.append(ks, INF))
             self.u_liminf = kind.u.limit_inf()
-            if kind.compose is not None:
-                self.lengths = np.concatenate([[ks[0]], np.diff(ks), [INF]])
-            table = self.u_rsups[:-1] if kind.base == "S" else self.u_rsups[1:]
-            self.monotone = _product_direction(table, _inner_direction(kind, cone))
+            if kind.base == "S":
+                self.table = u_rsups[:-1]
+            elif _inner_direction(self.inner, cone) == "non_increasing":
+                self.table, self.u_knots = u_rsups[1:], np.asarray(kind.u(ks), dtype=float)
+            else:
+                self.table = np.maximum(np.asarray(kind.u(ks), dtype=float), u_rsups[1:])
+        self.monotone = _product_direction(self.table, _inner_direction(self.inner, cone))
 
     def apply(self, segv: np.ndarray) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
@@ -183,81 +208,63 @@ class OperatorKernel:
         Where ``monotone`` is set, the running maximum is read off.  For plain
         S and S* that is exact only on rows in the cone (class docstring); off
         it the outputs read at most the scanned ones, so they stay sound."""
-        k = self.kind
+        g = self._inner(segv)
         out = np.empty(segv.shape)
-        if k.base == "T_ub":
-            # g: int_0^{k_j} f b at the knots (``hardy_at_knots`` with b's
-            # region masses as lengths) and, beyond the grid, its value at
-            # the last knot: the tail region adds nothing.  Built in place,
-            # with no copy to append that column.
-            g = _amul(segv, self.dB)
-            g[:, -1] = 0.0
-            np.add.accumulate(g, axis=1, out=g)
-            self._running_max(self.uB, g, out, from_right=True)
-            np.minimum(_amul(g[:, -1:], self.uB_liminf), out[:, -2:-1], out=out[:, -1:])
-            return out
-        # supremal (possibly composed) operators act on the inner g's regions
-        zeros = np.zeros((segv.shape[0], 1))
-        if k.compose == "H":
-            gsegv = np.concatenate([zeros, hardy_at_knots(segv, self.lengths)], axis=1)
-        elif k.compose == "H*":
-            gsegv = np.concatenate([copson_at_knots(segv, self.lengths), zeros], axis=1)
-        else:
-            gsegv = segv
-        if k.base == "S":
+        if self.kind.base == "S":
             # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
             # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})
             out[:, 0] = 0.0
-            self._running_max(self.u_rsups[:-1], gsegv[:, :-1], out[:, 1:], from_right=False)
+            self._running_max(g[:, :-1], out[:, 1:], from_right=False)
             return out
         # S*: out(k_j) = max(u(k_j) g(k_j), sup over regions R_{j+1}..R_n);
         # output is non-increasing, region R_i takes out(k_i)
         vals = out[:, :-1]
-        self._running_max(self.u_rsups[1:], gsegv[:, 1:], vals, from_right=True)
-        non_increasing = _inner_direction(k, self.cone) == "non_increasing"
-        gk = gsegv[:, :-1] if non_increasing else gsegv[:, 1:]
-        np.maximum(_amul(self.u_knots, gk), vals, out=vals)
-        np.minimum(_amul(gsegv[:, -1:], self.u_liminf), vals[:, -1:], out=out[:, -1:])
+        self._running_max(g[:, 1:], vals, from_right=True)
+        if self.u_knots is not None:  # g falls; elsewhere u(k_j) is in ``table``
+            np.maximum(_amul(self.u_knots, g[:, :-1]), vals, out=vals)
+        np.minimum(_amul(g[:, -1:], self.u_liminf), vals[:, -1:], out=out[:, -1:])
         return out
 
-    def _running_max(self, table: np.ndarray, g: np.ndarray, out: np.ndarray,
-                     from_right: bool) -> None:
+    def _inner(self, segv: np.ndarray) -> np.ndarray:
+        """The region values of g: ``segv`` itself, or H f, H_b f or H* f at
+        the knots, built in one new array.  H f and H_b f rise: region R_{i+1}
+        takes their value at k_i and R_0 takes 0.  H* f falls: region R_i
+        takes its value at k_i and R_n takes 0.  Each is a running sum of the
+        input's region masses, exact at the knots."""
+        if self.inner is None:
+            return segv
+        g = np.empty(segv.shape)
+        if self.inner == "H*":  # regions R_n..R_1 summed into knots k_{n-1}..k_0
+            g[:, -1], mass, src = 0.0, g[:, -2::-1], slice(None, 0, -1)
+        else:  # regions R_0..R_{n-1} summed into knots k_0..k_{n-1}
+            g[:, 0], mass, src = 0.0, g[:, 1:], slice(None, -1)
+        np.add.accumulate(_amul(segv[:, src], self.lengths[src], out=mass), axis=1, out=mass)
+        return g
+
+    def _running_max(self, g: np.ndarray, out: np.ndarray, from_right: bool) -> None:
         """Write the row-wise running maximum of ``table * g`` into ``out``,
         from the left or from the right.  Where the product is monotone it
         is read off: the row itself when its maximum runs along the scan,
         else the entry the scan starts at, broadcast."""
         if self.monotone is None:
-            prods = _amul(table, g)
+            prods = _amul(self.table, g)
             if from_right:
                 np.maximum.accumulate(prods[:, ::-1], axis=1, out=out[:, ::-1])
             else:
                 np.maximum.accumulate(prods, axis=1, out=out)
         elif (self.monotone == "non_increasing") == from_right:
-            _amul(table, g, out=out)
+            _amul(self.table, g, out=out)
         else:
             start = slice(-1, None) if from_right else slice(0, 1)
-            out[:] = _amul(table[start], g[:, start])
+            out[:] = _amul(self.table[start], g[:, start])
 
 
-def hardy_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise; exact, non-decreasing.
-    For callers inside ``np.errstate(all="ignore")``, as the kernel is."""
-    return np.add.accumulate(_amul(segv[:, :-1], lengths[:-1]), axis=1)
-
-
-def copson_at_knots(segv: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(H* f)(k_j) = int_{k_j}^oo f, the mass of regions R_{j+1}..R_n, row-wise;
-    exact, non-increasing.  For callers inside ``np.errstate(all="ignore")``, as
-    the kernel is."""
-    above = _amul(segv[:, 1:], lengths[1:])
-    return np.add.accumulate(above[:, ::-1], axis=1)[:, ::-1]
-
-
-def _inner_direction(kind: OperatorKind, cone: str) -> str:
-    """The direction of the inner g of S or S* on rows in ``cone``: H f is
-    non-decreasing and H* f non-increasing on every input, and without a
-    composition g is the input, with the cone's direction ("none" has none)."""
-    return {"H": "non_decreasing", "H*": "non_increasing"}.get(kind.compose, cone)
+def _inner_direction(inner: Optional[str], cone: str) -> str:
+    """The direction of the inner g on rows in ``cone``: H f and H_b f are
+    non-decreasing and H* f non-increasing on every input, and without an
+    inner transform g is the input, with the cone's direction ("none" has
+    none)."""
+    return {"H": "non_decreasing", "H_b": "non_decreasing", "H*": "non_increasing"}.get(inner, cone)
 
 
 def _product_direction(table: np.ndarray, g_direction: str) -> Optional[str]:
@@ -279,7 +286,7 @@ def _ratio_weight(u: Weight, B: Weight) -> Weight:
     if (isinstance(u, PowerWeight) and isinstance(B, PowerWeight)
             and B.lam == 0.0 and B.mu == 0.0 and B.c > 0.0):
         return PowerWeight(u.c / B.c, u.alpha - B.alpha, u.lam, u.mu)
-    return FuncWeight(_RatioClosure(u, B), label="u/B")
+    return FuncWeight(_RatioClosure(u, B))
 
 
 @dataclass(frozen=True)

@@ -88,19 +88,6 @@ def _quad_log(w: "Weight", a: float, b: float) -> float:
     return max(val, 0.0)
 
 
-def _interval_mass(w: "Weight", a: float, b: float, la: float, lb: float) -> float:
-    """``int_a^b w`` for 0 < a < b < oo, given ``la``/``lb`` = ``w.cum_low``
-    at a and b: the difference of lower cumulatives when ``lb`` is finite
-    (a NaN falls through), else of upper ones, else quadrature.  ``w.cum_up``
-    is called only on that second branch, at b only when it is finite at a."""
-    if lb < INF:
-        return max(lb - la, 0.0)
-    ua = w.cum_up(a)
-    if ua < INF:
-        return max(ua - w.cum_up(b), 0.0)
-    return _quad_log(w, a, b)
-
-
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
     """Exact ``int_a^b c t**alpha dt`` for 0 <= a <= b <= oo where it converges
     (alpha = -1 ok inside (0, oo)).  A power past the float range reads +inf,
@@ -163,17 +150,14 @@ class Weight:
 
     # -- algebra --------------------------------------------------------------
     def power(self, e: float) -> "Weight":
-        return FuncWeight(_PowClosure(self, e), label=f"({self})**{e}")
+        return FuncWeight(_PowClosure(self, e))
 
     def scale(self, c: float) -> "Weight":
-        return FuncWeight(_ScaleClosure(self, c), label=f"{c}*({self})")
+        return FuncWeight(_ScaleClosure(self, c))
 
     def dual(self, jacobian_exponent: float) -> "Weight":
         """The substituted weight ``t -> w(1/t) * (1/t**2)**e``."""
-        return FuncWeight(
-            _DualClosure(self, jacobian_exponent),
-            label=f"dual[{jacobian_exponent}]({self})",
-        )
+        return FuncWeight(_DualClosure(self, jacobian_exponent))
 
 
 # .. picklable closures for derived FuncWeights ..............................
@@ -372,7 +356,7 @@ class PowerWeight(Weight):
         # family cannot represent unless they vanish
         if self.lam == 0.0 and self.mu == 0.0:
             return PowerWeight(self.c ** e, self.alpha * e)
-        return FuncWeight(_PowClosure(self, e), label=f"({self})**{e}")
+        return FuncWeight(_PowClosure(self, e))
 
     def scale(self, k: float) -> "PowerWeight":
         return PowerWeight(xmul(self.c, k), self.alpha, self.lam, self.mu)
@@ -569,7 +553,7 @@ class TabulatedWeight(Weight):
     def power(self, e: float) -> "Weight":
         ys = np.asarray(self.y)
         if e < 0 and np.any(ys == 0.0):
-            return FuncWeight(_PowClosure(self, e), label=f"table**{e}")
+            return FuncWeight(_PowClosure(self, e))
         return TabulatedWeight(self.t, tuple((ys ** e).tolist()))
 
     def scale(self, k: float) -> "TabulatedWeight":
@@ -588,7 +572,6 @@ class FuncWeight(Weight):
     ``fn`` must be hashable, as the memos key every weight by its value."""
 
     fn: Callable
-    label: str = "func"
 
     def __post_init__(self) -> None:
         try:
@@ -688,7 +671,7 @@ def parse_weight(obj) -> Weight:
 def weight_mul(a: Weight, b: Weight) -> Weight:
     if isinstance(a, PowerWeight) and isinstance(b, PowerWeight):
         return PowerWeight(xmul(a.c, b.c), a.alpha + b.alpha, a.lam + b.lam, a.mu + b.mu)
-    return FuncWeight(_MulClosure(a, b), label="product")
+    return FuncWeight(_MulClosure(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +742,7 @@ def cumulative(w: Weight, side: str) -> Weight:
         a1 = w.alpha + 1.0
         if (a1 > 0.0) if side == "low" else (a1 < 0.0):
             return PowerWeight(w.c / abs(a1), a1)
-    return FuncWeight(_CumClosure(w, side), label=f"cumulative[{side}]")
+    return FuncWeight(_CumClosure(w, side))
 
 
 def running_sup(w: Weight, side: str) -> Weight:
@@ -767,7 +750,7 @@ def running_sup(w: Weight, side: str) -> Weight:
     weight: ``w.sup_on_intervals`` at the points, one array pass for a
     ``PowerWeight``."""
     _check_side(side)
-    return FuncWeight(_RunningSupClosure(w, side), label=f"running_sup[{side}]")
+    return FuncWeight(_RunningSupClosure(w, side))
 
 
 def phi_weights(v: Weight, p: float, side: str):

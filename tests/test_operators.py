@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import InequalitySpec
-from supineq.extreal import INF, amul
-from supineq.gridfn import make_log_grid, region_values, sample_monotone, sample_nonneg
-from supineq.operators import (
-    OperatorKernel,
-    OperatorKind,
-    b_cumulative,
-    copson_at_knots,
-    hardy_at_knots,
+from supineq.extreal import INF, adiv, amul
+from supineq.gridfn import (
+    make_log_grid,
+    region_measures,
+    region_values,
+    sample_monotone,
+    sample_nonneg,
 )
+from supineq.operators import OperatorKernel, OperatorKind, _ratio_weight, b_cumulative
 from supineq.oracle import RayleighEngine
-from supineq.weights import Exponents, PowerWeight
+from supineq.weights import Exponents, PiecewisePowerWeight, PowerWeight
 
 GRID = make_log_grid(1e-3, 1e3, 25)
 ONE = PowerWeight(1.0, 0.0)
@@ -35,6 +35,19 @@ T = PowerWeight(1.0, 1.0)
 KNOTS = GRID.array()
 LENGTHS = np.concatenate([[KNOTS[0]], np.diff(KNOTS), [INF]])  # of regions R_0..R_n
 seed_st = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def hardy_at_knots(segv, lengths):
+    """(H f)(k_j) = int_0^{k_j} f at every knot, row-wise: the running sum of
+    the masses of regions R_0..R_j.  Inside ``np.errstate(all="ignore")``."""
+    return np.add.accumulate(amul(segv[:, :-1], lengths[:-1]), axis=1)
+
+
+def copson_at_knots(segv, lengths):
+    """(H* f)(k_j) = int_{k_j}^oo f, the mass of regions R_{j+1}..R_n,
+    row-wise.  Inside ``np.errstate(all="ignore")``."""
+    above = amul(segv[:, 1:], lengths[1:])
+    return np.add.accumulate(above[:, ::-1], axis=1)[:, ::-1]
 
 
 def regions(f, cone):
@@ -232,11 +245,57 @@ class TestApplySpec:
             OperatorKind(base="T_ub", compose="H")
 
 
+class TestTailInput:
+    """Beyond the last knot H f reads its value at that knot, so S*oH
+    under-reads a row with tail input at the knots too; H* f is +inf there."""
+
+    GRID9 = make_log_grid(1e-2, 1e2, 9)
+
+    @pytest.mark.parametrize("base, compose, want", [("S", "H", 0.0), ("S*", "H", 0.0),
+                                                     ("S", "H*", INF), ("S*", "H*", INF)])
+    def test_tail_only_row_at_the_knots(self, base, compose, want):
+        # on ``none`` the last knot value is the input on R_n alone; with u = 1
+        # the true S*oH f and S oH* f and S*oH* f are +inf at every knot, and
+        # S oH f is 0 there
+        row = np.zeros(self.GRID9.n)
+        row[-1] = 1.0
+        with np.errstate(all="ignore"):
+            out = OperatorKernel(OperatorKind(base, compose, ONE), "none", self.GRID9).apply(
+                region_values(row, "none")[None])[0]
+        at_knots = out[1:] if base == "S" else out[:-1]
+        assert np.array_equal(at_knots, np.full(self.GRID9.n, want))
+
+
+class TestFoldedKnotTerm:
+    """Where g rises, S*'s table entry at knot k_j is max(u(k_j), sup of u on
+    R_{j+1}), so the suffix maximum also takes u(k_i) g(k_i) for i > j.  A
+    piecewise u that jumps down at a grid knot is larger there than its sup
+    on the next region, and the outputs at the earlier knots read it."""
+
+    GRID9 = make_log_grid(1e-2, 1e2, 9)
+
+    def test_jump_down_at_a_grid_knot(self):
+        ks = self.GRID9.array()
+        # u = 2 on (0, k_4], 1 beyond; f = 1 on R_0..R_4, so H f rises to
+        # its value h at k_4 and stays there
+        u = PiecewisePowerWeight((float(ks[4]),), (PowerWeight(2.0, 0.0), ONE))
+        assert u(ks[4]) == 2.0 and u.sup_on_interval(ks[4], ks[5]) == 1.0
+        segv = np.array([[1.0] * 5 + [0.0] * 5])
+        with np.errstate(all="ignore"):
+            out = OperatorKernel(OperatorKind("S*", "H", u), "none", self.GRID9).apply(segv)[0]
+        # sup of u H f on [k_j, oo) is 2 h for j <= 4; the region scan with
+        # the knot term at j alone read max(2 H f(k_j), h) = h at k_0..k_3
+        h = np.add.accumulate(np.diff(ks, prepend=0.0))[4]
+        want = np.array([2.0 * h] * 5 + [h] * 5)
+        assert np.array_equal(out, want)
+
+
 # -- the read-off of monotone products ------------------------------------------
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONES = ("non_increasing", "non_decreasing", "none")
 BATTERY_GRID = make_log_grid(1e-5, 1e5, 96)
+LENGTHS_96 = np.concatenate([[BATTERY_GRID.knots[0]], np.diff(BATTERY_GRID.array()), [INF]])
 EXP = PowerWeight(1.0, 0.0, 1.0)
 # the benchmark's known answers (best constant 1), at the battery grid
 KNOWN = [
@@ -267,32 +326,53 @@ def kernel(kind, cone):
         return OperatorKernel(kind, cone, BATTERY_GRID)
 
 
+@functools.lru_cache(maxsize=None)
+def weight_arrays(kind):
+    """What the scan of ``kind`` reads on the battery grid, from its weights:
+    u's region suprema, u at the knots and u's liminf at infinity; for T_ub
+    b's region masses, u/B at the knots, then its sup on the tail region, and
+    its liminf."""
+    ks = BATTERY_GRID.array()
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        if kind.base == "T_ub":
+            B = b_cumulative(kind.b)
+            ratio = _ratio_weight(kind.u, B)
+            uB = np.append(adiv(kind.u(ks), B(ks)), ratio.sup_on_interval(ks[-1], INF))
+            return region_measures(BATTERY_GRID, kind.b), uB, ratio.limit_inf()
+        rsups = kind.u.sup_on_intervals(np.concatenate([[0.0], ks]), np.concatenate([ks, [INF]]))
+        return rsups, np.asarray(kind.u(ks), dtype=float), kind.u.limit_inf()
+
+
 def scanned(kern, segv):
     """The kernel's outputs with every running maximum scanned, written out
-    from its weight arrays, and the first argument of the tail minimum of S*
-    and T_ub (None for S)."""
+    from the weights, and the first argument of the tail minimum of S* and
+    T_ub (None for S).  T_ub's inner integral beyond the last knot is its
+    value there; S*'s knot term u(k_j) g(k_j) stands on its own."""
     k = kern.kind
     with np.errstate(all="ignore"):
         if k.base == "T_ub":
-            inner = hardy_at_knots(segv, kern.dB)
-            prods = amul(kern.uB, np.column_stack([inner, inner[:, -1]]))
+            dB, uB, uB_liminf = weight_arrays(k)
+            inner = hardy_at_knots(segv, dB)
+            prods = amul(uB, np.column_stack([inner, inner[:, -1]]))
             vals = np.maximum.accumulate(prods[:, ::-1], axis=1)[:, ::-1][:, :-1]
-            first = amul(inner[:, -1], kern.uB_liminf)
+            first = amul(inner[:, -1], uB_liminf)
         else:
+            u_rsups, u_knots, u_liminf = weight_arrays(k)
             zero = np.zeros((len(segv), 1))
             if k.compose == "H":
-                g, falling = np.hstack([zero, hardy_at_knots(segv, kern.lengths)]), False
+                g, falling = np.hstack([zero, hardy_at_knots(segv, LENGTHS_96)]), False
             elif k.compose == "H*":
-                g, falling = np.hstack([copson_at_knots(segv, kern.lengths), zero]), True
+                g, falling = np.hstack([copson_at_knots(segv, LENGTHS_96), zero]), True
             else:
                 g, falling = segv, kern.cone == "non_increasing"
-            prods = amul(kern.u_rsups, g)
+            prods = amul(u_rsups, g)
             if k.base == "S":
                 return np.hstack([zero, np.maximum.accumulate(prods[:, :-1], axis=1)]), None
             gk = g[:, :-1] if falling else g[:, 1:]
             suffix = np.maximum.accumulate(prods[:, :0:-1], axis=1)[:, ::-1]
-            vals = np.maximum(amul(kern.u_knots, gk), suffix)
-            first = amul(g[:, -1], kern.u_liminf)
+            vals = np.maximum(amul(u_knots, gk), suffix)
+            first = amul(g[:, -1], u_liminf)
         return np.column_stack([vals, np.minimum(first, vals[:, -1])]), first
 
 
@@ -376,7 +456,8 @@ class TestReadOff:
             assert kernel(OperatorKind("S", None, u), "non_increasing").monotone == want
         assert kernel(OperatorKind("S", "H", T), "none").monotone == "non_decreasing"
         assert kernel(OperatorKind("S*", None, T), "none").monotone is None
-        # T_ub needs u/B, then its sup on the tail, to rise: u = t^2, b = 1
+        # T_ub needs its table, u/B at the knots with its sup on the tail
+        # region folded into the last, to rise: u = t^2, b = 1
         assert kernel(OperatorKind("T_ub", None, PowerWeight(1.0, 2.0), ONE), "none").monotone \
             == "non_decreasing"
         assert kernel(OperatorKind("T_ub", None, PowerWeight(1.0, 0.5), ONE), "none").monotone is None
@@ -422,15 +503,14 @@ class TestReadOff:
 
 class TestTailMinimum:
     """The tail ``np.minimum`` of S* and T_ub always picks its first
-    argument, the tail input times the weight's liminf at infinity."""
+    argument, the inner g's tail value times the weight's liminf at
+    infinity."""
 
     def test_tail_sup_is_at_least_the_liminf(self):
         for _, sid, spec in scenarios():
-            kern = kernel(spec.kind, spec.cone)
-            if spec.kind.base == "T_ub":
-                assert kern.uB[-1] >= kern.uB_liminf, sid
-            else:
-                assert kern.u_rsups[-1] >= kern.u_liminf, sid
+            if spec.kind.base != "S":
+                kern = kernel(spec.kind, spec.cone)
+                assert kern.table[-1] >= kern.u_liminf, sid
 
     def test_tail_output_is_the_first_argument(self):
         kinds = {(spec.kind, spec.cone) for _, _, spec in scenarios() if spec.kind.base != "S"}

@@ -211,7 +211,7 @@ class TestHelpers:
         # the v- and b-masses are memoised per (grid, weight), across specs
         a = RayleighEngine(tub_spec(1.0, 2.0), make_log_grid(1e-4, 1e4, 49))
         b = RayleighEngine(down_spec(2.0, 1.0), GRID)
-        assert b.dV is a.dV and b.dW is a.dW and a.kernel.dB is a.dV
+        assert b.dV is a.dV and b.dW is a.dW and a.kernel.lengths is a.dV
 
 
 # -- the batched kernel against the per-row wrapper and a step-function reference --
@@ -597,9 +597,10 @@ CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
 
 def factor_arrays(engine):
     """``dV``, ``dW`` and every weight array and tail factor of the kernel
-    (all of its attributes but its recipe and its read-off direction)."""
+    (all of its attributes but its recipe, its inner transform and its
+    read-off direction)."""
     kernel = {k: v for k, v in vars(engine.kernel).items()
-              if k not in ("kind", "cone", "monotone")}
+              if k not in ("kind", "cone", "inner", "monotone")}
     return {"dV": engine.dV, "dW": engine.dW, **kernel}
 
 
@@ -628,7 +629,7 @@ class TestFactorDomain:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             engine = RayleighEngine(spec, NAN_TAIL_GRID)
-        assert {"dV", "dW", "u_rsups", "u_knots", "u_liminf", "lengths"} <= set(factor_arrays(engine))
+        assert {"dV", "dW", "table", "u_liminf", "lengths"} <= set(factor_arrays(engine))
         self.assert_in_domain(engine, cone)
         tub = InequalitySpec(OperatorKind("T_ub", None, NAN_TAIL_V, NAN_TAIL_V), cone,
                              NAN_TAIL_V, NAN_TAIL_V, Exponents(2.0, 2.0))

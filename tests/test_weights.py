@@ -12,16 +12,16 @@ from scipy import integrate
 from scipy import special as _sp
 
 from supineq.extreal import INF, adiv
-from supineq.gridfn import make_log_grid
+from supineq.gridfn import _interval_mass, make_log_grid
 from supineq.weights import (
     Exponents,
     FuncWeight,
     PiecewisePowerWeight,
     PowerWeight,
     TabulatedWeight,
+    Weight,
     conjugate,
     parse_weight,
-    _interval_mass,
     _quad_log,
     phi_weights,
     running_sup,
@@ -540,10 +540,15 @@ class TestTransforms:
             assert m(t) == pytest.approx(a(t) * b(t), rel=1e-12)
 
     def test_weight_pow_and_scale_generic(self):
-        w = FuncWeight(lambda t: 1.0 / (1.0 + t), label="test")
+        w = FuncWeight(lambda t: 1.0 / (1.0 + t))
         for t in (0.5, 3.0):
             assert w.power(2.0)(t) == pytest.approx(w(t) ** 2)
             assert w.scale(5.0)(t) == pytest.approx(5.0 * w(t))
+        # a FuncWeight is its closure: the table's own power and the generic
+        # one build equal weights, with equal hashes, so the memos share them
+        tab = TabulatedWeight(t=(1.0, 2.0), y=(1.0, 0.0))
+        own, generic = tab.power(-1.0), Weight.power(tab, -1.0)
+        assert own == generic and hash(own) == hash(generic)
 
 
 class TestLevelTransforms:
