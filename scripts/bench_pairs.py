@@ -16,7 +16,9 @@ pairs the change won and lost (ties count for neither), the relative change
 of the medians, the parent's IQR and whether the gap between the medians
 exceeds it.  A claim counts as met only if, on its workload, every pair is
 correct with equal report digests and the change fails no more operations
-than the parent.  Every run made is listed under ``pairs``.  Nothing in either
+than the parent.  A claim whose workload is not among the ``--workload``
+flags, or whose metric is not among those summarised, is refused before
+any run.  Every run made is listed under ``pairs``.  Nothing in either
 checkout changes but the benchmark's own output directory.
 """
 
@@ -104,8 +106,14 @@ def main(argv=None) -> int:
         metrics = {m["name"]: (m["better"], None) for m in bench["per_layer"]}
     else:
         metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
-    sides = {"parent": args.parent, "change": args.change}
     key = "per_layer" if args.trace else "end_to_end"
+    if args.claim:
+        # checked before any run: a bad claim would otherwise fail after every pair
+        workload, _, metric = args.claim.partition(":")
+        if workload not in args.workload or metric not in metrics:
+            ap.error(f"--claim {args.claim}: the workload must be one of the --workload flags "
+                     f"and the metric one of BENCHMARK.json's {key} metrics")
+    sides = {"parent": args.parent, "change": args.change}
     doc = {"what": args.what, "claim": None, "method": {
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} "
                    f"--trace {args.trace}",
@@ -115,7 +123,6 @@ def main(argv=None) -> int:
         "checkouts": "the parent commit and the change, each in its own directory",
     }, "machine": None, key: {}, "pairs": {}}
     if args.claim:
-        workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric}
     for workload in args.workload:
         pairs = []

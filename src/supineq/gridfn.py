@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -76,15 +77,19 @@ def _log_grid(eps: float, M: float, n: int) -> Grid:
 DEFAULT_GRID = dict(eps=1e-6, M=1e6, n=512)
 
 
-def region_values(F: np.ndarray, cone: str) -> np.ndarray:
-    """Region values of ``(n,)`` or ``(m, n)`` knot values: n+1 per row.
+def region_values(F: np.ndarray, cone: str, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Region values of ``(n,)`` or ``(m, n)`` knot values: n+1 per row,
+    written into ``out`` if given, else into a new float array.
 
     Non-increasing: the values on R_0..R_{n-1}, then 0 on R_n.  Otherwise: 0
     on R_0, then the values on R_1..R_n."""
-    zeros = np.zeros(F.shape[:-1] + (1,))
+    if out is None:
+        out = np.empty(F.shape[:-1] + (F.shape[-1] + 1,))
     if cone == "non_increasing":
-        return np.concatenate([F, zeros], axis=-1)
-    return np.concatenate([zeros, F], axis=-1)
+        out[..., :-1], out[..., -1] = F, 0.0
+    else:
+        out[..., 0], out[..., 1:] = 0.0, F
+    return out
 
 
 def _interval_mass(w: Weight, a: float, b: float, la: float, lb: float) -> float:

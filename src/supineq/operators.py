@@ -200,16 +200,18 @@ class OperatorKernel:
                 self.table = np.maximum(np.asarray(kind.u(ks), dtype=float), u_rsups[1:])
         self.monotone = _product_direction(self.table, _inner_direction(self.inner, cone))
 
-    def apply(self, segv: np.ndarray) -> np.ndarray:
+    def apply(self, segv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
-        [0, inf], as a new array.  For callers inside
-        ``np.errstate(all="ignore")``, as the oracle's engine is.
+        [0, inf], written into ``out`` (an array of ``segv``'s shape that
+        does not overlap it) if given, else into a new array.  For callers
+        inside ``np.errstate(all="ignore")``, as the oracle's engine is.
 
         Where ``monotone`` is set, the running maximum is read off.  For plain
         S and S* that is exact only on rows in the cone (class docstring); off
         it the outputs read at most the scanned ones, so they stay sound."""
         g = self._inner(segv)
-        out = np.empty(segv.shape)
+        if out is None:
+            out = np.empty(segv.shape)
         if self.kind.base == "S":
             # out(k_j) = sup over regions R_0..R_j; output is non-decreasing, so
             # region R_i takes out(k_{i-1}) and the tail region takes out(k_{n-1})

@@ -104,6 +104,8 @@ class RayleighEngine:
         self.dV = region_measures(self.grid, spec.v)
         self.dW = region_measures(self.grid, spec.w)
         self.kernel = OperatorKernel(spec.kind, spec.cone, self.grid)
+        # the masses of both norms, against the two halves of ``ratios``' workspace
+        self._dVW = np.stack([self.dV, self.dW])[:, None]
 
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
@@ -112,13 +114,17 @@ class RayleighEngine:
     def ratios(self, F: np.ndarray) -> np.ndarray:
         """Quotients of an ``(m, n)`` stack of knot-value rows, one per row.
 
-        Region values (``segv``, ``(m, n+1)``) follow the canonical step
-        semantics of the cone (``gridfn.region_values``); the operator kernel
-        maps them to output region values, and both norms are exact sums over
-        regions.  Every entry of ``F`` must lie in [0, inf]: a NaN or negative
-        one raises ``ValueError``.  Rows are meant to lie in the cone, as every
-        stage's are: there the kernel's read-off of a monotone running maximum
-        is exact, and on a row off the cone it reads at most the scan, so the
+        Both norms are exact sums over regions, scored in one ``(2, m, n+1)``
+        workspace: its first half takes the rows' region values, in the
+        canonical step semantics of the cone (``gridfn.region_values``), and
+        its second the operator kernel's output region values.  Both halves
+        are raised to their exponents (in one step when p = q; an exponent of
+        1 is skipped), multiplied by a ``(2, 1, n+1)`` stack of the v- and
+        w-masses and summed row by row in one reduction, all in place.  Every
+        entry of ``F`` must lie in [0, inf]: a NaN or negative one raises
+        ``ValueError``.  Rows are meant to lie in the cone, as every stage's
+        are: there the kernel's read-off of a monotone running maximum is
+        exact, and on a row off the cone it reads at most the scan, so the
         quotient is still a lower bound (``OperatorKernel``).
 
         Each quotient is certified.  A row reads +inf only when its numerator
@@ -129,18 +135,22 @@ class RayleighEngine:
         # one reduction checks the rows: their minimum is NaN if an entry is
         if F.size and not F.min() >= 0.0:
             raise ValueError("knot values must lie in [0, inf]")
-        segv = region_values(F, self.cone)
         p, q = self.spec.exps.p, self.spec.exps.q
+        work = np.empty((2, len(F), self.n + 1))
+        segv, out_segv = work[0], work[1]
+        region_values(F, self.cone, out=segv)
         with np.errstate(all="ignore"):
-            out_segv = self.kernel.apply(segv)
-            # ``x ** p`` with p > 0 is ``apow`` (x ** 1 is x), and both products
-            # are ``amul``, in place: ``segv`` and ``out_segv`` are this call's own
-            if p != 1.0:
-                segv **= p
-            if q != 1.0:
-                out_segv **= q
-            den_sums = np.add.reduce(_amul(segv, self.dV, out=segv), axis=1).tolist()
-            num_sums = np.add.reduce(_amul(out_segv, self.dW, out=out_segv), axis=1).tolist()
+            self.kernel.apply(segv, out=out_segv)
+            # ``x ** p`` with p > 0 is ``apow`` (x ** 1 is x), and the product
+            # is ``amul``, in place on this call's own workspace
+            if p == q != 1.0:
+                work **= p
+            else:
+                if p != 1.0:
+                    segv **= p
+                if q != 1.0:
+                    out_segv **= q
+            den_sums, num_sums = np.add.reduce(_amul(work, self._dVW, out=work), axis=2).tolist()
         out = [0.0] * len(den_sums)
         unsure = []  # rows that read +inf
         # scalar finish: np.power differs from float ** on ~5 % of sums at 1/3
@@ -150,7 +160,7 @@ class RayleighEngine:
                 out[i] = r = xdiv(xpow(num_sum, 1.0 / q), den)
                 if r == INF:
                     unsure.append(i)
-        if unsure:  # ``out_segv`` holds powers now: one more pass, on these rows
+        if unsure:  # the workspace holds powers now: one more pass, on these rows
             with np.errstate(all="ignore"):
                 o = self.kernel.apply(region_values(F[unsure], self.cone))
             inf_factor = ((o == INF) & (self.dW > 0.0)) | ((self.dW == INF) & (o > 0.0))
@@ -217,7 +227,15 @@ def best_constant_lower(
     if budget.n_char > 0:
         idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
         for fam in [cone] if cone != "none" else ["non_increasing", "non_decreasing"]:
-            rs = [offer(_rays(n, fam, [j])[0]) for j in idxs if best < INF]
+            # ray j, ``_rays(n, fam, [j])[0]``, as the length-n view from top - j
+            # of one 2n staircase: n ones then n zeros on the non-increasing
+            # cone (top = n - 1), n zeros then n ones on the non-decreasing one
+            # (top = n)
+            if fam == "non_increasing":
+                stair, top = np.repeat([1.0, 0.0], n), n - 1
+            else:
+                stair, top = np.repeat([0.0, 1.0], n), n
+            rs = [offer(stair[top - j:top - j + n]) for j in idxs.tolist() if best < INF]
             char_scans.append((engine.ks[idxs[:len(rs)]], np.array(rs)))
     trace.append(best)
 

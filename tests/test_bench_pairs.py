@@ -112,3 +112,41 @@ class TestClaimMet:
         # where higher is better, the same numbers win
         pairs = make_pairs(PARENT, [x + 0.2 for x in PARENT], metric="bound_geomean")
         assert claim(pairs, metric="bound_geomean", better="higher")
+
+
+class Ran(Exception):
+    """Raised by the stand-in for a benchmark run."""
+
+
+class TestClaimChecked:
+    """A claim is checked against the ``--workload`` flags and the metrics of
+    the chosen ``--trace`` mode at argument parsing, before any run."""
+
+    @staticmethod
+    def call_main(tmp_path, monkeypatch, extra):
+        def no_run(*args, **kw):
+            raise Ran
+        monkeypatch.setattr(BP, "run_once", no_run)
+        monkeypatch.setattr(BP.subprocess, "run", no_run)
+        BP.main(["--parent", str(tmp_path), "--change", ROOT, "--workload", "battery",
+                 "--seeds", "1-2", "--out", str(tmp_path / "bench.json")] + extra)
+
+    @pytest.mark.parametrize("extra", [
+        ["--claim", "cli-default:wall_s"],  # a workload not run
+        ["--claim", "battery:oracle.ratio.calls"],  # a per-layer metric without tracing
+        ["--claim", "battery:wall_s", "--trace", "1"],  # an end-to-end metric with it
+        ["--claim", "battery"],  # no metric
+    ], ids=["workload", "per-layer", "end-to-end", "no-metric"])
+    def test_bad_claim_is_refused_before_any_run(self, extra, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.call_main(tmp_path, monkeypatch, extra)
+        assert exc.value.code == 2 and "--claim" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--claim", "battery:wall_s"],
+        ["--claim", "battery:oracle.ratio.calls", "--trace", "1"],
+    ], ids=["end-to-end", "per-layer"])
+    def test_good_claim_reaches_the_runs(self, extra, tmp_path, monkeypatch):
+        with pytest.raises(Ran):
+            self.call_main(tmp_path, monkeypatch, extra)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
-from supineq.extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, _amul, adiv, amul, apow, xdiv, xmul, xpow
 from supineq.gridfn import (
     Grid,
     make_log_grid,
@@ -734,6 +734,130 @@ class TestInfiniteQuotients:
         assert orc.lower_bound == orc.trace[2] == INF and orc.divergence_flag
         # no batch runs after the one that reached +inf
         assert bests[-1] == INF and INF not in bests[:-1]
+
+
+# -- the one workspace of ``ratios`` against the two-array norms it replaced --
+
+def two_array_ratios(engine, F):
+    """``RayleighEngine.ratios`` with each norm in an array of its own: the
+    rows' region values (concatenated with a zero column) and the kernel's
+    outputs (a new array) apart, each raised to its exponent (an exponent of
+    1 skipped), weighted and summed on its own, then the scalar roots and
+    quotient, and the +inf rule on the rows that read +inf."""
+    F = np.asarray(F, dtype=float)
+    zeros = np.zeros((len(F), 1))
+    segv = np.concatenate([F, zeros] if engine.cone == "non_increasing" else [zeros, F], axis=1)
+    p, q = engine.spec.exps.p, engine.spec.exps.q
+    with np.errstate(all="ignore"):
+        out_segv = engine.kernel.apply(segv)
+        if p != 1.0:
+            segv **= p
+        if q != 1.0:
+            out_segv **= q
+        den_sums = np.add.reduce(_amul(segv, engine.dV, out=segv), axis=1).tolist()
+        num_sums = np.add.reduce(_amul(out_segv, engine.dW, out=out_segv), axis=1).tolist()
+    out = []
+    for row, den_sum, num_sum in zip(F, den_sums, num_sums):
+        den = xpow(den_sum, 1.0 / p)
+        r = 0.0 if den == 0.0 else xdiv(xpow(num_sum, 1.0 / q), den)
+        out.append(r if r < INF or certifies(engine, row) else 0.0)
+    return np.array(out)
+
+
+def workspace_rows(spec):
+    """``kernel_inputs`` of the spec's cone, then a zero row, the sampled rows
+    with +inf at their end knot (the first on the non-increasing cone, else
+    the last) and with +inf at every positive entry, and every row scaled by
+    1e200, whose norms overflow wherever p or q exceeds 1."""
+    stack = kernel_inputs(spec, KERNEL_GRID)
+    sampled = stack[:5]
+    end = sampled.copy()
+    end[:, 0 if spec.cone == "non_increasing" else -1] = INF
+    return np.concatenate([stack, np.zeros((1, KERNEL_GRID.n)), end,
+                           np.where(sampled > 0.0, INF, 0.0), 1e200 * stack])
+
+
+# 1 on (0, 1e-2], 0 on (1e-2, 1e2] and t^-2 beyond: no w-mass on the middle regions
+DEAD_W = PiecewisePowerWeight((1e-2, 1e2), (ONE, PowerWeight(0.0, 0.0), PowerWeight(1.0, -2.0)))
+
+
+class TestWorkspace:
+    """``ratios`` scores both norms in one ``(2, m, n+1)`` workspace; its
+    quotients equal the two-array norms byte for byte, for every kernel
+    spec's operator on every cone, at equal and unequal exponents, on rows
+    of zeros, +inf entries and overflowing norms, with the spec's own w and
+    with one that has regions of no mass."""
+
+    @pytest.mark.parametrize("w", ["own", "dead"])
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (2.0, 3.0), (3.0, 1.5), (0.5, 0.25)])
+    def test_equals_the_two_array_norms(self, p, q, w):
+        for case, cid in enumerate(CONTRACT_IDS):
+            _, spec, cone = CONTRACT_CASES[case]
+            spec = replace(spec, cone=cone, exps=Exponents(p, q), w=spec.w if w == "own" else DEAD_W)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                engine = RayleighEngine(spec, KERNEL_GRID)
+            if w == "dead":
+                assert (engine.dW == 0.0).any() and (engine.dW > 0.0).any()
+            rows = workspace_rows(spec)
+            assert engine.ratios(rows).tobytes() == two_array_ratios(engine, rows).tobytes(), cid
+
+
+# -- the calls of the indicator scan and the random stage --
+
+class TestScanCalls:
+    """The indicator scan and the random stage score one row per
+    ``RayleighEngine.ratio`` call: one per scanned knot of each family, in
+    knot order, then one per random sample.  perfbench's tracer attributes
+    its stages on these calls
+    (``test_tracer_attributes_ratio_calls_to_stages``); a change that
+    batches these stages changes that test with this one, in the benchmark
+    change of ROADMAP item 11."""
+
+    N_CHAR, N_RANDOM, SEED = 16, 7, 5
+
+    @staticmethod
+    def spec(cone):
+        """S with u = t and v = w = e^{-t}: every quotient on GRID is finite,
+        and some scan ray scores above 0 on each cone."""
+        return replace(down_spec(), cone=cone, v=EXP)
+
+    def spied(self, monkeypatch, spec, budget):
+        calls = []  # (row, score) per ``ratio`` call
+        ratio = RayleighEngine.ratio
+
+        def spy_ratio(engine, values):
+            calls.append((np.array(values), ratio(engine, values)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+        return best_constant_lower(spec, budget, seed=self.SEED, grid=GRID), calls
+
+    def scan_rows(self, cone):
+        n = GRID.n
+        idxs = np.unique(np.linspace(0, n - 1, min(self.N_CHAR, n)).astype(int))
+        return [oracle._rays(n, fam, [j])[0] for fam in indicator_families(cone) for j in idxs]
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_one_call_per_scanned_knot_then_per_sample(self, cone, monkeypatch):
+        orc, calls = self.spied(monkeypatch, self.spec(cone), OracleBudget(self.N_CHAR, self.N_RANDOM, 0))
+        assert orc.lower_bound < INF
+        scan = self.scan_rows(cone)
+        assert len(calls) == len(scan) + self.N_RANDOM, "see ROADMAP item 11"
+        for (row, _), ray in zip(calls, scan):
+            assert row.tobytes() == ray.tobytes()
+        for i, (row, _) in enumerate(calls[len(scan):]):
+            seed = self.SEED + 7919 * (i + 1)
+            want = sample_nonneg(GRID, seed) if cone == "none" else sample_monotone(cone, GRID, seed)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_witness_of_a_winning_scan_ray_is_its_ray(self, cone, monkeypatch):
+        orc, calls = self.spied(monkeypatch, self.spec(cone), OracleBudget(self.N_CHAR, 0, 0))
+        scores = [r for _, r in calls]
+        win = scores.index(max(scores))  # the first ray to reach the best score keeps it
+        assert orc.lower_bound == scores[win] > 0.0
+        assert orc.witness.tobytes() == self.scan_rows(cone)[win].tobytes()
 
 
 # -- the batched ascent against the sequential one-factor-at-a-time ascent --
