@@ -18,6 +18,11 @@ knots and sample points, ``gridfn.region_measures`` integrates a NaN
 cumulative by quadrature, and ``oracle.RayleighEngine.ratios`` rejects a NaN
 or negative row entry.  Outside the domain, ``fmax`` turns a NaN or negative
 entry into 0.
+
+A factor whose entries are all finite and positive meets no 0 * inf: its
+products with values in [0, inf] are already in [0, inf], so the ``fmax``
+leaves them as they are.  ``_product`` decides this once per fixed factor,
+and a product with such a factor is one plain ``np.multiply``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,16 @@ def _amul(a, b, out=None):
     one of the factors."""
     out = np.multiply(a, b, out=out)
     return np.fmax(out, 0.0, out=out)
+
+
+def _product(factor):
+    """The product with ``factor`` of float arrays in [0, inf], decided once
+    for the factor: ``np.multiply`` where every entry of ``factor`` is finite
+    and positive, else ``_amul``.  Both take ``(a, b, out=None)`` and give the
+    same values; on such a factor they differ at most in the sign of a zero
+    product, which ``fmax`` does not fix either."""
+    f = np.asarray(factor, dtype=float)
+    return np.multiply if bool(((f > 0.0) & (f < INF)).all()) else _amul
 
 
 def adiv(a, b):

@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _amul, adiv
+from .extreal import INF, _product, adiv
 from .gridfn import Grid, region_measures
 from .weights import FuncWeight, PowerWeight, Weight, cumulative, weight_mul
 
@@ -153,14 +153,23 @@ class OperatorKernel:
     bounds rest on; (i)-(iii) let a cone's extreme rays bound every quotient
     when p <= 1 <= q.  Each output is a maximum of nonnegative multiples of
     the input's region values or of their running sums, which gives
-    (i)-(iii), but for the ``np.minimum`` on the tail region of S*.  Its
-    second argument, the value at the last knot, is at least g's tail value
-    times ``table[-1]``, which is at least the sup of the weight (u, or u/B
-    for T_{u,b}) on the tail region, and that sup is at least the weight's
-    liminf at infinity.  So the minimum always picks its first argument,
-    g's tail value times that liminf, which is linear.
-    This holds under 0 * inf = 0 too: a zero tail value makes both products
-    0, and an infinite liminf makes the sup infinite.
+    (i)-(iii).  On the tail region S* reads g's tail value times
+    ``u_liminf``: the weight's (u's, or u/B's for T_{u,b}) liminf at
+    infinity, clamped at construction to ``table[-1]``.  That entry is at
+    least the sup of the weight on the tail region, and the sup is at least
+    the liminf, so the clamp does not bind and the tail output is g's tail
+    value times the liminf.  Where rounding made it bind, the tail output
+    would read lower, a sound under-estimate, and it stays linear.  Either
+    way it is at most the output at the last knot, which is at least g's
+    tail value times ``table[-1]``; under 0 * inf = 0 too, since a zero tail
+    value makes both products 0 and an infinite clamped liminf makes
+    ``table[-1]`` infinite.
+
+    ``products`` holds the product ``apply`` takes of a row with each fixed
+    factor (``table``, ``lengths`` on the regions the inner transform sums,
+    ``u_knots``, ``u_liminf``), decided once here by ``extreal._product``:
+    one ``np.multiply`` where every entry of the factor is finite and
+    positive, else ``_amul``, which also sends 0 * inf to 0.
 
     ``monotone`` is the direction every scanned product row takes on inputs
     in the cone, or None: the direction of g (non-decreasing under H and
@@ -173,6 +182,7 @@ class OperatorKernel:
     at most the scanned output and the quotient stays a lower bound."""
 
     u_knots: Optional[np.ndarray] = None  # u at the knots, for S* where g falls
+    u_liminf: Optional[float] = None  # the tail factor of S* and T_ub
 
     def __init__(self, kind: OperatorKind, cone: str, grid: Grid):
         self.kind, self.cone = kind, cone
@@ -181,7 +191,7 @@ class OperatorKernel:
             B = b_cumulative(kind.b)
             ratio = _ratio_weight(kind.u, B)
             self.inner, self.lengths = "H_b", region_measures(grid, kind.b)
-            self.u_liminf = ratio.limit_inf()
+            weight = ratio
             # u/B H_b f is read at the knots and, beyond them, with u/B's sup
             # on the tail region
             uB = adiv(np.asarray(kind.u(ks), dtype=float), np.asarray(B(ks), dtype=float))
@@ -191,7 +201,7 @@ class OperatorKernel:
             if self.inner is not None:
                 self.lengths = np.diff(ks, prepend=0.0, append=INF)
             u_rsups = kind.u.sup_on_intervals(np.append(0.0, ks), np.append(ks, INF))
-            self.u_liminf = kind.u.limit_inf()
+            weight = kind.u
             if kind.base == "S":
                 self.table = u_rsups[:-1]
             elif _inner_direction(self.inner, cone) == "non_increasing":
@@ -199,6 +209,15 @@ class OperatorKernel:
             else:
                 self.table = np.maximum(np.asarray(kind.u(ks), dtype=float), u_rsups[1:])
         self.monotone = _product_direction(self.table, _inner_direction(self.inner, cone))
+        self.products = {"table": _product(self.table)}
+        if self.inner is not None:  # the regions the inner transform sums
+            self.products["lengths"] = _product(self.lengths[1:] if self.inner == "H*"
+                                                else self.lengths[:-1])
+        if self.u_knots is not None:
+            self.products["u_knots"] = _product(self.u_knots)
+        if kind.base != "S":  # the weight's liminf, clamped (class docstring)
+            self.u_liminf = min(float(weight.limit_inf()), float(self.table[-1]))
+            self.products["u_liminf"] = _product(self.u_liminf)
 
     def apply(self, segv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
@@ -223,8 +242,9 @@ class OperatorKernel:
         vals = out[:, :-1]
         self._running_max(g[:, 1:], vals, from_right=True)
         if self.u_knots is not None:  # g falls; elsewhere u(k_j) is in ``table``
-            np.maximum(_amul(self.u_knots, g[:, :-1]), vals, out=vals)
-        np.minimum(_amul(g[:, -1:], self.u_liminf), vals[:, -1:], out=out[:, -1:])
+            np.maximum(self.products["u_knots"](self.u_knots, g[:, :-1]), vals, out=vals)
+        # the tail region reads g's tail value times the clamped liminf
+        self.products["u_liminf"](g[:, -1:], self.u_liminf, out=out[:, -1:])
         return out
 
     def _inner(self, segv: np.ndarray) -> np.ndarray:
@@ -240,7 +260,8 @@ class OperatorKernel:
             g[:, -1], mass, src = 0.0, g[:, -2::-1], slice(None, 0, -1)
         else:  # regions R_0..R_{n-1} summed into knots k_0..k_{n-1}
             g[:, 0], mass, src = 0.0, g[:, 1:], slice(None, -1)
-        np.add.accumulate(_amul(segv[:, src], self.lengths[src], out=mass), axis=1, out=mass)
+        times = self.products["lengths"]
+        np.add.accumulate(times(segv[:, src], self.lengths[src], out=mass), axis=1, out=mass)
         return g
 
     def _running_max(self, g: np.ndarray, out: np.ndarray, from_right: bool) -> None:
@@ -248,17 +269,18 @@ class OperatorKernel:
         from the left or from the right.  Where the product is monotone it
         is read off: the row itself when its maximum runs along the scan,
         else the entry the scan starts at, broadcast."""
+        times = self.products["table"]
         if self.monotone is None:
-            prods = _amul(self.table, g)
+            prods = times(self.table, g)
             if from_right:
                 np.maximum.accumulate(prods[:, ::-1], axis=1, out=out[:, ::-1])
             else:
                 np.maximum.accumulate(prods, axis=1, out=out)
         elif (self.monotone == "non_increasing") == from_right:
-            _amul(self.table, g, out=out)
+            times(self.table, g, out=out)
         else:
             start = slice(-1, None) if from_right else slice(0, 1)
-            out[:] = _amul(self.table[start], g[:, start])
+            out[:] = times(self.table[start], g[:, start])
 
 
 def _inner_direction(inner: Optional[str], cone: str) -> str:

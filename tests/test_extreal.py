@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import INF, _amul, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, _amul, _product, adiv, amul, apow, xdiv, xmul, xpow
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -245,3 +245,25 @@ class TestRawProduct:
         with np.errstate(all="ignore"):
             out = _amul(a, np.array([INF, 3.0, 0.0]), out=a)
         assert out is a and a.tolist() == [0.0, 6.0, 0.0]
+
+
+class TestProductRule:
+    """``_product`` skips the ``fmax`` only for a factor whose entries are all
+    finite and positive; against rows in [0, inf] that plain product equals
+    ``_amul`` bit for bit."""
+
+    def test_decided_from_every_entry(self):
+        assert _product(np.array([5e-324, 1.0, 1e308])) is np.multiply
+        assert _product(2.0) is np.multiply
+        for bad in (0.0, INF, np.nan):
+            assert _product(np.array([1.0, bad, 2.0])) is _amul
+            assert _product(bad) is _amul
+
+    @given(st.lists(finite_pos, min_size=1, max_size=12),
+           st.lists(on_half_line, min_size=1, max_size=12))
+    def test_plain_product_equals_the_guarded_one(self, factor, row):
+        factor, row = np.array(factor), np.array(row)
+        rows = np.resize(row, (3, len(factor)))
+        with np.errstate(all="ignore"):
+            got = _product(factor)(factor, rows)
+            assert np.array_equal(_bits(got), _bits(_amul(factor, rows)))

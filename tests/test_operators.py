@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import InequalitySpec
-from supineq.extreal import INF, adiv, amul
+from supineq.extreal import INF, _amul, adiv, amul
 from supineq.gridfn import (
     make_log_grid,
     region_measures,
@@ -502,15 +502,17 @@ class TestReadOff:
 
 
 class TestTailMinimum:
-    """The tail ``np.minimum`` of S* and T_ub always picks its first
-    argument, the inner g's tail value times the weight's liminf at
-    infinity."""
+    """The tail factor of S* and T_ub is the weight's liminf at infinity
+    clamped to ``table[-1]``, the sup on the tail region; on every scenario
+    the clamp does not bind, so the tail output is the inner g's tail value
+    times that liminf, what the tail ``np.minimum`` of the scan picks."""
 
     def test_tail_sup_is_at_least_the_liminf(self):
         for _, sid, spec in scenarios():
             if spec.kind.base != "S":
                 kern = kernel(spec.kind, spec.cone)
-                assert kern.table[-1] >= kern.u_liminf, sid
+                liminf = weight_arrays(spec.kind)[2]
+                assert kern.table[-1] >= liminf and kern.u_liminf == liminf, sid
 
     def test_tail_output_is_the_first_argument(self):
         kinds = {(spec.kind, spec.cone) for _, _, spec in scenarios() if spec.kind.base != "S"}
@@ -521,3 +523,77 @@ class TestTailMinimum:
                 out = kern.apply(segv)
             _, first = scanned(kern, segv)
             assert np.array_equal(bits(out[:, -1]), bits(first)), (kind, cone)
+
+
+# -- the 0 * inf guard, decided once per factor ----------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def guard_cases():
+    """``(label, kind, cone)`` of every scenario's kernel, and of every kernel
+    spec's operator (``tests/test_oracle.py``) on each cone."""
+    from test_oracle import KERNEL_SPECS
+
+    cases = {(spec.kind, spec.cone): sid for _, sid, spec in scenarios()}
+    for sid, spec in KERNEL_SPECS:
+        for cone in CONES:
+            cases.setdefault((spec.kind, cone), f"{sid}/{cone}")
+    return tuple((label, kind, cone) for (kind, cone), label in cases.items())
+
+
+def fully_guarded(kern, segv):
+    """``kern.apply(segv)`` with every product through ``_amul`` and the tail
+    of S* and T_ub through the minimum of the unclamped liminf's product
+    and the output at the last knot."""
+    ref = copy.copy(kern)
+    ref.products = dict.fromkeys(kern.products, _amul)
+    with np.errstate(all="ignore"):
+        out = ref.apply(segv)
+        if kern.kind.base != "S":
+            g = ref._inner(segv)
+            liminf = weight_arrays(kern.kind)[2]
+            np.minimum(_amul(g[:, -1:], liminf), out[:, -2:-1], out=out[:, -1:])
+    return out
+
+
+class TestGuardRule:
+    """A product of a row with a fixed factor skips the ``fmax`` that sends
+    0 * inf to 0 only where every entry of the factor is finite and positive
+    (``extreal._product``), and the tail factor is clamped at construction:
+    every kernel equals one with every guard on and the tail minimum, bit
+    for bit, on rows in its cone and off it."""
+
+    def test_equals_the_fully_guarded_kernel(self):
+        for i, (label, kind, cone) in enumerate(guard_cases()):
+            kern = kernel(kind, cone)
+            rows = np.vstack([witness_rows(cone, 13 * i), off_cone_rows(cone, 13 * i)])
+            segv = region_values(rows, cone)
+            with np.errstate(all="ignore"):
+                got = kern.apply(segv)
+            assert np.array_equal(bits(got), bits(fully_guarded(kern, segv))), label
+
+    def test_guard_free_factors_are_finite_and_positive(self):
+        plain = 0
+        for label, kind, cone in guard_cases():
+            kern = kernel(kind, cone)
+            assert set(kern.products) <= {"table", "lengths", "u_knots", "u_liminf"}, label
+            for name, times in kern.products.items():
+                assert times in (np.multiply, _amul), (label, name)
+                if times is np.multiply:
+                    factor = np.asarray(getattr(kern, name), dtype=float)
+                    if name == "lengths":  # the regions the inner transform sums
+                        factor = factor[1:] if kern.inner == "H*" else factor[:-1]
+                    assert np.all((factor > 0.0) & (factor < INF)), (label, name)
+                    plain += 1
+        assert plain > 0
+
+    def test_where_the_scenarios_skip_the_guard(self):
+        # per set: kernels, products with a fixed factor, and guard-free ones
+        counts = {}
+        for name, _, spec in scenarios():
+            kern = kernel(spec.kind, spec.cone)
+            k, m, f = counts.get(name, (0, 0, 0))
+            counts[name] = (k + 1, m + len(kern.products),
+                            f + sum(t is np.multiply for t in kern.products.values()))
+        assert counts == {"battery": (83, 213, 164), "candidates": (686, 1578, 1051),
+                          "known": (3, 5, 5)}

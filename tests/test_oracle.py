@@ -597,16 +597,17 @@ CANDIDATES = os.path.join(ROOT, "configs", "candidates.json")
 
 def factor_arrays(engine):
     """``dV``, ``dW`` and every weight array and tail factor of the kernel
-    (all of its attributes but its recipe, its inner transform and its
-    read-off direction)."""
+    (all of its attributes but its recipe, its inner transform, its read-off
+    direction and the product it takes with each factor)."""
     kernel = {k: v for k, v in vars(engine.kernel).items()
-              if k not in ("kind", "cone", "inner", "monotone")}
+              if k not in ("kind", "cone", "inner", "monotone", "products")}
     return {"dV": engine.dV, "dW": engine.dW, **kernel}
 
 
 class TestFactorDomain:
-    """The invariant that lets every product be one multiply and one ``fmax``:
-    each factor of the quotient lies in [0, inf] and holds no NaN."""
+    """The invariant that lets every product be one multiply, and one ``fmax``
+    where a factor has a zero or infinite entry: each factor of the quotient
+    lies in [0, inf] and holds no NaN."""
 
     @staticmethod
     def assert_in_domain(engine, sid):
@@ -624,13 +625,15 @@ class TestFactorDomain:
 
     @pytest.mark.parametrize("cone", ["non_increasing", "non_decreasing", "none"])
     def test_nan_tail_table(self, cone):
-        spec = InequalitySpec(OperatorKind("S", "H", NAN_TAIL_V), cone, NAN_TAIL_V,
-                              NAN_TAIL_V, Exponents(2.0, 2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            engine = RayleighEngine(spec, NAN_TAIL_GRID)
-        assert {"dV", "dW", "table", "u_liminf", "lengths"} <= set(factor_arrays(engine))
-        self.assert_in_domain(engine, cone)
+        # S reads no tail factor; S* reads one
+        for base, tail in (("S", set()), ("S*", {"u_liminf"})):
+            spec = InequalitySpec(OperatorKind(base, "H", NAN_TAIL_V), cone, NAN_TAIL_V,
+                                  NAN_TAIL_V, Exponents(2.0, 2.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                engine = RayleighEngine(spec, NAN_TAIL_GRID)
+            assert set(factor_arrays(engine)) == {"dV", "dW", "table", "lengths"} | tail
+            self.assert_in_domain(engine, (base, cone))
         tub = InequalitySpec(OperatorKind("T_ub", None, NAN_TAIL_V, NAN_TAIL_V), cone,
                              NAN_TAIL_V, NAN_TAIL_V, Exponents(2.0, 2.0))
         with warnings.catch_warnings():
