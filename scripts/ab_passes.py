@@ -17,7 +17,7 @@ in CPU time of this process.
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
 too: the kernel of its first scenario, on one sampled row of its cone (the
 indicator scan and the random stage score one row a call) at that
-scenario's grid and seed, for ``--calls`` calls of ``apply`` per side and
+scenario's grid and seed, for ``CALLS`` calls of ``apply`` per side and
 round, again alternating.
 
 The report is JSON on stdout: each side's minimum and median, and the
@@ -42,6 +42,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+CALLS = 2000  # apply calls per timing with --kinds
 
 
 def load(checkout: str, name: str):
@@ -108,8 +109,8 @@ def passes(pkgs: dict, scenarios: dict, rounds: int) -> dict:
             **summary(times)}
 
 
-def apply_timer(pkg, sc, calls: int):
-    """A timer of ``calls`` calls of ``sc``'s kernel ``apply`` on one sampled
+def apply_timer(pkg, sc):
+    """A timer of ``CALLS`` calls of ``sc``'s kernel ``apply`` on one sampled
     row of its cone, in microseconds per call."""
     gridfn = pkg.gridfn
     engine = pkg.oracle.RayleighEngine(sc.spec, gridfn.make_log_grid(**sc.grid))
@@ -118,7 +119,7 @@ def apply_timer(pkg, sc, calls: int):
            else gridfn.sample_monotone(cone, grid, sc.seed))
     segv = gridfn.region_values(row[None], cone)
     out = np.empty_like(segv)
-    apply = engine.kernel.apply
+    apply, calls = engine.kernel.apply, CALLS
 
     def timer():
         with np.errstate(all="ignore"):
@@ -130,20 +131,20 @@ def apply_timer(pkg, sc, calls: int):
     return timer
 
 
-def kinds(pkgs: dict, scenarios: dict, rounds: int, calls: int) -> dict:
+def kinds(pkgs: dict, scenarios: dict, rounds: int) -> dict:
     """Per family, ``summary`` of the microseconds per ``apply`` call."""
     first = {}
     for i, sc in enumerate(scenarios["change"]):
         first.setdefault(sc.id.split("-", 1)[0], i)
     out = {}
     for family, i in sorted(first.items()):
-        timers = {side: apply_timer(pkgs[side], scenarios[side][i], calls) for side in SIDES}
+        timers = {side: apply_timer(pkgs[side], scenarios[side][i]) for side in SIDES}
         out[family] = summary(interleaved(rounds, timers))
     return out
 
 
 def run(parent: str, change: str, config: str, seed=None, rounds: int = 8,
-        with_kinds: bool = False, calls: int = 2000) -> dict:
+        with_kinds: bool = False) -> dict:
     """The A/B report of ``config`` (its oracle seed overridden by ``seed``)."""
     if rounds < 2:
         raise ValueError("quartiles need at least two rounds")
@@ -152,8 +153,8 @@ def run(parent: str, change: str, config: str, seed=None, rounds: int = 8,
     doc = {"config": config, "seed": seed, "rounds": rounds, "scenarios": len(scenarios["change"]),
            "time": "CPU seconds per warm pass", "passes": passes(pkgs, scenarios, rounds)}
     if with_kinds:
-        doc["apply_us"] = kinds(pkgs, scenarios, rounds, calls)
-        doc["apply_calls_per_timing"] = calls
+        doc["apply_us"] = kinds(pkgs, scenarios, rounds)
+        doc["apply_calls_per_timing"] = CALLS
     return doc
 
 
@@ -164,16 +165,17 @@ def main(argv=None) -> int:
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--config", help="a config file")
     what.add_argument("--workload", choices=("battery", "cli-default", "weight-forms"))
-    ap.add_argument("--seed", type=int, default=None, help="the oracle seed (and the workload's)")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="the oracle seed, and the workload's (default 1 with --workload; "
+                         "with --config, the config's own)")
     ap.add_argument("--rounds", type=int, default=8)
     ap.add_argument("--kinds", action="store_true", help="also time apply per family")
-    ap.add_argument("--calls", type=int, default=2000, help="apply calls per timing")
     args = ap.parse_args(argv)
+    # a workload runs at one seed, its config's and the oracle's, as perfbench/run.py does
+    seed = 1 if args.seed is None and args.workload else args.seed
     with tempfile.TemporaryDirectory() as tmp:
-        seed = 1 if args.seed is None else args.seed
         config = args.config or config_path(args.change, args.workload, seed, tmp)
-        doc = run(args.parent, args.change, config, args.seed, args.rounds, args.kinds,
-                  args.calls)
+        doc = run(args.parent, args.change, config, seed, args.rounds, args.kinds)
     doc["config"] = args.config or args.workload
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")

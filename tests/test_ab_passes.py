@@ -47,13 +47,14 @@ def assert_spread(s):
 
 
 class TestSameTreeTwice:
-    def test_passes_and_apply_timings(self, tiny_config):
-        doc = AB.run(ROOT, ROOT, tiny_config, seed=3, rounds=2, with_kinds=True, calls=5)
+    def test_passes_and_apply_timings(self, tiny_config, monkeypatch):
+        monkeypatch.setattr(AB, "CALLS", 5)
+        doc = AB.run(ROOT, ROOT, tiny_config, seed=3, rounds=2, with_kinds=True)
         assert (doc["scenarios"], doc["rounds"], doc["seed"]) == (2, 2, 3)
         passes = doc["passes"]
         assert passes["digest_equal"] and passes["digests"]["parent"] == passes["digests"]["change"]
         assert_spread(passes)
-        assert sorted(doc["apply_us"]) == ["sstardown", "tub"]
+        assert sorted(doc["apply_us"]) == ["sstardown", "tub"] and doc["apply_calls_per_timing"] == 5
         for s in doc["apply_us"].values():
             assert_spread(s)
         # each side ran its own copy of the package
@@ -64,6 +65,18 @@ class TestSameTreeTwice:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"] == tiny_config and "apply_us" not in doc
         assert doc["passes"]["digest_equal"]
+
+    def test_a_workload_runs_at_one_seed(self, monkeypatch, capsys):
+        # without --seed a workload's config and its oracle both take seed 1
+        seen = []
+
+        def run(parent, change, config, seed, *rest):
+            seen.append(seed)
+            return {}
+
+        monkeypatch.setattr(AB, "run", run)
+        assert AB.main(["--parent", ROOT, "--workload", "battery"]) == 0
+        assert seen == [1] and json.loads(capsys.readouterr().out) == {"config": "battery"}
 
     def test_one_round_is_refused(self, tiny_config):
         with pytest.raises(ValueError, match="two rounds"):
