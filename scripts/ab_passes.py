@@ -3,16 +3,22 @@ the operator kernel's ``apply`` per scenario family.
 
     python3 scripts/ab_passes.py --parent ../parent --change . --workload battery \
         --seed 1 --rounds 16 --kinds
+    python3 scripts/ab_passes.py --parent ../parent --workload criteria-sweep --rounds 20
 
 Each checkout's ``src/supineq`` is imported under a package name of its own
 (``ab_parent``, ``ab_change``), so both run in one process on the same
 config.  The config is ``--config PATH``, or a benchmark workload
-(``battery``, ``cli-default``, ``weight-forms``) generated from the change's
-``perfbench/workloads.py`` at ``--seed``.  One pass runs every scenario
-through its side's ``cli.run_scenario``.  Each side first runs one untimed
-pass, which warms its memos and gives the digest (sha256 of its JSON
-report); then the rounds alternate which side goes first.  A pass is timed
-in CPU time of this process.
+(``battery``, ``cli-default``, ``weight-forms``, ``criteria-sweep``)
+generated from the change's ``perfbench/workloads.py`` at ``--seed``.  One
+pass runs every scenario through its side's ``cli.run_scenario``; under
+``criteria-sweep`` it runs only ``criteria.evaluate_criterion``, on a new
+``CritCtx`` per spec, as perfbench's criteria runner does (without the
+known-answer oracle runs that workload adds).  Each side first runs one
+untimed pass, which warms its memos and gives the digest: the sha256 of its
+JSON report, or under ``criteria-sweep`` of every outcome (theorem id,
+terms as float hex and flags, or the failed predicate).  Then the rounds
+alternate which side goes first.  A pass is timed in CPU time of this
+process.
 
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
 too: the kernel of its first scenario, on one sampled row of its cone (the
@@ -74,12 +80,36 @@ def config_path(change: str, workload: str, seed: int, tmp: str) -> str:
     return path
 
 
-def one_pass(cli, scenarios) -> tuple:
+def one_pass(pkg, scenarios) -> tuple:
     """CPU seconds of one pass over ``scenarios``, and its report's sha256."""
+    cli = pkg.cli
     t = time.process_time()
     records = [cli.run_scenario(sc) for sc in scenarios]
     t = time.process_time() - t
     return t, hashlib.sha256(cli.emit_report(records, "json").encode()).hexdigest()
+
+
+def outcome(criteria, sc) -> list:
+    """What ``evaluate_criterion`` gives ``sc`` on a new ``CritCtx``: its
+    theorem id, terms as float hex and flags, or the failed predicate, or
+    the error."""
+    try:
+        res = criteria.evaluate_criterion(sc.spec, ctx=criteria.CritCtx(), verbatim=sc.verbatim_paper)
+    except criteria.TheoremInapplicable as exc:
+        return [sc.id, "inapplicable", exc.predicate]
+    except Exception as exc:  # a failed spec is an outcome, as in perfbench's runner
+        return [sc.id, "error", f"{type(exc).__name__}: {exc}"]
+    return [sc.id, res.theorem_id, sorted((k, float(v).hex()) for k, v in res.terms.items()),
+            list(res.flags)]
+
+
+def criteria_pass(pkg, scenarios) -> tuple:
+    """CPU seconds of one pass of ``outcome`` over ``scenarios``, and the
+    sha256 of the outcomes."""
+    t = time.process_time()
+    outcomes = [outcome(pkg.criteria, sc) for sc in scenarios]
+    t = time.process_time() - t
+    return t, hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
 def summary(times: dict) -> dict:
@@ -101,9 +131,9 @@ def interleaved(rounds: int, timers: dict) -> dict:
     return times
 
 
-def passes(pkgs: dict, scenarios: dict, rounds: int) -> dict:
-    digests = {side: one_pass(pkgs[side].cli, scenarios[side])[1] for side in SIDES}
-    times = interleaved(rounds, {side: (lambda s=side: one_pass(pkgs[s].cli, scenarios[s])[0])
+def passes(pkgs: dict, scenarios: dict, rounds: int, one=one_pass) -> dict:
+    digests = {side: one(pkgs[side], scenarios[side])[1] for side in SIDES}
+    times = interleaved(rounds, {side: (lambda s=side: one(pkgs[s], scenarios[s])[0])
                                  for side in SIDES})
     return {"digest_equal": digests["parent"] == digests["change"], "digests": digests,
             **summary(times)}
@@ -144,14 +174,16 @@ def kinds(pkgs: dict, scenarios: dict, rounds: int) -> dict:
 
 
 def run(parent: str, change: str, config: str, seed=None, rounds: int = 8,
-        with_kinds: bool = False) -> dict:
-    """The A/B report of ``config`` (its oracle seed overridden by ``seed``)."""
+        with_kinds: bool = False, criteria_only: bool = False) -> dict:
+    """The A/B report of ``config`` (its oracle seed overridden by ``seed``);
+    with ``criteria_only`` a pass runs the criteria alone (``criteria_pass``)."""
     if rounds < 2:
         raise ValueError("quartiles need at least two rounds")
     pkgs = {side: load(path, f"ab_{side}") for side, path in (("parent", parent), ("change", change))}
     scenarios = {side: pkgs[side].cli.load_config(config, {"seed": seed}) for side in SIDES}
     doc = {"config": config, "seed": seed, "rounds": rounds, "scenarios": len(scenarios["change"]),
-           "time": "CPU seconds per warm pass", "passes": passes(pkgs, scenarios, rounds)}
+           "time": "CPU seconds per warm pass",
+           "passes": passes(pkgs, scenarios, rounds, criteria_pass if criteria_only else one_pass)}
     if with_kinds:
         doc["apply_us"] = kinds(pkgs, scenarios, rounds)
         doc["apply_calls_per_timing"] = CALLS
@@ -164,7 +196,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default=ROOT, help="checkout of the change (default: this one)")
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--config", help="a config file")
-    what.add_argument("--workload", choices=("battery", "cli-default", "weight-forms"))
+    what.add_argument("--workload", choices=("battery", "cli-default", "weight-forms", "criteria-sweep"))
     ap.add_argument("--seed", type=int, default=None,
                     help="the oracle seed, and the workload's (default 1 with --workload; "
                          "with --config, the config's own)")
@@ -175,7 +207,8 @@ def main(argv=None) -> int:
     seed = 1 if args.seed is None and args.workload else args.seed
     with tempfile.TemporaryDirectory() as tmp:
         config = args.config or config_path(args.change, args.workload, seed, tmp)
-        doc = run(args.parent, args.change, config, seed, args.rounds, args.kinds)
+        doc = run(args.parent, args.change, config, seed, args.rounds, args.kinds,
+                  args.workload == "criteria-sweep")
     doc["config"] = args.config or args.workload
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, adiv, amul, apow, xdiv, xmul, xpow
+from .extreal import INF, _adiv, _amul, _apow, xdiv, xmul, xpow
 from .operators import OperatorKind, b_cumulative, power_substitution
 from .weights import (
     Exponents,
@@ -113,7 +113,8 @@ class _Grid:
     def integrate(self, g: np.ndarray) -> "IntSet":
         """``int g dt/t`` by the trapezoid rule in log t, with the boundary
         divergence read from three decade blocks at each end."""
-        c = 0.5 * self.h * (g[:-1] + g[1:])
+        c = np.add(g[:-1], g[1:])
+        c *= 0.5 * self.h
         m = self.m
         b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
         e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
@@ -140,7 +141,7 @@ class _Entry:
 
     @cached_property
     def integral(self) -> "IntSet":
-        return self._grid.integrate(amul(self.vals, self._grid.t)).settled()
+        return self._grid.integrate(_amul(self.vals, self._grid.t)).settled()
 
 
 class IntSet:
@@ -158,14 +159,22 @@ class IntSet:
         """low[i] ~ int_0^{t_i} F w"""
         if self.div0:
             return np.full(len(self._c) + 1, INF)
-        return self._head + np.concatenate([[0.0], np.cumsum(self._c)])
+        low = np.empty(len(self._c) + 1)
+        low[0] = 0.0
+        np.cumsum(self._c, out=low[1:])
+        low += self._head
+        return low
 
     @cached_property
     def up(self) -> np.ndarray:
         """up[i] ~ int_{t_i}^oo F w"""
         if self.divinf:
             return np.full(len(self._c) + 1, INF)
-        return self._tail + np.concatenate([np.cumsum(self._c[::-1])[::-1], [0.0]])
+        up = np.empty(len(self._c) + 1)
+        up[-1] = 0.0
+        np.cumsum(self._c[::-1], out=up[-2::-1])
+        up += self._tail
+        return up
 
     def settled(self) -> "IntSet":
         """This set with both sides summed and read-only, and the trapezoid
@@ -185,6 +194,13 @@ class CritCtx:
     first ``int_w``, the integral of the weight alone, so both go together
     when the entry is evicted.
 
+    ``int_set``, ``int_w``, ``sup`` and ``env_arr`` run in the caller's
+    ``np.errstate``, as ``OperatorKernel.apply`` does: each criterion
+    function holds one ``np.errstate(all="ignore")`` around all of its
+    arithmetic, which uses ``extreal``'s raw kernels (one per convention),
+    and enters none per product.  ``int_set`` reads ``F`` and writes into no
+    array it is given.
+
     One side vocabulary runs through this module: ``"low"`` is (0, x] and
     ``"up"`` is [x, oo).  It names the cumulatives of ``IntSet``, the
     envelopes of ``env_arr``/``env_weight``, the hypothesis checks, and the
@@ -202,7 +218,9 @@ class CritCtx:
 
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
-        return self._grid.integrate(amul(F, amul(self.vals(w), self.t)))
+        """``int F w`` on the grid; ``F`` is read, not written."""
+        g = _amul(self.vals(w), self.t)
+        return self._grid.integrate(_amul(F, g, out=g))
 
     def int_w(self, w: Weight) -> IntSet:
         """``int_set`` of ``w`` alone (F = 1), both sides summed and
@@ -314,6 +332,17 @@ def _require(report: dict) -> None:
             raise TheoremInapplicable(pred, report)
 
 
+def _quiet(crit):
+    """``crit`` under one ``np.errstate(all="ignore")``, around all of its
+    arithmetic on the extended reals: the raw ``extreal`` kernels and the
+    ``CritCtx`` methods inside it enter none of their own."""
+    @wraps(crit)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return crit(*args, **kwargs)
+    return run
+
+
 # ---------------------------------------------------------------------------
 # the shared criterion core
 # ---------------------------------------------------------------------------
@@ -330,17 +359,19 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
     I = getattr(ctx.int_set(Eq, w), side)
     Wm = getattr(ctx.int_w(w), _OTHER[side])
     if p_eff <= q_eff:
-        inner = amul(Eq, Wm) + I
-        obj = amul(apow(inner, 1.0 / q_eff), G)
+        obj = _amul(Eq, Wm)
+        obj += I
+        _amul(_apow(obj, 1.0 / q_eff, out=obj), G, out=obj)
         val, fl = ctx.sup(obj)
         if fl:
             flags.append(fl)
         return {"A1": val}, flags
     r_eff = 1.0 / (1.0 / q_eff - 1.0 / p_eff)
-    b1_igr = amul(amul(apow(I, r_eff / p_eff), Eq), apow(G, r_eff))
+    b1_igr = _amul(_apow(I, r_eff / p_eff, out=I), Eq, out=I)
+    _amul(b1_igr, _apow(G, r_eff), out=b1_igr)
     B1 = xpow(ctx.int_set(b1_igr, w).total, 1.0 / r_eff)
-    env = ctx.env_arr(amul(apow(Eq, 1.0 / q_eff), G), side)
-    b2_igr = amul(apow(Wm, r_eff / p_eff), apow(env, r_eff))
+    env = ctx.env_arr(_amul(_apow(Eq, 1.0 / q_eff), G), side)
+    b2_igr = _amul(_apow(Wm, r_eff / p_eff), _apow(env, r_eff, out=env), out=env)
     B2 = xpow(ctx.int_set(b2_igr, w).total, 1.0 / r_eff)
     return {"B1": B1, "B2": B2}, flags
 
@@ -365,16 +396,16 @@ def _finish(theorem_id: str, e: Exponents, terms: dict, report: dict,
 
 
 def _norm_q(ctx: CritCtx, F: np.ndarray, w: Weight, q: float) -> float:
-    return xpow(ctx.int_set(apow(F, q), w).total, 1.0 / q)
+    return xpow(ctx.int_set(_apow(F, q), w).total, 1.0 / q)
 
 
 def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
     """sigma_p(0, x) (side="low") or sigma_p(x, oo) (side="up") on the grid."""
     if p == 1.0:
-        return ctx.env_arr(adiv(1.0, ctx.vals(v)), side)
+        return ctx.env_arr(_adiv(1.0, ctx.vals(v)), side)
     pp = conjugate(p)
     iset = ctx.int_w(v.power(1.0 - pp))
-    return apow(getattr(iset, side), 1.0 / pp)
+    return _apow(getattr(iset, side), 1.0 / pp)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +418,7 @@ def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
 # integral of ``_core``.
 
 
+@_quiet
 def crit_T31_32(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                 verbatim: bool = False) -> CriterionResult:
     """T3.1 (side "up"): ||S*_u (int_0^x h)||_{q,w} <= c ||h||_{p,v}, and
@@ -408,12 +440,13 @@ def crit_T31_32(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
         _check_cum(ctx, v, "V" + _STAR[other], other, report)
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    Eq = apow(ctx.env_weight(u, side), e.q)
+    Eq = _apow(ctx.env_weight(u, side), e.q)
     G = _sigma_arrays(ctx, v, e.p, other)
     terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
     return _finish({"up": "T3.1", "low": "T3.2"}[side], e, terms, report, flags)
 
 
+@_quiet
 def crit_T33_34(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                 verbatim: bool = False) -> CriterionResult:
     """T3.3 (side "low"): S_u on non-increasing inputs, and T3.4 (side
@@ -428,13 +461,14 @@ def crit_T33_34(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
     E = ctx.env_weight(u, side)
-    Eq = apow(E, e.q)
-    G = apow(getattr(vset, side), -1.0 / e.p)
+    Eq = _apow(E, e.q)
+    G = _apow(getattr(vset, side), -1.0 / e.p)
     terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
     unit = xdiv(_norm_q(ctx, E, w, e.q), xpow(vset.total, 1.0 / e.p))
     return _finish({"low": "T3.3", "up": "T3.4"}[side], e, terms, report, flags, unit=unit)
 
 
+@_quiet
 def crit_T35_36(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                 verbatim: bool = False) -> CriterionResult:
     """T3.5 (side "low"): S_u on non-decreasing inputs, and T3.6 (side
@@ -446,14 +480,16 @@ def crit_T35_36(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
     Vo = getattr(vset, other)
-    D = ctx.env_arr(amul(apow(ctx.vals(u), e.p), apow(Vo, -2.0)), side)
-    Eq = apow(D, e.q / e.p)
+    Vo2 = _apow(Vo, -2.0)
+    D = ctx.env_arr(_amul(_apow(ctx.vals(u), e.p), Vo2, out=Vo2), side)
+    Eq = _apow(D, e.q / e.p, out=D)
     terms, flags = _core(ctx, w, 1.0, e.q / e.p, Eq, Vo, side)
     unit = xdiv(_norm_q(ctx, ctx.env_weight(u, side), w, e.q), xpow(vset.total, 1.0 / e.p))
     return _finish({"low": "T3.5", "up": "T3.6"}[side], e, terms, report, flags,
                    root=1.0 / e.p, unit=unit)
 
 
+@_quiet
 def crit_T41_43(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exponents,
                 verbatim: bool = False) -> CriterionResult:
     """T4.1 (side "low"): ||S_u (int_0^x h)||_{q,w} <= c ||h||_{p,v}, and
@@ -469,16 +505,18 @@ def crit_T41_43(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     aset = _check_cum(ctx, v.power(1.0 - pp), name, side, report)
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    Phi = apow(getattr(aset, side), 1.0 / (pp + 1.0))
-    Phi1 = ctx.env_arr(amul(ctx.vals(u), apow(Phi, 2.0)), side)
-    Eq = apow(Phi1, e.q)
-    G = apow(Phi, -1.0 / e.p)
+    Phi = _apow(getattr(aset, side), 1.0 / (pp + 1.0))
+    Phi2 = _apow(Phi, 2.0)
+    Phi1 = ctx.env_arr(_amul(ctx.vals(u), Phi2, out=Phi2), side)
+    Eq = _apow(Phi1, e.q)
+    G = _apow(Phi, -1.0 / e.p)
     terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
     den = xpow(xmul(pp + 1.0, xpow(aset.total, 1.0 / (pp + 1.0))), 1.0 / e.p)
     unit = xdiv(_norm_q(ctx, Phi1, w, e.q), den)
     return _finish({"low": "T4.1", "up": "T4.3"}[side], e, terms, report, flags, unit=unit)
 
 
+@_quiet
 def crit_T42_44(ctx: CritCtx, side: str, u: Weight, nu: Weight, w: Weight, e: Exponents,
                 verbatim: bool = False) -> CriterionResult:
     """The p = 1 variants: T4.2 (side "low"), the Hardy-iterated inequality
@@ -502,10 +540,11 @@ def crit_T42_44(ctx: CritCtx, side: str, u: Weight, nu: Weight, w: Weight, e: Ex
         np.all(s * steps <= 1e-9 * (1.0 + np.minimum(nuv[1:], nuv[:-1]))))
     _check_cum(ctx, w, "W" + _STAR[other], other, report)
     _require(report)
-    V = adiv(1.0, nuv)
-    V1 = ctx.env_arr(amul(ctx.vals(u), apow(V, 2.0)), side)
-    Eq = apow(V1, e.q)
-    G = apow(V, -1.0)
+    V = _adiv(1.0, nuv)
+    V2 = _apow(V, 2.0)
+    V1 = ctx.env_arr(_amul(ctx.vals(u), V2, out=V2), side)
+    Eq = _apow(V1, e.q)
+    G = _apow(V, -1.0)
     terms, flags = _core(ctx, w, 1.0, e.q, Eq, G, shape)
     vlim, fl = ctx.sup(V)
     if fl:
@@ -527,6 +566,7 @@ def _crit_T4(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Expone
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
              e: Exponents) -> CriterionResult:
     """T_{u,b} on non-increasing inputs, p >= 1."""
@@ -542,38 +582,45 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
     _require(report)
     Bv, Vv = bset.low, vset.low
     uv = ctx.vals(u)
-    rho = ctx.env_arr(adiv(uv, Bv), "up")
-    eta = ctx.env_arr(adiv(uv, apow(Vv, 2.0)), "up")
+    rho = ctx.env_arr(_adiv(uv, Bv), "up")
+    Vv2 = _apow(Vv, 2.0)
+    eta = ctx.env_arr(_adiv(uv, Vv2, out=Vv2), "up")
     if p > 1.0:
         pp = e.pprime
-        g1 = apow(ctx.int_set(apow(adiv(Bv, Vv), pp), v).low, 1.0 / pp)
-        g2 = apow(ctx.int_set(apow(Vv, pp), v).low, 1.0 / pp)
+        BV = _adiv(Bv, Vv)
+        g1 = ctx.int_set(_apow(BV, pp, out=BV), v).low
+        g1 = _apow(g1, 1.0 / pp, out=g1)
+        g2 = ctx.int_set(_apow(Vv, pp), v).low
+        g2 = _apow(g2, 1.0 / pp, out=g2)
         case = "i" if p <= q else "iii"
     else:
-        g1 = ctx.env_arr(adiv(Bv, Vv), "low")
+        g1 = ctx.env_arr(_adiv(Bv, Vv), "low")
         g2 = Vv
         case = "ii" if p <= q else "iv"
     flags: list = []
     terms: dict = {}
     if p <= q:
         for name, base, g in (("A1", rho, g1), ("A2", eta, g2)):
-            core, fl = _core(ctx, w, p, q, apow(base, q), g, "up")
+            core, fl = _core(ctx, w, p, q, _apow(base, q), g, "up")
             terms[name] = core["A1"]
             flags += fl
     else:
         r = e.r
         wset = ctx.int_w(w)
         for pre, base, g in (("B1", rho, g1), ("B3", eta, g2)):
-            eqv = apow(base, q)
+            eqv = _apow(base, q)
             Iup = ctx.int_set(eqv, w).up
-            b1_igr = amul(amul(apow(Iup, r / p), eqv), apow(g, r))
+            b1_igr = _amul(_apow(Iup, r / p, out=Iup), eqv, out=Iup)
+            _amul(b1_igr, _apow(g, r), out=b1_igr)
             terms[pre] = xpow(ctx.int_set(b1_igr, w).total, 1.0 / r)
-            b2_igr = amul(apow(wset.low, r / p), apow(amul(base, g), r))
+            bg = _amul(base, g)
+            b2_igr = _amul(_apow(wset.low, r / p), _apow(bg, r, out=bg), out=bg)
             nxt = {"B1": "B2", "B3": "B4"}[pre]
             terms[nxt] = xpow(ctx.int_set(b2_igr, w).total, 1.0 / r)
     return _finish(f"T5.1.{case}", e, terms, report, flags)
 
 
+@_quiet
 def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
              e: Exponents) -> CriterionResult:
     """T_{u,b} on non-increasing inputs, p <= 1, via the power substitution."""
@@ -592,6 +639,7 @@ def crit_T53(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
              ctx: Optional[CritCtx] = None) -> CriterionResult:
     """Criterion for T_{u,b} on non-increasing inputs (all p > 0)."""
@@ -719,6 +767,7 @@ def reduce_spec_inner(spec: InequalitySpec) -> ReducedSpec:
     raise ValueError(f"no inner reduction for {k.describe()} on cone {cone}")
 
 
+@_quiet
 def _side_constant(ctx: CritCtx, k: OperatorKind, v: Weight, w: Weight,
                    e: Exponents) -> Optional[float]:
     """||T 1||_{q,w} / ||1||_{p,v} when 0 < int_0^oo v < oo, else None."""

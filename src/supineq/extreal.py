@@ -19,6 +19,13 @@ cumulative by quadrature, and ``oracle.RayleighEngine.ratios`` rejects a NaN
 or negative row entry.  Outside the domain, ``fmax`` turns a NaN or negative
 entry into 0.
 
+Each array convention is written once, as a raw kernel (``_amul``,
+``_adiv``, ``_apow``) that enters no ``np.errstate`` and takes ``out=``;
+``amul``, ``adiv`` and ``apow`` are those kernels under their own
+``np.errstate``, into a new array.  Passes that make many products enter one
+``np.errstate`` and call the kernels: the oracle's engine, the operator
+kernel, and each criterion function.
+
 A factor whose entries are all finite and positive meets no 0 * inf: its
 products with values in [0, inf] are already in [0, inf], so the ``fmax``
 leaves them as they are.  ``_product`` decides this once per fixed factor,
@@ -78,16 +85,48 @@ def xpow(a: float, e: float) -> float:
 
 def amul(a, b):
     """Elementwise product on arrays with 0 * inf = 0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.asarray(np.fmax(np.multiply(a, b, dtype=float), 0.0))
+        return _amul(a, b, out=np.empty(np.broadcast(a, b).shape))
+
+
+def adiv(a, b):
+    """Elementwise quotient with 0/0 = 0, inf/inf = 0, x/0 = inf."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _adiv(a, b, out=np.empty(np.broadcast(a, b).shape))
+
+
+def apow(a, e: float):
+    """Elementwise power with 0**0 = inf**0 = 1, in a new array."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _apow(a, e, out=np.empty(a.shape))
+
+
+# -- the raw kernels: float arrays in, no ``np.errstate``; ``out`` may be an operand
 
 
 def _amul(a, b, out=None):
-    """``amul`` of float arrays without its ``np.errstate``, for passes that
-    enter one ``np.errstate`` around all of their products; ``out`` may be
-    one of the factors."""
+    """``amul``: one multiply and one ``fmax`` with 0, in place on the product."""
     out = np.multiply(a, b, out=out)
     return np.fmax(out, 0.0, out=out)
+
+
+def _adiv(a, b, out=None):
+    """``adiv``: one divide and one ``fmax`` with 0, in place on the quotient."""
+    out = np.divide(a, b, out=out)
+    return np.fmax(out, 0.0, out=out)
+
+
+def _apow(a, e: float, out=None):
+    """``apow``: IEEE pow, which already gives x**0 = 1 for every x, 0**-e =
+    inf, inf**-e = 0, 0**e = 0 and inf**e = inf.  A power by exactly 1 with
+    no other ``out`` returns ``a`` itself, so a caller that writes into the
+    result must own ``a``."""
+    if e == 1.0 and (out is None or out is a):
+        return a
+    return np.power(a, e, out=out)
 
 
 def _product(factor):
@@ -98,20 +137,3 @@ def _product(factor):
     product, which ``fmax`` does not fix either."""
     f = np.asarray(factor, dtype=float)
     return np.multiply if bool(((f > 0.0) & (f < INF)).all()) else _amul
-
-
-def adiv(a, b):
-    """Elementwise quotient with 0/0 = 0, inf/inf = 0, x/0 = inf."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return np.asarray(np.fmax(np.divide(a, b, dtype=float), 0.0))
-
-
-def apow(a, e: float):
-    """Elementwise power with 0**0 = inf**0 = 1."""
-    a = np.asarray(a, dtype=float)
-    if e == 0.0:
-        return np.ones_like(a)
-    # IEEE pow already gives 0**-e = inf, inf**-e = 0, 0**e = 0, inf**e = inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.asarray(a ** e)
-

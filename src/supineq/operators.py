@@ -243,8 +243,13 @@ class OperatorKernel:
         self._running_max(g[:, 1:], vals, from_right=True)
         if self.u_knots is not None:  # g falls; elsewhere u(k_j) is in ``table``
             np.maximum(self.products["u_knots"](self.u_knots, g[:, :-1]), vals, out=vals)
-        # the tail region reads g's tail value times the clamped liminf
-        self.products["u_liminf"](g[:, -1:], self.u_liminf, out=out[:, -1:])
+        # the tail region reads g's tail value times the clamped liminf, which
+        # is 0 under 0 * inf = 0 where the liminf is 0 (every T_ub kernel whose
+        # u/B vanishes at infinity)
+        if self.u_liminf == 0.0:
+            out[:, -1] = 0.0
+        else:
+            self.products["u_liminf"](g[:, -1:], self.u_liminf, out=out[:, -1:])
         return out
 
     def _inner(self, segv: np.ndarray) -> np.ndarray:

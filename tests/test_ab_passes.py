@@ -78,6 +78,43 @@ class TestSameTreeTwice:
         assert AB.main(["--parent", ROOT, "--workload", "battery"]) == 0
         assert seen == [1] and json.loads(capsys.readouterr().out) == {"config": "battery"}
 
+    def test_criteria_passes(self, tiny_config):
+        doc = AB.run(ROOT, ROOT, tiny_config, seed=3, rounds=2, criteria_only=True)
+        passes = doc["passes"]
+        assert passes["digest_equal"] and "apply_us" not in doc
+        assert_spread(passes)
+
+    def test_criteria_sweep_workload_runs_the_criteria_alone(self, monkeypatch, capsys):
+        seen = []
+
+        def run(parent, change, config, seed, rounds, with_kinds, criteria_only):
+            seen.append((seed, criteria_only))
+            return {}
+
+        monkeypatch.setattr(AB, "run", run)
+        assert AB.main(["--parent", ROOT, "--workload", "criteria-sweep"]) == 0
+        assert AB.main(["--parent", ROOT, "--workload", "battery"]) == 0
+        assert seen == [(1, True), (1, False)]
+        capsys.readouterr()
+
     def test_one_round_is_refused(self, tiny_config):
         with pytest.raises(ValueError, match="two rounds"):
             AB.run(ROOT, ROOT, tiny_config, rounds=1)
+
+
+class TestOutcome:
+    """The criteria digest covers each outcome: the theorem id, the terms as
+    float hex and the flags, or the failed predicate."""
+
+    def test_evaluated_and_inapplicable(self):
+        from supineq import criteria
+        from supineq.cli import load_config
+
+        by_id = {sc.id: sc for sc in load_config(os.path.join(ROOT, "configs", "candidates.json"))}
+        sc = by_id["tub-457"]
+        res = criteria.evaluate_criterion(sc.spec, ctx=criteria.CritCtx(), verbatim=sc.verbatim_paper)
+        sid, tid, terms, flags = AB.outcome(criteria, sc)
+        assert (sid, tid, flags) == ("tub-457", res.theorem_id, list(res.flags))
+        assert terms == sorted((k, float(v).hex()) for k, v in res.terms.items()) and terms
+        sid, verdict, predicate = AB.outcome(criteria, by_id["isi3-413"])
+        assert (sid, verdict) == ("isi3-413", "inapplicable") and isinstance(predicate, str)

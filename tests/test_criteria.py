@@ -248,3 +248,39 @@ class TestResultShape:
         res = evaluate_criterion(s)
         assert not res.finite
         assert res.total == INF
+
+
+class TestOneErrstate:
+    """Each criterion function holds one ``np.errstate(all="ignore")`` around
+    its arithmetic on the raw ``extreal`` kernels, so no ``RuntimeWarning``
+    escapes one, whether it is reached through ``evaluate_criterion``,
+    ``reduce_spec`` or called directly."""
+
+    def test_every_candidate_both_ways(self):
+        ctx = CritCtx()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sc in load_config(CANDIDATES):
+                for verbatim in (False, True):
+                    try:
+                        evaluate_criterion(sc.spec, ctx=ctx, verbatim=verbatim)
+                    except TheoremInapplicable:
+                        pass
+                k = sc.spec.kind
+                if k.base in ("S", "S*") and k.compose is None:  # reduce_spec's side constant
+                    reduce_spec(sc.spec, ctx=ctx)
+
+    def test_direct_calls_of_the_duality_pairs(self):
+        from test_acceptance import (_pair_iter_copson, _pair_iter_hardy, _pair_iter_p1,
+                                     _pair_sup_down, _pair_sup_up)
+
+        ctx = CritCtx()
+        rng = np.random.default_rng(20260826)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (_pair_sup_down, _pair_sup_up, _pair_iter_copson, _pair_iter_hardy, _pair_iter_p1):
+                for _ in range(8):
+                    try:
+                        make(ctx, rng)
+                    except TheoremInapplicable:
+                        pass

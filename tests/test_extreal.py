@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supineq.extreal import INF, _amul, _product, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, _adiv, _amul, _apow, _product, adiv, amul, apow, xdiv, xmul, xpow
 
 finite_pos = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 nonneg = st.one_of(st.just(0.0), st.just(INF), finite_pos)
@@ -245,6 +245,61 @@ class TestRawProduct:
         with np.errstate(all="ignore"):
             out = _amul(a, np.array([INF, 3.0, 0.0]), out=a)
         assert out is a and a.tolist() == [0.0, 6.0, 0.0]
+
+
+RAW_EXPONENTS = (0.0, 1.0, 2.0, 0.5, -1.0, 1.0 / 3.0)
+
+
+class TestRawQuotientAndPower:
+    """``_adiv`` and ``_apow``, the raw kernels, equal ``adiv`` and ``apow``
+    bit for bit, into a new array and in place; a power by exactly 1 with no
+    other ``out`` returns its input."""
+
+    @given(st.lists(st.tuples(on_half_line, on_half_line), min_size=1, max_size=12))
+    def test_quotient_equals_adiv_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        ref = adiv(a, b)
+        with np.errstate(all="ignore"):
+            got = _adiv(a, b)
+            into_b = _adiv(a, b.copy(), out=b)
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert into_b is b and np.array_equal(_bits(b), _bits(ref))
+
+    def test_quotient_of_every_pair_of_edge_values(self):
+        a = np.array(EDGE)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_bits(_adiv(a[:, None], a)), _bits(adiv(a[:, None], a)))
+            for x in EDGE:
+                assert np.array_equal(_bits(_adiv(x, a)), _bits(adiv(x, a)))
+                assert np.array_equal(_bits(_adiv(a, x)), _bits(adiv(a, x)))
+
+    @given(st.lists(on_half_line, min_size=1, max_size=12), st.sampled_from(RAW_EXPONENTS))
+    def test_power_equals_apow_bitwise(self, xs, e):
+        a = np.array(xs)
+        ref = apow(a, e)
+        with np.errstate(all="ignore"):
+            got = _apow(a, e)
+            inplace = a.copy()
+            assert _apow(inplace, e, out=inplace) is inplace
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert np.array_equal(_bits(inplace), _bits(ref))
+
+    def test_power_of_edge_values(self):
+        a = np.array(EDGE)
+        for e in RAW_EXPONENTS:
+            with np.errstate(all="ignore"):
+                got = _apow(a, e)
+            assert np.array_equal(_bits(got), _bits(apow(a, e))), e
+            edge = (a == 0.0) | (a == INF)  # exact conventions, as ``xpow`` states them
+            assert got[edge].tolist() == [xpow(x, e) for x in a[edge]], e
+
+    def test_power_by_one_returns_its_input(self):
+        a = np.array(EDGE)
+        assert _apow(a, 1.0) is a and _apow(a, 1.0, out=a) is a
+        out = np.empty_like(a)
+        assert _apow(a, 1.0, out=out) is out and np.array_equal(_bits(out), _bits(a))
+        # the public helper still makes a new array
+        assert apow(a, 1.0) is not a
 
 
 class TestProductRule:
