@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supineq import gridfn
 from supineq.extreal import INF, amul, apow, xpow
 from supineq.gridfn import (
     Grid,
@@ -314,3 +315,96 @@ class TestSamplingAndProjection:
         v = sample_nonneg(GRID, 11)
         assert v.shape == (GRID.n,)
         assert np.all(v >= 0)
+
+
+def old_sample_monotone(cone, grid, seed):
+    """The monotone sampler before its memo: a fresh draw per call."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    heavy = rng.random(n) < 0.2
+    incs = np.where(heavy, rng.pareto(1.5, n) + 1.0, rng.exponential(1.0, n))
+    incs *= rng.random(n) < 0.35
+    vals = np.cumsum(incs)
+    if cone == "non_increasing":
+        vals = vals[::-1].copy()
+    m = vals.max()
+    if m > 0:
+        vals = vals / m
+    return vals
+
+
+def old_sample_nonneg(grid, seed):
+    """The nonnegative sampler before its memo."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    vals = rng.exponential(1.0, n) * (rng.random(n) < 0.3)
+    heavy = rng.random(n) < 0.05
+    vals = np.where(heavy, vals * (rng.pareto(1.5, n) + 1.0), vals)
+    m = vals.max()
+    if m > 0:
+        vals = vals / m
+    return vals
+
+
+def memo_entry(row):
+    """The memoised array a sample is, or is a view of."""
+    return row if row.base is None else row.base
+
+
+def draw(cone, grid, seed):
+    return sample_nonneg(grid, seed) if cone == "none" else sample_monotone(cone, grid, seed)
+
+
+# the battery's grid, the CLI default's and a small one; the oracle's own
+# seeds (seed + 7919 (i + 1)) at the battery seed, then small ones
+MEMO_GRIDS = [make_log_grid(1e-3, 1e3, 24), make_log_grid(1e-5, 1e5, 96), make_log_grid(1e-6, 1e6, 512)]
+MEMO_SEEDS = [1234 + 7919 * (i + 1) for i in range(120)] + list(range(120))
+
+
+class TestSampleMemo:
+    """Samples are memoised per (grid, seed) value and handed out read-only;
+    both monotone cones share one draw."""
+
+    @pytest.mark.parametrize("cone", ["non_increasing", "non_decreasing", "none"])
+    @pytest.mark.parametrize("grid", MEMO_GRIDS, ids=lambda g: f"n{g.n}")
+    def test_bit_equal_to_a_fresh_draw(self, grid, cone):
+        for seed in MEMO_SEEDS:
+            want = old_sample_nonneg(grid, seed) if cone == "none" else old_sample_monotone(cone, grid, seed)
+            for _ in range(2):  # a cold draw, then a memo hit
+                got = draw(cone, grid, seed)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("cone", ["non_increasing", "non_decreasing", "none"])
+    def test_result_is_read_only(self, cone):
+        row = draw(cone, GRID, 5)
+        want = row.tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        copy = row.copy()  # a caller that writes copies first
+        copy[:] = 1.0
+        assert draw(cone, GRID, 5).tobytes() == want
+
+    def test_non_increasing_is_the_reversed_non_decreasing(self):
+        for seed in range(20):
+            up = sample_monotone("non_decreasing", GRID, seed)
+            down = sample_monotone("non_increasing", GRID, seed)
+            assert memo_entry(down) is up  # one memo entry serves both cones
+            assert down.tobytes() == up[::-1].tobytes()
+
+    def test_none_cone_raises_on_a_warm_entry(self):
+        sample_monotone("non_decreasing", GRID, 0)
+        with pytest.raises(ValueError):
+            sample_monotone("none", GRID, 0)
+
+    def test_equal_grids_share_one_entry(self):
+        knots = tuple(np.geomspace(1e-2, 1e2, 17).tolist())
+        a, b = Grid(knots), Grid(tuple(np.geomspace(1e-2, 1e2, 17).tolist()))
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a.knots)
+        gridfn._rising_sample.cache_clear()
+        gridfn.sample_nonneg.cache_clear()
+        for cone in ("non_decreasing", "none", "non_increasing"):
+            assert memo_entry(draw(cone, b, 99)) is memo_entry(draw(cone, a, 99))
+        assert gridfn._rising_sample.cache_info().misses == 1
+        assert gridfn.sample_nonneg.cache_info().misses == 1

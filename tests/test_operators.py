@@ -393,7 +393,7 @@ def witness_rows(cone, seed):
 
     plateau = rng.choice([0.0, 0.5, 3.0], n)
     j, knots = int(rng.integers(n)), np.arange(n)
-    with_inf = sample(seed + 3)
+    with_inf = sample(seed + 3).copy()
     if cone == "non_increasing":
         plateau, ray = np.sort(plateau)[::-1], (knots <= j).astype(float)
         with_inf[:j] = INF

@@ -25,7 +25,7 @@ from supineq.gridfn import (
     sample_nonneg,
 )
 from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
-from supineq import oracle
+from supineq import gridfn, oracle
 from supineq.oracle import (
     OracleBudget,
     OracleResult,
@@ -861,6 +861,62 @@ class TestScanCalls:
         win = scores.index(max(scores))  # the first ray to reach the best score keeps it
         assert orc.lower_bound == scores[win] > 0.0
         assert orc.witness.tobytes() == self.scan_rows(cone)[win].tobytes()
+
+
+class TestWarmSampleMemo:
+    """The samplers' memo changes no call the oracle makes: a run on a warm
+    memo makes the cold run's sequence of public sampler and ``ratio``
+    calls, one sampler call right before each random-stage ``ratio`` (the
+    order perfbench's tracer reads its stages from), and returns the same
+    result bit for bit."""
+
+    BUDGET, SEED = OracleBudget(16, 7, 2), 5
+
+    def spied(self, monkeypatch):
+        """Record each sampler call as ("sample", seed) and each ``ratio``
+        call as ("ratio", row bytes, score) into the returned list."""
+        events = []
+        ratio = RayleighEngine.ratio
+
+        def spy_ratio(engine, values):
+            r = ratio(engine, values)
+            events.append(("ratio", np.array(values).tobytes(), r))
+            return r
+
+        def spy(fn):
+            def sampler(*args):
+                events.append(("sample", args[-1]))
+                return fn(*args)
+            return sampler
+
+        monkeypatch.setattr(RayleighEngine, "ratio", spy_ratio)
+        monkeypatch.setattr(oracle, "sample_monotone", spy(sample_monotone))
+        monkeypatch.setattr(oracle, "sample_nonneg", spy(sample_nonneg))
+        return events
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_warm_run_repeats_the_cold_one(self, cone, monkeypatch):
+        spec = TestScanCalls.spec(cone)
+        memo = gridfn.sample_nonneg if cone == "none" else gridfn._rising_sample
+        events = self.spied(monkeypatch)
+        memo.cache_clear()
+        cold = best_constant_lower(spec, self.BUDGET, seed=self.SEED, grid=GRID)
+        cold_events, misses = events[:], memo.cache_info().misses
+        events.clear()
+        warm = best_constant_lower(spec, self.BUDGET, seed=self.SEED, grid=GRID)
+        warm_events = events
+        assert misses == self.BUDGET.n_random and memo.cache_info().misses == misses
+        assert warm_events == cold_events
+        kinds = "".join(e[0][0] for e in cold_events)
+        n_scan = kinds.index("s")
+        assert n_scan > 0
+        assert kinds[n_scan:n_scan + 2 * self.BUDGET.n_random] == "sr" * self.BUDGET.n_random
+        assert "s" not in kinds[n_scan + 2 * self.BUDGET.n_random:]
+        seeds = [e[1] for e in cold_events if e[0] == "sample"]
+        assert seeds == [self.SEED + 7919 * (i + 1) for i in range(self.BUDGET.n_random)]
+        assert (warm.lower_bound, warm.trace, warm.divergence_flag) == \
+            (cold.lower_bound, cold.trace, cold.divergence_flag)
+        assert warm.witness.tobytes() == cold.witness.tobytes()
 
 
 # -- the batched ascent against the sequential one-factor-at-a-time ascent --
