@@ -16,9 +16,12 @@ pass runs every scenario through its side's ``cli.run_scenario``; under
 known-answer oracle runs that workload adds).  Each side first runs one
 untimed pass, which warms its memos and gives the digest: the sha256 of its
 JSON report, or under ``criteria-sweep`` of every outcome (theorem id,
-terms as float hex and flags, or the failed predicate).  Then the rounds
-alternate which side goes first.  A pass is timed in CPU time of this
-process.
+terms as float hex and flags, or the failed predicate).  That cold pass runs
+under ``tracemalloc``, whose peak (the memos it fills and the pass's
+transient arrays) is reported per side, so a memo's memory is read beside
+its time; ``scipy.integrate`` is imported first, so neither peak holds an
+import.  Then the rounds alternate which side goes first.  A pass is timed
+in CPU time of this process.
 
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
 too: the kernel of its first scenario, on one sampled row of its cone (the
@@ -26,9 +29,10 @@ indicator scan and the random stage score one row a call) at that
 scenario's grid and seed, for ``CALLS`` calls of ``apply`` per side and
 round, again alternating.
 
-The report is JSON on stdout: each side's minimum and median, and the
-minimum, quartiles and median of the paired ratio change / parent.  It
-states no verdict; a gain is claimed from ``scripts/bench_pairs.py`` pairs.
+The report is JSON on stdout: each side's cold-pass peak in MB, each
+side's minimum and median, and the minimum, quartiles and median of the
+paired ratio change / parent.  It states no verdict; a gain is claimed from
+``scripts/bench_pairs.py`` pairs.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
+import scipy.integrate  # noqa: F401  (the weights import it lazily; here, before any cold pass)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -131,11 +137,25 @@ def interleaved(rounds: int, timers: dict) -> dict:
     return times
 
 
+def cold_pass(one, pkg, scenarios) -> tuple:
+    """The digest of ``one`` pass over ``scenarios``, and the ``tracemalloc``
+    peak over it in MB."""
+    tracemalloc.start()
+    try:
+        digest = one(pkg, scenarios)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return digest, peak / 2**20
+
+
 def passes(pkgs: dict, scenarios: dict, rounds: int, one=one_pass) -> dict:
-    digests = {side: one(pkgs[side], scenarios[side])[1] for side in SIDES}
+    cold = {side: cold_pass(one, pkgs[side], scenarios[side]) for side in SIDES}
+    digests = {side: cold[side][0] for side in SIDES}
     times = interleaved(rounds, {side: (lambda s=side: one(pkgs[s], scenarios[s])[0])
                                  for side in SIDES})
     return {"digest_equal": digests["parent"] == digests["change"], "digests": digests,
+            "cold_peak_mb": {side: round(cold[side][1], 3) for side in SIDES},
             **summary(times)}
 
 

@@ -85,7 +85,7 @@ class CriterionResult:
     flags: Tuple[str, ...] = ()
 
 
-_MEMO_SIZE = 64  # weights kept per grid: values and, once read, the integral; at most about 7.4 MB
+_MEMO_SIZE = 64  # weights kept per grid: values, w·t and the integral as read; at most about 9.8 MB
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -116,8 +116,8 @@ class _Grid:
         c = np.add(g[:-1], g[1:])
         c *= 0.5 * self.h
         m = self.m
-        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
-        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
+        b = np.add.reduce(c[:3 * m].reshape(3, m), axis=1).tolist()  # decades from 0 outward
+        e = np.add.reduce(c[-3 * m:].reshape(3, m), axis=1)[::-1].tolist()  # decades from oo inward
         div0 = _diverging(b)
         divinf = _diverging(e)
         head = INF if div0 else _geom_tail(b)
@@ -131,28 +131,45 @@ def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
 
 
 class _Entry:
-    """One weight's memo entry on a grid: its values, read-only, and the
-    integral of the weight alone, settled on first access and evicted with
-    the values."""
+    """One weight's memo entry on a grid, evicted as a whole, each part
+    built on first access and read-only: the values; ``wt`` = w·t, the
+    weight as a measure on the grid's dt/t; and the integral of the weight
+    alone.  A weight read as a measure before its values keeps w·t alone,
+    built in the array that evaluated it; reading the values after that
+    evaluates the weight again, to the same bits."""
 
     def __init__(self, grid: _Grid, w: Weight):
-        self._grid = grid
-        self.vals = _frozen(np.array(w(grid.t), dtype=float))
+        self._grid, self._w = grid, w
+
+    @cached_property
+    def vals(self) -> np.ndarray:
+        return _frozen(np.array(self._w(self._grid.t), dtype=float))
+
+    @cached_property
+    def wt(self) -> np.ndarray:
+        if "vals" in self.__dict__:
+            return _frozen(_amul(self.vals, self._grid.t))
+        g = np.array(self._w(self._grid.t), dtype=float)
+        return _frozen(_amul(g, self._grid.t, out=g))
 
     @cached_property
     def integral(self) -> "IntSet":
-        return self._grid.integrate(_amul(self.vals, self._grid.t)).settled()
+        return self._grid.integrate(self.wt).settled()
 
 
 class IntSet:
-    """``int F w`` on the evaluation grid: the total, the boundary divergence
-    flags, and the one-sided cumulatives, each summed on first access and
-    named by their side: ``low`` over (0, t], ``up`` over [t, oo)."""
+    """``int F w`` on the evaluation grid: the boundary divergence flags,
+    and the total and the one-sided cumulatives, each summed on first access
+    (most integrals are read on one side only), the cumulatives named by
+    their side: ``low`` over (0, t], ``up`` over [t, oo)."""
 
     def __init__(self, c: np.ndarray, head: float, tail: float, div0: bool, divinf: bool):
         self._c, self._head, self._tail = c, head, tail
         self.div0, self.divinf = div0, divinf
-        self.total = head + float(np.sum(c)) + tail
+
+    @cached_property
+    def total(self) -> float:
+        return self._head + float(np.add.reduce(self._c)) + self._tail
 
     @cached_property
     def low(self) -> np.ndarray:
@@ -177,8 +194,9 @@ class IntSet:
         return up
 
     def settled(self) -> "IntSet":
-        """This set with both sides summed and read-only, and the trapezoid
-        masses dropped: the form a memo keeps."""
+        """This set with the total and both sides summed, the sides
+        read-only, and the trapezoid masses dropped: the form a memo keeps."""
+        self.total  # summed before the masses go
         _frozen(self.low)
         _frozen(self.up)
         self._c = None
@@ -190,9 +208,10 @@ class CritCtx:
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
     read-only array ``t``, built on first use, and one memo on it bounded at
-    64 weights.  A weight's entry holds its values (``vals``) and, from the
-    first ``int_w``, the integral of the weight alone, so both go together
-    when the entry is evicted.
+    64 weights.  A weight's entry holds, each from its first read, the
+    weight's values (``vals``), the product w·t that ``int_set`` and
+    ``int_w`` integrate, and the integral of the weight alone (``int_w``),
+    so all go together when the entry is evicted.
 
     ``int_set``, ``int_w``, ``sup`` and ``env_arr`` run in the caller's
     ``np.errstate``, as ``OperatorKernel.apply`` does: each criterion
@@ -219,8 +238,7 @@ class CritCtx:
     # -- integration ------------------------------------------------------------
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
         """``int F w`` on the grid; ``F`` is read, not written."""
-        g = _amul(self.vals(w), self.t)
-        return self._grid.integrate(_amul(F, g, out=g))
+        return self._grid.integrate(_amul(F, self._grid.memo(w).wt))
 
     def int_w(self, w: Weight) -> IntSet:
         """``int_set`` of ``w`` alone (F = 1), both sides summed and
@@ -229,14 +247,24 @@ class CritCtx:
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:
+        """The maximum of ``vals`` (in [0, oo], no NaN) and a boundary flag.
+
+        An array holding +inf reads +inf and an all-zero one 0, unflagged.
+        Otherwise, where the first maximum lies within 2m points (two
+        decades) of an end and that end's value is the maximum to a relative
+        1e-12, the end value is divided by the value 2m points inward: a
+        ratio above 1.5 reads +inf ("sup-divergent-left"/"-right"), one
+        above 1.05 keeps the maximum and flags it
+        ("sup-uncertain-left"/"-right").  One ``argmax`` finds the maximum;
+        on [0, oo] with no NaN it is +inf exactly where an entry is."""
         v = np.asarray(vals, dtype=float)
-        if np.any(np.isinf(v)):
+        am = int(np.argmax(v))
+        mval = float(v[am])
+        if mval == INF:
             return INF, None
-        mval = float(np.max(v))
         if mval == 0.0:
             return 0.0, None
         m = self.m
-        am = int(np.argmax(v))
         flag = None
         if am <= 2 * m:
             a0, a2 = v[0], v[2 * m]

@@ -503,18 +503,22 @@ class TabulatedWeight(Weight):
     @cached_property
     def _segment_mass(self) -> np.ndarray:
         """The mass of each segment between samples, read-only, built on
-        first use."""
+        first use.  A steep decaying segment can read NaN (``a ** beta``
+        underflows to 0, so its coefficient is +inf and the difference of
+        powers 0), quietly: ``gridfn.region_measures`` integrates a NaN
+        cumulative by quadrature."""
         ts, ys = self._arrays()
         out = np.zeros(len(ts) - 1)
-        for i in range(len(ts) - 1):
-            a, b, ya, yb = ts[i], ts[i + 1], ys[i], ys[i + 1]
-            if ya == 0.0 and yb == 0.0:
-                continue
-            if ya == 0.0 or yb == 0.0:
-                out[i] = 0.5 * (ya + yb) * (b - a)  # linear fallback through zero
-                continue
-            beta = math.log(yb / ya) / math.log(b / a)
-            out[i] = _power_int(ya / a ** beta, beta, a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(ts) - 1):
+                a, b, ya, yb = ts[i], ts[i + 1], ys[i], ys[i + 1]
+                if ya == 0.0 and yb == 0.0:
+                    continue
+                if ya == 0.0 or yb == 0.0:
+                    out[i] = 0.5 * (ya + yb) * (b - a)  # linear fallback through zero
+                    continue
+                beta = math.log(yb / ya) / math.log(b / a)
+                out[i] = _power_int(ya / a ** beta, beta, a, b)
         out.flags.writeable = False
         return out
 

@@ -7,7 +7,9 @@ import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,6 +98,20 @@ class TestSameTreeTwice:
         assert AB.main(["--parent", ROOT, "--workload", "battery"]) == 0
         assert seen == [(1, True), (1, False)]
         capsys.readouterr()
+
+    def test_cold_passes_report_their_memory_peak(self, tiny_config):
+        doc = AB.run(ROOT, ROOT, tiny_config, seed=3, rounds=2, criteria_only=True)
+        peaks = doc["passes"]["cold_peak_mb"]
+        assert sorted(peaks) == sorted(AB.SIDES) and all(mb > 0.0 for mb in peaks.values())
+
+    def test_cold_pass_peak_and_digest(self):
+        def one(pkg, scenarios):
+            block = np.ones(2**19)  # 4 MB, freed before the pass returns
+            return 0.0, f"{pkg}:{len(scenarios)}:{block.size}"
+
+        digest, peak = AB.cold_pass(one, "pkg", [1, 2])
+        assert digest == "pkg:2:524288" and 4.0 <= peak < 5.0
+        assert not tracemalloc.is_tracing()
 
     def test_one_round_is_refused(self, tiny_config):
         with pytest.raises(ValueError, match="two rounds"):

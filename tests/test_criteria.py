@@ -6,10 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from supineq.cli import load_config
 from supineq.criteria import (
     CritCtx,
     InequalitySpec,
+    IntSet,
     TheoremInapplicable,
     crit_T33_34,
     crit_tub,
@@ -17,7 +21,7 @@ from supineq.criteria import (
     reduce_spec,
     reduce_spec_inner,
 )
-from supineq.extreal import INF
+from supineq.extreal import INF, _amul, xdiv
 from supineq.operators import OperatorKind
 from supineq.weights import Exponents, PiecewisePowerWeight, PowerWeight
 
@@ -284,3 +288,186 @@ class TestOneErrstate:
                         make(ctx, rng)
                     except TheoremInapplicable:
                         pass
+
+
+# -- the one-pass supremum against the four-pass form it replaced -----------
+
+
+def four_pass_sup(ctx, vals):
+    """``CritCtx.sup`` as it was: an +inf scan, a maximum, a zero test and an
+    ``argmax``, then the boundary rule."""
+    v = np.asarray(vals, dtype=float)
+    if np.any(np.isinf(v)):
+        return INF, None
+    mval = float(np.max(v))
+    if mval == 0.0:
+        return 0.0, None
+    m = ctx.m
+    am = int(np.argmax(v))
+    flag = None
+    if am <= 2 * m:
+        a0, a2 = v[0], v[2 * m]
+        if a0 >= mval * (1.0 - 1e-12):
+            ratio = xdiv(a0, a2)
+            if ratio > 1.5:
+                return INF, "sup-divergent-left"
+            if ratio > 1.05:
+                flag = "sup-uncertain-left"
+    if am >= len(v) - 1 - 2 * m:
+        a0, a2 = v[-1], v[-1 - 2 * m]
+        if a0 >= mval * (1.0 - 1e-12):
+            ratio = xdiv(a0, a2)
+            if ratio > 1.5:
+                return INF, "sup-divergent-right"
+            if ratio > 1.05:
+                flag = "sup-uncertain-right"
+    return mval, flag
+
+
+SUP_CTX = CritCtx(1e-3, 1e3, 4)  # 25 points, end windows of 2m = 8
+SUP_LEVELS = (0.0, 0.5, 1.0, 1.04, 1.2, 1.4, 1.6, 2.0, 1e300, INF)
+
+
+def sup_cases(n, m):
+    """All-zero and +inf arrays, end maxima at ratios above 1.5 and between
+    1.05 and 1.5 (and below), an interior maximum, and ties."""
+    def put(at):
+        v = np.full(n, 0.5)
+        v[2 * m] = v[-1 - 2 * m] = 1.0
+        for i, x in at.items():
+            v[i] = x
+        return v
+
+    last = n - 1
+    yield np.zeros(n)
+    yield np.full(n, INF)
+    yield put({3: INF})
+    yield put({0: INF, 5: INF})
+    for ratio in (2.0, 1.6, 1.4, 1.2, 1.06, 1.04, 1.0):
+        yield put({0: ratio})                          # left end
+        yield put({last: ratio})                       # right end
+        yield put({0: ratio, last: ratio})             # both ends, tied
+        yield put({0: ratio, 5: ratio})                # tie inside the left window
+        yield put({0: ratio, 5: ratio * (1.0 + 1e-13)})  # the end within 1e-12 of the max
+        yield put({0: ratio, 5: ratio * 1.1})          # an end below the max
+        yield put({0: ratio, 12: ratio})               # tie with an interior point
+    yield put({12: 3.0})                               # interior maximum
+    yield put({12: 3.0, 13: 3.0})
+    yield put({0: 1e300, 8: 1e-300})                   # a ratio that overflows
+    yield put({0: 1e-300, 8: 0.0, last: 0.0})          # a ratio over 0
+
+
+class TestOnePassSup:
+    """``CritCtx.sup`` takes one ``argmax``; on [0, inf] with no NaN it reads
+    what the four-pass form read, value and flag, bit for bit."""
+
+    def test_cases(self):
+        seen = set()
+        for v in sup_cases(len(SUP_CTX.t), SUP_CTX.m):
+            got, ref = SUP_CTX.sup(v), four_pass_sup(SUP_CTX, v)
+            assert got == ref and np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), v
+            seen.add(ref[1])
+        assert seen == {None, "sup-divergent-left", "sup-divergent-right",
+                        "sup-uncertain-left", "sup-uncertain-right"}
+
+    @given(st.lists(st.sampled_from(SUP_LEVELS), min_size=25, max_size=25))
+    def test_levels(self, xs):
+        v = np.array(xs)
+        assert SUP_CTX.sup(v) == four_pass_sup(SUP_CTX, v)
+
+    def test_default_grid(self):
+        ctx = CritCtx()
+        n, m = len(ctx.t), ctx.m
+        for v in sup_cases(n, m):
+            assert ctx.sup(v) == four_pass_sup(ctx, v)
+        with np.errstate(all="ignore"):
+            for w in (U, V, W, PowerWeight(1.0, -2.0)):
+                assert ctx.sup(ctx.vals(w)) == four_pass_sup(ctx, ctx.vals(w))
+
+
+# -- the weight as a measure: w·t kept in the memo entry ----------------------
+
+
+def candidate_weights():
+    """Every distinct weight of the committed candidates."""
+    seen = {}
+    for sc in load_config(CANDIDATES):
+        for w in (sc.spec.v, sc.spec.w, sc.spec.kind.u, sc.spec.kind.b):
+            if w is not None:
+                seen.setdefault(w, None)
+    return list(seen)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_int_set_is(got, ref):
+    assert (got.div0, got.divinf) == (ref.div0, ref.divinf)
+    for side in ("total", "low", "up"):
+        assert same_bits(getattr(got, side), getattr(ref, side)), side
+
+
+class TestMeasureEntry:
+    """``int_set`` integrates ``_amul(F, wt)`` with ``wt`` = ``_amul(vals, t)``
+    kept read-only in the weight's memo entry; ``IntSet.total`` is summed on
+    demand, to the bits of head + sum + tail, and before ``settled`` drops
+    the masses."""
+
+    def test_int_set_on_every_candidate_weight(self):
+        ctx = CritCtx()
+        grid = ctx._grid
+        n = len(ctx.t)
+        rng = np.random.default_rng(29)
+        F = 10.0 ** rng.uniform(-200, 200, n)
+        F[rng.integers(0, n, 40)] = 0.0
+        F[rng.integers(0, n, 40)] = INF
+        weights = candidate_weights()
+        with np.errstate(all="ignore"):
+            for w in weights:
+                wt = _amul(ctx.vals(w), ctx.t)
+                assert same_bits(grid.memo(w).wt, wt), w
+                assert_int_set_is(ctx.int_set(F, w), grid.integrate(_amul(F, wt)))
+
+    def test_measure_read_first_keeps_wt_alone(self):
+        ctx = CritCtx()
+        memo = ctx._grid.memo
+        memo.cache_clear()
+        with np.errstate(all="ignore"):
+            for w in candidate_weights()[:8]:
+                ctx.int_set(np.ones(len(ctx.t)), w)
+                entry = memo(w)
+                assert "wt" in vars(entry) and "vals" not in vars(entry)
+                wt = entry.wt
+                assert same_bits(wt, _amul(ctx.vals(w), ctx.t)) and entry.wt is wt
+                assert ctx.int_w(w) is entry.integral
+
+    def test_wt_is_read_only(self):
+        # built from the values, and as a measure first
+        ctx = CritCtx()
+        memo = ctx._grid.memo
+        memo.cache_clear()
+        with np.errstate(all="ignore"):
+            ctx.vals(W)
+            ctx.int_w(W)
+            ctx.int_w(V)
+        for w in (W, V):
+            wt = memo(w).wt
+            assert not wt.flags.writeable
+            with pytest.raises(ValueError):
+                wt[0] = 1.0
+
+    def test_total_on_demand_and_after_settled(self):
+        ctx = CritCtx()
+        with np.errstate(all="ignore"):
+            for w in (U, V, W, PowerWeight(1.0, -1.0), PowerWeight(1.0, -2.0)):
+                for F in (np.ones(len(ctx.t)), ctx.vals(U)):
+                    iset = ctx.int_set(F, w)
+                    assert isinstance(iset, IntSet) and "total" not in vars(iset)
+                    ref = iset._head + float(np.sum(iset._c)) + iset._tail
+                    assert same_bits(iset.total, ref)
+                    fresh = ctx.int_set(F, w)
+                    assert fresh.settled() is fresh and fresh._c is None
+                    assert same_bits(fresh.total, ref)
+                assert same_bits(ctx.int_w(w).total, ctx.int_set(np.ones(len(ctx.t)), w).total)

@@ -322,3 +322,41 @@ class TestProductRule:
         with np.errstate(all="ignore"):
             got = _product(factor)(factor, rows)
             assert np.array_equal(_bits(got), _bits(_amul(factor, rows)))
+
+
+FAST_EDGE = (0.0, 5e-324, 2.2e-308, 1e154, 1e155, 1e308, INF)
+
+
+class TestExactFastPowers:
+    """``_apow`` sends the exponents 2 and 1/2 to ``np.square`` and
+    ``np.sqrt``; both give ``np.power``'s bits on [0, inf], into a new array
+    and in place, and ``apow`` still makes a new array."""
+
+    @given(st.lists(st.one_of(st.sampled_from(FAST_EDGE), st.floats(min_value=0.0, allow_nan=False)),
+                    min_size=1, max_size=16),
+           st.sampled_from((2.0, 0.5)))
+    def test_equal_np_power_bitwise(self, xs, e):
+        a = np.array(xs)
+        with np.errstate(all="ignore"):
+            ref = np.power(a, e)
+            got = _apow(a, e)
+            inplace = a.copy()
+            assert _apow(inplace, e, out=inplace) is inplace
+        public = apow(a, e)
+        for arr in (got, inplace, public):
+            assert np.array_equal(_bits(arr), _bits(ref))
+        assert got is not a and public is not a and not np.shares_memory(public, a)
+
+    def test_edge_values(self):
+        a = np.array(FAST_EDGE)
+        for e in (2.0, 0.5):
+            with np.errstate(all="ignore"):
+                ref = np.power(a, e)
+                got = _apow(a, e)
+            assert np.array_equal(_bits(got), _bits(ref)), e
+            assert np.array_equal(_bits(apow(a, e)), _bits(ref)), e
+        with np.errstate(all="ignore"):
+            square, root = _apow(a, 2.0), _apow(a, 0.5)
+        # squares underflow to 0 below about 1.5e-162 and overflow above 1.3e154
+        assert square[:3].tolist() == [0.0, 0.0, 0.0] and np.isinf(square[4:]).all() and 0 < square[3] < INF
+        assert root[0] == 0.0 and root[-1] == INF

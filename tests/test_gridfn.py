@@ -202,9 +202,12 @@ class TestRegionMeasuresBitIdentical:
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
     def test_nan_segment_reaches_quadrature(self):
-        w = MASS_WEIGHTS["e^-t table, NaN segment"]
+        # a new table, so its segment masses are built here, and quietly
+        w = TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T))
+        assert w == MASS_WEIGHTS["e^-t table, NaN segment"] and "_segment_mass" not in vars(w)
+        region_measures.cache_clear()  # another test may have computed these pairs
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             assert math.isnan(w.cum_low(1000.0))
             m = region_measures(BENCH_GRIDS["battery"], w)
             # a NaN cumulative at an end knot takes quadrature too
