@@ -116,8 +116,8 @@ class _Grid:
         c = np.add(g[:-1], g[1:])
         c *= 0.5 * self.h
         m = self.m
-        b = np.add.reduce(c[:3 * m].reshape(3, m), axis=1).tolist()  # decades from 0 outward
-        e = np.add.reduce(c[-3 * m:].reshape(3, m), axis=1)[::-1].tolist()  # decades from oo inward
+        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
+        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
         div0 = _diverging(b)
         divinf = _diverging(e)
         head = INF if div0 else _geom_tail(b)
@@ -131,26 +131,18 @@ def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
 
 
 class _Entry:
-    """One weight's memo entry on a grid, evicted as a whole, each part
-    built on first access and read-only: the values; ``wt`` = w·t, the
-    weight as a measure on the grid's dt/t; and the integral of the weight
-    alone.  A weight read as a measure before its values keeps w·t alone,
-    built in the array that evaluated it; reading the values after that
-    evaluates the weight again, to the same bits."""
+    """One weight's memo entry on a grid, evicted as a whole: its values,
+    read-only; ``wt`` = w·t, the weight as a measure on the grid's dt/t,
+    read-only and built on first access; and the integral of the weight
+    alone, settled on first access."""
 
     def __init__(self, grid: _Grid, w: Weight):
-        self._grid, self._w = grid, w
-
-    @cached_property
-    def vals(self) -> np.ndarray:
-        return _frozen(np.array(self._w(self._grid.t), dtype=float))
+        self._grid = grid
+        self.vals = _frozen(np.array(w(grid.t), dtype=float))
 
     @cached_property
     def wt(self) -> np.ndarray:
-        if "vals" in self.__dict__:
-            return _frozen(_amul(self.vals, self._grid.t))
-        g = np.array(self._w(self._grid.t), dtype=float)
-        return _frozen(_amul(g, self._grid.t, out=g))
+        return _frozen(_amul(self.vals, self._grid.t))
 
     @cached_property
     def integral(self) -> "IntSet":
@@ -169,7 +161,7 @@ class IntSet:
 
     @cached_property
     def total(self) -> float:
-        return self._head + float(np.add.reduce(self._c)) + self._tail
+        return self._head + float(np.sum(self._c)) + self._tail
 
     @cached_property
     def low(self) -> np.ndarray:
@@ -208,10 +200,10 @@ class CritCtx:
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
     read-only array ``t``, built on first use, and one memo on it bounded at
-    64 weights.  A weight's entry holds, each from its first read, the
-    weight's values (``vals``), the product w·t that ``int_set`` and
-    ``int_w`` integrate, and the integral of the weight alone (``int_w``),
-    so all go together when the entry is evicted.
+    64 weights.  A weight's entry holds the weight's values (``vals``) and,
+    each from its first read, the product w·t that ``int_set`` and ``int_w``
+    integrate and the integral of the weight alone (``int_w``), so all go
+    together when the entry is evicted.
 
     ``int_set``, ``int_w``, ``sup`` and ``env_arr`` run in the caller's
     ``np.errstate``, as ``OperatorKernel.apply`` does: each criterion

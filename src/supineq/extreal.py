@@ -124,10 +124,11 @@ def _apow(a, e: float, out=None):
     inf, inf**-e = 0, 0**e = 0 and inf**e = inf.  A power by exactly 1 with
     no other ``out`` returns ``a`` itself, so a caller that writes into the
     result must own ``a``.  The exponents 2 and 1/2 go to ``np.square`` and
-    ``np.sqrt``, which give ``np.power``'s bits on [0, inf], a negative
-    zero included, at about half its cost; every other exponent takes
-    ``np.power`` (``1 / x**2`` and ``x * x * x`` are off in the last bit
-    at -2 and 3)."""
+    ``np.sqrt``, which give ``np.power``'s bits on [0, inf] at about half
+    its cost, and on a negative zero too (``np.power`` reads (-0)**0.5 as
+    -0, as ``np.sqrt`` does, where C's ``pow`` gives +0); every other
+    exponent takes ``np.power`` (``1 / x**2`` and ``x * x * x`` are off in
+    the last bit at -2 and 3)."""
     if e == 2.0:
         return np.square(a, out=out)
     if e == 0.5:

@@ -430,31 +430,16 @@ class TestMeasureEntry:
                 assert same_bits(grid.memo(w).wt, wt), w
                 assert_int_set_is(ctx.int_set(F, w), grid.integrate(_amul(F, wt)))
 
-    def test_measure_read_first_keeps_wt_alone(self):
-        ctx = CritCtx()
-        memo = ctx._grid.memo
-        memo.cache_clear()
-        with np.errstate(all="ignore"):
-            for w in candidate_weights()[:8]:
-                ctx.int_set(np.ones(len(ctx.t)), w)
-                entry = memo(w)
-                assert "wt" in vars(entry) and "vals" not in vars(entry)
-                wt = entry.wt
-                assert same_bits(wt, _amul(ctx.vals(w), ctx.t)) and entry.wt is wt
-                assert ctx.int_w(w) is entry.integral
-
     def test_wt_is_read_only(self):
-        # built from the values, and as a measure first
         ctx = CritCtx()
         memo = ctx._grid.memo
         memo.cache_clear()
         with np.errstate(all="ignore"):
-            ctx.vals(W)
             ctx.int_w(W)
-            ctx.int_w(V)
+            ctx.int_set(ctx.vals(U), V)
         for w in (W, V):
             wt = memo(w).wt
-            assert not wt.flags.writeable
+            assert not wt.flags.writeable and memo(w).wt is wt
             with pytest.raises(ValueError):
                 wt[0] = 1.0
 

@@ -324,7 +324,7 @@ class TestProductRule:
             assert np.array_equal(_bits(got), _bits(_amul(factor, rows)))
 
 
-FAST_EDGE = (0.0, 5e-324, 2.2e-308, 1e154, 1e155, 1e308, INF)
+FAST_EDGE = (-0.0, 0.0, 5e-324, 2.2e-308, 1e154, 1e155, 1e308, INF)
 
 
 class TestExactFastPowers:
@@ -358,5 +358,7 @@ class TestExactFastPowers:
         with np.errstate(all="ignore"):
             square, root = _apow(a, 2.0), _apow(a, 0.5)
         # squares underflow to 0 below about 1.5e-162 and overflow above 1.3e154
-        assert square[:3].tolist() == [0.0, 0.0, 0.0] and np.isinf(square[4:]).all() and 0 < square[3] < INF
-        assert root[0] == 0.0 and root[-1] == INF
+        assert square[:4].tolist() == [0.0] * 4 and np.isinf(square[5:]).all() and 0 < square[4] < INF
+        assert root[1] == 0.0 and root[-1] == INF
+        # np.power reads (-0)**2 as +0 and (-0)**0.5 as -0 (C's pow gives +0 there), as square and sqrt do
+        assert not np.signbit(square[0]) and np.signbit(root[0])
