@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Generate the frozen battery config.
 
-Enumerates candidate scenarios across every operator family and exponent
-regime, runs each one through the criterion + oracle pipeline, and keeps
-those whose verdict is ``consistent``.  The survivors are written to
+Enumerates the candidate scenarios across every operator family and
+exponent regime (``perfbench.workloads.candidates``, the benchmark's
+candidate space), runs each one through the criterion + oracle pipeline,
+and keeps those whose verdict is ``consistent``.  The survivors are written to
 ``configs/battery.json`` so the acceptance suite replays a fixed, fast,
 all-green batch.
 
@@ -11,76 +12,27 @@ Usage: python3 scripts/make_battery.py [--out configs/battery.json]
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
 
-from supineq.cli import _DEFAULTS, ScenarioConfig, run_scenario, load_config
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)  # the candidate space lives in perfbench.workloads
 
-POWER = lambda c, a: {"form": "power", "c": c, "alpha": a}
-POWEREXP = lambda c, a, lam: {"form": "powerexp", "c": c, "alpha": a, "lambda": lam}
+from perfbench.workloads import BATTERY_BUDGET, BATTERY_GRID, candidates  # noqa: E402
+from supineq.cli import run_scenario, load_config  # noqa: E402
 
 DEFAULTS = {
-    "grid": {"eps": 1e-5, "M": 1e5, "n": 96},
-    "budget": {"n_char": 128, "n_random": 40, "n_ascent": 10},
+    "grid": dict(BATTERY_GRID),
+    "budget": dict(BATTERY_BUDGET),
     "band": 64.0,
     "seed": 1234,
 }
 
-# weight menus keyed by the cumulative behaviour a family needs
-V_HEAD = [POWER(1, 0), POWER(1, 1), POWER(2, 0.5), POWEREXP(1, 0, 1)]   # 0 < V < oo
-V_TAIL = [POWEREXP(1, 0, 1), POWEREXP(1, 1, 0.5), POWEREXP(2, 0, 2)]    # 0 < V* < oo
-W_DECAY = [POWEREXP(1, 0, 1), POWEREXP(1, 1, 1), POWEREXP(1, 0.5, 0.5)]
-U_MENU = [POWER(1, 0), POWER(1, 0.5), POWER(1, 1), POWER(1, 2), POWEREXP(1, 1, 1)]
-B_MENU = [POWER(1, 0), POWER(2, 1)]
-PQ_ALL = [(1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (2.0, 1.0), (3.0, 1.5)]
-PQ_SUB1 = [(0.5, 0.5), (0.5, 1.0), (0.5, 0.25)]
-
-
-def candidates():
-    sid = itertools.count()
-
-    def mk(tag, operator, cone, v, w, p, q):
-        return {
-            "id": f"{tag}-{next(sid):03d}",
-            "operator": operator, "cone": cone, "v": v, "w": w, "p": p, "q": q,
-        }
-
-    out = []
-    # plain supremal operators, both cones
-    for u, v, w, (p, q) in itertools.product(U_MENU[:4], V_HEAD[:3], W_DECAY[:2], PQ_ALL):
-        out.append(mk("sdown", {"base": "S", "u": u}, "non_increasing", v, w, p, q))
-    for u, v, w, (p, q) in itertools.product(U_MENU[:3], V_TAIL[:2], W_DECAY[:2], PQ_ALL[:4]):
-        out.append(mk("sstarup", {"base": "S*", "u": u}, "non_decreasing", v, w, p, q))
-        out.append(mk("sup", {"base": "S", "u": u}, "non_decreasing", v, w, p, q))
-    for u, v, w, (p, q) in itertools.product(U_MENU[:3], V_HEAD[:2], W_DECAY[:2], PQ_ALL[:4]):
-        out.append(mk("sstardown", {"base": "S*", "u": u}, "non_increasing", v, w, p, q))
-    # iterated forms
-    for u, v, w, (p, q) in itertools.product(U_MENU[:3], V_HEAD[:2], W_DECAY[:2], PQ_ALL):
-        out.append(mk("isi4", {"base": "S*", "compose": "H", "u": u}, "none", v, w, p, q))
-    for u, v, w, (p, q) in itertools.product(U_MENU[:3], V_TAIL[:2], W_DECAY[:2], PQ_ALL[:4]):
-        out.append(mk("isi2", {"base": "S", "compose": "H*", "u": u}, "none", v, w, p, q))
-    for u, w, (p, q) in itertools.product(U_MENU[:3], W_DECAY[:2], [(2.0, 2.0), (2.0, 1.0), (3.0, 1.5)]):
-        out.append(mk("isi1", {"base": "S", "compose": "H", "u": u}, "none", POWER(1, 0.5), w, p, q))
-        out.append(mk("isi3", {"base": "S*", "compose": "H*", "u": u}, "none", POWER(1, 2), w, p, q))
-    for u, w in itertools.product(U_MENU[:3], W_DECAY[:2]):
-        out.append(mk("isi1v", {"base": "S", "compose": "H", "u": u}, "none", POWER(1, -0.5), w, 1.0, 1.0))
-        out.append(mk("isi3v", {"base": "S*", "compose": "H*", "u": u}, "none", POWER(1, 0.5), w, 1.0, 1.0))
-    # combined integral/supremal operator, p >= 1 then p < 1
-    for u, b, v, w, (p, q) in itertools.product(U_MENU[:4], B_MENU, V_HEAD[:2], W_DECAY[:2], PQ_ALL):
-        out.append(mk("tub", {"base": "T_ub", "u": u, "b": b}, "non_increasing", v, w, p, q))
-    for u, b, w, (p, q) in itertools.product(U_MENU[:3], B_MENU, W_DECAY[:2], PQ_SUB1):
-        out.append(mk("tubsub1", {"base": "T_ub", "u": u, "b": b}, "non_increasing", POWER(1, 0), w, p, q))
-    for g in (0.25, 1.0):
-        out.append(mk("tgamma", {"base": "T_gamma", "gamma_over_n": g}, "non_increasing",
-                      POWER(1, 0), POWEREXP(1, 0, 1), 1.0, 1.0))
-    return out
-
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--out", default=os.path.join(os.path.dirname(__file__), "..", "configs", "battery.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "configs", "battery.json"))
     ap.add_argument("--limit-per-family", type=int, default=8)
     args = ap.parse_args()
 

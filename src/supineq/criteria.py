@@ -85,7 +85,9 @@ class CriterionResult:
     flags: Tuple[str, ...] = ()
 
 
-_MEMO_SIZE = 64  # weights kept per grid: values, w·t and the integral as read; at most about 9.8 MB
+# weights kept per grid: values, w·t and the integral as read, at most about
+# 19.6 MB; one weight-forms pass reads 69 weights, which 64 entries thrashed
+_MEMO_SIZE = 128
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -95,9 +97,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class _Grid:
     """The read-only arrays of one log grid and one memo on it: an ``_Entry``
-    for each of the 64 most recently used weights, keyed by the weight's
-    value (weights are frozen dataclasses, hashable by construction, so
-    equal constructions hash alike)."""
+    for each of the ``_MEMO_SIZE`` most recently used weights, keyed by the
+    weight's value (weights are frozen dataclasses, hashable by
+    construction, so equal constructions hash alike)."""
 
     def __init__(self, lo: float, hi: float, per_decade: int):
         ndec = math.log10(hi / lo)
@@ -200,10 +202,10 @@ class CritCtx:
 
     Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
     read-only array ``t``, built on first use, and one memo on it bounded at
-    64 weights.  A weight's entry holds the weight's values (``vals``) and,
-    each from its first read, the product w·t that ``int_set`` and ``int_w``
-    integrate and the integral of the weight alone (``int_w``), so all go
-    together when the entry is evicted.
+    ``_MEMO_SIZE`` weights.  A weight's entry holds the weight's values
+    (``vals``) and, each from its first read, the product w·t that
+    ``int_set`` and ``int_w`` integrate and the integral of the weight alone
+    (``int_w``), so all go together when the entry is evicted.
 
     ``int_set``, ``int_w``, ``sup`` and ``env_arr`` run in the caller's
     ``np.errstate``, as ``OperatorKernel.apply`` does: each criterion
@@ -374,9 +376,12 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
 
     ``side == "low"``: I(x) = int_0^x Eq w,  Wmain = int_x^oo w, envelope over (0, x];
     ``side == "up"``:  I(x) = int_x^oo Eq w, Wmain = int_0^x w,  envelope over [x, oo).
-    """
+
+    Returns the terms, the flags and ``int_set(Eq, w)``, whose ``total`` is
+    the q-th power of the unit term's norm ||E||_{q,w} where Eq = E**q."""
     flags = []
-    I = getattr(ctx.int_set(Eq, w), side)
+    main = ctx.int_set(Eq, w)
+    I = getattr(main, side)
     Wm = getattr(ctx.int_w(w), _OTHER[side])
     if p_eff <= q_eff:
         obj = _amul(Eq, Wm)
@@ -385,7 +390,7 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
         val, fl = ctx.sup(obj)
         if fl:
             flags.append(fl)
-        return {"A1": val}, flags
+        return {"A1": val}, flags, main
     r_eff = 1.0 / (1.0 / q_eff - 1.0 / p_eff)
     b1_igr = _amul(_apow(I, r_eff / p_eff, out=I), Eq, out=I)
     _amul(b1_igr, _apow(G, r_eff), out=b1_igr)
@@ -393,7 +398,7 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
     env = ctx.env_arr(_amul(_apow(Eq, 1.0 / q_eff), G), side)
     b2_igr = _amul(_apow(Wm, r_eff / p_eff), _apow(env, r_eff, out=env), out=env)
     B2 = xpow(ctx.int_set(b2_igr, w).total, 1.0 / r_eff)
-    return {"B1": B1, "B2": B2}, flags
+    return {"B1": B1, "B2": B2}, flags, main
 
 
 def _finish(theorem_id: str, e: Exponents, terms: dict, report: dict,
@@ -462,7 +467,7 @@ def crit_T31_32(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     _require(report)
     Eq = _apow(ctx.env_weight(u, side), e.q)
     G = _sigma_arrays(ctx, v, e.p, other)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
+    terms, flags, _ = _core(ctx, w, e.p, e.q, Eq, G, side)
     return _finish({"up": "T3.1", "low": "T3.2"}[side], e, terms, report, flags)
 
 
@@ -483,8 +488,8 @@ def crit_T33_34(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     E = ctx.env_weight(u, side)
     Eq = _apow(E, e.q)
     G = _apow(getattr(vset, side), -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
-    unit = xdiv(_norm_q(ctx, E, w, e.q), xpow(vset.total, 1.0 / e.p))
+    terms, flags, main = _core(ctx, w, e.p, e.q, Eq, G, side)
+    unit = xdiv(xpow(main.total, 1.0 / e.q), xpow(vset.total, 1.0 / e.p))
     return _finish({"low": "T3.3", "up": "T3.4"}[side], e, terms, report, flags, unit=unit)
 
 
@@ -503,7 +508,7 @@ def crit_T35_36(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     Vo2 = _apow(Vo, -2.0)
     D = ctx.env_arr(_amul(_apow(ctx.vals(u), e.p), Vo2, out=Vo2), side)
     Eq = _apow(D, e.q / e.p, out=D)
-    terms, flags = _core(ctx, w, 1.0, e.q / e.p, Eq, Vo, side)
+    terms, flags, _ = _core(ctx, w, 1.0, e.q / e.p, Eq, Vo, side)
     unit = xdiv(_norm_q(ctx, ctx.env_weight(u, side), w, e.q), xpow(vset.total, 1.0 / e.p))
     return _finish({"low": "T3.5", "up": "T3.6"}[side], e, terms, report, flags,
                    root=1.0 / e.p, unit=unit)
@@ -530,9 +535,9 @@ def crit_T41_43(ctx: CritCtx, side: str, u: Weight, v: Weight, w: Weight, e: Exp
     Phi1 = ctx.env_arr(_amul(ctx.vals(u), Phi2, out=Phi2), side)
     Eq = _apow(Phi1, e.q)
     G = _apow(Phi, -1.0 / e.p)
-    terms, flags = _core(ctx, w, e.p, e.q, Eq, G, side)
+    terms, flags, main = _core(ctx, w, e.p, e.q, Eq, G, side)
     den = xpow(xmul(pp + 1.0, xpow(aset.total, 1.0 / (pp + 1.0))), 1.0 / e.p)
-    unit = xdiv(_norm_q(ctx, Phi1, w, e.q), den)
+    unit = xdiv(xpow(main.total, 1.0 / e.q), den)
     return _finish({"low": "T4.1", "up": "T4.3"}[side], e, terms, report, flags, unit=unit)
 
 
@@ -565,11 +570,11 @@ def crit_T42_44(ctx: CritCtx, side: str, u: Weight, nu: Weight, w: Weight, e: Ex
     V1 = ctx.env_arr(_amul(ctx.vals(u), V2, out=V2), side)
     Eq = _apow(V1, e.q)
     G = _apow(V, -1.0)
-    terms, flags = _core(ctx, w, 1.0, e.q, Eq, G, shape)
+    terms, flags, main = _core(ctx, w, 1.0, e.q, Eq, G, shape)
     vlim, fl = ctx.sup(V)
     if fl:
         flags = list(flags) + [fl]
-    unit = xdiv(_norm_q(ctx, V1, w, e.q), vlim)
+    unit = xdiv(xpow(main.total, 1.0 / e.q), vlim)
     return _finish({"low": "T4.2", "up": "T4.4"}[side], e, terms, report, flags, unit=unit)
 
 
@@ -621,7 +626,7 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
     terms: dict = {}
     if p <= q:
         for name, base, g in (("A1", rho, g1), ("A2", eta, g2)):
-            core, fl = _core(ctx, w, p, q, _apow(base, q), g, "up")
+            core, fl, _ = _core(ctx, w, p, q, _apow(base, q), g, "up")
             terms[name] = core["A1"]
             flags += fl
     else:

@@ -14,10 +14,10 @@ domain the only NaN a product or quotient can hold is 0 * inf, 0 / 0 or
 inf / inf, so ``amul`` and ``adiv`` are one ufunc and one ``np.fmax`` with 0,
 which sends exactly those entries to 0.  The domain is enforced where values
 enter: the weight constructors and ``gridfn.Grid`` reject NaN parameters,
-knots and sample points, ``gridfn.region_measures`` integrates a NaN
-cumulative by quadrature, and ``oracle.RayleighEngine.ratios`` rejects a NaN
-or negative row entry.  Outside the domain, ``fmax`` turns a NaN or negative
-entry into 0.
+knots and sample points, every weight family's mass rule (``_mass``) reads
+a value in [0, inf], so no cumulative behind ``gridfn.region_measures`` is
+NaN, and ``oracle.RayleighEngine.ratios`` rejects a NaN or negative row
+entry.  Outside the domain, ``fmax`` turns a NaN or negative entry into 0.
 
 Each array convention is written once, as a raw kernel (``_amul``,
 ``_adiv``, ``_apow``) that enters no ``np.errstate`` and takes ``out=``;

@@ -17,7 +17,6 @@ draw reproducible random rows of a cone, each (grid, seed) once per process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -99,9 +98,10 @@ def region_values(F: np.ndarray, cone: str, out: Optional[np.ndarray] = None) ->
 
 def _interval_mass(w: Weight, a: float, b: float, la: float, lb: float) -> float:
     """``int_a^b w`` for 0 < a < b < oo, given ``la``/``lb`` = ``w.cum_low``
-    at a and b: the difference of lower cumulatives when ``lb`` is finite
-    (a NaN falls through), else of upper ones, else quadrature.  ``w.cum_up``
-    is called only on that second branch, at b only when it is finite at a."""
+    at a and b: the difference of lower cumulatives when ``lb`` is finite,
+    else of upper ones, else quadrature (w diverges at both 0 and oo).
+    ``w.cum_up`` is called only on that second branch, at b only when it is
+    finite at a."""
     if lb < INF:
         return max(lb - la, 0.0)
     ua = w.cum_up(a)
@@ -117,10 +117,10 @@ _MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, ab
 def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
-    Each interior entry is ``_interval_mass`` over its region, from
+    The end entries are ``cum_low`` at the first knot and ``cum_up`` at the
+    last, and each interior entry is ``_interval_mass`` over its region, from
     one ``cum_low`` per knot and ``cum_up`` only at the knots that need it.
-    An end entry whose cumulative is NaN is integrated by quadrature, as
-    ``_interval_mass`` does for the interior ones.
+    No cumulative reads NaN: every weight family's ``_mass`` is in [0, inf].
 
     The array is read-only and shared: a process-wide memo of the last 64
     (grid, weight) pairs, keyed by value (grids and weights are frozen
@@ -128,12 +128,11 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     alike), serves every repeat."""
     ks = grid.array()
     low = [w.cum_low(k) for k in ks]
-    up = w.cum_up(ks[-1])
     out = np.empty(grid.n + 1)
-    out[0] = _quad_log(w, 0.0, ks[0]) if math.isnan(low[0]) else low[0]
+    out[0] = low[0]
     out[1:-1] = [_interval_mass(w, a, b, la, lb)
                  for a, b, la, lb in zip(ks[:-1], ks[1:], low[:-1], low[1:])]
-    out[-1] = _quad_log(w, ks[-1], INF) if math.isnan(up) else up
+    out[-1] = w.cum_up(ks[-1])
     out.flags.writeable = False
     return out
 

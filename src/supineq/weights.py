@@ -15,10 +15,9 @@ together with the operations the inequality criteria need:
 
   * pointwise evaluation (array-capable),
   * one-sided cumulatives ``int_0^t w`` / ``int_t^oo w`` with +inf as a
-    valid, analytically detected answer (each power family states this
-    calculus once, in ``_mass(a, b)``, which the cumulatives and
-    ``PowerWeight.total`` read), and the cumulative as a weight
-    (``cumulative``),
+    valid, analytically detected answer (each family states this calculus
+    once, in ``_mass(a, b)``, which both cumulatives read), and the
+    cumulative as a weight (``cumulative``),
   * essential sup / inf over intervals (exact for the symbolic forms),
   * running envelopes as weights (``running_sup``),
   * powers, scalings, products (``weight_mul``) and the substitution
@@ -33,6 +32,7 @@ All scalar results follow the extended arithmetic of :mod:`supineq.extreal`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -123,17 +123,10 @@ class Weight:
         """``int_t^oo w``, +inf when the integral diverges at oo."""
         return self._mass(t, INF)
 
-    def _mass(self, a: float, b: float) -> float:
-        """``int_a^b w`` for 0 <= a <= b <= oo, +inf when it diverges: the one
-        mass rule of a symbolic family, which the cumulatives read.  A family
-        without one overrides ``cum_low`` and ``cum_up``."""
+    def _mass(self, a: float, b: float) -> float:  # pragma: no cover - abstract
+        """``int_a^b w`` for 0 <= a <= b <= oo, in [0, inf] and +inf when it
+        diverges: the one mass rule of a family, which the cumulatives read."""
         raise NotImplementedError
-
-    def total(self) -> float:
-        lo = self.cum_low(1.0)
-        if lo == INF:
-            return INF
-        return lo + self.cum_up(1.0)
 
     def _scalar(self, t: float) -> float:
         """``float(self(t))`` for one float t; the integrand of ``_quad_log``,
@@ -341,9 +334,6 @@ class PowerWeight(Weight):
                 return mass
         return _quad_log(self, a, b)
 
-    def total(self) -> float:
-        return self._mass(0.0, INF)
-
     # -- algebra --------------------------------------------------------------------
     def power(self, e: float) -> "PowerWeight":
         if self.c == 0.0:
@@ -491,59 +481,45 @@ class TabulatedWeight(Weight):
         out = np.where(t <= 0.0, 0.0, out)
         return out if out.ndim else float(out)
 
-    def _scalar(self, t: float) -> float:
-        # the ufuncs of __call__, on a float: bit-equal to float(self(t))
-        logt, logy = self._logs
-        out = np.exp(np.interp(np.log(t if t > 0 else self.t[0]), logt, logy))
-        return 0.0 if out < 1e-290 or t <= 0.0 else float(out)
-
     def limit_inf(self) -> float:
         return float(self.y[-1])
 
-    @cached_property
-    def _segment_mass(self) -> np.ndarray:
-        """The mass of each segment between samples, read-only, built on
-        first use.  A steep decaying segment can read NaN (``a ** beta``
-        underflows to 0, so its coefficient is +inf and the difference of
-        powers 0), quietly: ``gridfn.region_measures`` integrates a NaN
-        cumulative by quadrature."""
-        ts, ys = self._arrays()
-        out = np.zeros(len(ts) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(len(ts) - 1):
-                a, b, ya, yb = ts[i], ts[i + 1], ys[i], ys[i + 1]
-                if ya == 0.0 and yb == 0.0:
-                    continue
-                if ya == 0.0 or yb == 0.0:
-                    out[i] = 0.5 * (ya + yb) * (b - a)  # linear fallback through zero
-                    continue
-                beta = math.log(yb / ya) / math.log(b / a)
-                out[i] = _power_int(ya / a ** beta, beta, a, b)
-        out.flags.writeable = False
-        return out
-
-    def cum_low(self, t: float) -> float:
-        ts, _ys = self._arrays()
-        mass = self._segment_mass
-        if t <= ts[0]:
-            return float(self.y[0]) * t
-        head = float(self.y[0]) * ts[0]
-        idx = int(np.searchsorted(ts, t, side="right")) - 1
-        acc = head + float(mass[:idx].sum())
-        if idx < len(ts) - 1 and t > ts[idx]:
-            acc += _quad_log(self, ts[idx], min(t, ts[idx + 1]))
-        elif t > ts[-1]:
-            acc += xmul(float(self.y[-1]), t - ts[-1])
+    def _mass(self, a: float, b: float) -> float:
+        """``int_a^b w``: the constant head on (0, t_0], each segment and the
+        constant tail on (t_last, oo), over their overlaps with [a, b], each
+        in closed form and summed left to right.  The tail reads +inf out to
+        oo where y_last > 0."""
+        if a == b:
+            return 0.0
+        ts, ys = self.t, self.y
+        acc = ys[0] * (min(b, ts[0]) - a) if a < ts[0] else 0.0
+        for i in range(max(bisect.bisect_right(ts, a) - 1, 0), len(ts) - 1):
+            if ts[i] >= b:
+                break
+            acc += self._segment(i, max(a, ts[i]), min(b, ts[i + 1]))
+        if b > ts[-1]:
+            acc += xmul(ys[-1], b - max(a, ts[-1]))
         return acc
 
-    def cum_up(self, t: float) -> float:
-        if self.y[-1] > 0.0:
-            return INF
-        ts, _ys = self._arrays()
-        if t >= ts[-1]:
-            return 0.0
-        total = float(self.y[0]) * ts[0] + float(self._segment_mass.sum())
-        return max(total - self.cum_low(t), 0.0)
+    def _segment(self, i: int, lo: float, hi: float) -> float:
+        """The mass of segment i over [lo, hi] within it.  Between positive
+        samples the interpolant is a power law: w(t) t = y_s t_s (t/t_s)**e,
+        e = beta + 1, taken at the sample t_s where t**e is largest.  Its
+        mass y_s t_s (x/t_s)**e (1 - (lo/hi)**|e|) / |e|, with x the end of
+        [lo, hi] nearer t_s, has both powers in [0, 1]: no NaN and no
+        overflow.  A segment with a zero sample carries the straight line
+        between its samples, integrated as a trapezoid."""
+        ta, tb, ya, yb = self.t[i], self.t[i + 1], self.y[i], self.y[i + 1]
+        if ya == 0.0 or yb == 0.0:  # on the whole segment, 0.5 (ya + yb)(tb - ta)
+            at_lo = ya + (yb - ya) * ((lo - ta) / (tb - ta))
+            at_hi = ya + (yb - ya) * ((hi - ta) / (tb - ta))
+            return 0.5 * (at_lo + at_hi) * (hi - lo)
+        e = (math.log(yb) - math.log(ya)) / (math.log(tb) - math.log(ta)) + 1.0
+        d = math.log1p((hi - lo) / lo)  # log(hi / lo), exact for a short overlap
+        spread = d if e == 0.0 else -math.expm1(-abs(e) * d) / abs(e)
+        if e > 0.0:
+            return xmul(yb * tb, (hi / tb) ** e) * spread
+        return xmul(ya * ta, (lo / ta) ** e) * spread
 
     def sup_on_interval(self, a: float, b: float) -> float:
         ts, ys = self._arrays()
@@ -598,27 +574,27 @@ class FuncWeight(Weight):
             return INF
         return float(probes[2])
 
-    def cum_low(self, t: float) -> float:
-        if t == 0.0:
+    def _mass(self, a: float, b: float) -> float:
+        """``int_a^b w`` by one quadrature, after a probe at each open end of
+        [a, b]: +inf at 0 where w's log-slope from 1e-13 to 1e-15 is at most
+        -1 (w grows like 1/t or faster), and at oo where its log-slope from
+        1e13 to 1e15 is at least -1 or it is 0 at 1e13 but positive at 1e15."""
+        if a == b:
             return 0.0
-        p1, p2 = 1e-13, 1e-15
-        v1, v2 = float(self(p1)), float(self(p2))
-        if v1 > 0.0 and v2 > 0.0:
-            slope = math.log(v2 / v1) / math.log(p2 / p1)
-            if slope <= -1.0 + 1e-9:
+        if a == 0.0:
+            p1, p2 = 1e-13, 1e-15
+            v1, v2 = float(self(p1)), float(self(p2))
+            if v1 > 0.0 and v2 > 0.0 and math.log(v2 / v1) / math.log(p2 / p1) <= -1.0 + 1e-9:
                 return INF
-        return _quad_log(self, 0.0, min(t, INF)) if t < INF else self.total()
-
-    def cum_up(self, t: float) -> float:
-        p1, p2 = 1e13, 1e15
-        v1, v2 = float(self(p1)), float(self(p2))
-        if v1 > 0.0 and v2 > 0.0:
-            slope = math.log(v2 / v1) / math.log(p2 / p1)
-            if slope >= -1.0 - 1e-9:
+        if b == INF:
+            p1, p2 = 1e13, 1e15
+            v1, v2 = float(self(p1)), float(self(p2))
+            if v1 > 0.0 and v2 > 0.0:
+                if math.log(v2 / v1) / math.log(p2 / p1) >= -1.0 - 1e-9:
+                    return INF
+            elif v2 > 0.0 and v1 == 0.0:
                 return INF
-        elif v2 > 0.0 and v1 == 0.0:
-            return INF
-        return _quad_log(self, t, INF)
+        return _quad_log(self, a, b)
 
     def _samples(self, a: float, b: float, n: int = 49) -> np.ndarray:
         lo = max(a, 1e-16)

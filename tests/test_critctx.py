@@ -144,10 +144,11 @@ class TestMemoKeys:
     def test_memo_is_bounded(self):
         ctx = CritCtx()
         memo().cache_clear()
-        weights = [PowerWeight(1.0, 0.01 * k) for k in range(65)]
+        size = criteria._MEMO_SIZE
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(size + 1)]
         for w in weights:
             ctx.vals(w)
-        assert memo().cache_info().currsize <= 64
+        assert memo().cache_info().currsize <= size
         hits = memo().cache_info().hits
         ctx.vals(weights[0])  # least recently used: evicted
         assert memo().cache_info().hits == hits
@@ -206,17 +207,18 @@ class TestIntegralMemo:
                 arr[0] = 1.0
         assert ctx.int_w(PowerWeight(1.0, 0.0, 1.0)) is iset
 
-    def test_vals_and_int_w_share_one_entry_of_64(self):
+    def test_vals_and_int_w_share_one_entry(self):
         ctx = CritCtx()
         memo().cache_clear()
-        weights = [PowerWeight(1.0, 0.01 * k) for k in range(65)]
-        for w in weights[:64]:
+        size = criteria._MEMO_SIZE
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(size + 1)]
+        for w in weights[:size]:
             ctx.int_w(w)
         entry = memo()(weights[1])
         assert ctx.vals(weights[1]) is entry.vals and ctx.int_w(weights[1]) is entry.integral
-        assert memo().cache_info().currsize == 64
+        assert memo().cache_info().currsize == size
         ctx.vals(weights[-1])
-        assert memo().cache_info().currsize == 64
+        assert memo().cache_info().currsize == size
 
     def test_evicted_weight_loses_its_integral(self):
         ctx = CritCtx()
@@ -224,7 +226,7 @@ class TestIntegralMemo:
         w = PowerWeight(1.0, 0.0, 1.0)
         iset = ctx.int_w(w)
         assert ctx.int_w(w) is iset
-        for k in range(64):
+        for k in range(criteria._MEMO_SIZE):
             ctx.vals(PowerWeight(1.0, 0.01 * k))
         again = ctx.int_w(w)
         assert again is not iset

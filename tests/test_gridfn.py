@@ -125,7 +125,7 @@ class TestRegionMeasures:
     def test_total_mass_splits(self):
         w = PowerWeight(1.0, 0.0, 1.0)
         m = region_measures(GRID, w)
-        assert np.sum(m) == pytest.approx(w.total(), rel=1e-8)
+        assert np.sum(m) == pytest.approx(w.cum_up(0.0), rel=1e-8)
 
 
 # -- region masses against the per-region integrate loop they replace ----------
@@ -185,9 +185,9 @@ MASS_WEIGHTS = {
     "t^-2 (upper cumulatives)": PowerWeight(1.0, -2.0),
     "powerexp t^-1.5 (upper quadrature)": PowerWeight(1.0, -1.5, 0.5),
     "B of a table": b_cumulative(TabulatedWeight(t=(1.0, 2.0), y=(1.0, 0.25))),
-    # segment (215, 464): a**beta underflows, its mass is NaN and so is every
-    # cum_low past it; those regions fall through to quadrature
-    "e^-t table, NaN segment": TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T)),
+    # segment (215, 464) falls like t**-323: a**beta underflows, where the
+    # table's mass was NaN before it had a closed form per segment
+    "e^-t table, steep segment": TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T)),
 }
 
 
@@ -201,19 +201,28 @@ class TestRegionMeasuresBitIdentical:
             new, old = region_measures(g, w), old_region_measures(g, w)
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
-    def test_nan_segment_reaches_quadrature(self):
-        # a new table, so its segment masses are built here, and quietly
-        w = TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T))
-        assert w == MASS_WEIGHTS["e^-t table, NaN segment"] and "_segment_mass" not in vars(w)
+    def test_steep_segment_is_closed_form(self, monkeypatch):
+        # the end entries are the table's own cumulatives, with no NaN, no
+        # warning and no quadrature; they agree with quadrature of the same
+        # ranges, taken per segment (one quadrature across the kinks at the
+        # samples is good to about 1e-9 only)
+        w = MASS_WEIGHTS["e^-t table, steep segment"]
+        ends = [0.0, *(t for t in EXP_TABLE_T if t < 1e3), 1e3]
+        want_head = sum(_quad_log(w, a, b) for a, b in zip(ends, ends[1:]))
+        want_tail = _quad_log(w, 300.0, EXP_TABLE_T[20]) + _quad_log(w, EXP_TABLE_T[20], INF)
+        calls = []
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: calls.append(a))
         region_measures.cache_clear()  # another test may have computed these pairs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(w.cum_low(1000.0))
+            assert 0.0 < w.cum_low(1000.0) < INF
             m = region_measures(BENCH_GRIDS["battery"], w)
-            # a NaN cumulative at an end knot takes quadrature too
             head = region_measures(make_log_grid(1e3, 1e5, 8), w)
             tail = region_measures(make_log_grid(1e-5, 300.0, 8), w)
-            assert head[0] == _quad_log(w, 0.0, 1e3) and tail[-1] == _quad_log(w, 300.0, INF)
+        assert not calls
+        assert head[0] == w.cum_low(1e3) and tail[-1] == w.cum_up(300.0)
+        assert head[0] == pytest.approx(want_head, rel=1e-12)
+        assert tail[-1] == pytest.approx(want_tail, rel=2e-13)
         assert not np.any(np.isnan(m))
         assert not np.any(np.isnan(head)) and not np.any(np.isnan(tail))
 

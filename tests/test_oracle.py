@@ -548,32 +548,34 @@ class TestKernelContract:
             assert np.all(engine.ratios(F) <= fine_rs * (1.0 + RTOL)), cid
 
 
-# e^{-t} sampled 3 per decade on [1e-4, 1e4]: the mass of its segment
-# (215, 464) is NaN, so on a grid that ends below it the cumulative behind the
-# tail region's v-mass dV[-1] is NaN
+# e^{-t} sampled 3 per decade on [1e-4, 1e4]: its segment (215, 464) falls
+# like t**-323, where the table's mass was NaN before it had a closed form per
+# segment, so on a grid that ends below it the tail region's v-mass dV[-1]
+# was NaN
 EXP_TABLE_T = tuple(np.logspace(-4.0, 4.0, 25).tolist())
 NAN_TAIL_V = TabulatedWeight(EXP_TABLE_T, tuple(math.exp(-t) for t in EXP_TABLE_T))
 NAN_TAIL_GRID = make_log_grid(1e-5, 300.0, 96)
 
 
 class TestNaNFactors:
-    """Every factor of the quotient lies in [0, inf]: a NaN cumulative at the
-    grid's end is integrated by quadrature, and a NaN or negative row entry
-    is rejected."""
+    """Every factor of the quotient lies in [0, inf]: a steep table's tail
+    cumulative at the grid's end is its closed form, and a NaN or negative
+    row entry is rejected."""
 
     @pytest.mark.parametrize("cone, want", [("non_increasing", 1.024478270500566),
                                             ("non_decreasing", 1.0244826285262907),
                                             ("none", 1.0244826285262907)])
-    def test_nan_tail_cumulative_takes_quadrature(self, cone, want):
+    def test_steep_tail_cumulative_is_closed_form(self, cone, want):
         # the non-increasing cone puts 0 on the tail region, the other cones 1;
         # the tail's v-mass is about 6e-141, so it leaves the quotient as it is
         spec = InequalitySpec(OperatorKind("S", None, ONE), cone, NAN_TAIL_V, EXP,
                               Exponents(2.0, 2.0))
+        end = NAN_TAIL_GRID.knots[-1]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert math.isnan(NAN_TAIL_V.cum_up(NAN_TAIL_GRID.knots[-1]))
+            warnings.simplefilter("error")
             engine = RayleighEngine(spec, NAN_TAIL_GRID)
-            assert engine.dV[-1] == _quad_log(NAN_TAIL_V, NAN_TAIL_GRID.knots[-1], INF)
+        assert engine.dV[-1] == NAN_TAIL_V.cum_up(end)
+        assert engine.dV[-1] == pytest.approx(_quad_log(NAN_TAIL_V, end, INF), rel=2e-13)
         assert not np.isnan(engine.dV).any()
         assert engine.ratio(np.ones(96)) == want
 

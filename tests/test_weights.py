@@ -1,8 +1,11 @@
 """Weight families, cumulatives, transforms, and exponent bookkeeping."""
 
+import bisect
 import functools
 import math
 import warnings
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy import integrate
 from scipy import special as _sp
 
 from supineq.extreal import INF, adiv
-from supineq.gridfn import _interval_mass, make_log_grid
+from supineq.gridfn import _interval_mass, make_log_grid, region_measures
 from supineq.weights import (
     Exponents,
     FuncWeight,
@@ -20,6 +23,8 @@ from supineq.weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
+    _MulClosure,
+    _ScaleClosure,
     conjugate,
     parse_weight,
     _quad_log,
@@ -48,7 +53,7 @@ class TestPowerWeight:
         w = PowerWeight(1.0, 0.0, 1.0)
         assert w.cum_low(1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
         assert w.cum_up(1.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
-        assert w.total() == pytest.approx(1.0, rel=1e-10)
+        assert w.cum_up(0.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_gamma_cumulative_matches_quadrature(self):
         w = PowerWeight(1.0, 2.0, 0.5)
@@ -76,7 +81,7 @@ class TestPowerWeight:
     def test_cumulative_splits(self, c, alpha):
         w = PowerWeight(c, alpha, 1.0, 1.0)
         lo, hi = w.cum_low(1.0), w.cum_up(1.0)
-        assert w.total() == pytest.approx(lo + hi, rel=1e-8)
+        assert w.cum_up(0.0) == pytest.approx(lo + hi, rel=1e-8)
 
     @given(coef_st, alpha_st, st.floats(min_value=-1.5, max_value=1.5))
     @settings(max_examples=50, deadline=None)
@@ -106,7 +111,7 @@ class TestPiecewiseAndTabulated:
         assert w(5.0) == 0.0
         # mass: 1 on (0,1], int_1^2 2t dt = 3, zero tail
         assert w.cum_low(2.0) == pytest.approx(4.0, rel=1e-12)
-        assert w.total() == pytest.approx(4.0, rel=1e-12)
+        assert w.cum_up(0.0) == pytest.approx(4.0, rel=1e-12)
         assert w.cum_up(1.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_tabulated_loglinear_interp(self):
@@ -127,7 +132,7 @@ class TestPiecewiseAndTabulated:
             assert w.cum_up(t[-1]) == INF and w.cum_low(INF) == INF
         else:  # a zero extension carries no mass, also out to oo (not 0 * oo)
             assert w.cum_up(t[-1]) == 0.0 and w.cum_low(INF) == w.cum_low(t[-1])
-            assert w.cum_low(INF) == pytest.approx(w.total(), rel=1e-12)
+            assert w.cum_low(INF) == pytest.approx(w.cum_up(0.0), rel=1e-12)
 
 
 # -- one mass rule per power family ----------------------------------------------
@@ -256,12 +261,13 @@ def _outcome(f, *args):
 
 def mass_mismatches(weights_and_points):
     """The (weight, method, t, old outcome, new outcome) whose ``cum_low``,
-    ``cum_up`` or ``total`` differs from the old rules, bit for bit;
+    ``cum_up`` or total differs from the old rules, bit for bit; the total
+    is now ``cum_up(0.0)``, as the old ``total()`` is gone, and
     ``cum_up(oo)`` of a piecewise weight, an intended change, is left out."""
     bad = []
     for w, ts in weights_and_points:
         old_low, old_up, old_total = OLD_RULES[type(w)]
-        calls = [("total", None, w.total, (old_total, w))]
+        calls = [("total", None, functools.partial(w.cum_up, 0.0), (old_total, w))]
         for t in ts:
             calls.append(("cum_low", t, functools.partial(w.cum_low, t), (old_low, w, t)))
             if not (t == INF and isinstance(w, PiecewisePowerWeight)):
@@ -297,8 +303,9 @@ def random_piecewise(rng, n):
 
 
 class TestMassRule:
-    """``cum_low``, ``cum_up`` and ``total`` of both power families read one
-    ``_mass`` each and give the old per-method rules' floats, bit for bit."""
+    """``cum_low``, ``cum_up`` and the total of both power families read one
+    ``_mass`` each and give the old per-method rules' floats, bit for bit,
+    but for a piecewise total."""
 
     @pytest.fixture(autouse=True)
     def _one_quadrature_per_integral(self, monkeypatch):
@@ -322,7 +329,13 @@ class TestMassRule:
 
     def test_random_piecewise_weights_at_their_knots(self):
         cases = random_piecewise(np.random.default_rng(20), 200)
-        assert mass_mismatches(cases) == []
+        # the old total split at 1 into cum_low(1) + cum_up(1); cum_up(0)
+        # sums the segments from 0, left to right, which moves some totals
+        # by an ulp
+        moved = mass_mismatches(cases)
+        assert {method for _, method, _, _, _ in moved} <= {"total"}
+        assert all(isinstance(old, int) and abs(old - new) <= 1 for *_, old, new in moved)
+        assert all(w.cum_up(0.0) == w.cum_low(INF) for w, _ in cases)
         # the one intended change: the mass beyond oo is 0, as for a PowerWeight
         assert all(w.cum_up(INF) == 0.0 for w, _ in cases)
         assert any(_old_piecewise_cum_up(w, INF) == INF for w, _ in cases)
@@ -341,7 +354,7 @@ class TestMassRange:
     def test_powers_past_the_float_range_read_inf(self):
         assert PowerWeight(1.0, 3.0).cum_low(1e200) == INF
         assert PowerWeight(1.0, -3.0).cum_up(1e-200) == INF
-        assert PowerWeight(1.0, 2.0, 1e-200).total() == INF  # lam ** -3
+        assert PowerWeight(1.0, 2.0, 1e-200).cum_up(0.0) == INF  # lam ** -3
         # both ends' powers past the range
         assert PowerWeight(1.0, 3.0)._mass(1e200, 1e250) == INF
         # lam ** -3 past the range times gammainc(3, 1e-200), which is 0:
@@ -355,10 +368,190 @@ class TestMassRange:
         for t in (1e-300, 1e-12, 1.0, 1000.0, 1e300):
             assert w.cum_low(t) == INF
             assert w.cum_up(t) == INF
-        assert w.total() == INF
+        assert w.cum_up(0.0) == INF
         assert w._mass(1.0, 2.0) == INF
         # and 0 on an empty one
         assert w.cum_low(0.0) == w.cum_up(INF) == w._mass(3.0, 3.0) == 0.0
+
+
+# -- one mass rule for every family ---------------------------------------------
+
+EXP_TABLE_T = tuple(np.logspace(-4.0, 4.0, 25).tolist())  # 3 samples per decade
+EXP_TABLE = TabulatedWeight(EXP_TABLE_T, tuple(math.exp(-t) for t in EXP_TABLE_T))
+# samples past the battery grid's [1e-5, 1e5] at both ends, zeros among them
+WIDE_TABLE = TabulatedWeight(tuple(np.geomspace(1e-8, 1e8, 9).tolist()),
+                             (2.0, 0.0, 1.0, 3.0, 0.5, 0.0, 0.0, 1e-3, 0.0))
+# callables, whose masses are quadratures: 2 t^0.5 times e^{-t}, and weights
+# whose mass diverges at oo, at 0, or nowhere.  (Their masses agree to the
+# quadrature's tolerance because they are smooth: across the kinks of a
+# table one quadrature can be off by a relative 3e-6.)
+FUNC_WEIGHTS = [FuncWeight(_MulClosure(PowerWeight(2.0, 0.5), PowerWeight(1.0, 0.0, 1.0))),
+                FuncWeight(_ScaleClosure(PowerWeight(1.0, 0.5, 0.0, 1.0), 2.0)),
+                FuncWeight(_ScaleClosure(PowerWeight(1.0, -1.5, 2.0), 2.0)),
+                FuncWeight(_ScaleClosure(PowerWeight(1.0, -0.5, 1.0), 3.0))]
+
+sample_st = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+# the ends of the masses the program reads: 0, oo and knots on the span of the
+# CLI's default grid.  Farther out, one quadrature over a half-line can miss
+# a peaked weight's mass altogether: PowerWeight(1, 0, 2, 0.1).cum_low(1e9)
+# reads 0 where cum_up(0) reads 0.32.
+point_st = st.one_of(st.just(0.0), st.just(INF), st.floats(min_value=1e-6, max_value=1e6))
+
+
+@st.composite
+def tables(draw):
+    ys = draw(st.lists(sample_st, min_size=2, max_size=8))
+    lo = draw(st.integers(-6, 2))
+    ts = np.geomspace(10.0 ** lo, 10.0 ** (lo + draw(st.integers(1, 6))), len(ys))
+    return TabulatedWeight(tuple(ts.tolist()), tuple(ys))
+
+
+@st.composite
+def piecewise_weights(draw):
+    knots = sorted(set(draw(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1,
+                                     max_size=3))))
+    segs = tuple(PowerWeight(draw(coef_st), draw(alpha_st)) for _ in range(len(knots) + 1))
+    return PiecewisePowerWeight(tuple(knots), segs)
+
+
+power_weights = st.builds(PowerWeight, coef_st, alpha_st, st.sampled_from([0.0, 0.5, 2.0]),
+                          st.sampled_from([0.0, 0.1]))
+all_weights = st.one_of(power_weights, piecewise_weights(), tables(),
+                        st.sampled_from([EXP_TABLE, WIDE_TABLE]), st.sampled_from(FUNC_WEIGHTS))
+
+
+def close(x, y, rel):
+    """Equal to a relative ``rel``, or to the quadrature's absolute 1e-300."""
+    return x == y or abs(x - y) <= rel * max(abs(x), abs(y)) + 1e-300
+
+
+def table_pieces(w, a, b):
+    """[a, b] cut at the samples, each piece with the interpolant as a power
+    law (two positive samples) or a constant (head or tail); pieces shorter
+    than a relative 1e-4 are left out, where the quadrature's ends, taken on
+    the log axis, lose digits."""
+    cuts = [a, *(t for t in w.t if a < t < b), b]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        i = bisect.bisect_right(w.t, lo) - 1
+        if hi <= lo * (1.0 + 1e-4) or hi == INF and w.y[-1] > 0.0:
+            continue
+        if 0 <= i < len(w.t) - 1 and (w.y[i] == 0.0 or w.y[i + 1] == 0.0):
+            continue  # a zero sample: a straight line, not the interpolant
+        out.append((lo, hi))
+    return out
+
+
+class TestOneMassRule:
+    """Every family's mass is one ``_mass(a, b)``, read by both cumulatives:
+    it adds up over adjacent ranges, with no warning, and a table's takes
+    no quadrature and equals its interpolant's."""
+
+    @given(all_weights, st.lists(point_st, min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_masses_add_up(self, w, points):
+        a, b, c = sorted(points)
+        with warnings.catch_warnings(), mock.patch.object(integrate, "quad",
+                                                          side_effect=integrate.quad) as quad:
+            warnings.simplefilter("error")
+            ab, bc, ac = w._mass(a, b), w._mass(b, c), w._mass(a, c)
+            low, up, total = w.cum_low(b), w.cum_up(b), w.cum_up(0.0)
+        if isinstance(w, TabulatedWeight):
+            assert quad.call_count == 0
+        # closed forms agree to rounding, quadratures to their tolerance
+        rel = 1e-12 if quad.call_count == 0 else 1e-9
+        for m in (ab, bc, ac, low, up, total):
+            assert 0.0 <= m <= INF
+        assert close(ab + bc, ac, rel), (ab, bc, ac)
+        assert close(low + up, total, rel), (low, up, total)
+        assert w.cum_low(0.0) == w.cum_up(INF) == 0.0
+
+    @given(st.one_of(tables(), st.sampled_from([EXP_TABLE, WIDE_TABLE])),
+           st.lists(point_st, min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_table_pieces_are_the_interpolant(self, w, points):
+        a, b = sorted(points)
+        for lo, hi in table_pieces(w, a, b):
+            assert close(w._mass(lo, hi), _quad_log(w, lo, hi), 1e-10), (lo, hi)
+
+    def test_steep_segment(self):
+        # e^{-t} from 215 to 464 falls like t**-323; its mass is about 1.8e-94
+        a, b = EXP_TABLE_T[19], EXP_TABLE_T[20]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = EXP_TABLE._mass(a, b)
+        assert mass == pytest.approx(_quad_log(EXP_TABLE, a, b), rel=2e-13)
+        assert EXP_TABLE.cum_up(a) == mass  # the mass beyond is below its last bit
+
+    def test_zero_sample_segment_is_a_straight_line(self):
+        w = TabulatedWeight((1.0, 3.0), (2.0, 0.0))  # the line 3 - t
+        assert w._mass(1.0, 3.0) == 0.5 * 2.0 * 2.0
+        assert w._mass(2.0, 3.0) == pytest.approx(0.5, rel=1e-15)
+        assert w._mass(1.0, 2.0) + w._mass(2.0, 3.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_wide_table_on_the_battery_grid(self):
+        # samples past both ends of the grid: the end regions hold the head
+        # and the tail beyond the knots, and the masses add up to the total
+        grid = BENCH_GRIDS[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = region_measures(grid, WIDE_TABLE)
+        assert m[0] == WIDE_TABLE.cum_low(grid.knots[0]) and m[-1] == WIDE_TABLE.cum_up(grid.knots[-1])
+        assert np.sum(m) == pytest.approx(WIDE_TABLE.cum_up(0.0), rel=1e-12)
+
+
+def _old_func_cum_low(w, t):
+    if t == 0.0:
+        return 0.0
+    p1, p2 = 1e-13, 1e-15
+    v1, v2 = float(w(p1)), float(w(p2))
+    if v1 > 0.0 and v2 > 0.0:
+        slope = math.log(v2 / v1) / math.log(p2 / p1)
+        if slope <= -1.0 + 1e-9:
+            return INF
+    return _quad_log(w, 0.0, t)
+
+
+def _old_func_cum_up(w, t):
+    p1, p2 = 1e13, 1e15
+    v1, v2 = float(w(p1)), float(w(p2))
+    if v1 > 0.0 and v2 > 0.0:
+        slope = math.log(v2 / v1) / math.log(p2 / p1)
+        if slope >= -1.0 - 1e-9:
+            return INF
+    elif v2 > 0.0 and v1 == 0.0:
+        return INF
+    return _quad_log(w, t, INF)
+
+
+class TestFuncWeightMass:
+    """``FuncWeight._mass`` gives the old ``cum_low``/``cum_up`` floats, bit
+    for bit, at every finite positive end (the old ``cum_low(oo)`` summed two
+    quadratures, and the old ``cum_up(0)`` did not probe 0)."""
+
+    @pytest.mark.parametrize("k", range(len(FUNC_WEIGHTS)))
+    def test_bit_equal_to_the_old_cumulatives(self, k):
+        w = FUNC_WEIGHTS[k]
+        for t in (1e-12, 1e-5, 0.3, 1.0, 7.0, 215.0, 1e4, 1e12):
+            assert bits(w.cum_low(t)) == bits(_old_func_cum_low(w, t)), t
+            assert bits(w.cum_up(t)) == bits(_old_func_cum_up(w, t)), t
+        assert w.cum_low(0.0) == 0.0
+
+    def test_probes_decide_divergence(self):
+        at_inf, at_0, neither = FUNC_WEIGHTS[1:]
+        assert at_inf.cum_up(1.0) == INF and at_inf.cum_low(INF) == INF
+        assert at_0.cum_low(1.0) == INF and at_0.cum_up(0.0) == INF
+        assert 0.0 < neither.cum_up(0.0) < INF and 0.0 < neither.cum_low(INF) < INF
+        # 1 beyond 1e14 and below 1e-14, else 0: zero at the first probe and
+        # positive at the second reads +inf at oo, and not at 0
+        step = FuncWeight(_EndsClosure())
+        assert step.cum_up(1.0) == INF and step.cum_low(1.0) == pytest.approx(1e-14)
+
+
+@dataclass(frozen=True)
+class _EndsClosure:
+    def __call__(self, t):
+        return np.where((t > 1e14) | (t < 1e-14), 1.0, 0.0)
 
 
 # -- the scalar integrand of the quadrature ------------------------------------
@@ -402,30 +595,21 @@ class TestScalarIntegrand:
         w(1.5)
         assert "_logs" in vars(w)
 
-    def test_table_segment_masses_are_built_once(self, monkeypatch):
-        # a**beta underflows on a table of e^{-t}: the NaN segment is built
-        # quietly, and once per table
+    def test_table_masses_keep_nothing_and_take_no_quadrature(self, monkeypatch):
+        # a**beta underflows on a table of e^{-t}: its masses are closed
+        # forms, read quietly from the samples, with nothing kept on the table
         import supineq.weights as weights
 
         calls = []
-        power_int = weights._power_int
-        monkeypatch.setattr(weights, "_power_int", lambda *a: calls.append(a) or power_int(*a))
+        monkeypatch.setattr(weights, "_quad_log", lambda *a: calls.append(a))
         ts = tuple(np.logspace(-4.0, 4.0, 25).tolist())
         w = TabulatedWeight(t=ts, y=tuple(math.exp(-t) for t in ts))
-        assert "_segment_mass" not in vars(w)
+        kept = dict(vars(w))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w.cum_low(5e3)
-        mass = vars(w)["_segment_mass"]
-        built = len(calls)
-        assert built and np.isnan(mass).any()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w.cum_low(5e3)
-            w.cum_up(0.5)
-        assert len(calls) == built and w._segment_mass is mass
-        with pytest.raises(ValueError):
-            mass[0] = 0.0
+            masses = [w.cum_low(5e3), w.cum_up(0.5), w._mass(ts[19], ts[20])]
+        assert not calls and vars(w) == kept
+        assert all(0.0 < m < INF for m in masses)
 
     @given(st.floats(min_value=0.0, max_value=1e3), alpha_st,
            st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.0, max_value=1e4),
