@@ -20,8 +20,11 @@ terms as float hex and flags, or the failed predicate).  That cold pass runs
 under ``tracemalloc``, whose peak (the memos it fills and the pass's
 transient arrays) is reported per side, so a memo's memory is read beside
 its time; ``scipy.integrate`` is imported first, so neither peak holds an
-import.  Then the rounds alternate which side goes first.  A pass is timed
-in CPU time of this process.
+import.  Under ``criteria-sweep`` each side's criteria memos on the
+default ``CritCtx`` grid are read after its cold pass: the ``cache_info()``
+of the weights' memo and, where the checkout has one, of the derived
+arrays' memo.  Then the rounds alternate which side goes first.  A pass is
+timed in CPU time of this process.
 
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
 too: the kernel of its first scenario, on one sampled row of its cone (the
@@ -29,9 +32,9 @@ indicator scan and the random stage score one row a call) at that
 scenario's grid and seed, for ``CALLS`` calls of ``apply`` per side and
 round, again alternating.
 
-The report is JSON on stdout: each side's cold-pass peak in MB, each
-side's minimum and median, and the minimum, quartiles and median of the
-paired ratio change / parent.  It states no verdict; a gain is claimed from
+The report is JSON on stdout: each side's cold-pass peak in MB (and under
+``criteria-sweep`` its memos), each side's minimum and median, and the
+minimum, quartiles and median of the paired ratio change / parent.  It states no verdict; a gain is claimed from
 ``scripts/bench_pairs.py`` pairs.
 """
 
@@ -149,14 +152,26 @@ def cold_pass(one, pkg, scenarios) -> tuple:
     return digest, peak / 2**20
 
 
+def memo_info(pkg) -> dict:
+    """``cache_info()`` of the criteria memos on the default ``CritCtx``
+    grid: ``weights``, and ``derived`` where the checkout has that memo."""
+    grid = pkg.criteria.CritCtx()._grid
+    out = {"weights": grid.memo.cache_info()._asdict()}
+    if hasattr(grid, "derived"):
+        out["derived"] = grid.derived.cache_info()._asdict()
+    return out
+
+
 def passes(pkgs: dict, scenarios: dict, rounds: int, one=one_pass) -> dict:
     cold = {side: cold_pass(one, pkgs[side], scenarios[side]) for side in SIDES}
     digests = {side: cold[side][0] for side in SIDES}
+    out = {"digest_equal": digests["parent"] == digests["change"], "digests": digests,
+           "cold_peak_mb": {side: round(cold[side][1], 3) for side in SIDES}}
+    if one is criteria_pass:
+        out["criteria_memos"] = {side: memo_info(pkgs[side]) for side in SIDES}
     times = interleaved(rounds, {side: (lambda s=side: one(pkgs[s], scenarios[s])[0])
                                  for side in SIDES})
-    return {"digest_equal": digests["parent"] == digests["change"], "digests": digests,
-            "cold_peak_mb": {side: round(cold[side][1], 3) for side in SIDES},
-            **summary(times)}
+    return {**out, **summary(times)}
 
 
 def apply_timer(pkg, sc):

@@ -88,19 +88,35 @@ def _quad_log(w: "Weight", a: float, b: float) -> float:
     return max(val, 0.0)
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INF
+
+
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
-    """Exact ``int_a^b c t**alpha dt`` for 0 <= a <= b <= oo where it converges
-    (alpha = -1 ok inside (0, oo)).  A power past the float range reads +inf,
-    as in ``xpow``, and so does the mass, also where both ends' powers do.
-    ``abs`` only turns the -0.0 of an underflowed difference over a negative
-    exponent into 0.0."""
+    """Exact ``int_a^b c t**alpha dt`` for 0 <= c < oo and 0 <= a <= b <= oo
+    where it converges (alpha = -1 ok inside (0, oo)).  Where the direct form
+    reads +inf or NaN (a power or the quotient b/a past the float range), the
+    same integral is taken in logs, which reads +inf only for a mass past the
+    float range: c x^e (1 - (y/x)^e) / |e|, with x the end of the larger
+    power.  ``abs`` only turns the -0.0 of an underflowed difference over a
+    negative exponent into 0.0."""
     if c == 0.0 or a == b:
         return 0.0
     if alpha == -1.0:
-        return c * math.log(b / a)
+        mass = c * math.log(b / a)
+        return mass if mass < INF else c * (math.log(b) - math.log(a))
     e = alpha + 1.0
     diff = xpow(b, e) - xpow(a, e)
-    return INF if math.isnan(diff) else abs(c * diff / e)
+    mass = INF if math.isnan(diff) else abs(c * diff / e)
+    if mass < INF:
+        return mass
+    x, y = (b, a) if e > 0.0 else (a, b)
+    gap = 1.0 if y == 0.0 else -math.expm1(e * (math.log(y) - math.log(x)))
+    return _exp(math.log(c) + e * math.log(x) + math.log(gap) - math.log(abs(e)))
 
 
 class Weight:
@@ -312,8 +328,9 @@ class PowerWeight(Weight):
         end that diverges (at 0 when mu = 0 and alpha <= -1, at oo when lam = 0
         and alpha >= -1); exact for a plain power; the incomplete gamma
         function for a power-exponential with alpha > -1 on (0, b], [a, oo)
-        or (0, oo), unless it reads NaN (a factor past the float range, read
-        +inf as in ``xpow``, times one that underflows to 0); else quadrature."""
+        or (0, oo), taken in logs where a factor past the float range makes
+        the product +inf or NaN, unless the incomplete gamma factor itself
+        underflows to 0; else quadrature."""
         c, alpha, lam, mu = self.c, self.alpha, self.lam, self.mu
         if c == 0.0 or a == b:
             return 0.0
@@ -326,12 +343,16 @@ class PowerWeight(Weight):
         if mu == 0.0 and a1 > 0.0 and (a == 0.0 or b == INF):
             # Python floats: inf * 0 is NaN without numpy's warning
             mass = c * xpow(lam, -a1) * float(_sp.gamma(a1))
+            part = 1.0  # the regularized incomplete gamma factor
             if b < INF:
-                mass = mass * float(_sp.gammainc(a1, lam * b))
+                part = float(_sp.gammainc(a1, lam * b))
             elif a > 0.0:
-                mass = mass * float(_sp.gammaincc(a1, lam * a))
-            if not math.isnan(mass):
+                part = float(_sp.gammaincc(a1, lam * a))
+            mass = mass * part
+            if mass < INF:
                 return mass
+            if part > 0.0:
+                return _exp(math.log(c) - a1 * math.log(lam) + float(_sp.gammaln(a1)) + math.log(part))
         return _quad_log(self, a, b)
 
     # -- algebra --------------------------------------------------------------------
@@ -576,19 +597,24 @@ class FuncWeight(Weight):
 
     def _mass(self, a: float, b: float) -> float:
         """``int_a^b w`` by one quadrature, after a probe at each open end of
-        [a, b]: +inf at 0 where w's log-slope from 1e-13 to 1e-15 is at most
-        -1 (w grows like 1/t or faster), and at oo where its log-slope from
-        1e13 to 1e15 is at least -1 or it is 0 at 1e13 but positive at 1e15."""
+        [a, b]: +inf where w reads +inf at either probe; else +inf at 0 where
+        w's log-slope from 1e-13 to 1e-15 is at most -1 (w grows like 1/t or
+        faster), and at oo where its log-slope from 1e13 to 1e15 is at least
+        -1 or it is 0 at 1e13 but positive at 1e15."""
         if a == b:
             return 0.0
         if a == 0.0:
             p1, p2 = 1e-13, 1e-15
             v1, v2 = float(self(p1)), float(self(p2))
+            if INF in (v1, v2):
+                return INF
             if v1 > 0.0 and v2 > 0.0 and math.log(v2 / v1) / math.log(p2 / p1) <= -1.0 + 1e-9:
                 return INF
         if b == INF:
             p1, p2 = 1e13, 1e15
             v1, v2 = float(self(p1)), float(self(p2))
+            if INF in (v1, v2):
+                return INF
             if v1 > 0.0 and v2 > 0.0:
                 if math.log(v2 / v1) / math.log(p2 / p1) >= -1.0 - 1e-9:
                     return INF

@@ -8,6 +8,8 @@ import json
 import os
 import sys
 import tracemalloc
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ class TestSameTreeTwice:
         passes = doc["passes"]
         assert passes["digest_equal"] and passes["digests"]["parent"] == passes["digests"]["change"]
         assert_spread(passes)
+        assert "criteria_memos" not in passes  # read under criteria-sweep only
         assert sorted(doc["apply_us"]) == ["sstardown", "tub"] and doc["apply_calls_per_timing"] == 5
         for s in doc["apply_us"].values():
             assert_spread(s)
@@ -85,6 +88,21 @@ class TestSameTreeTwice:
         passes = doc["passes"]
         assert passes["digest_equal"] and "apply_us" not in doc
         assert_spread(passes)
+        # each side's memos after its cold pass, which filled them: the
+        # sstardown spec reads weights, the tub spec derived arrays too
+        for side in AB.SIDES:
+            memos = passes["criteria_memos"][side]
+            assert sorted(memos) == ["derived", "weights"]
+            for info in memos.values():
+                assert info["misses"] == info["currsize"] > 0
+
+    def test_memo_info_without_a_derived_memo(self):
+        # a checkout from before the derived memo reports its weights alone
+        memo = lru_cache(maxsize=4)(abs)
+        memo(-1.0), memo(-1.0)
+        pkg = SimpleNamespace(criteria=SimpleNamespace(
+            CritCtx=lambda: SimpleNamespace(_grid=SimpleNamespace(memo=memo))))
+        assert AB.memo_info(pkg) == {"weights": {"hits": 1, "misses": 1, "maxsize": 4, "currsize": 1}}
 
     def test_criteria_sweep_workload_runs_the_criteria_alone(self, monkeypatch, capsys):
         seen = []

@@ -1,11 +1,14 @@
-"""The criterion context: one shared grid, its one memo of weights (the
-values of each and, once read, the integral of the weight alone), and
-``int_set`` against the eager form it replaced."""
+"""The criterion context: one shared grid, its memo of weights (the values
+of each and, once read, the integral of the weight alone), its memo of the
+criteria's w-independent arrays, and ``int_set`` against the eager form it
+replaced."""
 
 import json
 import os
+import random
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -47,6 +50,10 @@ def memo(grid=(1e-12, 1e12, 200)):
     return criteria._grid(*grid).memo
 
 
+def derived(grid=(1e-12, 1e12, 200)):
+    return criteria._grid(*grid).derived
+
+
 def bits(a):
     a = np.asarray(a, dtype=float)
     return a.shape, a.tobytes()
@@ -78,7 +85,11 @@ def algebra(lit):
     """Every weight the criteria build from one literal; a fresh construction
     on each call."""
     w = parse_weight(lit)
-    v = PowerWeight(1.0, 0.0, 1.0)  # v^{1-p'} is not a plain power: the FuncWeight transforms
+    # v^{1-p'} is not a plain power: the FuncWeight transforms.  On the "up"
+    # side, v = t^2 e^{-1/t}, whose v^{1-p'} = t^{-2} e^{1/t} has a finite
+    # mass on [x, oo); e^{-t}'s, e^t, has none
+    v = PowerWeight(1.0, 0.0, 1.0)
+    v_up = PowerWeight(1.0, 2.0, 0.0, 1.0)
     B = b_cumulative(w)
     u_hat, b_hat = power_substitution(w, PowerWeight(2.0, 1.0), 0.5)
     return {
@@ -91,8 +102,8 @@ def algebra(lit):
         "running_sup up": running_sup(w, "up"),
         "phi": phi_weights(v, 2.0, "low")[0],
         "Phi": phi_weights(v, 2.0, "low")[1],
-        "psi": phi_weights(v, 2.0, "up")[0],
-        "Psi": phi_weights(v, 2.0, "up")[1],
+        "psi": phi_weights(v_up, 2.0, "up")[0],
+        "Psi": phi_weights(v_up, 2.0, "up")[1],
         "b_cumulative": B,
         "power_substitution u": u_hat,
         "power_substitution b": b_hat,
@@ -450,19 +461,100 @@ def outcome(spec, verbatim):
             float(r.total).hex(), r.finite, list(r.hypothesis_report.items()), list(r.flags)]
 
 
-def test_cold_and_warm_memo_agree(tmp_path):
-    specs = _specs(tmp_path)
-    assert len(specs) > 200
-    cold = []
+@pytest.fixture(scope="module")
+def specs(tmp_path_factory):
+    return _specs(tmp_path_factory.mktemp("specs"))
+
+
+@pytest.fixture(scope="module")
+def cold(specs):
+    """Each spec's outcome on empty memos: weights and derived arrays."""
+    out = []
     for _, spec, verbatim in specs:
         memo().cache_clear()
-        cold.append(outcome(spec, verbatim))
+        derived().cache_clear()
+        out.append(outcome(spec, verbatim))
+    return out
+
+
+def outcomes_in(specs, order):
+    """The outcomes of ``specs``, evaluated in ``order``, listed in spec order."""
+    out = [None] * len(specs)
+    for i in order:
+        _, spec, verbatim = specs[i]
+        out[i] = outcome(spec, verbatim)
+    return out
+
+
+def test_cold_and_warm_memo_agree(specs, cold):
+    assert len(specs) > 200
     memo().cache_clear()
-    warm = [outcome(spec, verbatim) for _, spec, verbatim in specs]
-    warm_reversed = [outcome(spec, verbatim) for _, spec, verbatim in reversed(specs)][::-1]
-    assert cold == warm
-    assert cold == warm_reversed
+    derived().cache_clear()
+    n = len(specs)
+    assert outcomes_in(specs, range(n)) == cold
+    assert outcomes_in(specs, reversed(range(n))) == cold
+    shuffled = list(range(n))
+    random.Random(31).shuffle(shuffled)
+    assert outcomes_in(specs, shuffled) == cold
     assert sum(o[0] not in ("inapplicable", "error") for o in cold) > 100
+
+
+def test_one_entry_derived_memo_agrees(specs, cold, monkeypatch):
+    # each derived lookup evicts the key before it: what a key's arrays hold
+    # must not depend on which other keys are kept
+    grid = criteria._grid(1e-12, 1e12, 200)
+    monkeypatch.setattr(grid, "derived", lru_cache(maxsize=1)(grid._derive))
+    assert outcomes_in(specs, range(len(specs))) == cold
+    info = grid.derived.cache_info()
+    assert info.currsize == 1 and info.misses > 100
+
+
+class TestDerivedMemo:
+    """``CritCtx.derived``: one read-only result per key, at most
+    ``_DERIVED_SIZE`` keys, least recently used out first."""
+
+    U, B, V = PowerWeight(1.0, 1.0, 1.0), PowerWeight(1.0, 0.5), PowerWeight(2.0, -0.5)
+    KEYS = [(criteria._t51_rho, U, B), (criteria._t51_eta, U, V), (criteria._t51_g1, B, V, 2.0),
+            (criteria._t51_g1, B, V, 1.0), (criteria._t51_g2, V, 3.0),
+            (criteria._t41_phi, V, "low", 2.0), (criteria._t41_phi, V, "up", 3.0)]
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda k: f"{k[0].__name__}{k[1:]}")
+    def test_read_only_shared_and_bit_equal_to_a_fresh_build(self, key):
+        fn, *args = key
+        derived().cache_clear()
+        with np.errstate(all="ignore"):
+            got = CritCtx().derived(fn, *args)
+            fresh = fn(CritCtx(), *args)
+        assert CritCtx().derived(fn, *args) is got
+        for a, ref in zip(got if isinstance(got, tuple) else (got,),
+                          fresh if isinstance(fresh, tuple) else (fresh,)):
+            assert bits(a) == bits(ref)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_bounded_least_recently_used_out_first(self):
+        ctx = CritCtx()
+        derived().cache_clear()
+        size = criteria._DERIVED_SIZE
+        weights = [PowerWeight(1.0, -0.01 * k) for k in range(size + 1)]
+        with np.errstate(all="ignore"):
+            first = ctx.derived(criteria._t51_g2, weights[0], 2.0)
+            for w in weights[1:]:
+                ctx.derived(criteria._t51_g2, w, 2.0)
+            assert derived().cache_info().currsize == size
+            again = ctx.derived(criteria._t51_g2, weights[0], 2.0)
+            assert again is not first and bits(again) == bits(first)
+            hits = derived().cache_info().hits
+            ctx.derived(criteria._t51_g2, weights[-1], 2.0)
+        assert derived().cache_info().hits == hits + 1
+        assert derived().cache_info().currsize == size
+
+    def test_a_criteria_pass_stays_within_the_bound(self, specs):
+        derived().cache_clear()
+        for _, spec, verbatim in specs:
+            outcome(spec, verbatim)
+        info = derived().cache_info()
+        assert 0 < info.currsize <= criteria._DERIVED_SIZE and info.hits > info.misses
 
 
 # -- evaluate_criterion against the recorded outcomes ------------------------

@@ -443,6 +443,21 @@ class TestMeasureEntry:
             with pytest.raises(ValueError):
                 wt[0] = 1.0
 
+    def test_int_w_alone_keeps_no_wt(self):
+        # the integral of a weight that ``int_set`` has not read integrates
+        # w·t without keeping it, to the same bits as the kept one
+        ctx = CritCtx()
+        memo = ctx._grid.memo
+        memo.cache_clear()
+        with np.errstate(all="ignore"):
+            alone = ctx.int_w(W)
+            assert "wt" not in vars(memo(W))
+            memo.cache_clear()
+            ctx.int_set(ctx.vals(U), W)
+            kept = ctx.int_w(W)
+        assert "wt" in vars(memo(W))
+        assert_int_set_is(alone, kept)
+
     def test_total_on_demand_and_after_settled(self):
         ctx = CritCtx()
         with np.errstate(all="ignore"):

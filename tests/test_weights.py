@@ -361,6 +361,19 @@ class TestMassRange:
         # quadrature reads the mass, about 1/3
         assert PowerWeight(1.0, 2.0, 1e-200).cum_low(1.0) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
+    def test_finite_masses_past_an_intermediate_range(self):
+        # a power, the quotient b/a or lam ** -(alpha + 1) past the float
+        # range, and a finite mass: the closed form is taken in logs
+        assert PowerWeight(1e-300, 3.0).cum_low(1e100) == pytest.approx(2.5e99, rel=1e-12)
+        assert PowerWeight(1.0, 2.0, 1e-200).cum_low(1e100) == pytest.approx(1e300 / 3.0, rel=1e-12)
+        assert PowerWeight(1e-300, -3.0).cum_up(1e-200) == pytest.approx(5e99, rel=1e-12)
+        assert PowerWeight(1e-300, 3.0)._mass(1e100, 2e100) == pytest.approx(3.75e100, rel=1e-12)
+        assert PowerWeight(1e-300, -1.0)._mass(1e-200, 1e200) == pytest.approx(
+            400.0 * math.log(10.0) * 1e-300, rel=1e-12)
+        # and +inf where the mass itself is past the range
+        assert PowerWeight(1.0, 2.0, 1e-200).cum_up(1e100) == INF
+        assert PowerWeight(1e307, -1.0)._mass(1e-200, 1e200) == INF
+
     @pytest.mark.parametrize("w", [PowerWeight(INF, 1.0, 1.0), PowerWeight(INF, -2.0, 1.0, 0.1),
                                    PowerWeight(INF, 0.5)])
     def test_infinite_coefficient_is_inf_on_every_range(self, w):
@@ -548,10 +561,32 @@ class TestFuncWeightMass:
         assert step.cum_up(1.0) == INF and step.cum_low(1.0) == pytest.approx(1e-14)
 
 
+    def test_a_probe_reading_inf_reads_inf(self):
+        # t^{-1/4} e^{t/2} is +inf at both probes past 1e13, where the slope
+        # test read log(inf/inf), NaN, and the quadrature read 1.2e162
+        grows = PowerWeight(1.0, 0.5, 1.0).power(-0.5)
+        assert isinstance(grows, FuncWeight) and grows(1e13) == grows(1e15) == INF
+        assert grows.cum_up(1.0) == INF and grows.cum_low(INF) == INF
+        # the mirror, t^{1/4} e^{1/(2t)}, at both probes below 1e-13
+        assert PowerWeight(1.0, -0.5, 0.0, 1.0).power(-0.5).cum_low(1.0) == INF
+        # +inf at the near probe only, where log(finite/inf) raised ValueError
+        spike = FuncWeight(_SpikeClosure())
+        assert spike.cum_up(1.0) == INF and spike.cum_low(1.0) == INF
+
+
 @dataclass(frozen=True)
 class _EndsClosure:
     def __call__(self, t):
         return np.where((t > 1e14) | (t < 1e-14), 1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class _SpikeClosure:
+    """+inf at the probes 1e-13 and 1e13 and near them, 1 elsewhere."""
+
+    def __call__(self, t):
+        near = (np.abs(np.log10(t) - 13.0) < 0.5) | (np.abs(np.log10(t) + 13.0) < 0.5)
+        return np.where(near, INF, 1.0)
 
 
 # -- the scalar integrand of the quadrature ------------------------------------
