@@ -11,7 +11,6 @@ from .weights import (
     Weight,
     cumulative,
     parse_weight,
-    phi_weights,
     running_sup,
 )
 from .gridfn import Grid, make_log_grid, region_values, sample_monotone
@@ -23,7 +22,6 @@ from .criteria import (
     TheoremInapplicable,
     crit_tub,
     evaluate_criterion,
-    reduce_spec,
 )
 from .oracle import (
     EquivalenceReport,

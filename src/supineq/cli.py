@@ -44,7 +44,7 @@ from .extreal import INF
 from .gridfn import DEFAULT_GRID, make_log_grid
 from .operators import OperatorKind
 from .oracle import OracleBudget, best_constant_lower, equivalence_report
-from .weights import Exponents, parse_weight
+from .weights import Exponents, _real, parse_weight
 
 __all__ = ["ScenarioConfig", "load_config", "run_batch", "emit_report", "main"]
 
@@ -80,7 +80,7 @@ def _build_kind(obj: dict, anchor: str, weight) -> OperatorKind:
     if base == "T_gamma":
         if "gamma_over_n" not in obj:
             raise ConfigError(f"{anchor}: T_gamma needs 'gamma_over_n'")
-        kind = OperatorKind.t_gamma(float(obj["gamma_over_n"]))
+        kind = OperatorKind.t_gamma(_real(obj["gamma_over_n"], "gamma_over_n"))
         return replace(kind, u=weight(kind.u), b=weight(kind.b))
     one = {"form": "power", "c": 1, "alpha": 0}
     u = weight(obj.get("u", one))
@@ -94,12 +94,6 @@ def _build_kind(obj: dict, anchor: str, weight) -> OperatorKind:
 def _integer(x, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return x
-
-
-def _real(x, name: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
     return x
 
 
@@ -158,7 +152,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
             kind = _build_kind(sc.get("operator", {}), anchor, weight)
             v = weight(sc["v"])
             w = weight(sc["w"])
-            exps = Exponents(float(sc["p"]), float(sc["q"]))
+            exps = Exponents(_real(sc["p"], "p"), _real(sc["q"], "q"))
             if INF in (exps.p, exps.q):
                 # the oracle's norms are sums of f^p and (T f)^q over regions
                 raise ValueError("p and q must be finite")
@@ -194,7 +188,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
                 spec=spec,
                 grid=grid,
                 budget=budget,
-                band=float(band),
+                band=band,
                 seed=seed,
                 verbatim_paper=verbatim,
             )

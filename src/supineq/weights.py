@@ -21,8 +21,7 @@ together with the operations the inequality criteria need:
   * essential sup / inf over intervals (exact for the symbolic forms),
   * running envelopes as weights (``running_sup``),
   * powers, scalings, products (``weight_mul``) and the substitution
-    t -> 1/t with a Jacobian power (``Weight.dual``),
-  * the level transform ``phi_weights`` on either side.
+    t -> 1/t with a Jacobian power (``Weight.dual``).
 
 The two derived weights take a side: ``"low"`` is (0, t] and ``"up"`` is
 [t, oo).
@@ -56,7 +55,6 @@ __all__ = [
     "weight_mul",
     "cumulative",
     "running_sup",
-    "phi_weights",
 ]
 
 
@@ -646,31 +644,42 @@ class FuncWeight(Weight):
 # ---------------------------------------------------------------------------
 
 
+def _real(x, name: str) -> float:
+    """``x`` as a float, where it is a JSON number: an int or a float, but not
+    a bool or a numeric string, which ``float()`` would take."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 def parse_weight(obj) -> Weight:
     """Build a Weight from its JSON literal form."""
     if isinstance(obj, Weight):
         return obj
-    if isinstance(obj, (int, float)):
-        return PowerWeight(float(obj), 0.0)
+    if isinstance(obj, (int, float)):  # a bool too, which _real rejects
+        return PowerWeight(_real(obj, "a bare-number weight"), 0.0)
     if not isinstance(obj, dict) or "form" not in obj:
         raise ValueError(f"not a weight literal: {obj!r}")
     form = obj["form"]
     if form == "power":
-        return PowerWeight(float(obj["c"]), float(obj["alpha"]))
+        return PowerWeight(_real(obj["c"], "c"), _real(obj["alpha"], "alpha"))
     if form == "powerexp":
-        return PowerWeight(float(obj["c"]), float(obj["alpha"]), float(obj["lambda"]))
+        return PowerWeight(_real(obj["c"], "c"), _real(obj["alpha"], "alpha"),
+                           _real(obj["lambda"], "lambda"))
     if form == "genpower":
         return PowerWeight(
-            float(obj["c"]),
-            float(obj["alpha"]),
-            float(obj.get("lambda", 0.0)),
-            float(obj.get("mu", 0.0)),
+            _real(obj["c"], "c"),
+            _real(obj["alpha"], "alpha"),
+            _real(obj.get("lambda", 0.0), "lambda"),
+            _real(obj.get("mu", 0.0), "mu"),
         )
     if form == "piecewise":
-        segs = tuple(PowerWeight(float(s["c"]), float(s["alpha"])) for s in obj["segments"])
-        return PiecewisePowerWeight(tuple(float(k) for k in obj["knots"]), segs)
+        segs = tuple(PowerWeight(_real(s["c"], "c"), _real(s["alpha"], "alpha"))
+                     for s in obj["segments"])
+        return PiecewisePowerWeight(tuple(_real(k, "a knot") for k in obj["knots"]), segs)
     if form == "table":
-        return TabulatedWeight(tuple(obj["t"]), tuple(obj["y"]))
+        return TabulatedWeight(tuple(_real(x, "a t sample") for x in obj["t"]),
+                               tuple(_real(x, "a y sample") for x in obj["y"]))
     raise ValueError(f"unknown weight form: {form!r}")
 
 
@@ -758,19 +767,3 @@ def running_sup(w: Weight, side: str) -> Weight:
     _check_side(side)
     return FuncWeight(_RunningSupClosure(w, side))
 
-
-def phi_weights(v: Weight, p: float, side: str):
-    """Level transform on one side: (phi, Phi) with
-    phi(x) = A(x)^{-p'/(p'+1)} v(x)^{1-p'},  Phi(x) = A(x)^{1/(p'+1)},
-    where A = ``cumulative(v^{1-p'}, side)``.  Requires A(x) in (0, oo) for
-    all x."""
-    if p <= 1.0:
-        raise ValueError("level transform requires p > 1")
-    pp = conjugate(p)
-    vp = v.power(1.0 - pp)
-    probe = vp.cum_low(1.0) if side == "low" else vp.cum_up(1.0)
-    if probe == INF or probe == 0.0:
-        raise ValueError("level transform undefined: {} v^{{1-p'}} not in (0, oo)".format(
-            "int_0^x" if side == "low" else "int_x^oo"))
-    A = cumulative(vp, side)
-    return weight_mul(A.power(-pp / (pp + 1.0)), vp), A.power(1.0 / (pp + 1.0))

@@ -27,8 +27,6 @@ from supineq.criteria import (
     crit_T42_44,
     crit_tub,
     evaluate_criterion,
-    reduce_spec,
-    reduce_spec_inner,
 )
 from supineq.extreal import INF
 from supineq.gridfn import make_log_grid, sample_monotone
@@ -40,6 +38,8 @@ from supineq.oracle import (
     equivalence_report,
 )
 from supineq.weights import Exponents, PowerWeight, weight_mul
+
+from reductions import reduce_spec, reduce_spec_inner
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATTERY = os.path.join(ROOT, "configs", "battery.json")

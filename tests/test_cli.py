@@ -186,7 +186,24 @@ class TestMain:
         # the oracle's norms need finite exponents
         {"operator": {"base": "T_ub"}, "q": "inf"},
         {"p": "inf"},
+        {"p": math.inf},
         {"seed": -10000},
+        # a bool or a numeric string is not a number, though float() takes it
+        {"p": True},
+        {"p": "2"},
+        {"q": True},
+        {"v": True},
+        {"v": "2"},
+        {"v": {"form": "power", "c": True, "alpha": 0}},
+        {"v": {"form": "power", "c": 1, "alpha": "0.5"}},
+        {"w": {"form": "powerexp", "c": 1, "alpha": 0, "lambda": True}},
+        {"w": {"form": "genpower", "c": 1, "alpha": 0, "lambda": 1, "mu": "0"}},
+        {"v": {"form": "piecewise", "knots": ["1"],
+               "segments": [{"form": "power", "c": 1, "alpha": 0}] * 2}},
+        {"w": {"form": "table", "t": [1, "2"], "y": [1, 1]}},
+        {"w": {"form": "table", "t": [1, 2], "y": [True, 1]}},
+        {"operator": {"base": "T_gamma", "gamma_over_n": True}},
+        {"operator": {"base": "T_gamma", "gamma_over_n": "0.5"}},
     ], ids=lambda e: repr(e))
     def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
         sc = dict(GOOD_SCENARIO, **entry)

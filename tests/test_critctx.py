@@ -24,10 +24,11 @@ from supineq.weights import (
     PowerWeight,
     TabulatedWeight,
     parse_weight,
-    phi_weights,
     running_sup,
     weight_mul,
 )
+
+from reductions import phi_weights
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATTERY = os.path.join(ROOT, "configs", "battery.json")

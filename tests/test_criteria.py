@@ -18,12 +18,12 @@ from supineq.criteria import (
     crit_T33_34,
     crit_tub,
     evaluate_criterion,
-    reduce_spec,
-    reduce_spec_inner,
 )
 from supineq.extreal import INF, _amul, xdiv
 from supineq.operators import OperatorKind
 from supineq.weights import Exponents, PiecewisePowerWeight, PowerWeight
+
+from reductions import reduce_spec, reduce_spec_inner
 
 U = PowerWeight(1.0, 0.5)
 V = PowerWeight(1.0, 1.0)          # head-integrable: 0 < V(x) < oo

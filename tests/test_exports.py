@@ -1,4 +1,5 @@
-"""Public names: every entry of each module's ``__all__`` exists and is used."""
+"""Public names: every entry of each module's ``__all__`` exists and is used;
+and every name a module imports is read in it."""
 
 import ast
 import importlib
@@ -24,8 +25,6 @@ def test_all_names_resolve():
 
 # Paper-level entry points, reached only through the library API.
 ENTRY_POINTS = {
-    "reduce_spec": "the paper's reductions of a monotone-cone problem to the full cone",
-    "reduce_spec_inner": "the paper's R2.2/R2.4: the cumulative moves into the supremal weight",
     "dual": "the paper's t -> 1/t substitution behind every mirror pair; the mirror tests "
             "in test_acceptance.py and ROADMAP item 3 use it",
 }
@@ -104,3 +103,20 @@ def test_every_public_name_is_used():
     assert not unused, unused
     stale = set(ENTRY_POINTS) - {q.rsplit(".", 1)[1] for q in public}
     assert not stale, sorted(stale)
+
+
+def test_every_import_is_read():
+    # an imported name its module never reads is a leftover of a move or a
+    # deletion; the package ``__init__`` imports to re-export and is not in
+    # MODULES.  ``import a.b`` binds ``a``.
+    unused = []
+    for mod in MODULES:
+        tree = ast.parse(inspect.getsource(mod))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{mod.__name__}.{bound}" for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unused, unused

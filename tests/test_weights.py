@@ -28,10 +28,11 @@ from supineq.weights import (
     conjugate,
     parse_weight,
     _quad_log,
-    phi_weights,
     running_sup,
     weight_mul,
 )
+
+from reductions import phi_weights
 
 alpha_st = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coef_st = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
