@@ -20,7 +20,11 @@ terms as float hex and flags, or the failed predicate).  That cold pass runs
 under ``tracemalloc``, whose peak (the memos it fills and the pass's
 transient arrays) is reported per side, so a memo's memory is read beside
 its time; ``scipy.integrate`` is imported first, so neither peak holds an
-import.  Under ``criteria-sweep`` each side's criteria memos on the
+import.  Outside ``criteria-sweep`` the cold pass also counts the coordinate
+ascent's work per side: coordinate visits (the coordinates its batches
+settle), misses (batches that stopped at a prediction that failed), and the
+``ratios`` calls and rows its batches score.  perfbench's tracer does not
+wrap ``ratios``, so these are the per-layer read of the ascent.  Under ``criteria-sweep`` each side's criteria memos on the
 default ``CritCtx`` grid are read after its cold pass: the ``cache_info()``
 of the weights' memo and, where the checkout has one, of the derived
 arrays' memo.  Then the rounds alternate which side goes first.  A pass is
@@ -33,7 +37,7 @@ scenario's grid and seed, for ``CALLS`` calls of ``apply`` per side and
 round, again alternating.
 
 The report is JSON on stdout: each side's cold-pass peak in MB (and under
-``criteria-sweep`` its memos), each side's minimum and median, and the
+``criteria-sweep`` its memos, else its ascent counts), each side's minimum and median, and the
 minimum, quartiles and median of the paired ratio change / parent.  It states no verdict; a gain is claimed from
 ``scripts/bench_pairs.py`` pairs.
 """
@@ -41,6 +45,7 @@ minimum, quartiles and median of the paired ratio change / parent.  It states no
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -152,6 +157,41 @@ def cold_pass(one, pkg, scenarios) -> tuple:
     return digest, peak / 2**20
 
 
+@contextlib.contextmanager
+def counting_ascent(pkg):
+    """Count the coordinate ascent's work on ``pkg`` while the block runs, by
+    wrapping its oracle's ``_predicted_batch`` and, within each batch, the
+    engine's ``ratios``.  Yields the counts: ``visits`` (the coordinates the
+    batches settle), ``misses`` (batches that ended at a failed prediction),
+    ``ratios_calls`` and ``rows``."""
+    oracle = pkg.oracle
+    batch = oracle._predicted_batch
+    counts = dict.fromkeys(("visits", "misses", "ratios_calls", "rows"), 0)
+
+    def counted_batch(engine, vals, best, coords, pred):
+        ratios = engine.ratios
+
+        def counted_ratios(F):
+            counts["ratios_calls"] += 1
+            counts["rows"] += len(F)
+            return ratios(F)
+
+        engine.ratios = counted_ratios  # shadows the method on this engine alone
+        try:
+            out = batch(engine, vals, best, coords, pred)
+        finally:
+            del engine.ratios
+        counts["visits"] += out[0]
+        counts["misses"] += not out[1]
+        return out
+
+    oracle._predicted_batch = counted_batch
+    try:
+        yield counts
+    finally:
+        oracle._predicted_batch = batch
+
+
 def memo_info(pkg) -> dict:
     """``cache_info()`` of the criteria memos on the default ``CritCtx``
     grid: ``weights``, and ``derived`` where the checkout has that memo."""
@@ -163,12 +203,17 @@ def memo_info(pkg) -> dict:
 
 
 def passes(pkgs: dict, scenarios: dict, rounds: int, one=one_pass) -> dict:
-    cold = {side: cold_pass(one, pkgs[side], scenarios[side]) for side in SIDES}
+    cold, ascent = {}, {}
+    for side in SIDES:
+        with counting_ascent(pkgs[side]) as ascent[side]:
+            cold[side] = cold_pass(one, pkgs[side], scenarios[side])
     digests = {side: cold[side][0] for side in SIDES}
     out = {"digest_equal": digests["parent"] == digests["change"], "digests": digests,
            "cold_peak_mb": {side: round(cold[side][1], 3) for side in SIDES}}
     if one is criteria_pass:
         out["criteria_memos"] = {side: memo_info(pkgs[side]) for side in SIDES}
+    else:
+        out["ascent"] = ascent
     times = interleaved(rounds, {side: (lambda s=side: one(pkgs[s], scenarios[s])[0])
                                  for side in SIDES})
     return {**out, **summary(times)}

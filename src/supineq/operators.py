@@ -179,7 +179,21 @@ class OperatorKernel:
     and H_b that is exact on every row; for plain S and S* only on rows in
     the cone, which every oracle stage builds.  On a row off the cone each
     output is one of the products the scan takes the maximum of, so it reads
-    at most the scanned output and the quotient stays a lower bound."""
+    at most the scanned output and the quotient stays a lower bound.
+
+    ``reach`` is the side of an input region r on which a change of the
+    input there can move outputs: ``"above"`` (regions r..n) for S and SoH,
+    ``"below"`` (regions 0..r) for S* and S*oH*, None for SoH*, S*oH and
+    T_{u,b}, whose outputs it can move anywhere.  It holds bit for bit, on
+    every row: ``apply`` writes each output region from g on one side of
+    it only, and g on one side of its input.  S writes region i+1 from g
+    on R_0..R_i (the scan's prefix, the row itself, or its first entry);
+    S* writes region i < n from g on R_i..R_n (the suffix, ``u_knots``
+    against g on R_i, or the last entry) and region n from g on R_n.
+    Without a composition g is the input.  H f on R_{i+1} is a running sum
+    of the input on R_0..R_i, and H* f on R_i one of the input on
+    R_{i+1}..R_n, each accumulated from the side it starts at, so its
+    earlier entries do not read later ones."""
 
     u_knots: Optional[np.ndarray] = None  # u at the knots, for S* where g falls
     u_liminf: Optional[float] = None  # the tail factor of S* and T_ub
@@ -218,6 +232,11 @@ class OperatorKernel:
         if kind.base != "S":  # the weight's liminf, clamped (class docstring)
             self.u_liminf = min(float(weight.limit_inf()), float(self.table[-1]))
             self.products["u_liminf"] = _product(self.u_liminf)
+
+    @property
+    def reach(self) -> Optional[str]:
+        """The side of a changed input region the outputs can move on (class docstring)."""
+        return _REACH.get((self.kind.base, self.inner))
 
     def apply(self, segv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The output region values of ``segv``, whose entries lie in
@@ -286,6 +305,10 @@ class OperatorKernel:
         else:
             start = slice(-1, None) if from_right else slice(0, 1)
             out[:] = times(self.table[start], g[:, start])
+
+
+# the side of its input region each one-sided kernel moves outputs on (class docstring)
+_REACH = {("S", None): "above", ("S", "H"): "above", ("S*", None): "below", ("S*", "H*"): "below"}
 
 
 def _inner_direction(inner: Optional[str], cone: str) -> str:

@@ -22,11 +22,34 @@ needs every ray to have positive v-mass.  A ray whose v-mass reads 0 (an
 underflowing e^{-t} on the last region, say) scores 0 although its true
 quotient may be +inf or huge; then, and for every other (p, q), the third
 stage is the coordinate ascent.
+
+The ascent leaves out the steps that provably cannot gain.  A step at knot
+j changes the input row on j's region r and, when it rises, on the side
+the cone lifts: below r on the non-increasing cone, above it on the
+non-decreasing one.  An S or SoH kernel moves outputs only on regions at or
+above a changed one, an S* or S*oH* kernel only at or below
+(``OperatorKernel.reach``).  Where the cone lifts toward that side, or does
+not lift (``none``), and w has no mass (dW exactly 0) on every region on
+that side of r, knot j is *rise-dead*.  Every output a step there moves is
+multiplied by a w-mass of 0, which reads 0 under 0 * inf = 0, and the +inf
+check reads no output there, so the numerator is its base's bit for bit.
+A growing step (factor 2 or 1.1, or a step from 0) lowers no region value
+of the input, and rounded sums, products and powers of nonnegative floats
+are monotone, so its denominator is at least its base's, up to the ulps of
+the scalar root.  Its quotient is then at most best * (1 + 1e-12) wherever
+best is a normal float, and such steps are not scored.  Where v has no mass
+either on every region a step at j can change (r on ``none``, r and the
+reach's side of it on the cone), knot j is *dead*: every step there leaves
+both norms bit for bit, and with them the quotient.  Each sweep draws its
+permutation over all n knots, which keeps the seeded order of the others,
+and drops the dead knots from it.  The bound, witness and trace are those
+of the ascent that tries every knot and every factor.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -106,6 +129,8 @@ class RayleighEngine:
         self.kernel = OperatorKernel(spec.kind, spec.cone, self.grid)
         # the masses of both norms, against the two halves of ``ratios``' workspace
         self._dVW = np.stack([self.dV, self.dW])[:, None]
+        # per knot, whether an ascent step there reaches no w-mass (module docstring)
+        self._rise_dead, self._dead = _quiet_knots(self.kernel.reach, self.cone, self.dV, self.dW)
 
     # -- the quotient -----------------------------------------------------------
     def ratio(self, values: np.ndarray) -> float:
@@ -167,6 +192,35 @@ class RayleighEngine:
             for i, inf in zip(unsure, inf_factor.any(axis=1).tolist()):
                 out[i] = INF if inf else 0.0
         return np.array(out)
+
+
+def _quiet_knots(reach: Optional[str], cone: str, dV: np.ndarray, dW: np.ndarray) -> Tuple[list, np.ndarray]:
+    """Per knot j of a cone row, whether it is rise-dead (a Python list) and
+    whether it is dead (a boolean array), by the rule of the module
+    docstring.  Knot j holds region j on the non-increasing cone and region
+    j+1 on the others.  Where the cone lifts toward the kernel's ``reach``
+    or does not lift (``none``), every region a step at j can change lies
+    on the reach's side of j's region, and so do the outputs it can move."""
+    n = len(dW) - 1
+    if (reach, cone) not in _QUIET_CASES:
+        return [False] * n, np.zeros(n, dtype=bool)
+
+    def onward(zero: np.ndarray) -> np.ndarray:
+        """Whether ``zero`` holds on every region on the reach's side of each region."""
+        if reach == "above":
+            return np.logical_and.accumulate(zero[::-1])[::-1]
+        return np.logical_and.accumulate(zero)
+
+    region = np.arange(n) + (cone != "non_increasing")
+    rise_dead = onward(dW == 0.0)[region]
+    # the regions a step can change: its own on ``none``, the reach's side on the cone
+    no_v = (dV == 0.0) if cone == "none" else onward(dV == 0.0)
+    return rise_dead.tolist(), rise_dead & no_v[region]
+
+
+# (reach, cone) where every change a step makes lies on the reach's side of its region
+_QUIET_CASES = {("above", "non_decreasing"), ("above", "none"),
+                ("below", "non_increasing"), ("below", "none")}
 
 
 def _rays(n: int, cone: str, js) -> np.ndarray:
@@ -274,11 +328,14 @@ def best_constant_lower(
         vals = best_vals.copy()
         pred = [-1] * n
         rng = np.random.default_rng(seed + 104729)
+        live = ~engine._dead if engine._dead.any() else None
         for _ in range(budget.n_ascent):
             start = best
             order = rng.permutation(n)
+            if live is not None:  # drawn over every knot, then the dead ones dropped
+                order = order[live[order]]
             pos, k = 0, 1
-            while pos < n and best < INF:
+            while pos < len(order) and best < INF:
                 done, hit, vals, best = _predicted_batch(engine, vals, best, order[pos:pos + k], pred)
                 pos, k = pos + done, (min(2 * k, cap) if hit else 1)
             if best in (start, INF):
@@ -297,10 +354,13 @@ def best_constant_lower(
 _ASCENT_FACTORS = (2.0, 0.5, 1.1, 1.0 / 1.1)
 # a zero coordinate is moved to fac - 1 by the growing factors and kept at 0
 _ASCENT_FROM_ZERO = tuple(f - 1.0 if f > 1.0 else 0.0 for f in _ASCENT_FACTORS)
+_GROWS = tuple(f > 1.0 for f in _ASCENT_FACTORS)
+_NORMAL = sys.float_info.min  # the least positive normal float
 _ASCENT_BATCH = 12  # most coordinates per batch: 48 rows
 _ASCENT_ROWS = 4 * _ASCENT_BATCH  # most rows per call of the third stage
-# most coordinates x knots per batch: a row costs more in larger calls at
-# n = 512, where 8 coordinates beat 12; at n = 96, 12 beat 8
+# most coordinates x knots per batch, as measured end to end: at n = 512, 8
+# coordinates beat 12 or tie with them, and at n = 96, 12 beat 8.  A row does
+# not cost more in a larger call at n = 512 (README)
 _ASCENT_BATCH_KNOTS = 4096
 
 
@@ -367,8 +427,11 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     predecessors' predicted outcomes lead to.  Every step is planned on
     Python floats with ``_rule``.  Steps equal to their own base are neither
     built nor scored: their quotient is that base's, which is not above the
-    floor.  The bases are the batch start and the point each predicted gain
-    that moves it leads to (``_step``); the other rows are one gather from
+    floor.  Nor, when ``best`` is a normal float, are the growing steps
+    (factors 2 and 1.1) at a rise-dead knot: their quotient is at most their
+    base's up to ulps (module docstring).  The bases are the batch start and
+    the point each predicted gain that moves it leads to (``_step``); the
+    other rows are one gather from
     them, one in-place maximum on the lifted side of each row that lifts and
     one scatter of the values at the stepped knots.  The sequential
     first-gain rule (a quotient above ``best * (1 + 1e-12)``, the factors of
@@ -379,6 +442,8 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
     and the ones before it fail is not settled: the next batch starts at it,
     from the same point, and scores only factors f+1..3 (none when f = 3)."""
     cone = engine.cone
+    # best only rises, so a batch that starts at a normal float stays at one
+    rise_dead = engine._rise_dead if best >= _NORMAL else None
     bases = [vals]
     plan = []  # per coordinate: j and its fresh steps, (factor, row)
     take, knots, at, lifted = [], [], [], []  # per row: base, knot, value there; (row, j, y)
@@ -386,7 +451,10 @@ def _predicted_batch(engine: RayleighEngine, vals: np.ndarray, best: float,
         f = pred[j]
         x, hold, edge = _around(bases[-1], j, cone)
         steps = []
+        skip_growing = rise_dead is not None and rise_dead[j]
         for g in range(f + 1) if f >= 0 else range(-1 - f, len(_ASCENT_FACTORS)):
+            if skip_growing and _GROWS[g]:
+                continue
             y, at_j, lifts = _rule(x, hold, edge, g)
             if at_j == x:
                 continue

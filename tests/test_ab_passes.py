@@ -59,6 +59,9 @@ class TestSameTreeTwice:
         assert passes["digest_equal"] and passes["digests"]["parent"] == passes["digests"]["change"]
         assert_spread(passes)
         assert "criteria_memos" not in passes  # read under criteria-sweep only
+        # both specs take the ray pass (p = 1 <= q): no ascent runs
+        assert passes["ascent"] == {side: dict.fromkeys(("visits", "misses", "ratios_calls", "rows"), 0)
+                                    for side in AB.SIDES}
         assert sorted(doc["apply_us"]) == ["sstardown", "tub"] and doc["apply_calls_per_timing"] == 5
         for s in doc["apply_us"].values():
             assert_spread(s)
@@ -86,7 +89,7 @@ class TestSameTreeTwice:
     def test_criteria_passes(self, tiny_config):
         doc = AB.run(ROOT, ROOT, tiny_config, seed=3, rounds=2, criteria_only=True)
         passes = doc["passes"]
-        assert passes["digest_equal"] and "apply_us" not in doc
+        assert passes["digest_equal"] and "apply_us" not in doc and "ascent" not in passes
         assert_spread(passes)
         # each side's memos after its cold pass, which filled them: the
         # sstardown spec reads weights, the tub spec derived arrays too
@@ -130,6 +133,49 @@ class TestSameTreeTwice:
         digest, peak = AB.cold_pass(one, "pkg", [1, 2])
         assert digest == "pkg:2:524288" and 4.0 <= peak < 5.0
         assert not tracemalloc.is_tracing()
+
+    def test_cold_passes_count_the_ascent(self, tmp_path):
+        # S with u = t, v = 1, w = e^{-t} at p = q = 2 runs the ascent; both
+        # sides count the same work, and the wrapper is gone afterwards
+        doc = {"defaults": {"grid": {"eps": 1e-3, "M": 1e3, "n": 16}, "band": 64.0, "seed": 5,
+                            "budget": {"n_char": 8, "n_random": 4, "n_ascent": 2}},
+               "scenarios": [{"id": "sdown-p2", "operator": {"base": "S", "u": {"form": "power", "c": 1, "alpha": 1}},
+                              "cone": "non_increasing", "v": {"form": "power", "c": 1, "alpha": 0},
+                              "w": {"form": "powerexp", "c": 1, "alpha": 0, "lambda": 1},
+                              "p": 2.0, "q": 2.0}]}
+        path = tmp_path / "ascent.json"
+        path.write_text(json.dumps(doc))
+        ascent = AB.run(ROOT, ROOT, str(path), seed=3, rounds=2)["passes"]["ascent"]
+        assert ascent["parent"] == ascent["change"]
+        counts = ascent["change"]
+        # at least one sweep of the 16 knots, each call at most 48 rows
+        assert counts["visits"] >= 16 and counts["misses"] <= counts["ratios_calls"]
+        assert 0 < counts["ratios_calls"] <= counts["rows"] <= 48 * counts["ratios_calls"]
+        oracle = sys.modules["ab_change.oracle"]
+        assert oracle._predicted_batch.__qualname__ == "_predicted_batch"
+
+    def test_counting_ascent(self):
+        # two batches: the first settles 3 coordinates in calls of 4 and 8
+        # rows and meets every prediction, the second misses at its first
+        class Engine:
+            def ratios(self, F):
+                return np.zeros(len(F))
+
+        engine = Engine()
+        results = iter([(3, True), (0, False)])
+
+        def batch(engine, vals, best, coords, pred):
+            engine.ratios(np.zeros((4, 2)))
+            engine.ratios(np.zeros((8, 2)))
+            return next(results) + (vals, best)
+
+        pkg = SimpleNamespace(oracle=SimpleNamespace(_predicted_batch=batch))
+        with AB.counting_ascent(pkg) as counts:
+            for _ in range(2):
+                pkg.oracle._predicted_batch(engine, None, 1.0, np.arange(3), [])
+        assert counts == {"visits": 3, "misses": 1, "ratios_calls": 4, "rows": 24}
+        # the class's ``ratios`` is the engine's again
+        assert pkg.oracle._predicted_batch is batch and "ratios" not in vars(engine)
 
     def test_one_round_is_refused(self, tiny_config):
         with pytest.raises(ValueError, match="two rounds"):

@@ -17,6 +17,7 @@ from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
 from supineq.extreal import INF, _amul, adiv, amul, apow, xdiv, xmul, xpow
 from supineq.gridfn import (
+    DEFAULT_GRID,
     Grid,
     make_log_grid,
     region_measures,
@@ -24,7 +25,7 @@ from supineq.gridfn import (
     sample_monotone,
     sample_nonneg,
 )
-from supineq.operators import OperatorKind, _ratio_weight, b_cumulative
+from supineq.operators import OperatorKernel, OperatorKind, _ratio_weight, b_cumulative
 from supineq import gridfn, oracle
 from supineq.oracle import (
     OracleBudget,
@@ -356,6 +357,7 @@ def apply_spec(kind: OperatorKind, f: StepFunction) -> StepFunction:
 
 
 KERNEL_GRID = make_log_grid(1e-5, 1e5, 40)  # the battery's range at n = 40
+CLI_GRID = make_log_grid(**DEFAULT_GRID)  # n = 512
 
 B2T = PowerWeight(2.0, 1.0)  # b = 2t
 U_TABLE = TabulatedWeight((1e-3, 1e-1, 10.0, 1e3), (0.5, 2.0, 1.0, 3.0))
@@ -436,6 +438,23 @@ class TestKernel:
         with np.errstate(all="ignore"):
             out = engine.kernel.apply(region_values(stack, spec.cone))
         assert np.array_equal(out, np.array(ref_out))
+
+    @pytest.mark.parametrize("spec", [spec for _, spec in KERNEL_SPECS],
+                             ids=[sid for sid, _ in KERNEL_SPECS])
+    def test_rows_never_interact_at_the_cli_grid(self, spec):
+        # an ascent call at n = 512 carries up to 32 rows: every factor step
+        # at 8 knots of a sampled witness, scored in one call, in calls of 8
+        # and one row a call, bit for bit alike
+        engine = RayleighEngine(spec, CLI_GRID)
+        base = (sample_nonneg(CLI_GRID, 17) if spec.cone == "none"
+                else sample_monotone(spec.cone, CLI_GRID, 17))
+        knots = np.random.default_rng(17).choice(CLI_GRID.n, 8, replace=False).tolist()
+        stack = np.array([oracle._step(base, j, f, spec.cone) for j in knots
+                          for f in range(len(ASCENT_FACTORS))])
+        single = np.array([engine.ratio(row) for row in stack])
+        assert np.array_equal(engine.ratios(stack), single)
+        assert np.array_equal(np.concatenate([engine.ratios(stack[lo:lo + 8]) for lo in range(0, 32, 8)]),
+                              single)
 
 
 # -- the kernel contract: the properties the oracle's certificates rest on --
@@ -1082,10 +1101,13 @@ class TestAscentStep:
 
 class RowsEngine:
     """A stand-in for ``RayleighEngine`` in one ``_predicted_batch``: it
-    records the rows of each ``ratios`` call and scores every row 0."""
+    records the rows of each ``ratios`` call and scores every row 0.  Its
+    knots flagged ``rise_dead`` are those whose growing steps the batch
+    leaves out at a normal ``best``."""
 
-    def __init__(self, cone):
+    def __init__(self, cone, rise_dead):
         self.cone = cone
+        self._rise_dead = list(rise_dead)
         self.calls = []
 
     def ratios(self, F):
@@ -1097,7 +1119,8 @@ class RowsEngine:
 def predicted_batches(draw):
     """A cone row, a batch of its coordinates and a prediction for each, of
     which at least two are predicted gains (f >= 0); -1 - s is 'no gain,
-    factors from s on', s = 0..4."""
+    factors from s on', s = 0..4.  Each knot is flagged rise-dead or not,
+    and the best so far is a normal float or a subnormal one."""
     cone, rows = draw(cone_rows())
     vals = rows[0]
     n = len(vals)
@@ -1108,26 +1131,37 @@ def predicted_batches(draw):
     pred = [-1] * n
     for j, f in zip(coords, preds):
         pred[j] = f
-    return cone, vals, coords, pred
+    rise_dead = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    best = draw(st.sampled_from([1.0, 1e-310]))
+    return cone, vals, coords, pred, rise_dead, best
+
+
+def left_out(rise_dead, j, f, best):
+    """Whether the ascent leaves out the step of factor index f at knot j
+    unscored for reaching no w-mass: a growing step at a rise-dead knot,
+    while the best so far is a normal float."""
+    return best >= 2.0 ** -1022 and rise_dead[j] and ASCENT_FACTORS[f] > 1.0
 
 
 class TestPredictedBatch:
     @given(predicted_batches())
     @settings(max_examples=300, deadline=None)
     def test_scores_the_steps_from_the_model_bases(self, case):
-        cone, vals, coords, pred = case
+        cone, vals, coords, pred, rise_dead, start = case
         # the model: each coordinate's steps from the point the earlier
-        # predicted gains lead to, without the steps equal to their base
+        # predicted gains lead to, without the steps equal to their base and
+        # those left out; a predicted gain left out does not move the point
         expected, base = [], vals
         for j in coords:
             f = pred[j]
             first = 0 if f >= 0 else -1 - f
             rows = ascent_steps(base, j, ASCENT_FACTORS[first:f + 1 if f >= 0 else None], cone)
-            expected += [row for row in rows if not np.array_equal(row, base)]
-            if f >= 0:
+            expected += [row for g, row in enumerate(rows, first)
+                         if not (np.array_equal(row, base) or left_out(rise_dead, j, g, start))]
+            if f >= 0 and not left_out(rise_dead, j, f, start):
                 base = rows[-1]
-        engine, before = RowsEngine(cone), list(pred)
-        done, hit, point, best = oracle._predicted_batch(engine, vals, 1.0, np.array(coords), pred)
+        engine, before = RowsEngine(cone, rise_dead), list(pred)
+        done, hit, point, best = oracle._predicted_batch(engine, vals, start, np.array(coords), pred)
         if expected:
             assert len(engine.calls) == 1
             assert engine.calls[0].tobytes() == np.array(expected).tobytes()
@@ -1136,9 +1170,39 @@ class TestPredictedBatch:
         # every row scores 0: the first predicted gain is a rescore miss, at
         # the point the batch started from
         c = next(c for c, j in enumerate(coords) if before[j] >= 0)
-        assert (done, hit, best) == (c, False, 1.0)
+        assert (done, hit, best) == (c, False, start)
         assert point is vals
         assert [pred[j] for j in coords[:c + 1]] == [-1] * c + [-2 - before[coords[c]]]
+
+
+# the side of a changed input region on which each one-sided operator's
+# outputs can move: S and SoH at or above it, S* and S*oH* at or below it
+REACH = {("S", None): "above", ("S", "H"): "above", ("S*", None): "below", ("S*", "H*"): "below"}
+# the side a rising knot lifts the other knots to
+LIFTS = {"non_increasing": "below", "non_decreasing": "above"}
+
+
+def quiet_knots(engine):
+    """Per knot, (rise-dead, dead), read knot by knot off the operator, the
+    cone and the engine's masses.  A knot is rise-dead where the cone lifts
+    only toward the operator's reach, or not at all, and every region the
+    reach of its own region touches has no w-mass; it is dead where, too,
+    every region a step there can change (its own, and on a monotone cone
+    the lifted side) has no v-mass."""
+    spec, dV, dW = engine.spec, engine.dV.tolist(), engine.dW.tolist()
+    reach = REACH.get((spec.kind.base, spec.kind.compose)) if spec.kind.base != "T_ub" else None
+    n = engine.n
+    flags = []
+    for j in range(n):
+        r = j if spec.cone == "non_increasing" else j + 1
+        if reach is None or LIFTS.get(spec.cone, reach) != reach:
+            flags.append((False, False))
+            continue
+        side = range(r, n + 1) if reach == "above" else range(r + 1)
+        changed = [r] if spec.cone == "none" else side
+        rise = all(dW[i] == 0.0 for i in side)
+        flags.append((rise, rise and all(dV[i] == 0.0 for i in changed)))
+    return flags
 
 
 class PredictedPathSpy:
@@ -1150,7 +1214,10 @@ class PredictedPathSpy:
     gained, or -1); a batch of k coordinates takes factors 0..pred[j], or all
     four when pred[j] = -1, each stepped from the point the earlier
     coordinates' predicted outcomes lead to; steps equal to their own base
-    are not scored, and a batch without a row to score makes no call.  The
+    are not scored, nor, while the best so far is a normal float, growing
+    steps at rise-dead knots, and a batch without a row to score makes no
+    call.  A sweep's permutation is drawn over every knot, then its dead
+    knots are dropped; both flags come from ``quiet_knots``.  The
     first-gain rule is replayed up to the first coordinate whose outcome is
     not its prediction (a miss); k doubles up to ``BATCH_CAP`` after a batch
     without one and drops to 1 after one.  After a rescore miss (factors
@@ -1169,8 +1236,9 @@ class PredictedPathSpy:
         self.pred = [-1] * n
         self.resume = {}  # coordinate -> first factor of its next visit, after a rescore miss
         self.rng = np.random.default_rng(seed + 104729)
-        self.order, self.pos, self.k, self.sweep_start = None, n, 1, None
-        self.cone = None
+        self.order, self.pos, self.k, self.sweep_start = [], 0, 1, None
+        self.visits = 0  # knots in the sweeps' orders
+        self.cone, self.rise_dead, self.dead = None, None, None
         self._single = False
         ratios, ratio = RayleighEngine.ratios, RayleighEngine.ratio
         spy = self
@@ -1190,6 +1258,7 @@ class PredictedPathSpy:
                     spy.point, spy.best = F[0], float(rs[0])
             else:
                 spy.cone = engine.cone
+                spy.rise_dead, spy.dead = zip(*quiet_knots(engine))
                 spy.ascent_call(F, rs)
             return rs
 
@@ -1200,12 +1269,14 @@ class PredictedPathSpy:
         """The model's next batch: ``(coords, firsts, blocks, fresh)``, the
         first factor of each coordinate's steps, one block of step rows per
         coordinate and a mask per block of the rows scored."""
-        if self.pos >= self.n:
+        if self.pos >= len(self.order):
             assert self.sweep_start is None or self.best > self.sweep_start, "sweep without a gain"
-            self.order, self.pos, self.k = self.rng.permutation(self.n), 0, 1
+            order = self.rng.permutation(self.n).tolist()
+            self.order, self.pos, self.k = [j for j in order if not self.dead[j]], 0, 1
             self.sweep_start = self.best
             self.sweeps += 1
-        coords = self.order[self.pos:self.pos + self.k].tolist()
+            self.visits += len(self.order)
+        coords = self.order[self.pos:self.pos + self.k]
         firsts, blocks, fresh, base = [], [], [], self.point
         for j in coords:
             f = self.pred[j]
@@ -1213,8 +1284,9 @@ class PredictedPathSpy:
             rows = ascent_steps(base, j, ASCENT_FACTORS[first:f + 1 if f >= 0 else None], self.cone)
             firsts.append(first)
             blocks.append(rows)
-            fresh.append([not np.array_equal(row, base) for row in rows])
-            if f >= 0:
+            fresh.append([not (np.array_equal(row, base) or left_out(self.rise_dead, j, g, self.best))
+                          for g, row in enumerate(rows, first)])
+            if f >= 0 and not left_out(self.rise_dead, j, f, self.best):
                 base = rows[f]
         return coords, firsts, blocks, fresh
 
@@ -1310,8 +1382,9 @@ class TestBatchedAscent:
         spy = PredictedPathSpy(monkeypatch, ASCENT_GRID.n, ASCENT_SEED)
         best_constant_lower(ASCENT_SPECS["S*-up-unbounded"], ASCENT_BUDGET, seed=ASCENT_SEED,
                             grid=ASCENT_GRID)
-        # every sweep gains, so all eight run: 1,600 coordinate visits
-        visits = spy.sweeps * ASCENT_GRID.n
+        # every sweep gains, so all eight run, over every knot (S* on the
+        # non-decreasing cone has no dead knot): 1,600 coordinate visits
+        visits = spy.visits
         assert visits == ASCENT_BUDGET.n_ascent * ASCENT_GRID.n
         # 202 calls and 2.15 rows per visit when pinned; resetting the batch
         # to one coordinate at every gain takes about 1,600 calls, and scoring
@@ -1334,6 +1407,128 @@ class TestBatchedAscent:
         assert got.trace[-1] == got.trace[0]  # one sweep without a gain
         assert sum(sizes) == n
         assert max(sizes) == cap
+
+
+# -- ascent steps whose change reaches no w-mass --
+
+ZERO = PowerWeight(0.0, 0.0)
+# 0 on (0, 1e-2], 1 on (1e-2, 1e2] and 0 beyond: no mass on the regions at
+# either end of ``KERNEL_GRID``, which the reach of S and SoH (above) and of
+# S* and S*oH* (below) can touch alone
+QUIET_W = PiecewisePowerWeight((1e-2, 1e2), (ZERO, ONE, ZERO))
+# 1 but on (1e-3, 1e-2] and (1e2, 1e3): there, where QUIET_W has no mass
+# either, a knot's own region has no v-mass, but a rise there lifts knots of
+# regions with v-mass on a monotone cone
+GAP_V = PiecewisePowerWeight((1e-3, 1e-2, 1e2, 1e3), (ONE, ZERO, ONE, ZERO, ONE))
+# each one-sided operator, with u = 1, t, a table and a piecewise power, on
+# the cones where a knot can be flagged: its reach's lifting cone and ``none``
+QUIET_US = {"1": ONE, "t": T, "table": U_TABLE, "piecewise": U_PIECEWISE}
+QUIET_CASES = {f"{kind.describe()}-u{name}-{cone}": (kind, cone)
+               for (base, compose), reach in REACH.items() for name, u in QUIET_US.items()
+               for kind in [OperatorKind(base, compose, u)]
+               for cone in ("none", "non_decreasing" if reach == "above" else "non_increasing")}
+
+
+def norm_terms(engine, row):
+    """The denominator's and the numerator's terms of ``row``: region values
+    and kernel outputs raised to p and q, times the v- and w-masses."""
+    p, q = engine.spec.exps.p, engine.spec.exps.q
+    segv = region_values(row[None], engine.cone)
+    with np.errstate(all="ignore"):
+        out = engine.kernel.apply(segv)
+        return _amul(segv ** p, engine.dV)[0], _amul(out ** q, engine.dW)[0]
+
+
+class TestQuietKnots:
+    """The ascent leaves out the steps whose change reaches no w-mass
+    (``oracle``'s module docstring): the kernel's one-sided reach, the
+    engine's flags against ``quiet_knots``, the norms' terms of every step
+    at a flagged knot, and the ascent on the CLI grid."""
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_reach_is_one_sided(self, cone):
+        # a change of one input region, on any row, moves no output on the
+        # other side of it, bit for bit
+        rng = np.random.default_rng(11)
+        n = KERNEL_GRID.n
+        for kind in dict.fromkeys(kind for kind, _ in QUIET_CASES.values()):
+            kernel = OperatorKernel(kind, cone, KERNEL_GRID)
+            assert kernel.reach == REACH[kind.base, kind.compose]
+            segv = region_values(witnesses(cone, rng), cone)
+            for r in range(n + 1):
+                for moved_to in (0.0, 3.0, INF):
+                    moved = segv.copy()
+                    moved[:, r] = moved_to
+                    with np.errstate(all="ignore"):
+                        before, after = kernel.apply(segv), kernel.apply(moved)
+                    keep = slice(0, r) if kernel.reach == "above" else slice(r + 1, n + 1)
+                    assert before[:, keep].tobytes() == after[:, keep].tobytes(), (kind, r)
+
+    @pytest.mark.parametrize("kind", [OperatorKind("S", "H*"), OperatorKind("S*", "H"),
+                                      OperatorKind("T_ub")], ids=["SoH*", "S*oH", "T_ub"])
+    def test_two_sided_kernels_flag_no_knot(self, kind):
+        for cone in CONES:
+            engine = RayleighEngine(InequalitySpec(kind, cone, QUIET_W, QUIET_W, Exponents(2.0, 3.0)),
+                                    KERNEL_GRID)
+            assert engine.kernel.reach is None
+            assert not any(engine._rise_dead) and not engine._dead.any()
+
+    @pytest.mark.parametrize("v", ["one", "quiet", "gap"])
+    @pytest.mark.parametrize("case", list(QUIET_CASES))
+    def test_steps_at_flagged_knots(self, case, v):
+        # every step at a flagged knot leaves each numerator term bit for
+        # bit; at a dead knot each denominator term too, and at a rise-dead
+        # one a growing step lowers no denominator term
+        kind, cone = QUIET_CASES[case]
+        spec = InequalitySpec(kind, cone, {"one": ONE, "quiet": QUIET_W, "gap": GAP_V}[v], QUIET_W,
+                              Exponents(2.0, 3.0))
+        engine = RayleighEngine(spec, KERNEL_GRID)
+        flags = quiet_knots(engine)
+        assert engine._rise_dead == [rise for rise, _ in flags]
+        assert engine._dead.tolist() == [dead for _, dead in flags]
+        assert any(engine._rise_dead)
+        # a gap in v makes dead knots only where a rise lifts no other knot
+        assert engine._dead.any() == (v == "quiet" or (v == "gap" and cone == "none"))
+        rows = witnesses(cone, np.random.default_rng(list(QUIET_CASES).index(case)), m=6)
+        for base in np.concatenate([rows, np.zeros((1, KERNEL_GRID.n))]):
+            den, num = norm_terms(engine, base)
+            for j, (rise, dead) in enumerate(flags):
+                if not rise:
+                    continue
+                for f in range(len(ASCENT_FACTORS)):
+                    step_den, step_num = norm_terms(engine, oracle._step(base, j, f, cone))
+                    assert step_num.tobytes() == num.tobytes(), (j, f)
+                    if dead:
+                        assert step_den.tobytes() == den.tobytes(), (j, f)
+                    elif ASCENT_FACTORS[f] > 1.0:
+                        assert (step_den >= den).all() and step_den.sum() >= den.sum(), (j, f)
+
+    def test_sup_189_at_the_cli_grid(self, monkeypatch):
+        # S with u = t^{1/2}, v = e^{-t}, w = t e^{-t}, p = q = 2 on the
+        # non-decreasing cone: v and w have no mass past t of about 745, so
+        # 187 of the 512 knots are dead; no sweep visits them, and the ascent
+        # ends where the one that tries every knot and factor does
+        spec = candidate("sup-189").spec
+        budget = OracleBudget(64, 8, 3)
+        dead = np.array([d for _, d in quiet_knots(RayleighEngine(spec, CLI_GRID))])
+        assert dead.sum() == 187
+        visited, settled = set(), []
+        batch = oracle._predicted_batch
+
+        def spy_batch(engine, vals, best, coords, pred):
+            visited.update(coords.tolist())
+            out = batch(engine, vals, best, coords, pred)
+            settled.append(out[0])
+            return out
+
+        monkeypatch.setattr(oracle, "_predicted_batch", spy_batch)
+        got = best_constant_lower(spec, budget, seed=1, grid=CLI_GRID)
+        best, witness, trace = sequential_best_constant_lower(spec, budget, 1, CLI_GRID)
+        assert got.lower_bound == best and got.trace == trace
+        assert got.witness.tobytes() == witness.tobytes()
+        assert trace[2] > trace[1]  # the ascent gained
+        assert visited == set(np.flatnonzero(~dead).tolist())
+        assert sum(settled) % (512 - 187) == 0
 
 
 # -- the ray pass: the third stage where p <= 1 <= q --
