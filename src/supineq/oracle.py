@@ -328,12 +328,11 @@ def best_constant_lower(
         vals = best_vals.copy()
         pred = [-1] * n
         rng = np.random.default_rng(seed + 104729)
-        live = ~engine._dead if engine._dead.any() else None
+        live = ~engine._dead
         for _ in range(budget.n_ascent):
             start = best
             order = rng.permutation(n)
-            if live is not None:  # drawn over every knot, then the dead ones dropped
-                order = order[live[order]]
+            order = order[live[order]]  # drawn over every knot, then the dead ones dropped
             pos, k = 0, 1
             while pos < len(order) and best < INF:
                 done, hit, vals, best = _predicted_batch(engine, vals, best, order[pos:pos + k], pred)

@@ -1190,7 +1190,7 @@ def quiet_knots(engine):
     every region a step there can change (its own, and on a monotone cone
     the lifted side) has no v-mass."""
     spec, dV, dW = engine.spec, engine.dV.tolist(), engine.dW.tolist()
-    reach = REACH.get((spec.kind.base, spec.kind.compose)) if spec.kind.base != "T_ub" else None
+    reach = REACH.get((spec.kind.base, spec.kind.compose))  # T_ub has none
     n = engine.n
     flags = []
     for j in range(n):
