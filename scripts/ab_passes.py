@@ -24,10 +24,12 @@ import.  Outside ``criteria-sweep`` the cold pass also counts the coordinate
 ascent's work per side: coordinate visits (the coordinates its batches
 settle), misses (batches that stopped at a prediction that failed), and the
 ``ratios`` calls and rows its batches score.  perfbench's tracer does not
-wrap ``ratios``, so these are the per-layer read of the ascent.  Under ``criteria-sweep`` each side's criteria memos on the
-default ``CritCtx`` grid are read after its cold pass: the ``cache_info()``
-of the weights' memo and, where the checkout has one, of the derived
-arrays' memo.  Then the rounds alternate which side goes first.  A pass is
+wrap ``ratios``, so these are the per-layer read of the ascent.  Under
+``criteria-sweep`` each side's criteria memos are read after its cold pass,
+as the checkout has them: the ``cache_info()`` of its one memo
+(``criteria._memo``), or of the weights' memo on the default ``CritCtx``
+grid and, where there is one, of the derived arrays' memo on it.  Then the
+rounds alternate which side goes first.  A pass is
 timed in CPU time of this process.
 
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
@@ -193,8 +195,11 @@ def counting_ascent(pkg):
 
 
 def memo_info(pkg) -> dict:
-    """``cache_info()`` of the criteria memos on the default ``CritCtx``
-    grid: ``weights``, and ``derived`` where the checkout has that memo."""
+    """``cache_info()`` of the criteria memos: ``memo`` where the checkout has
+    one memo for the criteria, else those on the default ``CritCtx`` grid,
+    ``weights`` and, where the checkout has that memo, ``derived``."""
+    if hasattr(pkg.criteria, "_memo"):
+        return {"memo": pkg.criteria._memo.cache_info()._asdict()}
     grid = pkg.criteria.CritCtx()._grid
     out = {"weights": grid.memo.cache_info()._asdict()}
     if hasattr(grid, "derived"):

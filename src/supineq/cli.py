@@ -76,6 +76,8 @@ _DEFAULTS = {
 def _build_kind(obj: dict, anchor: str, weight) -> OperatorKind:
     """The operator of a scenario; ``weight`` turns a weight literal (or a
     Weight) into the Weight to use."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{anchor}: operator must be an object, got {obj!r}")
     base = obj.get("base")
     if base == "T_gamma":
         if "gamma_over_n" not in obj:
@@ -118,13 +120,14 @@ def load_config(path: str, overrides: Optional[dict] = None) -> List[ScenarioCon
     defaults, then the file's ``defaults``, then the scenario's own entry,
     then ``overrides`` (the CLI flags; None entries are unset)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    except OSError as exc:
+    # a ValueError here is a file that is not UTF-8 or an integer past int()'s digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict) or "scenarios" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ConfigError(f"{path}: config must be an object with a 'scenarios' array")
     try:
         defaults = _layer(_DEFAULTS, doc.get("defaults", {}))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -80,13 +80,11 @@ class CriterionResult:
     flags: Tuple[str, ...] = ()
 
 
-# weights kept per grid: values, w·t and the integral as read, at most about
-# 19.6 MB; one weight-forms pass reads 69 weights, which 64 entries thrashed
-_MEMO_SIZE = 128
-# w-independent arrays kept per grid (``CritCtx.derived``), one array of the
-# grid an entry (two for T4.1's Phi and G); one criteria-sweep pass with its
-# known answers reads 51 keys, 54 arrays or 2.0 MB, the other workloads fewer
-_DERIVED_SIZE = 64
+# the criteria's memo: at most 256 keys of one or two arrays of the grid
+# (values, w·t, a derived array, T4.1's Phi with its G, or an integral's two
+# sides), 19.7 MB at the default 4,801 knots; a cold criteria-sweep pass with
+# its known answers holds 189 keys, a cold pass of the other workloads fewer
+_MEMO_SIZE = 256
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -94,75 +92,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Grid:
-    """The read-only arrays of one log grid and two memos on it, each keyed
-    by value (weights are frozen dataclasses, hashable by construction, so
-    equal constructions hash alike): ``memo``, an ``_Entry`` for each of the
-    ``_MEMO_SIZE`` most recently used weights; and ``derived``, the
-    w-independent arrays of the criteria for each of the ``_DERIVED_SIZE``
-    most recently used keys ``(fn, *key)`` (``CritCtx.derived``)."""
-
-    def __init__(self, lo: float, hi: float, per_decade: int):
-        ndec = math.log10(hi / lo)
-        n = int(round(ndec * per_decade)) + 1
-        if n - 1 < 3 * per_decade:
-            raise ValueError("the grid must span at least three decades: "
-                             "divergence is read from three decade blocks at each end")
-        self.args = (lo, hi, per_decade)
-        self.t = _frozen(np.geomspace(lo, hi, n))
-        self.h = math.log(hi / lo) / (n - 1)
-        self.m = per_decade
-        self.memo = lru_cache(maxsize=_MEMO_SIZE)(partial(_Entry, self))
-        self.derived = lru_cache(maxsize=_DERIVED_SIZE)(self._derive)
-
-    def _derive(self, fn, *key):
-        """``fn`` on a context on this grid (``_grid`` keeps every grid it
-        builds, so ``CritCtx(*self.args)`` is this one's) and ``key``, each
-        array of the result read-only."""
-        out = fn(CritCtx(*self.args), *key)
-        for a in out if isinstance(out, tuple) else (out,):
-            _frozen(a)
-        return out
-
-    def integrate(self, g: np.ndarray) -> "IntSet":
-        """``int g dt/t`` by the trapezoid rule in log t, with the boundary
-        divergence read from three decade blocks at each end."""
-        c = np.add(g[:-1], g[1:])
-        c *= 0.5 * self.h
-        m = self.m
-        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
-        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
-        div0 = _diverging(b)
-        divinf = _diverging(e)
-        head = INF if div0 else _geom_tail(b)
-        tail = INF if divinf else _geom_tail(e)
-        return IntSet(c, head, tail, div0, divinf)
-
-
 @lru_cache(maxsize=None)
-def _grid(lo: float, hi: float, per_decade: int) -> _Grid:
-    return _Grid(lo, hi, per_decade)
+def _knots(lo: float, hi: float, n: int) -> np.ndarray:
+    return _frozen(np.geomspace(lo, hi, n))
 
 
-class _Entry:
-    """One weight's memo entry on a grid, evicted as a whole: its values,
-    read-only; ``wt`` = w·t, the weight as a measure on the grid's dt/t,
-    read-only and built on first access; and the integral of the weight
-    alone, settled on first access, which integrates the kept ``wt`` or, for
-    a weight ``int_set`` has not read yet, the same product unkept."""
-
-    def __init__(self, grid: _Grid, w: Weight):
-        self._grid = grid
-        self.vals = _frozen(np.array(w(grid.t), dtype=float))
-
-    @cached_property
-    def wt(self) -> np.ndarray:
-        return _frozen(_amul(self.vals, self._grid.t))
-
-    @cached_property
-    def integral(self) -> "IntSet":
-        wt = vars(self).get("wt")
-        return self._grid.integrate(_amul(self.vals, self._grid.t) if wt is None else wt).settled()
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo(args: tuple, fn, *key):
+    """``fn(CritCtx(*args), *key)``, each array of it read-only and an
+    integral settled: the one memo of the criteria, for the whole process,
+    keyed by value (weights are frozen dataclasses, hashable by
+    construction, so equal constructions hash alike)."""
+    out = fn(CritCtx(*args), *key)
+    if isinstance(out, IntSet):
+        return out.settled()
+    for a in out if isinstance(out, tuple) else (out,):
+        _frozen(a)
+    return out
 
 
 class IntSet:
@@ -214,21 +160,17 @@ class IntSet:
 class CritCtx:
     """Numerical context: log grid, quadrature, envelopes, suprema.
 
-    Contexts with equal ``(lo, hi, per_decade)`` share one grid: the
-    read-only array ``t``, built on first use, and two memos on it.  The
-    weights' memo is bounded at ``_MEMO_SIZE`` weights.  A weight's entry
-    holds the weight's values (``vals``) and, each from its first read, the
-    integral of the weight alone (``int_w``) and the product w·t that
-    ``int_set`` integrates (``int_w`` integrates it too, but keeps it only
-    where ``int_set`` has built it), so all go together when the entry is
-    evicted.  The derived memo (``derived``) is bounded at ``_DERIVED_SIZE``
-    keys and holds the arrays of the criteria that do not read w, each under
-    the function that builds it and the weights and exponents it reads:
-    T5.1's rho (u, b), eta (u, v), g1 (b, v, p) and g2 (v, p), which T5.3
-    reaches through its power substitution; and T4.1/T4.3's Phi with its G
-    (v, side, p).  One criteria-sweep pass reads 48 such keys (51 with its
-    known answers), about 2.0 MB, and its process peaks 2.5 % higher
-    resident than without this memo (78.9 against 77.0 MB).
+    Contexts with equal ``(lo, hi, per_decade)`` (``args``) share the
+    read-only knot array ``t`` and every array of the criteria's one memo,
+    ``_memo``, which keeps the ``_MEMO_SIZE`` most recently used keys
+    ``(args, fn, *key)`` for the whole process.  Each key names a function
+    of this module and the weights and exponents it reads: a weight's values
+    (``vals``, key ``_vals``), the product w·t that ``int_set`` integrates
+    (``_measure``), and the integral of the weight alone (``int_w``,
+    ``_integral``, which integrates w·t without keeping it); and the arrays
+    of the criteria that do not read w (``derived``): T5.1's rho (u, b), eta
+    (u, v), g1 (b, v, p) and g2 (v, p), which T5.3 reaches through its power
+    substitution, and T4.1/T4.3's Phi with its G (v, side, p).
 
     ``int_set``, ``int_w``, ``sup`` and ``env_arr`` run in the caller's
     ``np.errstate``, as ``OperatorKernel.apply`` does: each criterion
@@ -244,23 +186,43 @@ class CritCtx:
     operator looks, "low" for S_u and "up" for S*_u."""
 
     def __init__(self, lo: float = 1e-12, hi: float = 1e12, per_decade: int = 200):
-        self._grid = _grid(lo, hi, per_decade)
-        self.t, self.h, self.m = self._grid.t, self._grid.h, self._grid.m
+        n = int(round(math.log10(hi / lo) * per_decade)) + 1
+        if n - 1 < 3 * per_decade:
+            raise ValueError("the grid must span at least three decades: "
+                             "divergence is read from three decade blocks at each end")
+        self.args = (lo, hi, per_decade)
+        self.t = _knots(lo, hi, n)
+        self.h = math.log(hi / lo) / (n - 1)
+        self.m = per_decade
 
     # -- pointwise values ----------------------------------------------------
     def vals(self, w: Weight) -> np.ndarray:
         """``w`` on the grid, read-only; shared by every context on this grid."""
-        return self._grid.memo(w).vals
+        return _memo(self.args, _vals, w)
 
     # -- integration ------------------------------------------------------------
+    def integrate(self, g: np.ndarray) -> "IntSet":
+        """``int g dt/t`` by the trapezoid rule in log t, with the boundary
+        divergence read from three decade blocks at each end."""
+        c = np.add(g[:-1], g[1:])
+        c *= 0.5 * self.h
+        m = self.m
+        b = c[:3 * m].reshape(3, m).sum(axis=1).tolist()  # decades from 0 outward
+        e = c[-3 * m:].reshape(3, m).sum(axis=1)[::-1].tolist()  # decades from oo inward
+        div0 = _diverging(b)
+        divinf = _diverging(e)
+        head = INF if div0 else _geom_tail(b)
+        tail = INF if divinf else _geom_tail(e)
+        return IntSet(c, head, tail, div0, divinf)
+
     def int_set(self, F: np.ndarray, w: Weight) -> IntSet:
         """``int F w`` on the grid; ``F`` is read, not written."""
-        return self._grid.integrate(_amul(F, self._grid.memo(w).wt))
+        return self.integrate(_amul(F, _memo(self.args, _measure, w)))
 
     def int_w(self, w: Weight) -> IntSet:
         """``int_set`` of ``w`` alone (F = 1), both sides summed and
-        read-only; kept in ``w``'s memo entry next to its values."""
-        return self._grid.memo(w).integral
+        read-only, kept in the memo."""
+        return _memo(self.args, _integral, w)
 
     # -- suprema with boundary classification --------------------------------------
     def sup(self, vals: np.ndarray) -> Tuple[float, Optional[str]]:
@@ -317,10 +279,23 @@ class CritCtx:
     # -- w-independent arrays ---------------------------------------------------------
     def derived(self, fn, *key):
         """``fn(ctx, *key)`` on this grid, each array of it read-only and kept
-        in the grid's ``derived`` memo under ``(fn, *key)``: ``key`` holds
-        every weight and exponent ``fn`` reads, so equal keys give equal
-        arrays."""
-        return self._grid.derived(fn, *key)
+        in the memo under ``fn`` and ``key``: ``key`` holds every weight and
+        exponent ``fn`` reads, so equal keys give equal arrays."""
+        return _memo(self.args, fn, *key)
+
+
+def _vals(ctx: CritCtx, w: Weight) -> np.ndarray:
+    return np.array(w(ctx.t), dtype=float)
+
+
+def _measure(ctx: CritCtx, w: Weight) -> np.ndarray:
+    """w·t, the weight as a measure on the grid's dt/t."""
+    return _amul(ctx.vals(w), ctx.t)
+
+
+def _integral(ctx: CritCtx, w: Weight) -> IntSet:
+    """The integral of ``w`` alone, of a w·t it does not keep."""
+    return ctx.integrate(_amul(ctx.vals(w), ctx.t))
 
 
 def _diverging(blocks) -> bool:
@@ -465,8 +440,8 @@ def _sigma_arrays(ctx: CritCtx, v: Weight, p: float, side: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the w-independent arrays kept in the grid's derived memo, each read through
-# ``CritCtx.derived`` and keyed by the weights and exponents it reads
+# the w-independent arrays, each read through ``CritCtx.derived`` and kept in
+# the memo under the weights and exponents it reads
 # ---------------------------------------------------------------------------
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .extreal import INF, _product, adiv
 from .gridfn import Grid, region_measures
-from .weights import FuncWeight, PowerWeight, Weight, cumulative, weight_mul
+from .weights import FuncWeight, PowerWeight, Weight, _Derived, cumulative, weight_mul
 
 __all__ = [
     "OperatorKind",
@@ -338,13 +338,8 @@ def _ratio_weight(u: Weight, B: Weight) -> Weight:
     if (isinstance(u, PowerWeight) and isinstance(B, PowerWeight)
             and B.lam == 0.0 and B.mu == 0.0 and B.c > 0.0):
         return PowerWeight(u.c / B.c, u.alpha - B.alpha, u.lam, u.mu)
-    return FuncWeight(_RatioClosure(u, B))
+    return FuncWeight(_Derived(_ratio, (u, B)))
 
 
-@dataclass(frozen=True)
-class _RatioClosure:
-    u: Weight
-    B: Weight
-
-    def __call__(self, t):
-        return adiv(self.u(t), self.B(t))
+def _ratio(t, u: Weight, B: Weight):
+    return adiv(u(t), B(t))

@@ -9,7 +9,9 @@ provides a small closed family of symbolic forms
   * ``PiecewisePowerWeight`` pure power laws between knots
   * ``TabulatedWeight``    log-linear interpolation of samples, constant
                            extension outside the sample range
-  * ``FuncWeight``         arbitrary callable (used for derived weights)
+  * ``FuncWeight``         arbitrary hashable callable; a derived weight's
+                           is a module-level function with its arguments
+                           (``_Derived``)
 
 together with the operations the inequality criteria need:
 
@@ -157,81 +159,63 @@ class Weight:
 
     # -- algebra --------------------------------------------------------------
     def power(self, e: float) -> "Weight":
-        return FuncWeight(_PowClosure(self, e))
+        return FuncWeight(_Derived(_pow, (self, e)))
 
     def scale(self, c: float) -> "Weight":
-        return FuncWeight(_ScaleClosure(self, c))
+        return FuncWeight(_Derived(_scale, (self, c)))
 
     def dual(self, jacobian_exponent: float) -> "Weight":
         """The substituted weight ``t -> w(1/t) * (1/t**2)**e``."""
-        return FuncWeight(_DualClosure(self, jacobian_exponent))
+        return FuncWeight(_Derived(_dual, (self, jacobian_exponent)))
 
 
-# .. picklable closures for derived FuncWeights ..............................
+# .. derived FuncWeights: a module-level function and its arguments ..........
 
 
 @dataclass(frozen=True)
-class _PowClosure:
-    base: Weight
-    e: float
+class _Derived:
+    """t -> ``fn(t, *args)``, with ``fn`` a module-level function (compared
+    by identity, pickled by name) and ``args`` the weights and numbers it
+    reads (compared by value): equal constructions are equal and hash
+    alike, and a derived weight pickles."""
+
+    fn: Callable
+    args: tuple
 
     def __call__(self, t):
-        return apow(self.base(t), self.e)
+        return self.fn(t, *self.args)
 
 
-@dataclass(frozen=True)
-class _ScaleClosure:
-    base: Weight
-    c: float
-
-    def __call__(self, t):
-        return amul(self.c, self.base(t))
+def _pow(t, base: "Weight", e: float):
+    return apow(base(t), e)
 
 
-@dataclass(frozen=True)
-class _DualClosure:
-    base: Weight
-    e: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        inv = np.where(t > 0.0, 1.0 / t, INF)
-        return amul(self.base(inv), apow(inv, 2.0 * self.e))
+def _scale(t, base: "Weight", c: float):
+    return amul(c, base(t))
 
 
-@dataclass(frozen=True)
-class _MulClosure:
-    a: Weight
-    b: Weight
-
-    def __call__(self, t):
-        return amul(self.a(t), self.b(t))
+def _dual(t, base: "Weight", e: float):
+    t = np.asarray(t, dtype=float)
+    inv = np.where(t > 0.0, 1.0 / t, INF)
+    return amul(base(inv), apow(inv, 2.0 * e))
 
 
-@dataclass(frozen=True)
-class _CumClosure:
+def _mul(t, a: "Weight", b: "Weight"):
+    return amul(a(t), b(t))
+
+
+def _cum(t, w: "Weight", side: str):
     """t -> int_0^t w (side "low") or int_t^oo w (side "up"), one cumulative
     per point."""
-
-    w: Weight
-    side: str
-
-    def __call__(self, t):
-        cum = self.w.cum_low if self.side == "low" else self.w.cum_up
-        return np.array([cum(x) for x in t])
+    cum = w.cum_low if side == "low" else w.cum_up
+    return np.array([cum(x) for x in t])
 
 
-@dataclass(frozen=True)
-class _RunningSupClosure:
+def _running_sup(t, w: "Weight", side: str):
     """t -> esssup of w over (0, t] (side "low") or [t, oo) (side "up")."""
-
-    w: Weight
-    side: str
-
-    def __call__(self, t):
-        if self.side == "low":
-            return self.w.sup_on_intervals(np.zeros_like(t), t)
-        return self.w.sup_on_intervals(t, np.full_like(t, INF))
+    if side == "low":
+        return w.sup_on_intervals(np.zeros_like(t), t)
+    return w.sup_on_intervals(t, np.full_like(t, INF))
 
 
 @dataclass(frozen=True)
@@ -365,7 +349,7 @@ class PowerWeight(Weight):
         # family cannot represent unless they vanish
         if self.lam == 0.0 and self.mu == 0.0:
             return PowerWeight(self.c ** e, self.alpha * e)
-        return FuncWeight(_PowClosure(self, e))
+        return FuncWeight(_Derived(_pow, (self, e)))
 
     def scale(self, k: float) -> "PowerWeight":
         return PowerWeight(xmul(self.c, k), self.alpha, self.lam, self.mu)
@@ -552,7 +536,7 @@ class TabulatedWeight(Weight):
     def power(self, e: float) -> "Weight":
         ys = np.asarray(self.y)
         if e < 0 and np.any(ys == 0.0):
-            return FuncWeight(_PowClosure(self, e))
+            return FuncWeight(_Derived(_pow, (self, e)))
         return TabulatedWeight(self.t, tuple((ys ** e).tolist()))
 
     def scale(self, k: float) -> "TabulatedWeight":
@@ -649,7 +633,10 @@ def _real(x, name: str) -> float:
     a bool or a numeric string, which ``float()`` would take."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{name} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} must be a real number in the float range") from None
 
 
 def parse_weight(obj) -> Weight:
@@ -686,7 +673,7 @@ def parse_weight(obj) -> Weight:
 def weight_mul(a: Weight, b: Weight) -> Weight:
     if isinstance(a, PowerWeight) and isinstance(b, PowerWeight):
         return PowerWeight(xmul(a.c, b.c), a.alpha + b.alpha, a.lam + b.lam, a.mu + b.mu)
-    return FuncWeight(_MulClosure(a, b))
+    return FuncWeight(_Derived(_mul, (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +744,7 @@ def cumulative(w: Weight, side: str) -> Weight:
         a1 = w.alpha + 1.0
         if (a1 > 0.0) if side == "low" else (a1 < 0.0):
             return PowerWeight(w.c / abs(a1), a1)
-    return FuncWeight(_CumClosure(w, side))
+    return FuncWeight(_Derived(_cum, (w, side)))
 
 
 def running_sup(w: Weight, side: str) -> Weight:
@@ -765,5 +752,5 @@ def running_sup(w: Weight, side: str) -> Weight:
     weight: ``w.sup_on_intervals`` at the points, one array pass for a
     ``PowerWeight``."""
     _check_side(side)
-    return FuncWeight(_RunningSupClosure(w, side))
+    return FuncWeight(_Derived(_running_sup, (w, side)))
 

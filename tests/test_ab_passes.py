@@ -91,13 +91,12 @@ class TestSameTreeTwice:
         passes = doc["passes"]
         assert passes["digest_equal"] and "apply_us" not in doc and "ascent" not in passes
         assert_spread(passes)
-        # each side's memos after its cold pass, which filled them: the
+        # each side's one memo after its cold pass, which filled it: the
         # sstardown spec reads weights, the tub spec derived arrays too
         for side in AB.SIDES:
             memos = passes["criteria_memos"][side]
-            assert sorted(memos) == ["derived", "weights"]
-            for info in memos.values():
-                assert info["misses"] == info["currsize"] > 0
+            assert sorted(memos) == ["memo"]
+            assert memos["memo"]["misses"] == memos["memo"]["currsize"] > 0
 
     def test_memo_info_without_a_derived_memo(self):
         # a checkout from before the derived memo reports its weights alone
@@ -106,6 +105,18 @@ class TestSameTreeTwice:
         pkg = SimpleNamespace(criteria=SimpleNamespace(
             CritCtx=lambda: SimpleNamespace(_grid=SimpleNamespace(memo=memo))))
         assert AB.memo_info(pkg) == {"weights": {"hits": 1, "misses": 1, "maxsize": 4, "currsize": 1}}
+
+    def test_memo_info_of_each_layout(self):
+        # a checkout with a memo of weights and one of derived arrays per
+        # grid reports both; one with a single memo for the criteria, that one
+        weights, derived = lru_cache(maxsize=4)(abs), lru_cache(maxsize=2)(abs)
+        weights(-1.0), weights(-1.0), derived(-2.0)
+        two = SimpleNamespace(criteria=SimpleNamespace(
+            CritCtx=lambda: SimpleNamespace(_grid=SimpleNamespace(memo=weights, derived=derived))))
+        assert AB.memo_info(two) == {"weights": {"hits": 1, "misses": 1, "maxsize": 4, "currsize": 1},
+                                     "derived": {"hits": 0, "misses": 1, "maxsize": 2, "currsize": 1}}
+        one = SimpleNamespace(criteria=SimpleNamespace(_memo=derived))
+        assert AB.memo_info(one) == {"memo": {"hits": 0, "misses": 1, "maxsize": 2, "currsize": 1}}
 
     def test_criteria_sweep_workload_runs_the_criteria_alone(self, monkeypatch, capsys):
         seen = []

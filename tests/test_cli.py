@@ -204,12 +204,40 @@ class TestMain:
         {"w": {"form": "table", "t": [1, 2], "y": [True, 1]}},
         {"operator": {"base": "T_gamma", "gamma_over_n": True}},
         {"operator": {"base": "T_gamma", "gamma_over_n": "0.5"}},
+        # an operator that is not an object
+        {"operator": 5},
+        {"operator": None},
+        # an integer past the float range, where float() raises OverflowError
+        pytest.param({"p": 10**400}, id="{'p': <400 digits>}"),
+        pytest.param({"v": {"form": "power", "c": 10**400, "alpha": 0}},
+                     id="{'v': {'form': 'power', 'c': <400 digits>, 'alpha': 0}}"),
+        pytest.param({"operator": {"base": "T_gamma", "gamma_over_n": 10**400}},
+                     id="{'operator': {'base': 'T_gamma', 'gamma_over_n': <400 digits>}}"),
+        pytest.param({"band": 10**400}, id="{'band': <400 digits>}"),
     ], ids=lambda e: repr(e))
     def test_bad_entry_exits_two_with_anchor(self, tmp_path, capsys, entry):
         sc = dict(GOOD_SCENARIO, **entry)
         cfg = write_config(tmp_path, {"defaults": FAST, "scenarios": [sc]})
         assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
         assert "scenarios[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        # not UTF-8
+        b'{"scenarios": [{"id": "caf\xe9"}]}',
+        # an integer literal past int()'s 4,300-digit limit (or, where int()
+        # has none, past the float range)
+        b'{"scenarios": [{"id": "x", "p": 1' + b"0" * 4400 + b'}]}',
+        # a scenarios entry that is not an array
+        b'{"scenarios": 5}',
+        b'{"scenarios": null}',
+    ], ids=["latin-1", "4401-digits", "scenarios-5", "scenarios-null"])
+    def test_malformed_file_exits_two_with_path(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="bad.json"):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["c", "alpha"])
     def test_nan_coefficient_exits_two(self, tmp_path, capsys, field):

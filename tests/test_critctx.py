@@ -1,10 +1,12 @@
-"""The criterion context: one shared grid, its memo of weights (the values
-of each and, once read, the integral of the weight alone), its memo of the
-criteria's w-independent arrays, and ``int_set`` against the eager form it
-replaced."""
+"""The criterion context: one shared knot array per grid, the criteria's
+one memo (the values of each weight and, once read, its w·t and the integral
+of the weight alone, and the criteria's w-independent arrays), and
+``int_set`` against the eager form it replaced."""
 
+import importlib.util
 import json
 import os
+import pickle
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -47,12 +49,9 @@ LITERALS = [
 SMALL = (1e-2, 1e2, 2)  # 9 points: the derived weights evaluate by quadrature per point
 
 
-def memo(grid=(1e-12, 1e12, 200)):
-    return criteria._grid(*grid).memo
-
-
-def derived(grid=(1e-12, 1e12, 200)):
-    return criteria._grid(*grid).derived
+def memo():
+    """The criteria's one memo, for every grid."""
+    return criteria._memo
 
 
 def bits(a):
@@ -123,9 +122,19 @@ class TestMemoKeys:
             assert hash(a) == hash(b), name
 
     @pytest.mark.parametrize("lit", LITERALS, ids=lambda x: x["form"] if isinstance(x, dict) else "number")
+    def test_pickle_round_trip(self, lit):
+        # ``--jobs`` workers receive the weights pickled: each comes back
+        # equal, hashing alike, with bit-equal values
+        t = CritCtx(*SMALL).t
+        for name, a in algebra(lit).items():
+            b = pickle.loads(pickle.dumps(a))
+            assert b is not a and b == a and hash(b) == hash(a), name
+            assert bits(b(t)) == bits(a(t)), name
+
+    @pytest.mark.parametrize("lit", LITERALS, ids=lambda x: x["form"] if isinstance(x, dict) else "number")
     def test_equal_constructions_share_memo_values(self, lit):
         ctx = CritCtx(*SMALL)
-        memo(SMALL).cache_clear()
+        memo().cache_clear()
         for name, a in algebra(lit).items():
             assert bits(ctx.vals(a)) == bits(a(ctx.t)), name
         for name, b in algebra(lit).items():
@@ -220,15 +229,19 @@ class TestIntegralMemo:
         assert ctx.int_w(PowerWeight(1.0, 0.0, 1.0)) is iset
 
     def test_vals_and_int_w_share_one_entry(self):
+        # one memo holds both: a weight's integral is one key and the values
+        # it reads another, and the memo stays within its bound
         ctx = CritCtx()
         memo().cache_clear()
         size = criteria._MEMO_SIZE
-        weights = [PowerWeight(1.0, 0.01 * k) for k in range(size + 1)]
-        for w in weights[:size]:
+        weights = [PowerWeight(1.0, 0.01 * k) for k in range(size // 2 + 1)]
+        for w in weights[:size // 2]:
             ctx.int_w(w)
-        entry = memo()(weights[1])
-        assert ctx.vals(weights[1]) is entry.vals and ctx.int_w(weights[1]) is entry.integral
         assert memo().cache_info().currsize == size
+        hits = memo().cache_info().hits
+        assert ctx.vals(weights[1]) is memo()(ctx.args, criteria._vals, weights[1])
+        assert ctx.int_w(weights[1]) is memo()(ctx.args, criteria._integral, weights[1])
+        assert memo().cache_info().hits == hits + 4
         ctx.vals(weights[-1])
         assert memo().cache_info().currsize == size
 
@@ -469,11 +482,10 @@ def specs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cold(specs):
-    """Each spec's outcome on empty memos: weights and derived arrays."""
+    """Each spec's outcome on an empty memo: no weight and no derived array kept."""
     out = []
     for _, spec, verbatim in specs:
         memo().cache_clear()
-        derived().cache_clear()
         out.append(outcome(spec, verbatim))
     return out
 
@@ -490,7 +502,6 @@ def outcomes_in(specs, order):
 def test_cold_and_warm_memo_agree(specs, cold):
     assert len(specs) > 200
     memo().cache_clear()
-    derived().cache_clear()
     n = len(specs)
     assert outcomes_in(specs, range(n)) == cold
     assert outcomes_in(specs, reversed(range(n))) == cold
@@ -502,17 +513,40 @@ def test_cold_and_warm_memo_agree(specs, cold):
 
 def test_one_entry_derived_memo_agrees(specs, cold, monkeypatch):
     # each derived lookup evicts the key before it: what a key's arrays hold
-    # must not depend on which other keys are kept
-    grid = criteria._grid(1e-12, 1e12, 200)
-    monkeypatch.setattr(grid, "derived", lru_cache(maxsize=1)(grid._derive))
+    # must not depend on which other keys are kept.  The weights' keys stay
+    # in the memo; every other key goes through a memo of one entry
+    weights_memo = criteria._memo
+    one = lru_cache(maxsize=1)(weights_memo.__wrapped__)
+    per_weight = (criteria._vals, criteria._measure, criteria._integral)
+    monkeypatch.setattr(criteria, "_memo", lambda args, fn, *key: (
+        weights_memo if fn in per_weight else one)(args, fn, *key))
     assert outcomes_in(specs, range(len(specs))) == cold
-    info = grid.derived.cache_info()
+    info = one.cache_info()
     assert info.currsize == 1 and info.misses > 100
 
 
+def workload_criteria_specs(name, tmp_path):
+    """``(spec, verbatim_paper)`` of a cold criteria pass over one perfbench
+    workload at seed 1: its config's scenarios, then the known answers, each
+    generated config written into ``tmp_path``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def written(doc, stem):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(workloads.config_text(doc))
+        return str(path)
+
+    main = BATTERY if name == "battery" else written(workloads.GENERATORS[name](1), name)
+    scenarios = load_config(main, {"seed": 1}) + load_config(written(workloads.known_answers(1), "known"))
+    return [(sc.spec, sc.verbatim_paper) for sc in scenarios]
+
+
 class TestDerivedMemo:
-    """``CritCtx.derived``: one read-only result per key, at most
-    ``_DERIVED_SIZE`` keys, least recently used out first."""
+    """``CritCtx.derived``: one read-only result per key, in the one memo of
+    at most ``_MEMO_SIZE`` keys, least recently used out first."""
 
     U, B, V = PowerWeight(1.0, 1.0, 1.0), PowerWeight(1.0, 0.5), PowerWeight(2.0, -0.5)
     KEYS = [(criteria._t51_rho, U, B), (criteria._t51_eta, U, V), (criteria._t51_g1, B, V, 2.0),
@@ -522,7 +556,7 @@ class TestDerivedMemo:
     @pytest.mark.parametrize("key", KEYS, ids=lambda k: f"{k[0].__name__}{k[1:]}")
     def test_read_only_shared_and_bit_equal_to_a_fresh_build(self, key):
         fn, *args = key
-        derived().cache_clear()
+        memo().cache_clear()
         with np.errstate(all="ignore"):
             got = CritCtx().derived(fn, *args)
             fresh = fn(CritCtx(), *args)
@@ -534,28 +568,43 @@ class TestDerivedMemo:
                 a[0] = 1.0
 
     def test_bounded_least_recently_used_out_first(self):
+        # g2 of v reads three keys of v (its values, w·t and integral), all
+        # used before g2 itself: they leave the full memo before g2 does
         ctx = CritCtx()
-        derived().cache_clear()
-        size = criteria._DERIVED_SIZE
-        weights = [PowerWeight(1.0, -0.01 * k) for k in range(size + 1)]
+        memo().cache_clear()
+        size = criteria._MEMO_SIZE
+        v = PowerWeight(1.0, -0.5)
+        others = iter([PowerWeight(1.0, 0.01 * k) for k in range(2 * size)])
         with np.errstate(all="ignore"):
-            first = ctx.derived(criteria._t51_g2, weights[0], 2.0)
-            for w in weights[1:]:
-                ctx.derived(criteria._t51_g2, w, 2.0)
-            assert derived().cache_info().currsize == size
-            again = ctx.derived(criteria._t51_g2, weights[0], 2.0)
+            first = ctx.derived(criteria._t51_g2, v, 2.0)
+            assert memo().cache_info().currsize == 4
+            for _ in range(size - 4):
+                ctx.vals(next(others))
+            assert memo().cache_info().currsize == size
+            assert ctx.derived(criteria._t51_g2, v, 2.0) is first
+            for _ in range(4):
+                ctx.vals(next(others))
+            assert ctx.derived(criteria._t51_g2, v, 2.0) is first
+            for _ in range(size):
+                ctx.vals(next(others))
+            assert memo().cache_info().currsize == size
+            again = ctx.derived(criteria._t51_g2, v, 2.0)
             assert again is not first and bits(again) == bits(first)
-            hits = derived().cache_info().hits
-            ctx.derived(criteria._t51_g2, weights[-1], 2.0)
-        assert derived().cache_info().hits == hits + 1
-        assert derived().cache_info().currsize == size
+            hits = memo().cache_info().hits
+            ctx.derived(criteria._t51_g2, v, 2.0)
+        assert memo().cache_info().hits == hits + 1
+        assert memo().cache_info().currsize == size
 
-    def test_a_criteria_pass_stays_within_the_bound(self, specs):
-        derived().cache_clear()
-        for _, spec, verbatim in specs:
-            outcome(spec, verbatim)
-        info = derived().cache_info()
-        assert 0 < info.currsize <= criteria._DERIVED_SIZE and info.hits > info.misses
+    def test_a_criteria_pass_stays_within_the_bound(self, tmp_path):
+        # a cold pass over each workload, as perfbench runs it, evicts nothing
+        for name in ("battery", "cli-default", "weight-forms", "criteria-sweep"):
+            specs = workload_criteria_specs(name, tmp_path)
+            memo().cache_clear()
+            for spec, verbatim in specs:
+                outcome(spec, verbatim)
+            info = memo().cache_info()
+            assert info.misses == info.currsize < criteria._MEMO_SIZE, (name, info)
+            assert info.hits > info.misses, (name, info)
 
 
 # -- evaluate_criterion against the recorded outcomes ------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supineq import criteria
 from supineq.cli import load_config
 from supineq.criteria import (
     CritCtx,
@@ -385,7 +386,7 @@ class TestOnePassSup:
                 assert ctx.sup(ctx.vals(w)) == four_pass_sup(ctx, ctx.vals(w))
 
 
-# -- the weight as a measure: w·t kept in the memo entry ----------------------
+# -- the weight as a measure: w·t kept in the memo --------------------------------
 
 
 def candidate_weights():
@@ -403,6 +404,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def held(ctx, fn, w):
+    """Whether the memo holds ``fn``'s array of ``w`` (reading it keeps it)."""
+    misses = criteria._memo.cache_info().misses
+    criteria._memo(ctx.args, fn, w)
+    return criteria._memo.cache_info().misses == misses
+
+
 def assert_int_set_is(got, ref):
     assert (got.div0, got.divinf) == (ref.div0, ref.divinf)
     for side in ("total", "low", "up"):
@@ -411,13 +419,12 @@ def assert_int_set_is(got, ref):
 
 class TestMeasureEntry:
     """``int_set`` integrates ``_amul(F, wt)`` with ``wt`` = ``_amul(vals, t)``
-    kept read-only in the weight's memo entry; ``IntSet.total`` is summed on
+    kept read-only in the memo under ``_measure``; ``IntSet.total`` is summed on
     demand, to the bits of head + sum + tail, and before ``settled`` drops
     the masses."""
 
     def test_int_set_on_every_candidate_weight(self):
         ctx = CritCtx()
-        grid = ctx._grid
         n = len(ctx.t)
         rng = np.random.default_rng(29)
         F = 10.0 ** rng.uniform(-200, 200, n)
@@ -427,19 +434,18 @@ class TestMeasureEntry:
         with np.errstate(all="ignore"):
             for w in weights:
                 wt = _amul(ctx.vals(w), ctx.t)
-                assert same_bits(grid.memo(w).wt, wt), w
-                assert_int_set_is(ctx.int_set(F, w), grid.integrate(_amul(F, wt)))
+                assert same_bits(criteria._memo(ctx.args, criteria._measure, w), wt), w
+                assert_int_set_is(ctx.int_set(F, w), ctx.integrate(_amul(F, wt)))
 
     def test_wt_is_read_only(self):
         ctx = CritCtx()
-        memo = ctx._grid.memo
-        memo.cache_clear()
+        criteria._memo.cache_clear()
         with np.errstate(all="ignore"):
             ctx.int_w(W)
             ctx.int_set(ctx.vals(U), V)
         for w in (W, V):
-            wt = memo(w).wt
-            assert not wt.flags.writeable and memo(w).wt is wt
+            wt = criteria._memo(ctx.args, criteria._measure, w)
+            assert not wt.flags.writeable and criteria._memo(ctx.args, criteria._measure, w) is wt
             with pytest.raises(ValueError):
                 wt[0] = 1.0
 
@@ -447,15 +453,14 @@ class TestMeasureEntry:
         # the integral of a weight that ``int_set`` has not read integrates
         # w·t without keeping it, to the same bits as the kept one
         ctx = CritCtx()
-        memo = ctx._grid.memo
-        memo.cache_clear()
+        criteria._memo.cache_clear()
         with np.errstate(all="ignore"):
             alone = ctx.int_w(W)
-            assert "wt" not in vars(memo(W))
-            memo.cache_clear()
+            assert not held(ctx, criteria._measure, W)
+            criteria._memo.cache_clear()
             ctx.int_set(ctx.vals(U), W)
             kept = ctx.int_w(W)
-        assert "wt" in vars(memo(W))
+            assert held(ctx, criteria._measure, W)
         assert_int_set_is(alone, kept)
 
     def test_total_on_demand_and_after_settled(self):

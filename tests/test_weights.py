@@ -23,8 +23,9 @@ from supineq.weights import (
     PowerWeight,
     TabulatedWeight,
     Weight,
-    _MulClosure,
-    _ScaleClosure,
+    _Derived,
+    _mul,
+    _scale,
     conjugate,
     parse_weight,
     _quad_log,
@@ -399,10 +400,10 @@ WIDE_TABLE = TabulatedWeight(tuple(np.geomspace(1e-8, 1e8, 9).tolist()),
 # whose mass diverges at oo, at 0, or nowhere.  (Their masses agree to the
 # quadrature's tolerance because they are smooth: across the kinks of a
 # table one quadrature can be off by a relative 3e-6.)
-FUNC_WEIGHTS = [FuncWeight(_MulClosure(PowerWeight(2.0, 0.5), PowerWeight(1.0, 0.0, 1.0))),
-                FuncWeight(_ScaleClosure(PowerWeight(1.0, 0.5, 0.0, 1.0), 2.0)),
-                FuncWeight(_ScaleClosure(PowerWeight(1.0, -1.5, 2.0), 2.0)),
-                FuncWeight(_ScaleClosure(PowerWeight(1.0, -0.5, 1.0), 3.0))]
+FUNC_WEIGHTS = [FuncWeight(_Derived(_mul, (PowerWeight(2.0, 0.5), PowerWeight(1.0, 0.0, 1.0)))),
+                FuncWeight(_Derived(_scale, (PowerWeight(1.0, 0.5, 0.0, 1.0), 2.0))),
+                FuncWeight(_Derived(_scale, (PowerWeight(1.0, -1.5, 2.0), 2.0))),
+                FuncWeight(_Derived(_scale, (PowerWeight(1.0, -0.5, 1.0), 3.0)))]
 
 sample_st = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 # the ends of the masses the program reads: 0, oo and knots on the span of the
