@@ -32,13 +32,20 @@ grid and, where there is one, of the derived arrays' memo on it.  Then the
 rounds alternate which side goes first.  A pass is
 timed in CPU time of this process.
 
+Each side's import cost is read too, in ``IMPORT_RUNS`` fresh interpreters
+per side, the sides alternating: the median wall seconds of ``import
+supineq`` from the checkout's ``src``, the median resident MB after it (the
+interpreter's own peak, ``VmHWM`` in ``/proc/self/status``: Linux counts
+the forking process's peak in a child's ``ru_maxrss``), and whether any
+``scipy`` module was loaded.
+
 With ``--kinds`` each scenario family (the id up to its first ``-``) is timed
 too: the kernel of its first scenario, on one sampled row of its cone (the
 indicator scan and the random stage score one row a call) at that
 scenario's grid and seed, for ``CALLS`` calls of ``apply`` per side and
 round, again alternating.
 
-The report is JSON on stdout: each side's cold-pass peak in MB (and under
+The report is JSON on stdout: each side's import cost, its cold-pass peak in MB (and under
 ``criteria-sweep`` its memos, else its ascent counts), each side's minimum and median, and the
 minimum, quartiles and median of the paired ratio change / parent.  It states no verdict; a gain is claimed from
 ``scripts/bench_pairs.py`` pairs.
@@ -54,6 +61,7 @@ import importlib.util
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -65,6 +73,19 @@ import scipy.integrate  # noqa: F401  (the weights import it lazily; here, befor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 CALLS = 2000  # apply calls per timing with --kinds
+IMPORT_RUNS = 5  # fresh interpreters per side for the import cost
+
+# prints the wall seconds of ``import supineq``, the resident MB after it and
+# whether a scipy module is loaded
+IMPORT_PROBE = """
+import sys, time
+t = time.perf_counter()
+import supineq
+t = time.perf_counter() - t
+with open("/proc/self/status") as fh:
+    mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+print(t, mb, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
 
 
 def load(checkout: str, name: str):
@@ -224,6 +245,26 @@ def passes(pkgs: dict, scenarios: dict, rounds: int, one=one_pass) -> dict:
     return {**out, **summary(times)}
 
 
+def import_probe(checkout: str) -> tuple:
+    """One fresh interpreter's ``IMPORT_PROBE`` of ``checkout``'s ``src``:
+    seconds, resident MB and whether scipy was loaded."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return float(out[0]), float(out[1]), out[2] == "True"
+
+
+def import_costs(checkouts: dict) -> dict:
+    """Per side, the median seconds and resident MB of ``import supineq``
+    over ``IMPORT_RUNS`` fresh interpreters, and whether any of them loaded
+    a scipy module."""
+    runs = interleaved(IMPORT_RUNS, {side: (lambda s=side: import_probe(checkouts[s]))
+                                     for side in SIDES})
+    return {side: {"import_s": statistics.median(r[0] for r in rs),
+                   "rss_mb": statistics.median(r[1] for r in rs),
+                   "scipy_loaded": any(r[2] for r in rs)} for side, rs in runs.items()}
+
+
 def apply_timer(pkg, sc):
     """A timer of ``CALLS`` calls of ``sc``'s kernel ``apply`` on one sampled
     row of its cone, in microseconds per call."""
@@ -264,10 +305,11 @@ def run(parent: str, change: str, config: str, seed=None, rounds: int = 8,
     with ``criteria_only`` a pass runs the criteria alone (``criteria_pass``)."""
     if rounds < 2:
         raise ValueError("quartiles need at least two rounds")
-    pkgs = {side: load(path, f"ab_{side}") for side, path in (("parent", parent), ("change", change))}
+    checkouts = {"parent": parent, "change": change}
+    pkgs = {side: load(checkouts[side], f"ab_{side}") for side in SIDES}
     scenarios = {side: pkgs[side].cli.load_config(config, {"seed": seed}) for side in SIDES}
     doc = {"config": config, "seed": seed, "rounds": rounds, "scenarios": len(scenarios["change"]),
-           "time": "CPU seconds per warm pass",
+           "import": import_costs(checkouts), "time": "CPU seconds per warm pass",
            "passes": passes(pkgs, scenarios, rounds, criteria_pass if criteria_only else one_pass)}
     if with_kinds:
         doc["apply_us"] = kinds(pkgs, scenarios, rounds)

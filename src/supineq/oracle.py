@@ -55,7 +55,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, _amul, xdiv, xpow
+from .extreal import INF, _amul, _apow, xdiv, xpow
 from .gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -143,11 +143,11 @@ class RayleighEngine:
         workspace: its first half takes the rows' region values, in the
         canonical step semantics of the cone (``gridfn.region_values``), and
         its second the operator kernel's output region values.  Both halves
-        are raised to their exponents (in one step when p = q; an exponent of
-        1 is skipped), multiplied by a ``(2, 1, n+1)`` stack of the v- and
-        w-masses and summed row by row in one reduction, all in place.  Every
-        entry of ``F`` must lie in [0, inf]: a NaN or negative one raises
-        ``ValueError``.  Rows are meant to lie in the cone, as every stage's
+        are raised to their exponents by ``extreal._apow`` (in one step when
+        p = q; an exponent of 1 is skipped), multiplied by a ``(2, 1, n+1)``
+        stack of the v- and w-masses and summed row by row in one reduction,
+        all in place.  Every entry of ``F`` must lie in [0, inf]: a NaN or
+        negative one raises ``ValueError``.  Rows are meant to lie in the cone, as every stage's
         are: there the kernel's read-off of a monotone running maximum is
         exact, and on a row off the cone it reads at most the scan, so the
         quotient is still a lower bound (``OperatorKernel``).
@@ -166,15 +166,13 @@ class RayleighEngine:
         region_values(F, self.cone, out=segv)
         with np.errstate(all="ignore"):
             self.kernel.apply(segv, out=out_segv)
-            # ``x ** p`` with p > 0 is ``apow`` (x ** 1 is x), and the product
-            # is ``amul``, in place on this call's own workspace
-            if p == q != 1.0:
-                work **= p
+            # the powers (``_apow`` skips an exponent of 1) and the product,
+            # in place on this call's own workspace
+            if p == q:
+                _apow(work, p, out=work)
             else:
-                if p != 1.0:
-                    segv **= p
-                if q != 1.0:
-                    out_segv **= q
+                _apow(segv, p, out=segv)
+                _apow(out_segv, q, out=out_segv)
             den_sums, num_sums = np.add.reduce(_amul(work, self._dVW, out=work), axis=2).tolist()
         out = [0.0] * len(den_sums)
         unsure = []  # rows that read +inf

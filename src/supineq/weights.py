@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from .extreal import INF, amul, apow, xmul, xpow
 
@@ -64,7 +63,9 @@ def _quad_log(w: "Weight", a: float, b: float) -> float:
     """Adaptive quadrature of ``w`` over (a, b) in (0, oo), on the log axis.
 
     ``scipy.integrate`` is imported here, on the first quadrature: most runs
-    never need it, and importing it is about 40 % of the package's import time."""
+    never need it, and importing it (with the ``scipy.special`` it loads)
+    takes more than twice as long as importing the package, which loads no
+    scipy module."""
     from scipy import integrate
 
     lo = math.log(a) if a > 0.0 else -math.inf
@@ -94,6 +95,117 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return INF
+
+
+# -- the regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P --
+#
+# Cephes' igam/igamc (DiDonato & Morris, ACM TOMS 12, 1986) in the branch
+# structure scipy.special keeps, without its asymptotic series for a ~ x > 20:
+# a power series, a small-x series for Q and Legendre's continued fraction,
+# each scaled by x^a e^-x / Gamma(a).  For a > 0 and x >= 0.
+
+_MAXLOG = 709.782712893384  # log of the largest float
+_EPS = 2.0 ** -53  # the relative change at which a series or fraction stops
+_BIG = 2.0 ** 52  # the fraction's rescaling threshold
+_MAXITER = 2000  # Cephes' bound on the fraction's steps
+
+
+def _gamma(a: float) -> float:
+    """Gamma(a) for a > 0, +inf past the float range, where ``math.gamma``
+    raises ``OverflowError``."""
+    try:
+        return math.gamma(a)
+    except OverflowError:
+        return INF
+
+
+def _igam_fac(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a), read as 0 where its log is below -_MAXLOG."""
+    ax = a * math.log(x) - x - math.lgamma(a)
+    return 0.0 if ax < -_MAXLOG else math.exp(ax)
+
+
+def _igam_series(a: float, x: float) -> float:
+    """P(a, x) by its power series; for x <= 1 or x <= a."""
+    fac = _igam_fac(a, x)
+    if fac == 0.0:
+        return 0.0
+    r, c, s = a, 1.0, 1.0
+    while c > _EPS * s:
+        r += 1.0
+        c *= x / r
+        s += c
+    return s * fac / a
+
+
+def _igamc_series(a: float, x: float) -> float:
+    """Q(a, x) for x <= 1.1 and small a: 1 - x^a / Gamma(1 + a), less
+    x^a / Gamma(a) times sum_{n>=1} (-x)^n / (n! (a + n))."""
+    fac, s, n = 1.0, 0.0, 0
+    while True:
+        n += 1
+        fac *= -x / n
+        term = fac / (a + n)
+        s += term
+        if abs(term) <= _EPS * abs(s):
+            break
+    logx = math.log(x)
+    return -math.expm1(a * logx - math.lgamma(1.0 + a)) - math.exp(a * logx - math.lgamma(a)) * s
+
+
+def _igamc_fraction(a: float, x: float) -> float:
+    """Q(a, x) by Legendre's continued fraction; for x > 1.1 and x >= a.
+    The convergents are rescaled by 2^-52 when they pass 2^52; at most
+    ``_MAXITER`` steps."""
+    fac = _igam_fac(a, x)
+    if fac == 0.0:
+        return 0.0
+    y = 1.0 - a
+    z = x + y + 1.0
+    c = 0.0
+    pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
+    ans = pkm1 / qkm1
+    t = 1.0
+    while t > _EPS and c < _MAXITER:  # a NaN change stops it too
+        c += 1.0
+        y += 1.0
+        z += 2.0
+        yc = y * c
+        pk = pkm1 * z - pkm2 * yc
+        qk = qkm1 * z - qkm2 * yc
+        t = 1.0
+        if qk != 0.0:
+            r = pk / qk
+            t = abs((ans - r) / r) if r != 0.0 else 1.0
+            ans = r
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > _BIG:
+            pkm2, pkm1, qkm2, qkm1 = pkm2 / _BIG, pkm1 / _BIG, qkm2 / _BIG, qkm1 / _BIG
+    return ans * fac
+
+
+def _gammainc(a: float, x: float) -> float:
+    """The regularized lower incomplete gamma function P(a, x), a > 0, x >= 0."""
+    if x == 0.0:
+        return 0.0
+    if x == INF:
+        return 1.0
+    if x > 1.0 and x > a:
+        return 1.0 - _gammaincc(a, x)
+    return _igam_series(a, x)
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """The regularized upper incomplete gamma function Q(a, x), a > 0, x >= 0."""
+    if x == 0.0:
+        return 1.0
+    if x == INF:
+        return 0.0
+    if x > 1.1:
+        return 1.0 - _igam_series(a, x) if x < a else _igamc_fraction(a, x)
+    if (a <= -0.4 / math.log(x)) if x <= 0.5 else (1.1 * x >= a):
+        return _igamc_series(a, x)
+    return 1.0 - _igam_series(a, x)
 
 
 def _power_int(c: float, alpha: float, a: float, b: float) -> float:
@@ -324,17 +436,17 @@ class PowerWeight(Weight):
         a1 = alpha + 1.0
         if mu == 0.0 and a1 > 0.0 and (a == 0.0 or b == INF):
             # Python floats: inf * 0 is NaN without numpy's warning
-            mass = c * xpow(lam, -a1) * float(_sp.gamma(a1))
+            mass = c * xpow(lam, -a1) * _gamma(a1)
             part = 1.0  # the regularized incomplete gamma factor
             if b < INF:
-                part = float(_sp.gammainc(a1, lam * b))
+                part = _gammainc(a1, lam * b)
             elif a > 0.0:
-                part = float(_sp.gammaincc(a1, lam * a))
+                part = _gammaincc(a1, lam * a)
             mass = mass * part
             if mass < INF:
                 return mass
             if part > 0.0:
-                return _exp(math.log(c) - a1 * math.log(lam) + float(_sp.gammaln(a1)) + math.log(part))
+                return _exp(math.log(c) - a1 * math.log(lam) + math.lgamma(a1) + math.log(part))
         return _quad_log(self, a, b)
 
     # -- algebra --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """``scripts/ab_passes.py`` on a tiny config, with this checkout on both sides.
 
 Both sides load this tree's ``src/supineq`` under their own package names,
-in this process; no subprocess runs."""
+in this process.  Only ``TestImportCost`` starts subprocesses, the fresh
+interpreters of the import cost; elsewhere their probe is a stub."""
 
 import importlib.util
 import json
@@ -26,6 +27,14 @@ def ab_passes():
 
 
 AB = ab_passes()
+
+
+@pytest.fixture(autouse=True)
+def stub_import_probe(request, monkeypatch):
+    """Outside ``TestImportCost``, an import probe that starts no interpreter:
+    0.5 s, 30 MB and no scipy."""
+    if request.cls is not TestImportCost:
+        monkeypatch.setattr(AB, "import_probe", lambda checkout: (0.5, 30.0, False))
 
 
 @pytest.fixture
@@ -59,6 +68,8 @@ class TestSameTreeTwice:
         assert passes["digest_equal"] and passes["digests"]["parent"] == passes["digests"]["change"]
         assert_spread(passes)
         assert "criteria_memos" not in passes  # read under criteria-sweep only
+        assert doc["import"] == {side: {"import_s": 0.5, "rss_mb": 30.0, "scipy_loaded": False}
+                                 for side in AB.SIDES}
         # both specs take the ray pass (p = 1 <= q): no ascent runs
         assert passes["ascent"] == {side: dict.fromkeys(("visits", "misses", "ratios_calls", "rows"), 0)
                                     for side in AB.SIDES}
@@ -191,6 +202,34 @@ class TestSameTreeTwice:
     def test_one_round_is_refused(self, tiny_config):
         with pytest.raises(ValueError, match="two rounds"):
             AB.run(ROOT, ROOT, tiny_config, rounds=1)
+
+
+class TestImportCost:
+    def test_fresh_interpreters(self, tmp_path, monkeypatch):
+        # this tree imports no scipy module; a checkout whose package does, does
+        fake = tmp_path / "src" / "supineq"
+        fake.mkdir(parents=True)
+        (fake / "__init__.py").write_text("import scipy.special\n")
+        monkeypatch.setattr(AB, "IMPORT_RUNS", 1)
+        cost = AB.import_costs({"parent": ROOT, "change": str(tmp_path)})
+        assert not cost["parent"]["scipy_loaded"] and cost["change"]["scipy_loaded"]
+        # each interpreter's own peak, not this process's: scipy.special adds
+        # well over 10 MB to numpy's
+        assert cost["change"]["rss_mb"] > cost["parent"]["rss_mb"] + 10.0
+        for side in AB.SIDES:
+            assert cost[side]["import_s"] > 0.0 and cost[side]["rss_mb"] > 0.0
+
+    def test_medians_over_the_runs(self, monkeypatch):
+        # five runs a side, alternating; medians of seconds and MB, and scipy
+        # loaded if any run loaded it
+        runs = {"p": iter([(3.0, 40.0, False), (1.0, 50.0, False), (2.0, 45.0, False),
+                           (5.0, 41.0, False), (4.0, 42.0, False)]),
+                "c": iter([(0.3, 30.0, False), (0.1, 31.0, True), (0.2, 29.0, False),
+                           (0.5, 28.0, False), (0.4, 27.0, False)])}
+        monkeypatch.setattr(AB, "import_probe", lambda checkout: next(runs[checkout]))
+        assert AB.import_costs({"parent": "p", "change": "c"}) == {
+            "parent": {"import_s": 3.0, "rss_mb": 42.0, "scipy_loaded": False},
+            "change": {"import_s": 0.3, "rss_mb": 29.0, "scipy_loaded": True}}
 
 
 class TestOutcome:

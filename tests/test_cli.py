@@ -4,6 +4,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +160,51 @@ class TestRunBatch:
         records, code = run_batch(load_config(write_config(tmp_path, doc)), jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert len(records) == scenarios and code == 0
+
+
+# Run in a new interpreter: records the scipy modules loaded after the import,
+# on the first import of scipy (with the functions on the stack), and after
+# each scenario of the config named by argv[1].
+FRESH_SCRIPT = """
+import json, sys, traceback
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = {}
+
+class FirstScipyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" and "first_import" not in out:
+            out["first_import"] = [frame.name for frame in traceback.extract_stack()]
+
+sys.meta_path.insert(0, FirstScipyImport())
+import supineq
+from supineq import cli
+
+out["import"] = scipy_modules()
+for sc in cli.load_config(sys.argv[1]):
+    cli.run_scenario(sc)
+    out[sc.id] = scipy_modules()
+print(json.dumps(out))
+"""
+
+
+class TestFreshInterpreter:
+    def test_scipy_loads_on_the_first_quadrature(self, tmp_path):
+        # a power-exponential's masses are closed forms: no scipy module; a
+        # genpower weight's need quadrature, which imports scipy.integrate
+        genpower = dict(GOOD_SCENARIO, id="genpower",
+                        w={"form": "genpower", "c": 1, "alpha": 0, "lambda": 1, "mu": 0.1})
+        path = write_config(tmp_path, {"defaults": FAST, "scenarios": [GOOD_SCENARIO, genpower]})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        run = subprocess.run([sys.executable, "-c", FRESH_SCRIPT, path], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        out = json.loads(run.stdout)
+        assert out["import"] == out["s-down-unit"] == []
+        assert "scipy.integrate" in out["genpower"]
+        assert "_quad_log" in out["first_import"]
 
 
 class TestMain:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from supineq.cli import load_config
 from supineq.criteria import CriterionResult, InequalitySpec
-from supineq.extreal import INF, _amul, adiv, amul, apow, xdiv, xmul, xpow
+from supineq.extreal import INF, _amul, _apow, adiv, amul, apow, xdiv, xmul, xpow
 from supineq.gridfn import (
     DEFAULT_GRID,
     Grid,
@@ -788,16 +788,16 @@ def two_array_ratios(engine, F):
     return np.array(out)
 
 
-def workspace_rows(spec):
+def workspace_rows(spec, grid=KERNEL_GRID):
     """``kernel_inputs`` of the spec's cone, then a zero row, the sampled rows
     with +inf at their end knot (the first on the non-increasing cone, else
     the last) and with +inf at every positive entry, and every row scaled by
     1e200, whose norms overflow wherever p or q exceeds 1."""
-    stack = kernel_inputs(spec, KERNEL_GRID)
+    stack = kernel_inputs(spec, grid)
     sampled = stack[:5]
     end = sampled.copy()
     end[:, 0 if spec.cone == "non_increasing" else -1] = INF
-    return np.concatenate([stack, np.zeros((1, KERNEL_GRID.n)), end,
+    return np.concatenate([stack, np.zeros((1, grid.n)), end,
                            np.where(sampled > 0.0, INF, 0.0), 1e200 * stack])
 
 
@@ -825,6 +825,24 @@ class TestWorkspace:
                 assert (engine.dW == 0.0).any() and (engine.dW > 0.0).any()
             rows = workspace_rows(spec)
             assert engine.ratios(rows).tobytes() == two_array_ratios(engine, rows).tobytes(), cid
+
+    def test_apow_is_the_in_place_power_on_the_battery(self):
+        # ``ratios`` raises its workspace with ``extreal._apow``, where it
+        # once took ``**=``: the same bits, on each half of every battery
+        # engine's workspace and on the quotients
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for sc in load_config(BATTERY):
+                engine = RayleighEngine(sc.spec, make_log_grid(**sc.grid))
+                rows = workspace_rows(sc.spec, engine.grid)
+                segv = region_values(rows, engine.cone)
+                halves = (segv, engine.kernel.apply(segv))
+                for half, e in zip(halves, (sc.spec.exps.p, sc.spec.exps.q)):
+                    power, mine = half.copy(), half.copy()
+                    with np.errstate(all="ignore"):
+                        power **= e
+                        assert _apow(mine, e, out=mine).tobytes() == power.tobytes(), sc.id
+                assert engine.ratios(rows).tobytes() == two_array_ratios(engine, rows).tobytes(), sc.id
 
 
 # -- the calls of the indicator scan and the random stage --

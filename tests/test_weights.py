@@ -24,6 +24,8 @@ from supineq.weights import (
     TabulatedWeight,
     Weight,
     _Derived,
+    _gammainc,
+    _gammaincc,
     _mul,
     _scale,
     conjugate,
@@ -289,6 +291,14 @@ def intended_change(mismatch):
     return new == _outcome(lambda: INF) and (old == "OverflowError" or w.c == INF)
 
 
+def gamma_branch(mismatch):
+    """Whether a mismatch is a finite mass of the gamma branch, c Gamma(a)
+    lam^-a times P or Q at a = alpha + 1 > 0, read both times."""
+    w, _method, _t, old, new = mismatch
+    return (isinstance(w, PowerWeight) and 0.0 < w.c < INF and w.lam > 0.0 and w.mu == 0.0
+            and w.alpha > -1.0 and isinstance(old, int) and isinstance(new, int))
+
+
 def random_piecewise(rng, n):
     """``n`` piecewise weights with 1 to 4 knots and segments drawn from the
     power grid; their knots, the ends and a point inside each segment."""
@@ -307,7 +317,9 @@ def random_piecewise(rng, n):
 class TestMassRule:
     """``cum_low``, ``cum_up`` and the total of both power families read one
     ``_mass`` each and give the old per-method rules' floats, bit for bit,
-    but for a piecewise total."""
+    but for a piecewise total and the gamma branch.  The old rules read
+    ``scipy.special``; the gamma branch now reads ``_gammainc`` and
+    ``_gammaincc``, within 2e-13 relative of them."""
 
     @pytest.fixture(autouse=True)
     def _one_quadrature_per_integral(self, monkeypatch):
@@ -322,7 +334,16 @@ class TestMassRule:
         grid = [(PowerWeight(c, alpha, lam, mu), MASS_T) for c in MASS_C for alpha in MASS_ALPHA
                 for lam in (0.0, 0.5, 1.0, 2.0) for mu in (0.0, 0.1)]
         changes = mass_mismatches(grid)
-        assert [m for m in changes if not intended_change(m)] == []
+        moved = [m for m in changes if gamma_branch(m)]
+        assert [m for m in changes if not intended_change(m) and m not in moved] == []
+        old, new = (np.array(x, dtype=np.int64).view(float) for x in zip(*[m[3:] for m in moved]))
+        assert moved and (np.abs(new - old) <= 2e-13 * old).all()
+        # the largest move, 145 ulps, is scipy's: 2.5 sqrt(pi) erfc(1) is
+        # 2.5 Gamma(1/2) Q(1/2, 1), and the old rule read it 2.6e-14 off
+        w, method, t, *_ = max(moved, key=lambda m: abs(m[4] - m[3]))
+        assert (w, method, t) == (PowerWeight(2.5, -0.5, 1.0), "cum_up", 1.0)
+        exact = 2.5 * math.sqrt(math.pi) * math.erfc(1.0)
+        assert abs(w.cum_up(1.0) - exact) < 1e-14 * exact < abs(_old_power_cum_up(w, 1.0) - exact)
         # both intended changes occur on the grid: t**4 at 1e200, and c = oo
         # on a range where the incomplete gamma factor underflows to 0
         kinds = {(w, method, t): old for w, method, t, old, _ in changes}
@@ -387,6 +408,90 @@ class TestMassRange:
         assert w._mass(1.0, 2.0) == INF
         # and 0 on an empty one
         assert w.cum_low(0.0) == w.cum_up(INF) == w._mass(3.0, 3.0) == 0.0
+
+
+# -- the regularized incomplete gamma functions ---------------------------------
+
+GAMMA_A = np.geomspace(0.05, 150.0, 23).tolist()
+GAMMA_X = np.geomspace(1e-12, 1e3, 31).tolist()
+
+
+def gamma_grid_worst(reference):
+    """The largest relative difference of ``_gammainc`` and ``_gammaincc``
+    from ``reference(a, x)``'s (P, Q) on ``GAMMA_A`` x ``GAMMA_X``, where the
+    reference value is at least 1e-300."""
+    worst = 0.0
+    for a in GAMMA_A:
+        for x in GAMMA_X:
+            for mine, ref in zip((_gammainc(a, x), _gammaincc(a, x)), reference(a, x)):
+                if ref >= 1e-300:
+                    worst = max(worst, float(abs((mine - ref) / ref)))
+    return worst
+
+
+class TestIncompleteGamma:
+    """``_gammainc`` and ``_gammaincc``, P(a, x) and Q(a, x), against their
+    closed forms, scipy.special and mpmath."""
+
+    XS = np.geomspace(1e-12, 700.0, 61).tolist() + [0.5, 1.0, 1.1, 2.0]
+
+    def test_closed_forms(self):
+        for x in self.XS:
+            assert _gammaincc(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
+            for n in range(2, 7):
+                series = math.fsum(x ** k / math.factorial(k) for k in range(n))
+                assert _gammaincc(float(n), x) == pytest.approx(math.exp(-x) * series, rel=1e-13)
+            assert _gammainc(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), rel=1e-13)
+            assert _gammaincc(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-13)
+        # where scipy's Q(1/2, 1) is 2.6e-14 off erfc(1)
+        assert abs(_gammaincc(0.5, 1.0) - math.erfc(1.0)) < 5e-15 * math.erfc(1.0)
+
+    def test_against_scipy(self):
+        # scipy.special as a reference here only: the package does not import it
+        assert gamma_grid_worst(lambda a, x: (_sp.gammainc(a, x), _sp.gammaincc(a, x))) <= 2e-13
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def exact(a, x):
+                p = mpmath.gammainc(a, 0, x, regularized=True)
+                return p, (1 - p if p < 0.5 else mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+
+            assert gamma_grid_worst(exact) <= 2e-13
+
+    def test_ends(self):
+        for a in (0.05, 0.5, 1.0, 3.0, 150.0, 1e6):
+            assert (_gammainc(a, 0.0), _gammaincc(a, 0.0)) == (0.0, 1.0)
+            assert (_gammainc(a, INF), _gammaincc(a, INF)) == (1.0, 0.0)
+        # the prefactor x^a e^-x / Gamma(a) underflows: 0 in the tail, 1 - 0 before it
+        assert (_gammainc(2.0, 800.0), _gammaincc(2.0, 800.0)) == (1.0, 0.0)
+        assert (_gammainc(50.0, 1e-12), _gammaincc(50.0, 1e-12)) == (0.0, 1.0)
+
+    def test_masses_at_the_ends(self):
+        # lam = oo: all of the mass sits at 0, and none of (0, oo) carries any
+        w = PowerWeight(2.0, 0.5, INF)
+        assert w.cum_low(1.0) == w.cum_up(1.0) == w.cum_up(0.0) == w.cum_low(INF) == 0.0
+        # lam t at 0 and at oo: Q = 1 and P = 1, the total c Gamma(a) lam^-a
+        w = PowerWeight(2.0, 0.5, 3.0)
+        total = 2.0 * math.gamma(1.5) * 3.0 ** -1.5
+        assert w.cum_up(1e-320) == pytest.approx(total, rel=1e-15)
+        assert w.cum_low(1e306) == pytest.approx(total, rel=1e-15)
+        assert w.cum_up(1e306) == 0.0 and w.cum_low(1e-320) == 0.0
+
+    def test_gamma_past_the_float_range_takes_logs(self):
+        # a = 201: Gamma(a) overflows (math.gamma raises past 171.6), and the
+        # mass is taken in logs, with lgamma
+        w = PowerWeight(1e-300, 200.0, 1.0)
+        assert w.cum_up(0.0) == pytest.approx(math.exp(math.lgamma(201.0) - 300.0 * math.log(10.0)),
+                                              rel=1e-12)
+        assert w.cum_up(150.0) == pytest.approx(
+            math.exp(math.log(1e-300) + math.lgamma(201.0) + math.log(_sp.gammaincc(201.0, 150.0))),
+            rel=1e-12)
+        assert w.cum_low(150.0) == pytest.approx(
+            math.exp(math.log(1e-300) + math.lgamma(201.0) + math.log(_sp.gammainc(201.0, 150.0))),
+            rel=1e-12)
+        # and +inf where the mass itself is past the float range
+        assert PowerWeight(1.0, 200.0, 1.0).cum_up(0.0) == INF
 
 
 # -- one mass rule for every family ---------------------------------------------
