@@ -226,26 +226,24 @@ def run_scenario(sc: ScenarioConfig, timing: bool = False) -> dict:
             failed_hypothesis=exc.predicate,
             hypothesis_report=_jsonable(exc.report),
         )
-        if timing:
-            record["runtime_ms"] = round(1000.0 * (time.monotonic() - t0), 3)
-        return record
-    grid = make_log_grid(**sc.grid)
-    orc = best_constant_lower(sc.spec, sc.budget, sc.seed, grid)
-    rep = equivalence_report(crit, orc, band=sc.band)
-    record.update(
-        theorem_id=crit.theorem_id,
-        regime=crit.regime,
-        terms=_jsonable(dict(sorted(crit.terms.items()))),
-        criterion_total=_jsonable(crit.total),
-        finite=crit.finite,
-        flags=list(crit.flags),
-        hypothesis_report=_jsonable(crit.hypothesis_report),
-        oracle_lower=_jsonable(orc.lower_bound),
-        oracle_trace=_jsonable(list(orc.trace)),
-        divergence_flag=orc.divergence_flag,
-        ratio=_jsonable(rep.ratio),
-        verdict=rep.verdict,
-    )
+    else:
+        grid = make_log_grid(**sc.grid)
+        orc = best_constant_lower(sc.spec, sc.budget, sc.seed, grid)
+        rep = equivalence_report(crit, orc, band=sc.band)
+        record.update(
+            theorem_id=crit.theorem_id,
+            regime=crit.regime,
+            terms=_jsonable(dict(sorted(crit.terms.items()))),
+            criterion_total=_jsonable(crit.total),
+            finite=crit.finite,
+            flags=list(crit.flags),
+            hypothesis_report=_jsonable(crit.hypothesis_report),
+            oracle_lower=_jsonable(orc.lower_bound),
+            oracle_trace=_jsonable(list(orc.trace)),
+            divergence_flag=orc.divergence_flag,
+            ratio=_jsonable(rep.ratio),
+            verdict=rep.verdict,
+        )
     if timing:
         record["runtime_ms"] = round(1000.0 * (time.monotonic() - t0), 3)
     return record

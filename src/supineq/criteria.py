@@ -128,24 +128,25 @@ class IntSet:
     @cached_property
     def low(self) -> np.ndarray:
         """low[i] ~ int_0^{t_i} F w"""
-        if self.div0:
-            return np.full(len(self._c) + 1, INF)
-        low = np.empty(len(self._c) + 1)
-        low[0] = 0.0
-        np.cumsum(self._c, out=low[1:])
-        low += self._head
-        return low
+        return self._running(self.div0, self._head, slice(None))
 
     @cached_property
     def up(self) -> np.ndarray:
         """up[i] ~ int_{t_i}^oo F w"""
-        if self.divinf:
+        return self._running(self.divinf, self._tail, slice(None, None, -1))
+
+    def _running(self, div: bool, beyond: float, order: slice) -> np.ndarray:
+        """The running sum of the trapezoid masses from one end, read in
+        ``order`` from it: 0 at that end's knot, plus ``beyond``, the mass
+        past that knot; +inf throughout where that end diverges."""
+        if div:
             return np.full(len(self._c) + 1, INF)
-        up = np.empty(len(self._c) + 1)
-        up[-1] = 0.0
-        np.cumsum(self._c[::-1], out=up[-2::-1])
-        up += self._tail
-        return up
+        out = np.empty(len(self._c) + 1)
+        run = out[order]
+        run[0] = 0.0
+        np.cumsum(self._c[order], out=run[1:])
+        out += beyond
+        return out
 
     def settled(self) -> "IntSet":
         """This set with the total and both sides summed, the sides
@@ -243,24 +244,15 @@ class CritCtx:
             return INF, None
         if mval == 0.0:
             return 0.0, None
-        m = self.m
+        n, reach = len(v), 2 * self.m
         flag = None
-        if am <= 2 * m:
-            a0, a2 = v[0], v[2 * m]
-            if a0 >= mval * (1.0 - 1e-12):
-                ratio = xdiv(a0, a2)
+        for side, end, inward in (("left", 0, reach), ("right", n - 1, n - 1 - reach)):
+            if abs(am - end) <= reach and v[end] >= mval * (1.0 - 1e-12):
+                ratio = xdiv(v[end], v[inward])
                 if ratio > 1.5:
-                    return INF, "sup-divergent-left"
+                    return INF, "sup-divergent-" + side
                 if ratio > 1.05:
-                    flag = "sup-uncertain-left"
-        if am >= len(v) - 1 - 2 * m:
-            a0, a2 = v[-1], v[-1 - 2 * m]
-            if a0 >= mval * (1.0 - 1e-12):
-                ratio = xdiv(a0, a2)
-                if ratio > 1.5:
-                    return INF, "sup-divergent-right"
-                if ratio > 1.05:
-                    flag = "sup-uncertain-right"
+                    flag = "sup-uncertain-" + side
         return mval, flag
 
     # -- envelopes ---------------------------------------------------------------------
@@ -398,13 +390,20 @@ def _core(ctx: CritCtx, w: Weight, p_eff: float, q_eff: float,
             flags.append(fl)
         return {"A1": val}, flags, main
     r_eff = 1.0 / (1.0 / q_eff - 1.0 / p_eff)
-    b1_igr = _amul(_apow(I, r_eff / p_eff, out=I), Eq, out=I)
-    _amul(b1_igr, _apow(G, r_eff), out=b1_igr)
-    B1 = xpow(ctx.int_set(b1_igr, w).total, 1.0 / r_eff)
+    B1 = _b1(ctx, w, I, Eq, G, p_eff, r_eff)
     env = ctx.env_arr(_amul(_apow(Eq, 1.0 / q_eff), G), side)
     b2_igr = _amul(_apow(Wm, r_eff / p_eff), _apow(env, r_eff, out=env), out=env)
     B2 = xpow(ctx.int_set(b2_igr, w).total, 1.0 / r_eff)
     return {"B1": B1, "B2": B2}, flags, main
+
+
+def _b1(ctx: CritCtx, w: Weight, I: np.ndarray, Eq: np.ndarray, G: np.ndarray,
+        p: float, r: float) -> float:
+    """The q < p term (int I^{r/p} Eq G^r w)^{1/r}, of ``_core`` and T5.1;
+    ``I`` is overwritten."""
+    igr = _amul(_apow(I, r / p, out=I), Eq, out=I)
+    _amul(igr, _apow(G, r), out=igr)
+    return xpow(ctx.int_set(igr, w).total, 1.0 / r)
 
 
 def _finish(theorem_id: str, e: Exponents, terms: dict, report: dict,
@@ -673,10 +672,7 @@ def crit_T51(ctx: CritCtx, u: Weight, b: Weight, v: Weight, w: Weight,
         wset = ctx.int_w(w)
         for pre, base, g in (("B1", rho, g1), ("B3", eta, g2)):
             eqv = _apow(base, q)
-            Iup = ctx.int_set(eqv, w).up
-            b1_igr = _amul(_apow(Iup, r / p, out=Iup), eqv, out=Iup)
-            _amul(b1_igr, _apow(g, r), out=b1_igr)
-            terms[pre] = xpow(ctx.int_set(b1_igr, w).total, 1.0 / r)
+            terms[pre] = _b1(ctx, w, ctx.int_set(eqv, w).up, eqv, g, p, r)
             bg = _amul(base, g)
             b2_igr = _amul(_apow(wset.low, r / p), _apow(bg, r, out=bg), out=bg)
             nxt = {"B1": "B2", "B3": "B4"}[pre]
@@ -713,39 +709,35 @@ def crit_tub(u: Weight, b: Weight, v: Weight, w: Weight, e: Exponents,
     return crit_T53(ctx, u, b, v, w, e)
 
 
-def _pair(crit, side: str):
-    """The table row of one side of a mirror pair."""
-    def row(ctx: CritCtx, spec: InequalitySpec, verbatim: bool) -> CriterionResult:
-        return crit(ctx, side, spec.kind.u, spec.v, spec.w, spec.exps, verbatim)
-    return row
-
-
-def _tub(ctx: CritCtx, spec: InequalitySpec, verbatim: bool) -> CriterionResult:
-    return crit_tub(spec.kind.u, spec.kind.b, spec.v, spec.w, spec.exps, ctx=ctx)
-
-
-# (base, compose, cone) -> the criterion that characterizes the spec
+# (base, compose, cone) -> (the criterion that characterizes the spec, the
+# side of its mirror pair), side None for T_{u,b}
 _CRITERIA = {
-    ("S", None, "non_increasing"): _pair(crit_T33_34, "low"),
-    ("S*", None, "non_decreasing"): _pair(crit_T33_34, "up"),
-    ("S", None, "non_decreasing"): _pair(crit_T35_36, "low"),
-    ("S*", None, "non_increasing"): _pair(crit_T35_36, "up"),
-    ("S*", "H", "none"): _pair(crit_T31_32, "up"),
-    ("S", "H*", "none"): _pair(crit_T31_32, "low"),
-    ("S", "H", "none"): _pair(_crit_T4, "low"),
-    ("S*", "H*", "none"): _pair(_crit_T4, "up"),
-    ("T_ub", None, "non_increasing"): _tub,
+    ("S", None, "non_increasing"): (crit_T33_34, "low"),
+    ("S*", None, "non_decreasing"): (crit_T33_34, "up"),
+    ("S", None, "non_decreasing"): (crit_T35_36, "low"),
+    ("S*", None, "non_increasing"): (crit_T35_36, "up"),
+    ("S*", "H", "none"): (crit_T31_32, "up"),
+    ("S", "H*", "none"): (crit_T31_32, "low"),
+    ("S", "H", "none"): (_crit_T4, "low"),
+    ("S*", "H*", "none"): (_crit_T4, "up"),
+    ("T_ub", None, "non_increasing"): (crit_tub, None),
 }
 
 
 def evaluate_criterion(spec: InequalitySpec, ctx: Optional[CritCtx] = None,
                        verbatim: bool = False) -> CriterionResult:
     """Dispatch a spec to the criterion that characterizes it."""
-    return _criterion_of(spec)(ctx or CritCtx(), spec, verbatim)
+    crit, side = _criterion_of(spec)
+    ctx = ctx or CritCtx()
+    k = spec.kind
+    if side is None:
+        return crit(k.u, k.b, spec.v, spec.w, spec.exps, ctx=ctx)
+    return crit(ctx, side, k.u, spec.v, spec.w, spec.exps, verbatim)
 
 
 def _criterion_of(spec: InequalitySpec):
-    """The criterion for ``spec``'s operator and cone; ``ValueError`` if none."""
+    """The ``_CRITERIA`` row of ``spec``'s operator and cone; ``ValueError``
+    if none."""
     k = spec.kind
     row = _CRITERIA.get((k.base, k.compose, spec.cone))
     if row is None:

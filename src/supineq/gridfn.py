@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import INF
-from .weights import Weight, _quad_log
+from .weights import Weight
 
 __all__ = [
     "Grid",
@@ -96,20 +96,6 @@ def region_values(F: np.ndarray, cone: str, out: Optional[np.ndarray] = None) ->
     return out
 
 
-def _interval_mass(w: Weight, a: float, b: float, la: float, lb: float) -> float:
-    """``int_a^b w`` for 0 < a < b < oo, given ``la``/``lb`` = ``w.cum_low``
-    at a and b: the difference of lower cumulatives when ``lb`` is finite,
-    else of upper ones, else quadrature (w diverges at both 0 and oo).
-    ``w.cum_up`` is called only on that second branch, at b only when it is
-    finite at a."""
-    if lb < INF:
-        return max(lb - la, 0.0)
-    ua = w.cum_up(a)
-    if ua < INF:
-        return max(ua - w.cum_up(b), 0.0)
-    return _quad_log(w, a, b)
-
-
 _MEMO_SIZE = 64  # (grid, weight) mass arrays kept: 64 x 513 floats at n=512, about 0.26 MB
 
 
@@ -118,9 +104,10 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     """``[W(k0), W(k1)-W(k0), ..., W_*(k_{n-1})]`` (length n+1, entries in [0, inf]).
 
     The end entries are ``cum_low`` at the first knot and ``cum_up`` at the
-    last, and each interior entry is ``_interval_mass`` over its region, from
-    one ``cum_low`` per knot and ``cum_up`` only at the knots that need it.
-    No cumulative reads NaN: every weight family's ``_mass`` is in [0, inf].
+    last.  An interior entry is the difference of ``cum_low`` at its two
+    knots, one ``cum_low`` per knot, or ``w._mass`` over the region where
+    ``cum_low`` reads +inf (w diverges at 0).  No mass reads NaN: every
+    weight family's ``_mass`` is in [0, inf].
 
     The array is read-only and shared: a process-wide memo of the last 64
     (grid, weight) pairs, keyed by value (grids and weights are frozen
@@ -130,7 +117,7 @@ def region_measures(grid: Grid, w: Weight) -> np.ndarray:
     low = [w.cum_low(k) for k in ks]
     out = np.empty(grid.n + 1)
     out[0] = low[0]
-    out[1:-1] = [_interval_mass(w, a, b, la, lb)
+    out[1:-1] = [max(lb - la, 0.0) if lb < INF else w._mass(a, b)
                  for a, b, la, lb in zip(ks[:-1], ks[1:], low[:-1], low[1:])]
     out[-1] = w.cum_up(ks[-1])
     out.flags.writeable = False

@@ -221,14 +221,16 @@ _QUIET_CASES = {("above", "non_decreasing"), ("above", "none"),
                 ("below", "non_increasing"), ("below", "none")}
 
 
-def _rays(n: int, cone: str, js) -> np.ndarray:
-    """The extreme rays of ``cone`` at knots ``js``, one row each: chi_(0, k_j]
-    on the non-increasing cone, chi_[k_j, oo) on the non-decreasing one and
-    the unit row at j, the indicator of region R_{j+1}, on ``none``."""
-    j, k = np.asarray(js)[:, None], np.arange(n)
-    if cone == "non_increasing":
-        return (k <= j).astype(float)
-    return (k >= j if cone == "non_decreasing" else k == j).astype(float)
+def _rays(n: int, cone: str) -> np.ndarray:
+    """The extreme rays of ``cone``, row j the ray at knot j: chi_(0, k_j] on
+    the non-increasing cone, chi_[k_j, oo) on the non-decreasing one and the
+    unit row at j, the indicator of region R_{j+1}, on ``none``.  A read-only
+    ``(n, n)`` view of one staircase of 2n - 1 floats, whose row j starts at
+    entry n - 1 - j: n ones then n - 1 zeros, n - 1 zeros then n ones, or a
+    one between n - 1 zeros on each side."""
+    stair = np.zeros(2 * n - 1)
+    stair[{"non_increasing": slice(None, n), "non_decreasing": slice(n - 1, None)}.get(cone, n - 1)] = 1.0
+    return np.lib.stride_tricks.sliding_window_view(stair, n)[::-1]
 
 
 def _rays_are_exact(engine: RayleighEngine) -> bool:
@@ -279,15 +281,8 @@ def best_constant_lower(
     if budget.n_char > 0:
         idxs = np.unique(np.linspace(0, n - 1, min(budget.n_char, n)).astype(int))
         for fam in [cone] if cone != "none" else ["non_increasing", "non_decreasing"]:
-            # ray j, ``_rays(n, fam, [j])[0]``, as the length-n view from top - j
-            # of one 2n staircase: n ones then n zeros on the non-increasing
-            # cone (top = n - 1), n zeros then n ones on the non-decreasing one
-            # (top = n)
-            if fam == "non_increasing":
-                stair, top = np.repeat([1.0, 0.0], n), n - 1
-            else:
-                stair, top = np.repeat([0.0, 1.0], n), n
-            rs = [offer(stair[top - j:top - j + n]) for j in idxs.tolist() if best < INF]
+            rays = _rays(n, fam)
+            rs = [offer(rays[j]) for j in idxs.tolist() if best < INF]
             char_scans.append((engine.ks[idxs[:len(rs)]], np.array(rs)))
     trace.append(best)
 
@@ -303,11 +298,12 @@ def best_constant_lower(
         # the ray pass: no row scores above the best extreme ray (module
         # docstring), and on a monotone cone a scan of every knot scored them
         if cone == "none" or budget.n_char < n:
+            rays = _rays(n, cone)
             for lo in range(0, n, _ASCENT_ROWS):
-                rs = engine.ratios(_rays(n, cone, range(lo, min(lo + _ASCENT_ROWS, n))))
+                rs = engine.ratios(rays[lo:lo + _ASCENT_ROWS])
                 i = int(rs.argmax())
                 if rs[i] > best:
-                    best, best_vals = float(rs[i]), _rays(n, cone, [lo + i])[0]
+                    best, best_vals = float(rs[i]), rays[lo + i]
                 if best == INF:
                     break
     elif search:

@@ -361,6 +361,25 @@ class TestIntSetBitIdentical:
             F = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
             assert_same(ctx, F, PowerWeight(1.0, 0.0))
 
+    def test_reversed_integrand_swaps_the_sides(self):
+        # one running sum from either end: on the symmetric grid, x -> 1/x
+        # reverses the integrand and swaps low with up and div0 with divinf.
+        # Not bit for bit: the decade blocks are summed pairwise, in the
+        # other order
+        ctx = CritCtx()
+        s = np.log(ctx.t)
+        rng = np.random.default_rng(23)
+        flags = set()
+        for _ in range(300):
+            a, b = rng.uniform(-1.0, 1.0, 2)  # g ~ t^a at 0 and t^-b at oo
+            g = np.exp(np.where(s < 0.0, a * s, -b * s) + rng.normal(0.0, 1.0, len(s)))
+            fwd, rev = ctx.integrate(g), ctx.integrate(g[::-1])
+            assert (rev.div0, rev.divinf) == (fwd.divinf, fwd.div0)
+            np.testing.assert_allclose(rev.up, fwd.low[::-1], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(rev.low, fwd.up[::-1], rtol=1e-13, atol=0.0)
+            flags.add((fwd.div0, fwd.divinf))
+        assert flags == {(False, False), (True, False), (False, True), (True, True)}
+
     def test_sides_are_summed_on_first_access_only(self):
         # an integrand other than the weight alone, whose sides ``int_w`` sums
         # when it memoises them

@@ -385,6 +385,29 @@ class TestOnePassSup:
             for w in (U, V, W, PowerWeight(1.0, -2.0)):
                 assert ctx.sup(ctx.vals(w)) == four_pass_sup(ctx, ctx.vals(w))
 
+    def test_mirror_swaps_the_flags(self):
+        # one end test for both ends: on distinct values, where the first
+        # maximum is the only one, the reversed array reads the same maximum
+        # with left and right swapped
+        swap = {"left": "right", "right": "left"}
+        rng = np.random.default_rng(17)
+        n = len(SUP_CTX.t)
+        seen = set()
+        for _ in range(3000):
+            v = rng.uniform(0.0, 1.0, n)
+            for end in rng.choice([0, n - 1], rng.integers(0, 3), replace=False):
+                # an end maximum, 1 % to 4x above the rest; the two ends differ
+                v[end] = v.max() * rng.choice([1.01, 1.1, 1.3, 1.7, 4.0]) * (1.0 + 1e-6 * end)
+            val, flag = SUP_CTX.sup(v)
+            rval, rflag = SUP_CTX.sup(v[::-1])
+            if flag is not None:
+                kind, side = flag.rsplit("-", 1)
+                flag = f"{kind}-{swap[side]}"
+            assert (rval, rflag) == (val, flag), v
+            seen.add(rflag)
+        assert seen == {None, "sup-divergent-left", "sup-divergent-right",
+                        "sup-uncertain-left", "sup-uncertain-right"}
+
 
 # -- the weight as a measure: w·t kept in the memo --------------------------------
 

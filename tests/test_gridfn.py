@@ -189,6 +189,10 @@ MASS_WEIGHTS = {
     # table's mass was NaN before it had a closed form per segment
     "e^-t table, steep segment": TabulatedWeight(t=EXP_TABLE_T, y=tuple(math.exp(-t) for t in EXP_TABLE_T)),
 }
+# the weights whose cum_low is +inf at every knot (w diverges at 0): their
+# interior regions take the family's ``_mass``, where the loop above takes a
+# difference of upper cumulatives or quadrature (the branch each name records)
+DIVERGENT_AT_0 = ("t^-1 (quadrature)", "powerexp t^-1.5 (upper quadrature)")
 
 
 class TestRegionMeasuresBitIdentical:
@@ -199,7 +203,29 @@ class TestRegionMeasuresBitIdentical:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             new, old = region_measures(g, w), old_region_measures(g, w)
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        if name not in DIVERGENT_AT_0:
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+            return
+        # the end entries are the cumulatives, bit for bit; each interior one
+        # is the family's mass over the region, which agrees with the old
+        # rule to quadrature accuracy and reads 0 exactly where it did
+        ks = g.array()
+        assert new[0] == old[0] == INF and new[-1] == old[-1]
+        assert new[1:-1].tolist() == [w._mass(a, b) for a, b in zip(ks[:-1], ks[1:])]
+        assert np.array_equal(new == 0.0, old == 0.0)
+        np.testing.assert_allclose(new[1:-1], old[1:-1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("grid", sorted(BENCH_GRIDS))
+    def test_one_over_t_is_exact(self, grid, monkeypatch):
+        # c log(b/a) on each interior region, with no quadrature
+        g, w = BENCH_GRIDS[grid], PowerWeight(3.0, -1.0)
+        calls = []
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: calls.append(a))
+        region_measures.cache_clear()  # another test may have computed this pair
+        m = region_measures(g, w)
+        ks = g.knots
+        assert not calls
+        assert m[1:-1].tolist() == [3.0 * math.log(b / a) for a, b in zip(ks[:-1], ks[1:])]
 
     def test_steep_segment_is_closed_form(self, monkeypatch):
         # the end entries are the table's own cumulatives, with no NaN, no

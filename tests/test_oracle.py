@@ -878,7 +878,7 @@ class TestScanCalls:
     def scan_rows(self, cone):
         n = GRID.n
         idxs = np.unique(np.linspace(0, n - 1, min(self.N_CHAR, n)).astype(int))
-        return [oracle._rays(n, fam, [j])[0] for fam in indicator_families(cone) for j in idxs]
+        return [oracle._rays(n, fam)[j] for fam in indicator_families(cone) for j in idxs]
 
     @pytest.mark.parametrize("cone", CONES)
     def test_one_call_per_scanned_knot_then_per_sample(self, cone, monkeypatch):
@@ -1571,6 +1571,30 @@ def all_rays(n, cone):
 
 def candidate(sid):
     return next(sc for sc in load_config(CANDIDATES) if sc.id == sid)
+
+
+class TestRays:
+    """``_rays(n, cone)``: row j is the cone's extreme ray at knot j, and the
+    rows are one read-only view of a staircase of 2n - 1 floats."""
+
+    @pytest.mark.parametrize("n", [2, 3, 96])
+    @pytest.mark.parametrize("cone", CONES)
+    def test_rows_are_the_rays(self, cone, n):
+        rays = oracle._rays(n, cone)
+        j, k = np.arange(n)[:, None], np.arange(n)
+        want = {"non_increasing": k <= j, "non_decreasing": k >= j, "none": k == j}[cone]
+        assert rays.dtype == float and np.array_equal(rays, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 96])
+    @pytest.mark.parametrize("cone", CONES)
+    def test_one_read_only_staircase(self, cone, n):
+        rays = oracle._rays(n, cone)
+        assert not rays.flags.writeable and not rays[n - 1].flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0] = 2.0
+        # numpy < 2 has byte_bounds at the top level
+        lo, hi = getattr(np.lib, "array_utils", np).byte_bounds(rays)
+        assert hi - lo == (2 * n - 1) * rays.itemsize
 
 
 # S with u = t, v = t^{-2}, w = e^{-t}, p = q = 1 on the non-decreasing cone:
